@@ -52,7 +52,6 @@ from .nvib import (
 )
 from .numeric import (
     make_rng,
-    matmul,
     sample_dirichlet,
     sample_gaussian,
     softmax_rows,

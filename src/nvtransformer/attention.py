@@ -1,10 +1,14 @@
 """Standard multi-head attention over a set of vectors.
 
-The head layout follows the summed per-head formulation: full d x d
-projection matrices are stored once and split column-wise into h slices of
-width d/h.  Each head value-projects into its own slice of the output, so
-concatenating head outputs is the same as summing per-head contributions
-embedded in the full width.  There is no separate output projection.
+Full d x d projection matrices are stored once; head i owns columns
+[i*d/h, (i+1)*d/h) of each.  Every path computes all heads at once in three
+steps: `split_heads` reshapes projected (m, d) rows into an (h, m, d/h)
+stack, `attend_heads` forms the (h, m, n) scores with stacked matrix
+products, adds one (m, n) bias shared by every head and applies a single
+softmax over the stack, and `merge_heads` lays the (h, m, d/h) outputs back
+side by side in (m, d).  Each head value-projects into its own slice of the
+output, so there is no separate output projection.  The denoising paths
+reuse the same split, attend and merge steps.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class AttentionParams:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.heads
-
-    def head_slice(self, i: int) -> slice:
-        dh = self.head_dim
-        return slice(i * dh, (i + 1) * dh)
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,33 @@ def attn_core(u: np.ndarray, z: np.ndarray, scale: float) -> np.ndarray:
     return softmax_rows(u @ z.T / scale) @ z
 
 
+def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(m, d) -> (h, m, d/h); head i holds columns [i*d/h, (i+1)*d/h)."""
+    m, d = x.shape
+    return x.reshape(m, heads, d // heads).transpose(1, 0, 2)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """(h, m, d/h) -> (m, d); the inverse of `split_heads`."""
+    h, m, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(m, h * dh)
+
+
+def attend_heads(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """All-heads attention core over head stacks q (h, m, d/h) and
+    k, v (h, n, d/h): softmax(q k^T / sqrt(d/h) + bias) v.
+
+    `bias` is (m, n) and added to every head's scores.  Returns the
+    (h, m, d/h) outputs and the (h, m, n) weights.
+    """
+    h, m, dh = q.shape
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh) + bias
+    w = softmax_rows(scores.reshape(h * m, -1)).reshape(h, m, -1)
+    return w @ v, w
+
+
 def attention(
     u_prime: np.ndarray,
     z: np.ndarray,
@@ -139,18 +166,13 @@ def attention(
     d = params.model_dim
     if u_prime.shape[1] != d or z.shape[1] != d:
         raise ValueError("query/key width must equal model_dim")
-    m, n = u_prime.shape[0], z.shape[0]
-    bias = _mask_bias(mask.visible(m, n))
-    scale = np.sqrt(params.head_dim)
-
-    q = u_prime @ params.wq + params.bq
-    out = np.empty((m, d))
-    for i in range(params.heads):
-        sl = params.head_slice(i)
-        qi = q[:, sl]
-        # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i
-        ki = z @ params.wk[:, sl] + params.bk[sl]
-        vi = z @ params.wv[:, sl] + params.bv[sl]
-        w = softmax_rows(qi @ ki.T / scale + bias)
-        out[:, sl] = w @ vi
-    return out
+    bias = _mask_bias(mask.visible(u_prime.shape[0], z.shape[0]))
+    h = params.heads
+    # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i
+    out, _ = attend_heads(
+        split_heads(u_prime @ params.wq + params.bq, h),
+        split_heads(z @ params.wk + params.bk, h),
+        split_heads(z @ params.wv + params.bv, h),
+        bias,
+    )
+    return merge_heads(out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,13 +33,10 @@ from .serialize import load_weights, read_corpus, save_weights
 
 __all__ = ["main", "entry"]
 
-_CONFIG_KEYS = (
-    "vocab", "dim", "heads", "layers_enc", "layers_dec", "ffn_dim", "max_len"
-)
-
 
 def _parse_config_file(path: str) -> dict[str, int]:
     out: dict[str, int] = {}
+    names = {f.name for f in fields(ModelConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -46,7 +44,7 @@ def _parse_config_file(path: str) -> dict[str, int]:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
+            if not sep or key not in names:
                 raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
             try:
                 out[key] = int(value.strip())
@@ -55,14 +53,6 @@ def _parse_config_file(path: str) -> dict[str, int]:
                     f"{path}:{lineno}: {key} needs an integer"
                 ) from None
     return out
-
-
-def _uniform_taus(tau_alpha: float, tau_sigma: float) -> TauConfig:
-    return TauConfig(
-        tau_alpha_enc=tau_alpha, tau_alpha_cross=tau_alpha,
-        tau_alpha_dec=tau_alpha, tau_sigma_enc=tau_sigma,
-        tau_sigma_cross=tau_sigma, tau_sigma_dec=tau_sigma,
-    )
 
 
 def _load_base(path: str) -> ModelWeights:
@@ -78,12 +68,12 @@ def _load_nv(path: str) -> NvModel:
 
 
 def _cmd_init_model(args) -> int:
-    fields = _parse_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key)
+    values = _parse_config_file(args.config) if args.config else {}
+    for f in fields(ModelConfig):
+        flag = getattr(args, f.name)
         if flag is not None:
-            fields[key] = flag
-    config = ModelConfig(**fields)
+            values[f.name] = flag
+    config = ModelConfig(**values)
     save_weights(args.out, init_weights(config, args.seed))
     print(f"wrote {args.out} ({config})")
     return 0
@@ -112,7 +102,7 @@ def _cmd_certify(args) -> int:
     result = certify(
         w,
         nvm.priors,
-        _uniform_taus(args.tau_alpha, args.tau_sigma),
+        TauConfig.uniform(args.tau_alpha, args.tau_sigma),
         trials=args.trials,
         tol=args.tol,
         seed=args.seed,
@@ -139,7 +129,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_attn_dump(args) -> int:
     nvm = _load_nv(args.model)
     if args.tau_alpha is not None or args.tau_sigma is not None:
-        taus = _uniform_taus(
+        taus = TauConfig.uniform(
             args.tau_alpha if args.tau_alpha is not None else 10.0,
             args.tau_sigma if args.tau_sigma is not None else 1e-38,
         )
@@ -189,8 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value file with model dimensions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    for key in _CONFIG_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
+    for f in fields(ModelConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=int)
     p.set_defaults(func=_cmd_init_model)
 
     p = sub.add_parser("estimate-prior", help="per-site priors from a corpus")

@@ -25,7 +25,15 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionMask, AttentionParams, NO_MASK
+from .attention import (
+    NO_MASK,
+    AttentionMask,
+    AttentionParams,
+    _mask_bias,
+    attend_heads,
+    merge_heads,
+    split_heads,
+)
 from .nvib import DpPosterior, NvibProjection, project
 from .numeric import as_matrix, sample_dirichlet, sample_gaussian, softmax_rows
 
@@ -48,22 +56,13 @@ def _component_mask_bias(
     (m, n+1); in the wide form the prior column must be fully visible.
     """
     if mask.kind == "custom" and mask.custom.shape == (m, n_tokens + 1):
-        wide = mask.custom.astype(bool)
-        if not np.all(wide[:, -1]):
+        visible = mask.custom.astype(bool)
+        if not np.all(visible[:, -1]):
             raise ValueError("the prior component must never be masked")
-        visible = wide[:, :-1]
     else:
-        visible = mask.visible(m, n_tokens)
-    bias = np.zeros((m, n_tokens + 1))
-    bias[:, :-1][~visible] = -np.inf
-    return bias
-
-
-def _split_queries(
-    queries_pre: np.ndarray, params: AttentionParams
-) -> np.ndarray:
-    q = queries_pre @ params.wq + params.bq
-    return q
+        visible = np.ones((m, n_tokens + 1), dtype=bool)
+        visible[:, :-1] = mask.visible(m, n_tokens)
+    return _mask_bias(visible)
 
 
 def eval_dattn_multihead(
@@ -95,8 +94,8 @@ def eval_dattn_multihead(
     if queries_pre.shape[1] != d or dp.dim != d:
         raise ValueError("query/component width must equal model_dim")
     m = queries_pre.shape[0]
-    n = dp.n_tokens
-    bias = _component_mask_bias(mask, m, n)
+    bias = _component_mask_bias(mask, m, dp.n_tokens)
+    h = params.heads
     scale = np.sqrt(params.head_dim)
 
     sig2 = dp.sigma * dp.sigma                      # (n+1, d)
@@ -110,28 +109,21 @@ def eval_dattn_multihead(
         - 0.5 * np.sum(np.log(var_r), axis=1)
     )
 
-    q = _split_queries(queries_pre, params)
-    out = np.empty((m, d))
-    avg_map = np.zeros((m, n + 1)) if map_sink is not None else None
-    for i in range(params.heads):
-        sl = params.head_slice(i)
-        qi = q[:, sl]
-        ui = qi @ params.wk[:, sl].T                # (m, d)
-        scores = (
-            ui @ (dp.mu * inv_var).T
-            - 0.5 * (ui * ui) @ inv_var.T
-            + ((qi @ params.bk[sl]) / scale)[:, None]
-            + c[None, :]
-        )
-        w = softmax_rows(scores + bias)             # (m, n+1)
-        if avg_map is not None:
-            avg_map += w
-        # denoised vectors: interpolate query toward means, then project
-        denoised = (w @ (sig2 * inv_var)) * ui + w @ (scale * inv_var * dp.mu)
-        out[:, sl] = denoised @ params.wv[:, sl] + params.bv[sl]
-    if avg_map is not None:
-        map_sink(avg_map / params.heads)
-    return out
+    q = split_heads(queries_pre @ params.wq + params.bq, h)    # (h, m, d/h)
+    u = q @ split_heads(params.wk, h).transpose(0, 2, 1)        # (h, m, d)
+    qbk = q @ split_heads(params.bk[None, :], h).transpose(0, 2, 1)  # (h, m, 1)
+    scores = (
+        u @ (dp.mu * inv_var).T
+        - 0.5 * (u * u) @ inv_var.T
+        + qbk / scale
+        + c[None, :]
+    )
+    w = softmax_rows((scores + bias).reshape(h * m, -1)).reshape(h, m, -1)
+    if map_sink is not None:
+        map_sink(np.mean(w, axis=0))
+    # denoised vectors: interpolate query toward means, then project
+    denoised = (w @ (sig2 * inv_var)) * u + w @ (scale * inv_var * dp.mu)
+    return merge_heads(denoised @ split_heads(params.wv, h)) + params.bv
 
 
 def train_dattn_multihead(
@@ -145,16 +137,15 @@ def train_dattn_multihead(
     """One-sample Monte-Carlo denoising attention.
 
     Draws mixture weights pi ~ Dirichlet(alpha) over all n+1 components and
-    component vectors Z~ from their Gaussians, then attends over the sampled
-    impulses with key bias log pi - ||Z~||^2 / (2 sqrt(d/h)).
+    component vectors Z~ from their Gaussians, then runs standard attention
+    over the sampled impulses with key bias log pi - ||Z~||^2 / (2 sqrt(d/h)).
     """
     queries_pre = as_matrix(queries_pre)
     d = params.model_dim
     if queries_pre.shape[1] != d or dp.dim != d:
         raise ValueError("query/component width must equal model_dim")
-    m = queries_pre.shape[0]
-    n = dp.n_tokens
-    bias = _component_mask_bias(mask, m, n)
+    bias = _component_mask_bias(mask, queries_pre.shape[0], dp.n_tokens)
+    h = params.heads
     scale = np.sqrt(params.head_dim)
 
     pi = sample_dirichlet(rng, np.exp(dp.log_alpha))
@@ -162,22 +153,15 @@ def train_dattn_multihead(
     with np.errstate(divide="ignore"):
         key_bias = np.log(pi) - np.sum(z_tilde * z_tilde, axis=1) / (2.0 * scale)
 
-    q = _split_queries(queries_pre, params)
-    out = np.empty((m, d))
-    avg_map = np.zeros((m, n + 1)) if map_sink is not None else None
-    for i in range(params.heads):
-        sl = params.head_slice(i)
-        qi = q[:, sl]
-        ki = z_tilde @ params.wk[:, sl] + params.bk[sl]
-        vi = z_tilde @ params.wv[:, sl] + params.bv[sl]
-        scores = qi @ ki.T / scale + key_bias[None, :]
-        w = softmax_rows(scores + bias)
-        if avg_map is not None:
-            avg_map += w
-        out[:, sl] = w @ vi
-    if avg_map is not None:
-        map_sink(avg_map / params.heads)
-    return out
+    out, w = attend_heads(
+        split_heads(queries_pre @ params.wq + params.bq, h),
+        split_heads(z_tilde @ params.wk + params.bk, h),
+        split_heads(z_tilde @ params.wv + params.bv, h),
+        bias + key_bias[None, :],
+    )
+    if map_sink is not None:
+        map_sink(np.mean(w, axis=0))
+    return merge_heads(out)
 
 
 def nv_self_attention(

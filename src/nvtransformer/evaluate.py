@@ -9,7 +9,7 @@ attention mass the prior component receives in each group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .model import (
     greedy_decode,
     reinterpret,
 )
-from .nvib import EmpiricalPrior, TAU_SIGMA_MIN, TauConfig
+from .nvib import GROUPS, EmpiricalPrior, TAU_SIGMA_MIN, TauConfig
 from .numeric import make_rng
 
 __all__ = [
@@ -113,8 +113,8 @@ class _MassCollector:
     """Accumulates the prior column's head-averaged weight per group."""
 
     def __init__(self):
-        self.total = {"encoder": 0.0, "cross": 0.0, "decoder": 0.0}
-        self.count = {"encoder": 0, "cross": 0, "decoder": 0}
+        self.total = dict.fromkeys(GROUPS, 0.0)
+        self.count = dict.fromkeys(GROUPS, 0)
 
     def hook(self, group: str, layer_id: int, weights: np.ndarray) -> None:
         self.total[group] += float(np.sum(weights[:, -1]))
@@ -170,10 +170,7 @@ def interp_taus(t: float) -> TauConfig:
     corner (t=1) of the dial space, all groups moving together."""
     a = TAU_ALPHA_RANGE[1] + t * (TAU_ALPHA_RANGE[0] - TAU_ALPHA_RANGE[1])
     s = TAU_SIGMA_RANGE[0] + t * (TAU_SIGMA_RANGE[1] - TAU_SIGMA_RANGE[0])
-    return TauConfig(
-        tau_alpha_enc=a, tau_alpha_cross=a, tau_alpha_dec=a,
-        tau_sigma_enc=s, tau_sigma_cross=s, tau_sigma_dec=s,
-    )
+    return TauConfig.uniform(a, s)
 
 
 def grid_points(spec: str, seed: int = 0) -> list[TauConfig]:
@@ -196,18 +193,10 @@ def grid_points(spec: str, seed: int = 0) -> list[TauConfig]:
         rng = make_rng(seed)
         out = []
         for _ in range(k):
-            a = rng.uniform(*TAU_ALPHA_RANGE, 3)
-            s = rng.uniform(*TAU_SIGMA_RANGE, 3)
-            out.append(
-                TauConfig(
-                    tau_alpha_enc=float(a[0]),
-                    tau_alpha_cross=float(a[1]),
-                    tau_alpha_dec=float(a[2]),
-                    tau_sigma_enc=float(s[0]),
-                    tau_sigma_cross=float(s[1]),
-                    tau_sigma_dec=float(s[2]),
-                )
-            )
+            # one alpha dial then one sigma dial per group, in field order
+            a = rng.uniform(*TAU_ALPHA_RANGE, len(GROUPS))
+            s = rng.uniform(*TAU_SIGMA_RANGE, len(GROUPS))
+            out.append(TauConfig(*a.tolist(), *s.tolist()))
         return out
     raise ValueError(f"bad grid spec {spec!r}")
 
@@ -274,15 +263,10 @@ SWEEP_HEADER = (
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
+    """One line per row: the six dials in TauConfig field order, then the
+    SweepRow metrics in field order."""
     out = [SWEEP_HEADER]
     for r in rows:
-        t = r.taus
-        out.append(
-            f"{t.tau_alpha_enc:.12g},{t.tau_alpha_cross:.12g},"
-            f"{t.tau_alpha_dec:.12g},{t.tau_sigma_enc:.12g},"
-            f"{t.tau_sigma_cross:.12g},{t.tau_sigma_dec:.12g},"
-            f"{r.logit_max_diff:.12g},{r.overlap_pct:.12g},"
-            f"{r.prior_mass_enc:.12g},{r.prior_mass_cross:.12g},"
-            f"{r.prior_mass_dec:.12g},{r.mean_decode_len:.12g}"
-        )
+        values = astuple(r.taus) + astuple(r)[1:]
+        out.append(",".join(f"{v:.12g}" for v in values))
     return "\n".join(out) + "\n"

@@ -25,6 +25,7 @@ from .denoising import (
     nv_self_attention,
 )
 from .nvib import (
+    GROUPS,
     EmpiricalPrior,
     NvibProjection,
     TauConfig,
@@ -42,6 +43,7 @@ __all__ = [
     "init_weights",
     "forward_standard",
     "reinterpret",
+    "sites",
     "forward_nv",
     "greedy_decode",
 ]
@@ -278,16 +280,23 @@ def forward_standard(
     return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
 
 
+def sites(config: ModelConfig) -> list[tuple[str, int]]:
+    """Every attention site as (group, layer id): encoder 0.., cross 0..,
+    decoder 0.., the groups in GROUPS order."""
+    layers = {
+        "encoder": config.layers_enc,
+        "cross": config.layers_dec,
+        "decoder": config.layers_dec,
+    }
+    return [(g, i) for g in GROUPS for i in range(layers[g])]
+
+
 def _canonical_priors(
     priors: list[EmpiricalPrior], config: ModelConfig
 ) -> list[EmpiricalPrior]:
-    """Order priors encoder 0.., cross 0.., decoder 0..; require exact
-    coverage of every attention site."""
-    want = (
-        [("encoder", i) for i in range(config.layers_enc)]
-        + [("cross", i) for i in range(config.layers_dec)]
-        + [("decoder", i) for i in range(config.layers_dec)]
-    )
+    """Order priors as `sites(config)`; require exact coverage of every
+    attention site."""
+    want = sites(config)
     by_site = {(p.layer_group, p.layer_id): p for p in priors}
     if len(by_site) != len(priors):
         raise ValueError("duplicate prior for an attention site")

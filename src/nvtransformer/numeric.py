@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "make_rng",
-    "matmul",
     "softmax_rows",
     "logsumexp_rows",
     "sample_gaussian",
@@ -33,21 +32,6 @@ def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (PCG64).  One owner per generator; never share across
     concurrent callers."""
     return np.random.default_rng(seed)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check.
-
-    Raises ValueError on mismatched inner dimensions instead of letting the
-    backend produce a less readable error.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: {a.shape} @ {b.shape}"
-        )
-    return a @ b
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ formed through log-sum-exp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,7 @@ SIGMA_SQ_FLOOR = 1e-76      # smallest representable component variance
 TAU_SIGMA_MIN = 1e-38       # variance dial floor; log of its square is finite
 
 GROUPS = ("encoder", "cross", "decoder")
+_FIELD_SUFFIX = {"encoder": "enc", "cross": "cross", "decoder": "dec"}
 
 
 class _ClampCounter:
@@ -64,8 +65,10 @@ class TauConfig:
     """Regularisation dials per attention group.
 
     tau_alpha shifts log pseudo-counts in units of the prior's norm spread;
-    tau_sigma scales component stds relative to the prior std.  tau_sigma
-    below TAU_SIGMA_MIN would make log(sigma^2) overflow and is rejected.
+    tau_sigma scales component stds relative to the prior std.  Every dial
+    must be finite, and tau_sigma below TAU_SIGMA_MIN would make
+    log(sigma^2) overflow and is rejected.  The fields are the alpha dials
+    then the sigma dials, each in GROUPS order.
     """
 
     tau_alpha_enc: float = 10.0
@@ -76,25 +79,26 @@ class TauConfig:
     tau_sigma_dec: float = TAU_SIGMA_MIN
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for g in GROUPS:
             if self.tau_sigma(g) < TAU_SIGMA_MIN:
                 raise ValueError(
                     f"tau_sigma for {g} below floor {TAU_SIGMA_MIN:g}"
                 )
 
+    @classmethod
+    def uniform(cls, tau_alpha: float, tau_sigma: float) -> "TauConfig":
+        """The same two dials in every group."""
+        n = len(GROUPS)
+        return cls(*[tau_alpha] * n, *[tau_sigma] * n)
+
     def tau_alpha(self, group: str) -> float:
-        return {
-            "encoder": self.tau_alpha_enc,
-            "cross": self.tau_alpha_cross,
-            "decoder": self.tau_alpha_dec,
-        }[group]
+        return getattr(self, f"tau_alpha_{_FIELD_SUFFIX[group]}")
 
     def tau_sigma(self, group: str) -> float:
-        return {
-            "encoder": self.tau_sigma_enc,
-            "cross": self.tau_sigma_cross,
-            "decoder": self.tau_sigma_dec,
-        }[group]
+        return getattr(self, f"tau_sigma_{_FIELD_SUFFIX[group]}")
 
 
 def identity_taus() -> TauConfig:
@@ -123,6 +127,9 @@ class EmpiricalPrior:
             raise ValueError(f"unknown layer group {self.layer_group!r}")
         if self.mu_p.ndim != 1 or self.sigma_p.shape != self.mu_p.shape:
             raise ValueError("mu_p and sigma_p must be matching vectors")
+        for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.sigma_p <= 0.0):
             raise ValueError("sigma_p must be positive (variance floor applies)")
         if self.epsilon_alpha < 0.0:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusError
-from .model import BOS_ID, ModelWeights, forward_standard
-from .nvib import EmpiricalPrior
+from .model import BOS_ID, ModelWeights, forward_standard, sites
+from .nvib import GROUPS, EmpiricalPrior
 from .numeric import make_rng
 
 __all__ = [
@@ -147,14 +147,6 @@ def reservoir_subsample(
     return sorted(reservoir)
 
 
-def _sites(config) -> list[tuple[str, int]]:
-    return (
-        [("encoder", i) for i in range(config.layers_enc)]
-        + [("cross", i) for i in range(config.layers_dec)]
-        + [("decoder", i) for i in range(config.layers_dec)]
-    )
-
-
 def estimate_priors(
     w: ModelWeights,
     corpus: list[list[int]],
@@ -176,11 +168,11 @@ def estimate_priors(
     chosen = [corpus[i] for i in idx]
 
     config = w.config
-    sites = _sites(config)
+    site_list = sites(config)
     scale = np.sqrt(config.dim / config.heads)
 
     def run_shard(seqs: list[list[int]]) -> dict[tuple[str, int], _SiteAcc]:
-        accs = {s: _SiteAcc.fresh(config.dim) for s in sites}
+        accs = {s: _SiteAcc.fresh(config.dim) for s in site_list}
 
         def hook(group: str, layer_id: int, z: np.ndarray) -> None:
             accs[(group, layer_id)].add(z, scale)
@@ -204,7 +196,7 @@ def estimate_priors(
                 merged[key].merge(part[key])
 
     out = []
-    for group, layer_id in sites:
+    for group, layer_id in site_list:
         acc = merged[(group, layer_id)]
         if acc.vec.count < 2:
             raise CorpusError(
@@ -216,7 +208,7 @@ def estimate_priors(
 
 def prior_report(priors: list[EmpiricalPrior]) -> str:
     """CSV summary, one row per site, ordered by group then layer id."""
-    order = {"encoder": 0, "cross": 1, "decoder": 2}
+    order = {g: i for i, g in enumerate(GROUPS)}
     rows = ["layer,group,mu_mean,var_mean,log_alpha0,epsilon_alpha"]
     for p in sorted(priors, key=lambda p: (order[p.layer_group], p.layer_id)):
         rows.append(

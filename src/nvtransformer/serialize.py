@@ -20,6 +20,7 @@ byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from typing import BinaryIO, Iterator
@@ -52,9 +53,8 @@ __all__ = [
 MAGIC = b"NVTX"
 VERSION = 1
 
-_CONFIG_FIELDS = (
-    "vocab", "dim", "heads", "layers_enc", "layers_dec", "ffn_dim", "max_len"
-)
+# header order is the ModelConfig field order
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig))
 
 
 def _attn_items(prefix: str, p: AttentionParams) -> Iterator[tuple[str, np.ndarray]]:
@@ -116,24 +116,13 @@ def _prior_from_json(obj: dict) -> EmpiricalPrior:
     )
 
 
-def _taus_to_json(t: TauConfig) -> dict:
-    return {
-        "tau_alpha_enc": t.tau_alpha_enc,
-        "tau_alpha_cross": t.tau_alpha_cross,
-        "tau_alpha_dec": t.tau_alpha_dec,
-        "tau_sigma_enc": t.tau_sigma_enc,
-        "tau_sigma_cross": t.tau_sigma_cross,
-        "tau_sigma_dec": t.tau_sigma_dec,
-    }
-
-
 def save_weights(path: str, model: ModelWeights | NvModel) -> None:
     """Write a ModelWeights or NvModel to an NVTX file."""
     if isinstance(model, NvModel):
         w = model.base
         tail = {
             "kind": "nv",
-            "taus": _taus_to_json(model.taus),
+            "taus": dataclasses.asdict(model.taus),
             "priors": [_prior_to_json(p) for p in model.priors],
         }
     elif isinstance(model, ModelWeights):

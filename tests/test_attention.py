@@ -74,11 +74,11 @@ class TestAttention:
         np.testing.assert_allclose(attention(u, z, p), z.mean(axis=0)[None, :],
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("h", [1, 2, 4, 8])
     def test_matches_slow_reference(self, h):
         rng = make_rng(20 + h)
         for _ in range(10):
-            d = int(rng.choice([8, 16]))
+            d = int(rng.choice([8, 16, 128]))
             m, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
             p = random_params(rng, d, h)
             u = rng.normal(size=(m, d))

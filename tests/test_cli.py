@@ -4,6 +4,9 @@ Exit-code contract: 0 success, 1 certification failure, 2 usage error,
 3 data error.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,31 @@ class TestCertify:
         ])
         assert r == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_non_finite_dial_is_usage_error(self, workdir, capsys):
+        r = main([
+            "certify", "--model", workdir["model"],
+            "--priors", workdir["priors"], "--tau-alpha", "nan",
+        ])
+        assert r == 2
+        assert "tau_alpha" in capsys.readouterr().err
+
+    def test_non_finite_prior_in_file_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        # rewrite the JSON tail with one prior value set to NaN
+        raw = open(workdir["priors"], "rb").read()
+        start = raw.rindex(b'{"kind":"nv"')
+        tail = json.loads(raw[start:])
+        tail["priors"][0]["log_alpha0_p"] = float("nan")
+        blob = json.dumps(tail).encode()
+        bad = tmp_path / "nan.nvtx"
+        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+        r = main([
+            "certify", "--model", workdir["model"], "--priors", str(bad),
+        ])
+        assert r == 3
+        assert "log_alpha0_p" in capsys.readouterr().err
 
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([

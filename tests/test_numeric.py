@@ -1,4 +1,4 @@
-"""Numeric kernel contracts: matmul, stabilised softmax, seeded sampling."""
+"""Numeric kernel contracts: stabilised softmax, seeded sampling."""
 
 from decimal import Decimal, getcontext
 
@@ -8,7 +8,6 @@ import pytest
 from nvtransformer.numeric import (
     logsumexp_rows,
     make_rng,
-    matmul,
     sample_dirichlet,
     sample_gaussian,
     softmax_rows,
@@ -21,46 +20,6 @@ def _softmax_decimal(row):
     exps = [Decimal(str(v)).exp() for v in row]
     total = sum(exps)
     return np.array([float(e / total) for e in exps])
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = make_rng(0)
-        a = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(matmul(a, np.eye(4)), a)
-
-    def test_hand_example(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        np.testing.assert_array_equal(out, np.array([[2.0], [4.0]]))
-
-    def test_against_triple_loop(self):
-        rng = make_rng(1)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        ref = np.zeros((7, 3))
-        for i in range(7):
-            for j in range(3):
-                for k in range(5):
-                    ref[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(matmul(a, b), ref, atol=1e-12)
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError, match="2-D"):
-            matmul(np.ones(3), np.ones((3, 1)))
-
-    def test_associativity(self):
-        rng = make_rng(2)
-        for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            c = rng.normal(size=(3, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
 class TestSoftmaxRows:

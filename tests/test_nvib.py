@@ -1,5 +1,7 @@
 """Tests for the Dirichlet-process projection layer."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ class TestTauConfig:
         with pytest.raises(ValueError, match="floor"):
             TauConfig(tau_sigma_cross=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(TauConfig)])
+    def test_rejects_non_finite_dial(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TauConfig(**{name: bad})
+
+    def test_uniform_sets_every_group(self):
+        cfg = TauConfig.uniform(-2.5, 0.125)
+        for g in ("encoder", "cross", "decoder"):
+            assert cfg.tau_alpha(g) == -2.5
+            assert cfg.tau_sigma(g) == 0.125
+
 
 class TestEmpiricalPriorValidation:
     def test_rejects_unknown_group(self):
@@ -90,6 +104,22 @@ class TestEmpiricalPriorValidation:
                 layer_group="encoder",
                 layer_id=0,
             )
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name", ["mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"]
+    )
+    def test_rejects_non_finite(self, name, bad):
+        p = small_prior(d=2)
+        value = getattr(p, name)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value[1] = bad
+        else:
+            value = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(p, **{name: value})
 
 
 class TestIdentityInit:
