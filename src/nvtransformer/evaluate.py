@@ -227,6 +227,7 @@ def run_sweep(
     """
     pairs = random_eval_inputs(w.config, trials, seed)
     baseline = [greedy_decode(w, src, decode_steps) for src, _ in pairs]
+    refs = [forward_standard(w, src, tgt) for src, tgt in pairs]
     rows = []
     for taus in points:
         nvm = reinterpret(w, priors, taus)
@@ -234,8 +235,7 @@ def run_sweep(
         worst = 0.0
         overlaps = []
         lengths = []
-        for (src, tgt), ref_decode in zip(pairs, baseline):
-            ref = forward_standard(w, src, tgt)
+        for (src, tgt), ref, ref_decode in zip(pairs, refs, baseline):
             got = forward_nv(nvm, src, tgt, map_hook=masses.hook)
             worst = max(worst, float(np.max(np.abs(got - ref))))
             dec = greedy_decode(nvm, src, decode_steps)

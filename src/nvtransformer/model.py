@@ -1,10 +1,11 @@
 """Toy pre-norm encoder-decoder Transformer and its reinterpreted twin.
 
 The standard model is deliberately small and untrained: seeded random
-weights, sinusoidal positions, greedy argmax decoding.  `reinterpret` swaps
-every attention site for denoising attention over a projected posterior,
-with per-group dials; at the identity dial setting the two models produce
-the same logits up to rounding.
+weights, sinusoidal positions, greedy argmax decoding that encodes the
+source once and computes one new decoder position per step.  `reinterpret`
+swaps every attention site for denoising attention over a projected
+posterior, with per-group dials; at the identity dial setting the two models
+produce the same logits up to rounding.
 
 Layer-norm gains and offsets are initialised with real spread (not 1/0) so
 that post-norm vectors have varied norms; the norm-spread statistic the
@@ -26,6 +27,7 @@ from .denoising import (
 )
 from .nvib import (
     GROUPS,
+    DpPosterior,
     EmpiricalPrior,
     NvibProjection,
     TauConfig,
@@ -238,9 +240,23 @@ def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
     return ids
 
 
-def _embed(w: ModelWeights, ids: np.ndarray) -> np.ndarray:
+def _embed(w: ModelWeights, ids: np.ndarray, start: int = 0) -> np.ndarray:
+    """Scaled token embeddings plus the positions start, start+1, ..."""
     d = w.config.dim
-    return w.tok_emb[ids] * np.sqrt(d) + w.pos_enc[: ids.size]
+    return w.tok_emb[ids] * np.sqrt(d) + w.pos_enc[start : start + ids.size]
+
+
+def _encode(w: ModelWeights, src: np.ndarray, self_attn) -> np.ndarray:
+    """Final encoder states (the cross sites' memory) for a checked source.
+
+    `self_attn(l, z)` is encoder layer l's attention update for its
+    post-norm rows z, the one place the two model kinds differ.
+    """
+    x = _embed(w, src)
+    for l, lay in enumerate(w.enc):
+        x = x + self_attn(l, layer_norm(x, lay.ln1))
+        x = x + _ffn(layer_norm(x, lay.ln2), lay.ffn)
+    return layer_norm(x, w.enc_ln)
 
 
 def forward_standard(
@@ -255,14 +271,12 @@ def forward_standard(
     src = _check_tokens(src, w.config, "source")
     tgt = _check_tokens(tgt, w.config, "target")
 
-    x = _embed(w, src)
-    for l, lay in enumerate(w.enc):
-        z = layer_norm(x, lay.ln1)
+    def self_attn(l: int, z: np.ndarray) -> np.ndarray:
         if site_hook is not None:
             site_hook("encoder", l, z)
-        x = x + attention(z, z, lay.self_attn)
-        x = x + _ffn(layer_norm(x, lay.ln2), lay.ffn)
-    mem = layer_norm(x, w.enc_ln)
+        return attention(z, z, w.enc[l].self_attn)
+
+    mem = _encode(w, src, self_attn)
 
     y = _embed(w, tgt)
     causal = AttentionMask("causal")
@@ -357,14 +371,13 @@ def forward_nv(
             return None
         return lambda mat: map_hook(group, layer_id, mat)
 
-    x = _embed(w, src)
-    for l, lay in enumerate(w.enc):
-        z = layer_norm(x, lay.ln1)
-        x = x + nv_self_attention(
-            z, m.enc_projs[l], lay.self_attn, map_sink=sink("encoder", l)
-        )
-        x = x + _ffn(layer_norm(x, lay.ln2), lay.ffn)
-    mem = layer_norm(x, w.enc_ln)
+    mem = _encode(
+        w,
+        src,
+        lambda l, z: nv_self_attention(
+            z, m.enc_projs[l], w.enc[l].self_attn, map_sink=sink("encoder", l)
+        ),
+    )
 
     y = _embed(w, tgt)
     for l, lay in enumerate(w.dec):
@@ -382,32 +395,104 @@ def forward_nv(
     return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
 
 
+def _decoder_sites(model, src: np.ndarray, positions: int):
+    """Encode a checked source once; return (weights, causal, cross), the
+    decoder's attention sites for stepping one position at a time.
+
+    `causal(l, z, t)` appends position t's post-norm row z (1, d) to decoder
+    layer l's append-only cache and attends over the whole cache with no
+    mask: causal masking means earlier rows never change.  The standard
+    model caches the rows themselves; the twin caches their projected
+    components, the [P] row kept last.  `cross(l, q)` attends over the
+    encoder memory, whose posterior the twin projects once per decode.
+    """
+    if isinstance(model, NvModel):
+        w = model.base
+        mem = _encode(
+            w,
+            src,
+            lambda l, z: nv_self_attention(z, model.enc_projs[l], w.enc[l].self_attn),
+        )
+        posts = [project(mem, p) for p in model.cross_projs]
+        n, d = positions + 1, w.config.dim
+        # mu, sigma and log_alpha rows of every layer's causal posterior
+        caches = [(np.empty((n, d)), np.empty((n, d)), np.empty(n)) for _ in w.dec]
+
+        def causal(l: int, z: np.ndarray, t: int) -> np.ndarray:
+            # the token row lands where [P] was and [P] moves down one
+            rows = project(z, model.dec_projs[l])
+            for buf, new in zip(caches[l], (rows.mu, rows.sigma, rows.log_alpha)):
+                buf[t : t + 2] = new
+            dp = DpPosterior(*(buf[: t + 2] for buf in caches[l]))
+            return eval_dattn_multihead(z, dp, w.dec[l].causal_attn)
+
+        def cross(l: int, q: np.ndarray) -> np.ndarray:
+            return eval_dattn_multihead(q, posts[l], w.dec[l].cross_attn)
+
+    else:
+        w = model
+        mem = _encode(w, src, lambda l, z: attention(z, z, w.enc[l].self_attn))
+        caches = [np.empty((positions, w.config.dim)) for _ in w.dec]
+
+        def causal(l: int, z: np.ndarray, t: int) -> np.ndarray:
+            caches[l][t] = z[0]
+            return attention(z, caches[l][: t + 1], w.dec[l].causal_attn)
+
+        def cross(l: int, q: np.ndarray) -> np.ndarray:
+            return attention(q, mem, w.dec[l].cross_attn)
+
+    return w, causal, cross
+
+
+def _step_logits(model, src: np.ndarray, positions: int):
+    """Coroutine of last-row logits, one new decoder position per step.
+
+    Prime it with next(), then send the target tokens one at a time, BOS
+    first; each send returns the logits row of the token just sent, which
+    is forward_*(src, prefix)[-1] up to rounding.  `src` must be checked;
+    at most `positions` tokens may be sent.
+    """
+    w, causal, cross = _decoder_sites(model, src, positions)
+    tok = yield
+    for t in range(positions):
+        y = _embed(w, np.array([tok]), start=t)
+        for l, lay in enumerate(w.dec):
+            y = y + causal(l, layer_norm(y, lay.ln1), t)
+            y = y + cross(l, layer_norm(y, lay.ln2))
+            y = y + _ffn(layer_norm(y, lay.ln3), lay.ffn)
+        tok = yield (layer_norm(y, w.dec_ln) @ w.w_out + w.b_out)[0]
+
+
 def greedy_decode(model, src, max_steps: int) -> list[int]:
     """Argmax decoding from BOS until EOS or max_steps tokens.
 
     Ties resolve to the lowest token id.  Returns the generated tokens
     (EOS included when emitted); max_steps == 0 gives an empty sequence.
+    The source is encoded once and each step computes one new decoder
+    position (`_step_logits`); forward_standard / forward_nv are its
+    teacher-forced oracle.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     if isinstance(model, NvModel):
         config = model.base.config
-        fwd = lambda s, t: forward_nv(model, s, t)
     elif isinstance(model, ModelWeights):
         config = model.config
-        fwd = lambda s, t: forward_standard(model, s, t)
     else:
         raise TypeError(f"cannot decode with {type(model).__name__}")
+    src = _check_tokens(src, config, "source")
+    if max_steps == 0:
+        return []
 
-    prefix = [BOS_ID]
+    # the prefix never grows past max_len
+    positions = min(max_steps, config.max_len)
+    steps = _step_logits(model, src, positions)
+    next(steps)
     out: list[int] = []
-    for _ in range(max_steps):
-        logits = fwd(src, prefix)
-        nxt = int(np.argmax(logits[-1]))
-        out.append(nxt)
-        if nxt == EOS_ID:
+    tok = BOS_ID
+    for _ in range(positions):
+        tok = int(np.argmax(steps.send(tok)))
+        out.append(tok)
+        if tok == EOS_ID:
             break
-        if len(prefix) >= config.max_len:
-            break
-        prefix.append(nxt)
     return out

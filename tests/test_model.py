@@ -18,8 +18,16 @@ from nvtransformer import (
     init_weights,
     reinterpret,
 )
-from nvtransformer.model import LayerNormParams, layer_norm, sinusoidal_positions
+from nvtransformer import model as model_mod
+from nvtransformer.evaluate import grid_points, make_random_corpus
+from nvtransformer.model import (
+    LayerNormParams,
+    _step_logits,
+    layer_norm,
+    sinusoidal_positions,
+)
 from nvtransformer.nvib import TauConfig
+from nvtransformer.priors import estimate_priors
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -268,6 +276,14 @@ class TestGreedyDecode:
     def test_zero_steps(self, toy_model):
         assert greedy_decode(toy_model, [3, 4, 5], 0) == []
 
+    def test_zero_steps_still_checks_vocabulary(self, toy_model):
+        with pytest.raises(ValueError, match="outside"):
+            greedy_decode(toy_model, [999], 0)
+
+    def test_zero_steps_still_rejects_empty_source(self, toy_model):
+        with pytest.raises(ValueError, match="nonempty"):
+            greedy_decode(toy_model, [], 0)
+
     def test_negative_steps_rejected(self, toy_model):
         with pytest.raises(ValueError, match="nonnegative"):
             greedy_decode(toy_model, [3, 4, 5], -1)
@@ -302,3 +318,91 @@ class TestGreedyDecode:
     def test_rejects_unknown_model_type(self):
         with pytest.raises(TypeError, match="decode"):
             greedy_decode(object(), [3], 2)
+
+
+# d 128, 8 heads, 2+2 layers: wide enough that one-row and many-row products
+# take different BLAS paths, small enough to keep the oracle loop quick
+WIDE = ModelConfig(
+    vocab=128, dim=128, heads=8, layers_enc=2, layers_dec=2, ffn_dim=256,
+    max_len=32,
+)
+
+
+def _models(w, priors):
+    """(model, its teacher-forced forward) for the standard model and the
+    twin at the identity dials, along interp:3 and at random:2."""
+    points = [identity_taus()] + grid_points("interp:3") + grid_points("random:2")
+    return [(w, forward_standard)] + [
+        (reinterpret(w, priors, taus), forward_nv) for taus in points
+    ]
+
+
+def _full_recompute(model, fwd, src, max_steps, max_len):
+    """Reference greedy decode: one whole forward pass per token.  Returns
+    the tokens and the last logits row of every pass."""
+    prefix, out, rows = [BOS_ID], [], []
+    for _ in range(max_steps):
+        rows.append(fwd(model, src, prefix)[-1])
+        out.append(int(np.argmax(rows[-1])))
+        if out[-1] == EOS_ID or len(prefix) >= max_len:
+            break
+        prefix.append(out[-1])
+    return out, rows
+
+
+class TestIncrementalDecode:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        w = init_weights(WIDE, seed=1)
+        return w, estimate_priors(w, make_random_corpus(WIDE, 20, seed=6))
+
+    def _check_against_oracle(self, w, priors, sources, steps):
+        for model, fwd in _models(w, priors):
+            for src in sources:
+                want, ref_rows = _full_recompute(
+                    model, fwd, src, steps, w.config.max_len
+                )
+                assert greedy_decode(model, src, steps) == want
+                stepper = _step_logits(model, np.asarray(src), len(want))
+                next(stepper)
+                for tok, ref in zip([BOS_ID] + want[:-1], ref_rows):
+                    np.testing.assert_allclose(
+                        stepper.send(tok), ref, rtol=0, atol=1e-12
+                    )
+
+    def test_toy_matches_full_recompute(self, toy_model, toy_priors):
+        sources = ([5, 9, 13], [40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50])
+        self._check_against_oracle(toy_model, toy_priors, sources, 16)
+
+    def test_wide_matches_full_recompute(self, wide):
+        w, priors = wide
+        rng = np.random.default_rng(23)
+        sources = [rng.integers(3, WIDE.vocab, 20).tolist()]
+        self._check_against_oracle(w, priors, sources, 10)
+
+    def test_encodes_once_and_projects_each_row_once(
+        self, toy_model, toy_priors, monkeypatch
+    ):
+        m = reinterpret(toy_model, toy_priors, identity_taus())
+        encodes, projected = [], []
+        encode, project = model_mod._encode, model_mod.project
+
+        def counting_encode(*args):
+            encodes.append(1)
+            return encode(*args)
+
+        def counting_project(z, proj):
+            projected.append((proj, z.shape[0]))
+            return project(z, proj)
+
+        monkeypatch.setattr(model_mod, "_encode", counting_encode)
+        monkeypatch.setattr(model_mod, "project", counting_project)
+        src = [3, 4, 5, 6, 7]
+        out = greedy_decode(m, src, 12)
+        assert encodes == [1]
+        # every cross site projects the whole source once; every causal site
+        # projects one new row per step
+        for proj in m.cross_projs:
+            assert [n for p, n in projected if p is proj] == [len(src)]
+        for proj in m.dec_projs:
+            assert [n for p, n in projected if p is proj] == [1] * len(out)
