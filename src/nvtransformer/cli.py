@@ -26,8 +26,9 @@ from .model import (
     forward_nv,
     init_weights,
     reinterpret,
+    sites,
 )
-from .nvib import TauConfig
+from .nvib import GROUPS, TauConfig
 from .priors import estimate_priors, prior_report
 from .serialize import load_weights, read_corpus, save_weights
 
@@ -134,9 +135,7 @@ def _cmd_attn_dump(args) -> int:
             args.tau_sigma if args.tau_sigma is not None else 1e-38,
         )
         nvm = reinterpret(nvm.base, nvm.priors, taus)
-    config = nvm.base.config
-    n_layers = config.layers_enc if args.group == "encoder" else config.layers_dec
-    if not (0 <= args.layer < n_layers):
+    if (args.group, args.layer) not in sites(nvm.base.config):
         raise ValueError(
             f"layer {args.layer} out of range for group {args.group}"
         )
@@ -216,8 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="NVTX file with priors")
     p.add_argument("--input", required=True, help="whitespace-separated ids")
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--group", choices=("encoder", "cross", "decoder"),
-                   required=True)
+    p.add_argument("--group", choices=GROUPS, required=True)
     p.add_argument("--tau-alpha", type=float)
     p.add_argument("--tau-sigma", type=float)
     p.add_argument("--out", required=True)

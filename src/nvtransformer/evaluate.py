@@ -17,7 +17,6 @@ from .model import (
     BOS_ID,
     ModelConfig,
     ModelWeights,
-    NvModel,
     forward_nv,
     forward_standard,
     greedy_decode,
@@ -135,31 +134,19 @@ def certify(
     seed: int = 0,
     decode_steps: int = 16,
 ) -> CertifyResult:
-    """Equivalence check of reinterpret(w, priors, taus) against w.
-
-    Passes iff the worst teacher-forced logit deviation stays within `tol`
-    and every greedy decode matches exactly.
+    """Equivalence check of reinterpret(w, priors, taus) against w: a
+    one-point `run_sweep`.  Passes iff the worst teacher-forced logit
+    deviation stays within `tol` and every greedy decode matches exactly.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    nvm = reinterpret(w, priors, taus)
-    pairs = random_eval_inputs(w.config, trials, seed)
-    worst = 0.0
-    overlaps = []
-    for src, tgt in pairs:
-        ref = forward_standard(w, src, tgt)
-        got = forward_nv(nvm, src, tgt)
-        worst = max(worst, float(np.max(np.abs(got - ref))))
-        a = greedy_decode(w, src, decode_steps)
-        b = greedy_decode(nvm, src, decode_steps)
-        overlaps.append(token_overlap(a, b))
-    overlap_pct = 100.0 * float(np.mean(overlaps))
+    (row,) = run_sweep(w, priors, [taus], trials, seed, decode_steps)
     return CertifyResult(
-        passed=(worst <= tol and overlap_pct == 100.0),
-        max_logit_diff=worst,
-        overlap_pct=overlap_pct,
+        passed=(row.logit_max_diff <= tol and row.overlap_pct == 100.0),
+        max_logit_diff=row.logit_max_diff,
+        overlap_pct=row.overlap_pct,
         trials=trials,
         tol=tol,
     )

@@ -259,6 +259,75 @@ def _encode(w: ModelWeights, src: np.ndarray, self_attn) -> np.ndarray:
     return layer_norm(x, w.enc_ln)
 
 
+def _decode(w: ModelWeights, y: np.ndarray, causal, cross) -> np.ndarray:
+    """Logits for embedded target rows y through the decoder stack.
+
+    `causal(l, z)` and `cross(l, q)` are decoder layer l's attention
+    updates for its post-norm rows, the sites where the two model kinds
+    (and full-sequence passes and decode steps) differ.
+    """
+    for l, lay in enumerate(w.dec):
+        y = y + causal(l, layer_norm(y, lay.ln1))
+        y = y + cross(l, layer_norm(y, lay.ln2))
+        y = y + _ffn(layer_norm(y, lay.ln3), lay.ffn)
+    return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
+
+
+def _attention_sites(model, src: np.ndarray, hook: SiteHook = None):
+    """Encode a checked source once; return (weights, causal, cross), the
+    decoder's attention sites for `_decode` over a whole masked target.
+
+    `hook` is forward_standard's site_hook or forward_nv's map_hook.  The
+    twin projects each cross site's posterior once, up front.
+    """
+    if isinstance(model, NvModel):
+        w = model.base
+
+        def sink(group: str, layer_id: int):
+            if hook is None:
+                return None
+            return lambda mat: hook(group, layer_id, mat)
+
+        def self_attn(l: int, z: np.ndarray) -> np.ndarray:
+            return nv_self_attention(
+                z, model.enc_projs[l], w.enc[l].self_attn, map_sink=sink("encoder", l)
+            )
+
+        mem = _encode(w, src, self_attn)
+        posts = [project(mem, p) for p in model.cross_projs]
+
+        def causal(l: int, z: np.ndarray) -> np.ndarray:
+            return nv_causal_attention(
+                z, model.dec_projs[l], w.dec[l].causal_attn, map_sink=sink("decoder", l)
+            )
+
+        def cross(l: int, q: np.ndarray) -> np.ndarray:
+            return eval_dattn_multihead(
+                q, posts[l], w.dec[l].cross_attn, map_sink=sink("cross", l)
+            )
+
+        return w, causal, cross
+
+    w = model
+    see = hook or (lambda group, layer_id, z: None)
+
+    def self_attn(l: int, z: np.ndarray) -> np.ndarray:
+        see("encoder", l, z)
+        return attention(z, z, w.enc[l].self_attn)
+
+    mem = _encode(w, src, self_attn)
+
+    def causal(l: int, z: np.ndarray) -> np.ndarray:
+        see("decoder", l, z)
+        return attention(z, z, w.dec[l].causal_attn, mask=AttentionMask("causal"))
+
+    def cross(l: int, q: np.ndarray) -> np.ndarray:
+        see("cross", l, mem)
+        return attention(q, mem, w.dec[l].cross_attn)
+
+    return w, causal, cross
+
+
 def forward_standard(
     w: ModelWeights, src, tgt, site_hook: SiteHook = None
 ) -> np.ndarray:
@@ -270,28 +339,8 @@ def forward_standard(
     """
     src = _check_tokens(src, w.config, "source")
     tgt = _check_tokens(tgt, w.config, "target")
-
-    def self_attn(l: int, z: np.ndarray) -> np.ndarray:
-        if site_hook is not None:
-            site_hook("encoder", l, z)
-        return attention(z, z, w.enc[l].self_attn)
-
-    mem = _encode(w, src, self_attn)
-
-    y = _embed(w, tgt)
-    causal = AttentionMask("causal")
-    for l, lay in enumerate(w.dec):
-        z = layer_norm(y, lay.ln1)
-        if site_hook is not None:
-            site_hook("decoder", l, z)
-        y = y + attention(z, z, lay.causal_attn, mask=causal)
-        q2 = layer_norm(y, lay.ln2)
-        if site_hook is not None:
-            site_hook("cross", l, mem)
-        y = y + attention(q2, mem, lay.cross_attn)
-        y = y + _ffn(layer_norm(y, lay.ln3), lay.ffn)
-
-    return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
+    w, causal, cross = _attention_sites(w, src, site_hook)
+    return _decode(w, _embed(w, tgt), causal, cross)
 
 
 def sites(config: ModelConfig) -> list[tuple[str, int]]:
@@ -362,86 +411,10 @@ def forward_nv(
     `map_hook(group, layer_id, weights)` receives each site's head-averaged
     (queries, n+1) attention matrix; the last column is the prior's.
     """
-    w = m.base
-    src = _check_tokens(src, w.config, "source")
-    tgt = _check_tokens(tgt, w.config, "target")
-
-    def sink(group: str, layer_id: int):
-        if map_hook is None:
-            return None
-        return lambda mat: map_hook(group, layer_id, mat)
-
-    mem = _encode(
-        w,
-        src,
-        lambda l, z: nv_self_attention(
-            z, m.enc_projs[l], w.enc[l].self_attn, map_sink=sink("encoder", l)
-        ),
-    )
-
-    y = _embed(w, tgt)
-    for l, lay in enumerate(w.dec):
-        z = layer_norm(y, lay.ln1)
-        y = y + nv_causal_attention(
-            z, m.dec_projs[l], lay.causal_attn, map_sink=sink("decoder", l)
-        )
-        q2 = layer_norm(y, lay.ln2)
-        dp = project(mem, m.cross_projs[l])
-        y = y + eval_dattn_multihead(
-            q2, dp, lay.cross_attn, map_sink=sink("cross", l)
-        )
-        y = y + _ffn(layer_norm(y, lay.ln3), lay.ffn)
-
-    return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
-
-
-def _decoder_sites(model, src: np.ndarray, positions: int):
-    """Encode a checked source once; return (weights, causal, cross), the
-    decoder's attention sites for stepping one position at a time.
-
-    `causal(l, z, t)` appends position t's post-norm row z (1, d) to decoder
-    layer l's append-only cache and attends over the whole cache with no
-    mask: causal masking means earlier rows never change.  The standard
-    model caches the rows themselves; the twin caches their projected
-    components, the [P] row kept last.  `cross(l, q)` attends over the
-    encoder memory, whose posterior the twin projects once per decode.
-    """
-    if isinstance(model, NvModel):
-        w = model.base
-        mem = _encode(
-            w,
-            src,
-            lambda l, z: nv_self_attention(z, model.enc_projs[l], w.enc[l].self_attn),
-        )
-        posts = [project(mem, p) for p in model.cross_projs]
-        n, d = positions + 1, w.config.dim
-        # mu, sigma and log_alpha rows of every layer's causal posterior
-        caches = [(np.empty((n, d)), np.empty((n, d)), np.empty(n)) for _ in w.dec]
-
-        def causal(l: int, z: np.ndarray, t: int) -> np.ndarray:
-            # the token row lands where [P] was and [P] moves down one
-            rows = project(z, model.dec_projs[l])
-            for buf, new in zip(caches[l], (rows.mu, rows.sigma, rows.log_alpha)):
-                buf[t : t + 2] = new
-            dp = DpPosterior(*(buf[: t + 2] for buf in caches[l]))
-            return eval_dattn_multihead(z, dp, w.dec[l].causal_attn)
-
-        def cross(l: int, q: np.ndarray) -> np.ndarray:
-            return eval_dattn_multihead(q, posts[l], w.dec[l].cross_attn)
-
-    else:
-        w = model
-        mem = _encode(w, src, lambda l, z: attention(z, z, w.enc[l].self_attn))
-        caches = [np.empty((positions, w.config.dim)) for _ in w.dec]
-
-        def causal(l: int, z: np.ndarray, t: int) -> np.ndarray:
-            caches[l][t] = z[0]
-            return attention(z, caches[l][: t + 1], w.dec[l].causal_attn)
-
-        def cross(l: int, q: np.ndarray) -> np.ndarray:
-            return attention(q, mem, w.dec[l].cross_attn)
-
-    return w, causal, cross
+    src = _check_tokens(src, m.base.config, "source")
+    tgt = _check_tokens(tgt, m.base.config, "target")
+    w, causal, cross = _attention_sites(m, src, map_hook)
+    return _decode(w, _embed(w, tgt), causal, cross)
 
 
 def _step_logits(model, src: np.ndarray, positions: int):
@@ -451,16 +424,37 @@ def _step_logits(model, src: np.ndarray, positions: int):
     first; each send returns the logits row of the token just sent, which
     is forward_*(src, prefix)[-1] up to rounding.  `src` must be checked;
     at most `positions` tokens may be sent.
+
+    The cross sites are `_attention_sites`'; the causal site appends
+    position t's post-norm row to decoder layer l's append-only cache and
+    attends over the whole cache with no mask: causal masking means earlier
+    rows never change.  The standard model caches the rows themselves; the
+    twin caches their projected components, the [P] row kept last.
     """
-    w, causal, cross = _decoder_sites(model, src, positions)
+    w, _, cross = _attention_sites(model, src)
+    if isinstance(model, NvModel):
+        n, d = positions + 1, w.config.dim
+        # mu, sigma and log_alpha rows of every layer's causal posterior
+        caches = [(np.empty((n, d)), np.empty((n, d)), np.empty(n)) for _ in w.dec]
+
+        def causal(l: int, z: np.ndarray) -> np.ndarray:
+            # the token row lands where [P] was and [P] moves down one
+            rows = project(z, model.dec_projs[l])
+            for buf, new in zip(caches[l], (rows.mu, rows.sigma, rows.log_alpha)):
+                buf[t : t + 2] = new
+            dp = DpPosterior(*(buf[: t + 2] for buf in caches[l]))
+            return eval_dattn_multihead(z, dp, w.dec[l].causal_attn)
+
+    else:
+        caches = [np.empty((positions, w.config.dim)) for _ in w.dec]
+
+        def causal(l: int, z: np.ndarray) -> np.ndarray:
+            caches[l][t] = z[0]
+            return attention(z, caches[l][: t + 1], w.dec[l].causal_attn)
+
     tok = yield
-    for t in range(positions):
-        y = _embed(w, np.array([tok]), start=t)
-        for l, lay in enumerate(w.dec):
-            y = y + causal(l, layer_norm(y, lay.ln1), t)
-            y = y + cross(l, layer_norm(y, lay.ln2))
-            y = y + _ffn(layer_norm(y, lay.ln3), lay.ffn)
-        tok = yield (layer_norm(y, w.dec_ln) @ w.w_out + w.b_out)[0]
+    for t in range(positions):  # the causal sites read t, the new position
+        tok = yield _decode(w, _embed(w, np.array([tok]), start=t), causal, cross)[0]
 
 
 def greedy_decode(model, src, max_steps: int) -> list[int]:

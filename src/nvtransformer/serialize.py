@@ -15,13 +15,16 @@ The JSON tail distinguishes plain weights ({"kind": "standard"}) from a
 reinterpreted model, which adds the dials and the per-site priors.  Floats
 survive the JSON round trip bit-exactly (shortest-repr encoding), and the
 tensor order is fixed, so save -> load -> save reproduces the file byte for
-byte.
+byte.  The reader refuses missing, misshapen, duplicate and unknown tensors,
+and any length that claims more bytes than the file has left.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from typing import BinaryIO, Iterator
 
@@ -151,15 +154,23 @@ def save_weights(path: str, model: ModelWeights | NvModel) -> None:
         fh.write(blob)
 
 
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise WeightFormatError("truncated weight file")
-    return buf
+class _Reader:
+    """Reads a file front to back; a read longer than the bytes left is
+    refused before anything is allocated for it."""
 
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
 
-def _read_u32(fh: BinaryIO) -> int:
-    return struct.unpack("<I", _read_exact(fh, 4))[0]
+    def exact(self, n: int) -> bytes:
+        buf = self.fh.read(n) if n <= self.left else b""
+        if len(buf) != n:
+            raise WeightFormatError("truncated weight file")
+        self.left -= n
+        return buf
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.exact(4))[0]
 
 
 def _expect(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
@@ -204,29 +215,31 @@ def _load_ffn(tensors, prefix: str, d: int, f: int) -> FfnParams:
 def load_weights(path: str) -> ModelWeights | NvModel:
     """Read an NVTX file back into the saved model type."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        rd = _Reader(fh)
+        if rd.exact(4) != MAGIC:
             raise WeightFormatError("bad magic bytes (not an NVTX file)")
-        version = _read_u32(fh)
+        version = rd.u32()
         if version != VERSION:
             raise WeightFormatError(f"unsupported version {version}")
-        fields = {name: _read_u32(fh) for name in _CONFIG_FIELDS}
+        fields = {name: rd.u32() for name in _CONFIG_FIELDS}
         try:
             config = ModelConfig(**fields)
         except ValueError as e:
             raise WeightFormatError(f"invalid config block: {e}") from e
 
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(_read_u32(fh)):
-            name = _read_exact(fh, _read_u32(fh)).decode("utf-8")
-            rank = _read_u32(fh)
-            shape = tuple(_read_u32(fh) for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * count)
+        for _ in range(rd.u32()):
+            name = rd.exact(rd.u32()).decode("utf-8")
+            if name in tensors:
+                raise WeightFormatError(f"duplicate tensor {name!r}")
+            rank = rd.u32()
+            shape = tuple(rd.u32() for _ in range(rank))
+            raw = rd.exact(8 * math.prod(shape))
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
-        blob_len = struct.unpack("<Q", _read_exact(fh, 8))[0]
+        blob_len = struct.unpack("<Q", rd.exact(8))[0]
         try:
-            tail = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
+            tail = json.loads(rd.exact(blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise WeightFormatError(f"bad JSON tail: {e}") from e
 
@@ -262,6 +275,10 @@ def load_weights(path: str) -> ModelWeights | NvModel:
         w_out=_expect(tensors, "out.w", (d, config.vocab)),
         b_out=_expect(tensors, "out.b", (config.vocab,)),
     )
+    known = {name for name, _ in _tensor_items(w)}
+    unknown = [name for name in tensors if name not in known]
+    if unknown:
+        raise WeightFormatError(f"unknown tensor {unknown[0]!r}")
 
     kind = tail.get("kind")
     if kind == "standard":

@@ -5,6 +5,7 @@ Exit-code contract: 0 success, 1 certification failure, 2 usage error,
 """
 
 import json
+import pathlib
 import struct
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestCertify:
         self, workdir, tmp_path, capsys
     ):
         # rewrite the JSON tail with one prior value set to NaN
-        raw = open(workdir["priors"], "rb").read()
+        raw = pathlib.Path(workdir["priors"]).read_bytes()
         start = raw.rindex(b'{"kind":"nv"')
         tail = json.loads(raw[start:])
         tail["priors"][0]["log_alpha0_p"] = float("nan")
@@ -174,6 +175,25 @@ class TestCertify:
         ])
         assert r == 3
         assert "log_alpha0_p" in capsys.readouterr().err
+
+    def test_oversized_tensor_in_priors_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        # a header claiming a (65536,)*4 tensor, 2**67 bytes, in a short file
+        raw = pathlib.Path(workdir["priors"]).read_bytes()
+        header = raw[:36] + struct.pack("<I", 1)
+        name = b"tok_emb"
+        record = (
+            struct.pack("<I", len(name)) + name
+            + struct.pack("<5I", 4, 65536, 65536, 65536, 65536)
+        )
+        bad = tmp_path / "huge.nvtx"
+        bad.write_bytes(header + record + bytes(64))
+        r = main([
+            "certify", "--model", workdir["model"], "--priors", str(bad),
+        ])
+        assert r == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([

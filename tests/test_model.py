@@ -244,6 +244,24 @@ class TestForwardNv:
         for mat in seen.values():
             np.testing.assert_allclose(np.sum(mat, axis=1), 1.0, rtol=1e-12)
 
+    def test_map_hook_order_matches_site_hook(self, toy_model, toy_priors):
+        # the order test_site_hook_coverage pins for forward_standard
+        m = reinterpret(toy_model, toy_priors, identity_taus())
+        nv_order, std_order = [], []
+        forward_nv(
+            m, [3, 4, 5], [BOS_ID, 6],
+            map_hook=lambda g, l, mat: nv_order.append((g, l)),
+        )
+        forward_standard(
+            toy_model, [3, 4, 5], [BOS_ID, 6],
+            site_hook=lambda g, l, z: std_order.append((g, l)),
+        )
+        assert nv_order == std_order == [
+            ("encoder", 0), ("encoder", 1),
+            ("decoder", 0), ("cross", 0),
+            ("decoder", 1), ("cross", 1),
+        ]
+
     def test_causality_bitwise(self, toy_model, toy_priors):
         m = reinterpret(toy_model, toy_priors, identity_taus())
         src = [3, 4, 5, 6]

@@ -22,7 +22,7 @@ from nvtransformer import (
     write_corpus,
 )
 from nvtransformer.nvib import TauConfig
-from nvtransformer.serialize import MAGIC, VERSION, _CONFIG_FIELDS
+from nvtransformer.serialize import MAGIC, VERSION, _CONFIG_FIELDS, _tensor_items
 
 
 class TestStandardRoundTrip:
@@ -100,6 +100,73 @@ def minimal_header(config=None, n_tensors=0):
         buf += struct.pack("<I", getattr(cfg, name))
     buf += struct.pack("<I", n_tensors)
     return buf
+
+
+def tensor_header(name, shape):
+    raw = name.encode()
+    buf = struct.pack("<I", len(raw)) + raw + struct.pack("<I", len(shape))
+    for dim in shape:
+        buf += struct.pack("<I", dim)
+    return buf
+
+
+def nvtx_bytes(items, config):
+    """A standard-model file holding the given (name, array) records."""
+    buf = minimal_header(config, n_tensors=len(items))
+    for name, arr in items:
+        buf += tensor_header(name, arr.shape) + arr.astype("<f8").tobytes()
+    tail = b'{"kind":"standard"}'
+    return buf + struct.pack("<Q", len(tail)) + tail
+
+
+class TestLengthChecks:
+    """Header-claimed lengths are checked against the bytes left in the
+    file before anything is read or allocated."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (65536,) * 4,           # 2**64 elements: a 64-bit product wraps to 0
+            (4_000_000_000,) * 2,   # 1.6e19 elements, past the int64 range
+            (2**30, 8),             # a 64 GiB payload
+        ],
+        ids=["wraps-to-zero", "past-int64", "64GiB"],
+    )
+    def test_rejects_payload_longer_than_file(self, tmp_path, shape):
+        path = tmp_path / "dims.nvtx"
+        path.write_bytes(
+            minimal_header(n_tensors=1) + tensor_header("tok_emb", shape)
+            + bytes(64)
+        )
+        with pytest.raises(WeightFormatError, match="truncated"):
+            load_weights(str(path))
+
+    def test_rejects_json_tail_longer_than_file(self, tmp_path, toy_model):
+        path = tmp_path / "m.nvtx"
+        save_weights(str(path), toy_model)
+        raw = path.read_bytes()
+        start = raw.rindex(b'{"kind":"standard"}')
+        bad = tmp_path / "tail.nvtx"
+        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", 2**62) + raw[start:])
+        with pytest.raises(WeightFormatError, match="truncated"):
+            load_weights(str(bad))
+
+
+class TestTensorNames:
+    def test_rejects_duplicate_tensor(self, tmp_path, toy_model):
+        items = list(_tensor_items(toy_model))
+        items.insert(1, ("tok_emb", np.zeros_like(toy_model.tok_emb)))
+        path = tmp_path / "dup.nvtx"
+        path.write_bytes(nvtx_bytes(items, toy_model.config))
+        with pytest.raises(WeightFormatError, match="duplicate tensor 'tok_emb'"):
+            load_weights(str(path))
+
+    def test_rejects_unknown_tensor(self, tmp_path, toy_model):
+        items = list(_tensor_items(toy_model)) + [("enc.9.ln1.g", np.zeros(16))]
+        path = tmp_path / "extra.nvtx"
+        path.write_bytes(nvtx_bytes(items, toy_model.config))
+        with pytest.raises(WeightFormatError, match="unknown tensor 'enc.9.ln1.g'"):
+            load_weights(str(path))
 
 
 class TestFormatErrors:
