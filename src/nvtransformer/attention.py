@@ -9,6 +9,10 @@ softmax over the stack, and `merge_heads` lays the (h, m, d/h) outputs back
 side by side in (m, d).  Each head value-projects into its own slice of the
 output, so there is no separate output projection.  The denoising paths
 reuse the same split, attend and merge steps.
+
+The three steps also take a leading batch axis: a padded batch of B
+sequences is (B, m, d) rows over (B, n, d) keys, with a (B, n) key-validity
+mask that hides each sequence's padded keys from all of its queries.
 """
 
 from __future__ import annotations
@@ -98,9 +102,10 @@ NO_MASK = AttentionMask("none")
 
 
 def _mask_bias(visible: np.ndarray) -> np.ndarray:
-    """Additive bias: 0 where visible, -inf where hidden.  Rejects rows with
-    nothing visible (their softmax would be undefined)."""
-    if not np.all(np.any(visible, axis=1)):
+    """Additive bias: 0 where visible, -inf where hidden; the last axis
+    indexes keys.  Rejects rows with nothing visible (their softmax would be
+    undefined)."""
+    if not np.all(np.any(visible, axis=-1)):
         raise ValueError("a query row has every key masked")
     bias = np.zeros(visible.shape)
     bias[~visible] = -np.inf
@@ -123,29 +128,30 @@ def attn_core(u: np.ndarray, z: np.ndarray, scale: float) -> np.ndarray:
 
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(m, d) -> (h, m, d/h); head i holds columns [i*d/h, (i+1)*d/h)."""
-    m, d = x.shape
-    return x.reshape(m, heads, d // heads).transpose(1, 0, 2)
+    """(..., m, d) -> (..., h, m, d/h); head i holds columns
+    [i*d/h, (i+1)*d/h)."""
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
-    """(h, m, d/h) -> (m, d); the inverse of `split_heads`."""
-    h, m, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(m, h * dh)
+    """(..., h, m, d/h) -> (..., m, d); the inverse of `split_heads`."""
+    s = x.shape
+    return x.swapaxes(-3, -2).reshape(s[:-3] + (s[-2], s[-3] * s[-1]))
 
 
 def attend_heads(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All-heads attention core over head stacks q (h, m, d/h) and
-    k, v (h, n, d/h): softmax(q k^T / sqrt(d/h) + bias) v.
+    """All-heads attention core over head stacks q (..., h, m, d/h) and
+    k, v (..., h, n, d/h): softmax(q k^T / sqrt(d/h) + bias) v.
 
-    `bias` is (m, n) and added to every head's scores.  Returns the
-    (h, m, d/h) outputs and the (h, m, n) weights.
+    `bias` broadcasts against the (..., h, m, n) scores: (m, n) is shared
+    by every head, (B, 1, m, n) by every head of one sequence.  Returns the
+    (..., h, m, d/h) outputs and the (..., h, m, n) weights.
     """
-    h, m, dh = q.shape
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh) + bias
-    w = softmax_rows(scores.reshape(h * m, -1)).reshape(h, m, -1)
+    dh = q.shape[-1]
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(dh) + bias
+    w = softmax_rows(scores.reshape(-1, scores.shape[-1])).reshape(scores.shape)
     return w @ v, w
 
 
@@ -154,19 +160,40 @@ def attention(
     z: np.ndarray,
     params: AttentionParams,
     mask: AttentionMask = NO_MASK,
+    key_valid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multi-head attention of m query vectors over n key/value vectors.
 
     Scores per head are (Q_i K_i^T + Q_i b^K_i) / sqrt(d/h); the key-bias
     term is constant per query so it never changes the weights, but it is
     kept so the algebra matches the denoising path one-for-one.
+
+    With `key_valid`, a boolean (B, n), the call is over a padded batch:
+    u_prime is (B, m, d), z is (B, n, d) and the result (B, m, d).  Each
+    sequence's invalid keys get zero weight in every one of its rows, on
+    top of `mask`, so a valid row does not depend on any padded key.
     """
-    u_prime = as_matrix(u_prime)
-    z = as_matrix(z)
     d = params.model_dim
-    if u_prime.shape[1] != d or z.shape[1] != d:
+    if key_valid is None:
+        u_prime = as_matrix(u_prime)
+        z = as_matrix(z)
+    else:
+        u_prime = np.asarray(u_prime, dtype=np.float64)
+        z = np.asarray(z, dtype=np.float64)
+        key_valid = np.asarray(key_valid, dtype=bool)
+        if (u_prime.ndim != 3 or z.ndim != 3 or u_prime.shape[0] != z.shape[0]
+                or key_valid.shape != z.shape[:2]):
+            raise ValueError(
+                "a padded batch needs (B, m, d) queries, (B, n, d) keys and "
+                "a (B, n) key_valid"
+            )
+    if u_prime.shape[-1] != d or z.shape[-1] != d:
         raise ValueError("query/key width must equal model_dim")
-    bias = _mask_bias(mask.visible(u_prime.shape[0], z.shape[0]))
+    visible = mask.visible(u_prime.shape[-2], z.shape[-2])
+    if key_valid is not None:
+        # (m, n) & (B, 1, 1, n): one (B, 1, m, n) bias shared by the heads
+        visible = visible & key_valid[:, None, None, :]
+    bias = _mask_bias(visible)
     h = params.heads
     # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i
     out, _ = attend_heads(

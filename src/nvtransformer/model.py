@@ -241,13 +241,15 @@ def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
 
 
 def _embed(w: ModelWeights, ids: np.ndarray, start: int = 0) -> np.ndarray:
-    """Scaled token embeddings plus the positions start, start+1, ..."""
+    """Scaled token embeddings plus the positions start, start+1, ...; ids
+    is one sequence (L,) or a padded batch (B, L)."""
     d = w.config.dim
-    return w.tok_emb[ids] * np.sqrt(d) + w.pos_enc[start : start + ids.size]
+    return w.tok_emb[ids] * np.sqrt(d) + w.pos_enc[start : start + ids.shape[-1]]
 
 
 def _encode(w: ModelWeights, src: np.ndarray, self_attn) -> np.ndarray:
-    """Final encoder states (the cross sites' memory) for a checked source.
+    """Final encoder states (the cross sites' memory) for a checked source
+    (S,) or padded batch of sources (B, S).
 
     `self_attn(l, z)` is encoder layer l's attention update for its
     post-norm rows z, the one place the two model kinds differ.
@@ -273,12 +275,26 @@ def _decode(w: ModelWeights, y: np.ndarray, causal, cross) -> np.ndarray:
     return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
 
 
-def _attention_sites(model, src: np.ndarray, hook: SiteHook = None):
+def _attention_sites(
+    model,
+    src: np.ndarray,
+    hook: SiteHook = None,
+    src_valid: np.ndarray | None = None,
+    tgt_valid: np.ndarray | None = None,
+):
     """Encode a checked source once; return (weights, causal, cross), the
     decoder's attention sites for `_decode` over a whole masked target.
 
     `hook` is forward_standard's site_hook or forward_nv's map_hook.  The
     twin projects each cross site's posterior once, up front.
+
+    The standard model also runs a padded batch: src (B, S) with its
+    boolean validity src_valid (B, S), and tgt_valid (B, T) for the target
+    the decoder will be given.  Padded source keys are hidden from every
+    query; padded target positions come after every valid one, so the
+    causal mask already hides them from valid queries.  Padded rows are
+    computed and left for the caller to drop, and the hook sees only each
+    site's valid rows, sequence-major.
     """
     if isinstance(model, NvModel):
         w = model.base
@@ -309,21 +325,27 @@ def _attention_sites(model, src: np.ndarray, hook: SiteHook = None):
         return w, causal, cross
 
     w = model
-    see = hook or (lambda group, layer_id, z: None)
+    rows = {"encoder": src_valid, "cross": src_valid, "decoder": tgt_valid}
+
+    def see(group: str, layer_id: int, z: np.ndarray) -> None:
+        if hook is not None:
+            hook(group, layer_id, z if src_valid is None else z[rows[group]])
 
     def self_attn(l: int, z: np.ndarray) -> np.ndarray:
         see("encoder", l, z)
-        return attention(z, z, w.enc[l].self_attn)
+        return attention(z, z, w.enc[l].self_attn, key_valid=src_valid)
 
     mem = _encode(w, src, self_attn)
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         see("decoder", l, z)
-        return attention(z, z, w.dec[l].causal_attn, mask=AttentionMask("causal"))
+        return attention(
+            z, z, w.dec[l].causal_attn, mask=AttentionMask("causal"), key_valid=tgt_valid
+        )
 
     def cross(l: int, q: np.ndarray) -> np.ndarray:
         see("cross", l, mem)
-        return attention(q, mem, w.dec[l].cross_attn)
+        return attention(q, mem, w.dec[l].cross_attn, key_valid=src_valid)
 
     return w, causal, cross
 
@@ -339,7 +361,16 @@ def forward_standard(
     """
     src = _check_tokens(src, w.config, "source")
     tgt = _check_tokens(tgt, w.config, "target")
-    w, causal, cross = _attention_sites(w, src, site_hook)
+    return _teacher_forced(w, src, tgt, site_hook)
+
+
+def _teacher_forced(
+    model, src, tgt, hook: SiteHook = None, src_valid=None, tgt_valid=None
+):
+    """Logits of checked tokens through `_attention_sites` and `_decode`;
+    with src_valid and tgt_valid, a padded batch (standard model only) whose
+    padded rows' logits mean nothing."""
+    w, causal, cross = _attention_sites(model, src, hook, src_valid, tgt_valid)
     return _decode(w, _embed(w, tgt), causal, cross)
 
 
@@ -413,8 +444,7 @@ def forward_nv(
     """
     src = _check_tokens(src, m.base.config, "source")
     tgt = _check_tokens(tgt, m.base.config, "target")
-    w, causal, cross = _attention_sites(m, src, map_hook)
-    return _decode(w, _embed(w, tgt), causal, cross)
+    return _teacher_forced(m, src, tgt, map_hook)
 
 
 def _step_logits(model, src: np.ndarray, positions: int):

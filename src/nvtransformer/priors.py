@@ -7,10 +7,13 @@ the site consumes as keys/values:
   * mean and (N-1) std of the scaled squared norms ||z||^2 / (2 sqrt(d/h))
     -> prior pseudo-count (log) and the norm-spread unit epsilon_alpha
 
-Accumulation is merge-based Welford: each sequence contributes a small
-batch whose exact count/mean/M2 are folded in with the pairwise-merge
-formula, so sharding the corpus and merging shard accumulators gives the
-same result as one pass (to rounding).
+The corpus runs through the standard model in padded buckets: each shard
+is sorted by length and cut into buckets of at most BUCKET_TOKENS padded
+source tokens, and one forward per bucket hands every site its valid rows.
+Accumulation is merge-based Welford: each bucket contributes one batch per
+site whose exact count/mean/M2 are folded in with the pairwise-merge
+formula, so neither the bucketing nor sharding the corpus and merging shard
+accumulators changes the result beyond rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusError
-from .model import BOS_ID, ModelWeights, forward_standard, sites
+# forward_standard is not called here; it is the per-sequence oracle of
+# the bucketed pass, and bench/spans.py traces it in this namespace.
+from .model import BOS_ID, ModelWeights, _teacher_forced, forward_standard, sites
 from .nvib import GROUPS, EmpiricalPrior
 from .numeric import make_rng
 
@@ -33,6 +38,11 @@ __all__ = [
 ]
 
 VAR_FLOOR = 1e-12   # on the prior component variance, per dimension
+
+# Padded source tokens per bucket forward.  Large enough that per-call
+# overhead stops dominating at toy size, small enough that sorted buckets
+# stay cache-resident and waste little padding at wide size.
+BUCKET_TOKENS = 512
 
 
 class WelfordAccumulator:
@@ -147,6 +157,36 @@ def reservoir_subsample(
     return sorted(reservoir)
 
 
+def _buckets(lengths: np.ndarray) -> list[np.ndarray]:
+    """Positions of a shard's sequences, stably sorted by length and cut
+    into buckets that each hold as many sequences as fit BUCKET_TOKENS when
+    padded to the bucket's longest (at least one)."""
+    order = np.argsort(lengths, kind="stable")
+    out, start = [], 0
+    for end in range(1, order.size + 1):
+        # sorted, so the next sequence is the longest if it joins
+        if end == order.size or (end + 1 - start) * lengths[order[end]] > BUCKET_TOKENS:
+            out.append(order[start:end])
+            start = end
+    return out
+
+
+def _pad(seqs: list, lengths: np.ndarray, vocab: int):
+    """Sequences as a zero-padded (B, L) id matrix, its (B, L) validity and
+    {row: why} for the rows that are not usable token sequences."""
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(valid.shape, dtype=np.int64)
+    bad: dict[int, str] = {}
+    for r, seq in enumerate(seqs):
+        try:
+            ids[r, : lengths[r]] = seq
+        except ValueError as e:
+            bad[r] = str(e)
+    for r in np.flatnonzero(np.any(((ids < 0) | (ids >= vocab)) & valid, axis=1)):
+        bad.setdefault(int(r), f"contains ids outside [0, {vocab})")
+    return ids, valid, bad
+
+
 def estimate_priors(
     w: ModelWeights,
     corpus: list[list[int]],
@@ -157,43 +197,58 @@ def estimate_priors(
     """Empirical priors for every attention site of `w`.
 
     Each subsampled sequence runs through the standard model teacher-forced
-    (source = the sequence, decoder input = BOS + sequence) and every site's
-    key/value vectors feed that site's accumulators.  `shards` splits the
-    subsample into contiguous chunks accumulated independently and merged;
-    the result does not depend on the shard count.
+    (source = the sequence, decoder input = BOS + sequence, cut at
+    max_len) and every site's key/value vectors feed that site's
+    accumulators.  The sequences go through in padded buckets of similar
+    length (see the module docstring); all of them are checked before the
+    first forward, and the first unusable one in corpus order is named.
+    `shards` splits the subsample into contiguous chunks accumulated
+    independently and merged; the result does not depend on the shard
+    count or the bucketing.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    idx = reservoir_subsample(len(corpus), fraction, seed)
-    chosen = [corpus[i] for i in idx]
-
+    idx = np.array(reservoir_subsample(len(corpus), fraction, seed))
     config = w.config
     site_list = sites(config)
     scale = np.sqrt(config.dim / config.heads)
 
-    def run_shard(seqs: list[list[int]]) -> dict[tuple[str, int], _SiteAcc]:
-        accs = {s: _SiteAcc.fresh(config.dim) for s in site_list}
+    lengths = np.array([len(corpus[i]) for i in idx])
+    fits = (lengths > 0) & (lengths <= config.max_len)
+    problems = {  # corpus index -> why that sequence is not usable
+        int(idx[p]): f"length {lengths[p]} is not in [1, {config.max_len}]"
+        for p in np.flatnonzero(~fits)
+    }
+    bounds = np.linspace(0, len(idx), shards + 1).astype(int)
+    shard_buckets = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        part = a + np.flatnonzero(fits[a:b])
+        padded = []
+        for pos in (part[bucket] for bucket in _buckets(lengths[part])):
+            seqs = [corpus[i] for i in idx[pos]]
+            ids, valid, bad = _pad(seqs, lengths[pos], config.vocab)
+            problems.update((int(idx[pos[r]]), why) for r, why in bad.items())
+            padded.append((ids, valid))
+        shard_buckets.append(padded)
+    if problems:
+        first = min(problems)
+        raise CorpusError(f"sequence {first} not usable: {problems[first]}")
+
+    cut = config.max_len
+    merged = {site: _SiteAcc.fresh(config.dim) for site in site_list}
+    for padded in shard_buckets:
+        accs = {site: _SiteAcc.fresh(config.dim) for site in site_list}
 
         def hook(group: str, layer_id: int, z: np.ndarray) -> None:
             accs[(group, layer_id)].add(z, scale)
 
-        for seq in seqs:
-            tgt = ([BOS_ID] + list(seq))[: config.max_len]
-            try:
-                forward_standard(w, seq, tgt, site_hook=hook)
-            except ValueError as e:
-                raise CorpusError(f"sequence not usable: {e}") from e
-        return accs
-
-    bounds = np.linspace(0, len(chosen), shards + 1).astype(int)
-    merged: dict[tuple[str, int], _SiteAcc] | None = None
-    for s in range(shards):
-        part = run_shard(chosen[bounds[s] : bounds[s + 1]])
-        if merged is None:
-            merged = part
-        else:
-            for key in merged:
-                merged[key].merge(part[key])
+        for ids, valid in padded:
+            # each row's decoder input is ([BOS] + seq)[:max_len]
+            tgt = np.pad(ids, ((0, 0), (1, 0)), constant_values=BOS_ID)[:, :cut]
+            tgt_valid = np.pad(valid, ((0, 0), (1, 0)), constant_values=True)[:, :cut]
+            _teacher_forced(w, ids, tgt, hook, valid, tgt_valid)
+        for key in merged:
+            merged[key].merge(accs[key])
 
     out = []
     for group, layer_id in site_list:

@@ -15,8 +15,9 @@ The JSON tail distinguishes plain weights ({"kind": "standard"}) from a
 reinterpreted model, which adds the dials and the per-site priors.  Floats
 survive the JSON round trip bit-exactly (shortest-repr encoding), and the
 tensor order is fixed, so save -> load -> save reproduces the file byte for
-byte.  The reader refuses missing, misshapen, duplicate and unknown tensors,
-and any length that claims more bytes than the file has left.
+byte.  The reader refuses missing, misshapen, duplicate, unknown and
+non-UTF-8-named tensors, any length that claims more bytes than the file
+has left, and any bytes after the JSON tail.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ def load_weights(path: str) -> ModelWeights | NvModel:
 
         tensors: dict[str, np.ndarray] = {}
         for _ in range(rd.u32()):
-            name = rd.exact(rd.u32()).decode("utf-8")
+            try:
+                name = rd.exact(rd.u32()).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise WeightFormatError(f"tensor name is not UTF-8: {e}") from e
             if name in tensors:
                 raise WeightFormatError(f"duplicate tensor {name!r}")
             rank = rd.u32()
@@ -242,6 +246,8 @@ def load_weights(path: str) -> ModelWeights | NvModel:
             tail = json.loads(rd.exact(blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise WeightFormatError(f"bad JSON tail: {e}") from e
+        if rd.left:
+            raise WeightFormatError(f"{rd.left} trailing bytes after the JSON tail")
 
     d, f = config.dim, config.ffn_dim
     enc = [

@@ -153,6 +153,71 @@ class TestAttention:
             )
 
 
+def padded_batch(rng, d, q_lens, k_lens):
+    """Random queries (B, m, d) and keys (B, n, d) padded to the longest,
+    with each sequence's key validity (B, n)."""
+    b, m, n = len(q_lens), max(q_lens), max(k_lens)
+    key_valid = np.arange(n) < np.array(k_lens)[:, None]
+    return rng.normal(size=(b, m, d)), rng.normal(size=(b, n, d)), key_valid
+
+
+class TestPaddedBatch:
+    """A (B, m, d) batch with key validity against per-sequence calls."""
+
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    def test_matches_per_sequence_calls(self, h):
+        rng = make_rng(50 + h)
+        d = 16
+        p = random_params(rng, d, h)
+        q_lens, k_lens = [1, 5, 3, 7], [4, 1, 6, 7]
+        u, z, key_valid = padded_batch(rng, d, q_lens, k_lens)
+        out = attention(u, z, p, key_valid=key_valid)
+        assert out.shape == u.shape
+        for b, (m, n) in enumerate(zip(q_lens, k_lens)):
+            np.testing.assert_allclose(
+                out[b, :m], attention(u[b, :m], z[b, :n], p), atol=1e-12
+            )
+
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    def test_causal_matches_per_sequence_calls(self, h):
+        rng = make_rng(60 + h)
+        d = 16
+        p = random_params(rng, d, h)
+        lens = [1, 6, 3]
+        _, z, valid = padded_batch(rng, d, lens, lens)
+        out = attention(z, z, p, AttentionMask("causal"), key_valid=valid)
+        for b, n in enumerate(lens):
+            np.testing.assert_allclose(
+                out[b, :n], attention(z[b, :n], z[b, :n], p, AttentionMask("causal")),
+                atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    def test_padded_keys_never_reach_valid_rows(self, h):
+        rng = make_rng(70 + h)
+        d = 16
+        p = random_params(rng, d, h)
+        q_lens, k_lens = [2, 5, 4], [3, 1, 6]
+        u, z, key_valid = padded_batch(rng, d, q_lens, k_lens)
+        other = z.copy()
+        other[~key_valid] = rng.normal(0.0, 50.0, size=(int(np.sum(~key_valid)), d))
+        a = attention(u, z, p, key_valid=key_valid)
+        b = attention(u, other, p, key_valid=key_valid)
+        for i, m in enumerate(q_lens):
+            np.testing.assert_array_equal(a[i, :m], b[i, :m])
+
+    def test_shape_validation(self):
+        rng = make_rng(80)
+        p = random_params(rng, 8, 2)
+        u, z, key_valid = padded_batch(rng, 8, [2, 3], [3, 1])
+        with pytest.raises(ValueError, match="padded batch"):
+            attention(u, z, p, key_valid=key_valid[:, :2])
+        with pytest.raises(ValueError, match="padded batch"):
+            attention(u[0], z[0], p, key_valid=key_valid)
+        with pytest.raises(ValueError, match="masked"):
+            attention(u, z, p, key_valid=np.zeros_like(key_valid))
+
+
 class TestAttnCore:
     def test_single_row(self):
         z = np.array([[1.0, 2.0, 3.0]])

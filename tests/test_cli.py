@@ -5,12 +5,16 @@ Exit-code contract: 0 success, 1 certification failure, 2 usage error,
 """
 
 import json
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nvtransformer
 from nvtransformer import (
     ModelWeights,
     NvModel,
@@ -195,6 +199,17 @@ class TestCertify:
         assert r == 3
         assert "truncated" in capsys.readouterr().err
 
+    def test_non_utf8_tensor_name_is_data_error(self, workdir, tmp_path, capsys):
+        raw = bytearray(pathlib.Path(workdir["model"]).read_bytes())
+        raw[raw.index(b"tok_emb")] = 0xFF
+        bad = tmp_path / "name.nvtx"
+        bad.write_bytes(bytes(raw))
+        r = main([
+            "certify", "--model", str(bad), "--priors", workdir["priors"],
+        ])
+        assert r == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([
             "certify", "--model", workdir["model"],
@@ -296,3 +311,15 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert main(["certify", "--model", "x.nvtx"]) == 2
         capsys.readouterr()
+
+    def test_module_entry_point_runs_from_source(self):
+        # `python -m nvtransformer` from a source checkout, package not installed
+        src = str(pathlib.Path(nvtransformer.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        r = subprocess.run(
+            [sys.executable, "-m", "nvtransformer", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 0, r.stderr
+        assert "estimate-prior" in r.stdout

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from nvtransformer import CorpusError, estimate_priors, prior_report, site_stats
+from nvtransformer import priors as priors_module
 from nvtransformer.evaluate import make_random_corpus
 from nvtransformer.model import BOS_ID, forward_standard
 from nvtransformer.priors import (
+    BUCKET_TOKENS,
     VAR_FLOOR,
     WelfordAccumulator,
+    _buckets,
     reservoir_subsample,
 )
 
@@ -164,6 +167,32 @@ class TestReservoir:
             reservoir_subsample(0, 0.5, 0)
 
 
+def per_sequence_oracle(w, corpus):
+    """Priors from one forward_standard per sequence and brute-force
+    site_stats over each site's stacked vectors."""
+    stacks: dict[tuple[str, int], list[np.ndarray]] = {}
+    for seq in corpus:
+        tgt = ([BOS_ID] + list(seq))[: w.config.max_len]
+        forward_standard(
+            w, seq, tgt,
+            site_hook=lambda g, l, z: stacks.setdefault((g, l), []).append(z),
+        )
+    cfg = w.config
+    return {
+        site: site_stats(np.vstack(zs), cfg.dim, cfg.heads, *site)
+        for site, zs in stacks.items()
+    }
+
+
+def assert_priors_close(got, want, atol):
+    for p in got:
+        q = want[(p.layer_group, p.layer_id)]
+        np.testing.assert_allclose(p.mu_p, q.mu_p, atol=atol)
+        np.testing.assert_allclose(p.sigma_p, q.sigma_p, atol=atol)
+        np.testing.assert_allclose(p.log_alpha0_p, q.log_alpha0_p, atol=atol)
+        np.testing.assert_allclose(p.epsilon_alpha, q.epsilon_alpha, atol=atol)
+
+
 class TestEstimatePriors:
     def test_site_coverage(self, toy_priors):
         sites = sorted((p.layer_group, p.layer_id) for p in toy_priors)
@@ -176,28 +205,7 @@ class TestEstimatePriors:
     def test_streaming_matches_brute_force(self, toy_model):
         corpus = make_random_corpus(toy_model.config, 60, seed=44)
         got = estimate_priors(toy_model, corpus)
-
-        stacks: dict[tuple[str, int], list[np.ndarray]] = {}
-        for seq in corpus:
-            tgt = ([BOS_ID] + list(seq))[: toy_model.config.max_len]
-            forward_standard(
-                toy_model, seq, tgt,
-                site_hook=lambda g, l, z: stacks.setdefault((g, l), []).append(z),
-            )
-        cfg = toy_model.config
-        for p in got:
-            z = np.vstack(stacks[(p.layer_group, p.layer_id)])
-            want = site_stats(
-                z, cfg.dim, cfg.heads, p.layer_group, p.layer_id
-            )
-            np.testing.assert_allclose(p.mu_p, want.mu_p, atol=1e-9)
-            np.testing.assert_allclose(p.sigma_p, want.sigma_p, atol=1e-9)
-            np.testing.assert_allclose(
-                p.log_alpha0_p, want.log_alpha0_p, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                p.epsilon_alpha, want.epsilon_alpha, atol=1e-9
-            )
+        assert_priors_close(got, per_sequence_oracle(toy_model, corpus), 1e-9)
 
     def test_shard_invariance(self, toy_model):
         corpus = make_random_corpus(toy_model.config, 50, seed=45)
@@ -231,6 +239,73 @@ class TestEstimatePriors:
     def test_bad_shards(self, toy_model):
         with pytest.raises(ValueError, match="shards"):
             estimate_priors(toy_model, [[3, 4]], shards=0)
+
+
+class TestBucketedPass:
+    """The padded, length-bucketed corpus pass against the per-sequence
+    oracle, on every source length from 1 to max_len."""
+
+    @pytest.fixture(scope="class")
+    def every_length(self, toy_model):
+        # lengths 1..max_len five times over, shuffled: length-1 sources,
+        # targets cut at max_len and many buckets' worth of tokens
+        cfg = toy_model.config
+        rng = np.random.default_rng(47)
+        lengths = np.tile(np.arange(1, cfg.max_len + 1), 5)
+        rng.shuffle(lengths)
+        corpus = [rng.integers(3, cfg.vocab, n).tolist() for n in lengths]
+        assert sum(lengths) > 4 * BUCKET_TOKENS
+        return corpus, per_sequence_oracle(toy_model, corpus)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_matches_per_sequence_oracle(self, toy_model, every_length, shards):
+        corpus, want = every_length
+        assert_priors_close(estimate_priors(toy_model, corpus, shards=shards), want, 1e-9)
+
+    @pytest.mark.parametrize("budget", [1, 10**6])
+    def test_bucket_size_does_not_matter(self, toy_model, every_length, budget, monkeypatch):
+        # one sequence per bucket, and the whole corpus in one bucket
+        corpus, _ = every_length
+        usual = estimate_priors(toy_model, corpus)
+        monkeypatch.setattr(priors_module, "BUCKET_TOKENS", budget)
+        got = estimate_priors(toy_model, corpus)
+        assert_priors_close(got, {(p.layer_group, p.layer_id): p for p in usual}, 1e-12)
+
+    def test_buckets_are_sorted_and_fill_the_budget(self):
+        lengths = np.random.default_rng(49).integers(1, 33, 300)
+        buckets = _buckets(lengths)
+        np.testing.assert_array_equal(
+            np.concatenate(buckets), np.argsort(lengths, kind="stable")
+        )
+        for bucket, after in zip(buckets, buckets[1:] + [None]):
+            assert bucket.size * lengths[bucket].max() <= BUCKET_TOKENS
+            if after is not None:  # the next sequence would not have fit
+                assert (bucket.size + 1) * lengths[after[0]] > BUCKET_TOKENS
+        # a sequence longer than the budget goes alone
+        assert [b.tolist() for b in _buckets(np.array([2, BUCKET_TOKENS + 1]))] == [[0], [1]]
+
+    def test_bad_sequence_is_named_before_any_forward(self, toy_model, monkeypatch):
+        corpus = make_random_corpus(toy_model.config, 200, seed=48)
+        corpus[170] = [3] * (toy_model.config.max_len + 1)   # too long
+        corpus[150] = [3, toy_model.config.vocab]           # out of vocabulary
+        forwards = []
+        monkeypatch.setattr(
+            priors_module, "_teacher_forced", lambda *a: forwards.append(a)
+        )
+        for shards in (1, 3):
+            with pytest.raises(CorpusError, match="sequence 150 not usable"):
+                estimate_priors(toy_model, corpus, shards=shards)
+        corpus[150] = [3, 4]
+        corpus[190] = []
+        with pytest.raises(CorpusError, match="sequence 170 not usable: length 33"):
+            estimate_priors(toy_model, corpus)
+        corpus[170] = [3, 4]
+        with pytest.raises(CorpusError, match="sequence 190 not usable: length 0"):
+            estimate_priors(toy_model, corpus)
+        corpus[190] = [3, -1]
+        with pytest.raises(CorpusError, match="sequence 190 not usable: contains ids"):
+            estimate_priors(toy_model, corpus)
+        assert forwards == []
 
 
 class TestPriorReport:

@@ -169,6 +169,17 @@ class TestTensorNames:
             load_weights(str(path))
 
 
+    def test_rejects_name_that_is_not_utf8(self, tmp_path, toy_model):
+        path = tmp_path / "m.nvtx"
+        save_weights(str(path), toy_model)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"tok_emb")] = 0xFF
+        bad = tmp_path / "name.nvtx"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(WeightFormatError, match="not UTF-8"):
+            load_weights(str(bad))
+
+
 class TestFormatErrors:
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nvtx"
@@ -243,6 +254,18 @@ class TestFormatErrors:
         bad = tmp_path / "tail.nvtx"
         bad.write_bytes(bytes(raw))
         with pytest.raises(WeightFormatError, match="JSON tail"):
+            load_weights(str(bad))
+
+    @pytest.mark.parametrize("kind", ["standard", "nv"])
+    def test_rejects_bytes_after_json_tail(self, tmp_path, toy_model, toy_priors, kind):
+        model = toy_model if kind == "standard" else reinterpret(
+            toy_model, toy_priors, TauConfig()
+        )
+        path = tmp_path / "m.nvtx"
+        save_weights(str(path), model)
+        bad = tmp_path / "padded.nvtx"
+        bad.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(WeightFormatError, match="7 trailing bytes"):
             load_weights(str(bad))
 
     def test_rejects_unknown_kind(self, tmp_path, toy_model):
