@@ -9,6 +9,20 @@ query-norm and normaliser terms are constant across keys and the weights
 reduce to softmax(U mu^T / scale + pseudo-count bias), which is how the
 identity initialisation reproduces standard attention.
 
+The closed form is evaluated in one of two ways, chosen by the posterior
+passed in.  The general path takes any `DpPosterior` and works at width d
+in every head (the per-head query U_i = Q_i (W^K_i)^T is projected back to
+d), so it costs h times the FLOPs of standard attention; it serves
+per-component variances (a nonzero w_sigma) and is the reference the
+head-space path is tested against.  The head-space path takes a
+`KeyedPosterior`: when w_sigma is zero, as under the identity
+initialisation, every token component shares one variance row and the
+prior has its own, so the quadratic and interpolation terms reduce to two
+(d/h, d/h) forms per head and variance class (`SiteForms`, built once per
+site by `site_forms`), and the component means enter only through
+head-width keys and values computed once per posterior (`head_keys`).
+The two paths agree to rounding error.
+
 Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
 pseudo-counts and component vectors from their Gaussians; attention then
 runs on the sampled impulses with the sampled log-weights as key biases.
@@ -21,6 +35,7 @@ column belongs to the prior.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,6 +53,10 @@ from .nvib import DpPosterior, NvibProjection, project
 from .numeric import as_matrix, sample_dirichlet, sample_gaussian, softmax_rows
 
 __all__ = [
+    "SiteForms",
+    "KeyedPosterior",
+    "site_forms",
+    "head_keys",
     "eval_dattn_multihead",
     "train_dattn_multihead",
     "nv_self_attention",
@@ -49,12 +68,15 @@ MapSink = Callable[[np.ndarray], None] | None
 
 def _component_mask_bias(
     mask: AttentionMask, m: int, n_tokens: int
-) -> np.ndarray:
-    """Additive (m, n_tokens+1) bias; the prior column is always 0.
+) -> np.ndarray | float:
+    """Additive (m, n_tokens+1) bias; the prior column is always 0.  A mask
+    that hides nothing gives the scalar 0 (every decode step's case).
 
     A custom mask may cover just the tokens (m, n) or all components
     (m, n+1); in the wide form the prior column must be fully visible.
     """
+    if mask.kind == "none":
+        return 0.0
     if mask.kind == "custom" and mask.custom.shape == (m, n_tokens + 1):
         visible = mask.custom.astype(bool)
         if not np.all(visible[:, -1]):
@@ -63,6 +85,87 @@ def _component_mask_bias(
         visible = np.ones((m, n_tokens + 1), dtype=bool)
         visible[:, :-1] = mask.visible(m, n_tokens)
     return _mask_bias(visible)
+
+
+@dataclass(frozen=True)
+class SiteForms:
+    """Head-space forms of one site whose token components share a variance.
+
+    Along the leading axis of every array, index 0 is the tokens' variance
+    class and index 1 the prior's.  With sigma_r^2 = sqrt(d/h) + sigma^2:
+    inv_var (2, d) is 1/sigma_r^2, half_log_var (2,) is
+    0.5 sum log sigma_r^2, a (2, h, d/h, d/h) holds
+    W^K_i^T diag(1/sigma_r^2) W^K_i and b (2, h, d/h, d/h) holds
+    W^K_i^T diag(sigma^2/sigma_r^2) W^V_i.
+    """
+
+    inv_var: np.ndarray
+    half_log_var: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms | None:
+    """The head-space forms of a site, or None when its projection gives
+    token components their own variances (nonzero w_sigma)."""
+    if proj.token_sigma is None:
+        return None
+    h = params.heads
+    sigma = np.stack([proj.token_sigma, proj.prior.sigma_p])
+    sig2 = sigma * sigma
+    var_r = np.sqrt(params.head_dim) + sig2
+    inv_var = 1.0 / var_r
+    wk = split_heads(params.wk, h)                  # (h, d, d/h)
+    wk_t = wk.swapaxes(-1, -2)
+    # (h, d/h, d) @ (2, h, d, d/h): one stacked product per form
+    return SiteForms(
+        inv_var=inv_var,
+        half_log_var=0.5 * np.sum(np.log(var_r), axis=1),
+        a=wk_t @ (inv_var[:, None, :, None] * wk),
+        b=wk_t @ ((sig2 * inv_var)[:, None, :, None] * split_heads(params.wv, h)),
+    )
+
+
+@dataclass(frozen=True)
+class KeyedPosterior(DpPosterior):
+    """A posterior with the head-space keys of one site, read by
+    `eval_dattn_multihead`'s head-space path.
+
+    k (n+1, d) is (mu/sigma_r^2) W^K and v (n+1, d) is
+    (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h);
+    c (n+1,) is each component's score bias log alpha
+    - 0.5 ||mu/sigma_r||^2 - 0.5 sum log sigma_r^2.  Every row depends on
+    its own component alone, so a causal cache can append rows.
+    """
+
+    k: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+    forms: SiteForms
+
+
+def head_keys(
+    dp: DpPosterior, params: AttentionParams, forms: SiteForms | None
+) -> DpPosterior:
+    """`dp` with the site's head-space keys, or `dp` itself when the site
+    has no forms.  `dp` must come from the projection `forms` was built
+    from: its token rows are taken to share the tokens' variance."""
+    if forms is None:
+        return dp
+    x = dp.mu * forms.inv_var[0]
+    x[-1] = dp.mu[-1] * forms.inv_var[1]
+    c = dp.log_alpha - 0.5 * (dp.mu * x).sum(axis=1)
+    c[:-1] -= forms.half_log_var[0]
+    c[-1] -= forms.half_log_var[1]
+    return KeyedPosterior(
+        mu=dp.mu,
+        sigma=dp.sigma,
+        log_alpha=dp.log_alpha,
+        k=x @ params.wk,
+        v=np.sqrt(params.head_dim) * x @ params.wv,
+        c=c,
+        forms=forms,
+    )
 
 
 def eval_dattn_multihead(
@@ -74,8 +177,9 @@ def eval_dattn_multihead(
 ) -> np.ndarray:
     """Closed-form denoising attention of m queries over n+1 components.
 
-    Per head i, with U_i = Q_i (W^K_i)^T projected back to width d and
-    sigma_r^2 = sqrt(d/h) + sigma^2 the corrupted-query variances:
+    Per head i, with Q_i the head's queries, U_i = Q_i (W^K_i)^T projected
+    back to width d and sigma_r^2 = sqrt(d/h) + sigma^2 the corrupted-query
+    variances:
 
       scores = U_i (mu/sigma_r^2)^T - 0.5 (U_i*U_i) (1/sigma_r^2)^T
                + Q_i b^K_i / sqrt(d/h)
@@ -88,6 +192,19 @@ def eval_dattn_multihead(
     components would let causally-hidden tokens perturb visible rows at the
     last bit.  The output interpolates between the queries and the component
     means by sigma^2/sigma_r^2 before the value projection.
+
+    A `KeyedPosterior` (see `head_keys`; the token components share one
+    variance) is evaluated in head space, at the cost of standard attention
+    plus two (d/h, d/h) forms per query and head.  With K_i, V_i, c and the
+    forms A, B of the posterior, w_P the prior's weight and w_tok the
+    summed token weights:
+
+      scores = Q_i K_i^T - 0.5 Q_i A_i Q_i^T + Q_i b^K_i / sqrt(d/h) + c
+      output = w_tok Q_i B_i^tok + w_P Q_i B_i^P + w V_i
+
+    where the quadratic term uses the tokens' form for token columns and
+    the prior's for the last.  Any other `DpPosterior` takes the general
+    path above.
     """
     queries_pre = as_matrix(queries_pre)
     d = params.model_dim
@@ -98,6 +215,23 @@ def eval_dattn_multihead(
     h = params.heads
     scale = np.sqrt(params.head_dim)
 
+    q = split_heads(queries_pre @ params.wq + params.bq, h)    # (h, m, d/h)
+    qbk = q @ split_heads(params.bk[None, :], h).transpose(0, 2, 1)  # (h, m, 1)
+    if isinstance(dp, KeyedPosterior):
+        scores, mix = _head_space_path(q, qbk / scale, dp)
+    else:
+        scores, mix = _general_path(q, qbk / scale, dp, params)
+    w = softmax_rows((scores + bias).reshape(h * m, -1)).reshape(h, m, -1)
+    if map_sink is not None:
+        map_sink(np.mean(w, axis=0))
+    return merge_heads(mix(w)) + params.bv
+
+
+def _general_path(q, qbk, dp: DpPosterior, params: AttentionParams):
+    """The general path: (h, m, n+1) scores and the map from weights to the
+    (h, m, d/h) head outputs, at width d per head."""
+    h = params.heads
+    scale = np.sqrt(params.head_dim)
     sig2 = dp.sigma * dp.sigma                      # (n+1, d)
     var_r = scale + sig2                            # corrupted-query variances
     inv_var = 1.0 / var_r
@@ -108,22 +242,35 @@ def eval_dattn_multihead(
         - 0.5 * np.sum(dp.mu * dp.mu * inv_var, axis=1)
         - 0.5 * np.sum(np.log(var_r), axis=1)
     )
-
-    q = split_heads(queries_pre @ params.wq + params.bq, h)    # (h, m, d/h)
     u = q @ split_heads(params.wk, h).transpose(0, 2, 1)        # (h, m, d)
-    qbk = q @ split_heads(params.bk[None, :], h).transpose(0, 2, 1)  # (h, m, 1)
-    scores = (
-        u @ (dp.mu * inv_var).T
-        - 0.5 * (u * u) @ inv_var.T
-        + qbk / scale
-        + c[None, :]
-    )
-    w = softmax_rows((scores + bias).reshape(h * m, -1)).reshape(h, m, -1)
-    if map_sink is not None:
-        map_sink(np.mean(w, axis=0))
-    # denoised vectors: interpolate query toward means, then project
-    denoised = (w @ (sig2 * inv_var)) * u + w @ (scale * inv_var * dp.mu)
-    return merge_heads(denoised @ split_heads(params.wv, h)) + params.bv
+    scores = u @ (dp.mu * inv_var).T - 0.5 * (u * u) @ inv_var.T + qbk + c[None, :]
+
+    def mix(w):
+        # denoised vectors: interpolate query toward means, then project
+        denoised = (w @ (sig2 * inv_var)) * u + w @ (scale * inv_var * dp.mu)
+        return denoised @ split_heads(params.wv, h)
+
+    return scores, mix
+
+
+def _head_space_path(q, qbk, dp: KeyedPosterior):
+    """The head-space path: the same scores and map at width d/h."""
+    h = q.shape[0]
+    forms = dp.forms
+    quad = ((q @ forms.a) * q).sum(axis=-1)         # (2, h, m): Q_i A_i Q_i^T
+    scores = q @ split_heads(dp.k, h).swapaxes(-1, -2) + qbk + dp.c
+    scores[..., :-1] -= 0.5 * quad[0][..., None]
+    scores[..., -1] -= 0.5 * quad[1]
+
+    def mix(w):
+        qb = q @ forms.b                            # (2, h, m, d/h)
+        return (
+            w[..., :-1].sum(axis=-1, keepdims=True) * qb[0]
+            + w[..., -1:] * qb[1]
+            + w @ split_heads(dp.v, h)
+        )
+
+    return scores, mix
 
 
 def train_dattn_multihead(
@@ -170,11 +317,13 @@ def nv_self_attention(
     params: AttentionParams,
     mask: AttentionMask = NO_MASK,
     map_sink: MapSink = None,
+    forms: SiteForms | None = None,
 ) -> np.ndarray:
     """Self-attention variant: keys/values come from projecting z_prev,
     queries from z_prev itself (the pre-projection vectors).  There is no
-    pseudo-count skip connection."""
-    dp = project(z_prev, proj)
+    pseudo-count skip connection.  With the site's `forms` (from
+    `site_forms(proj, params)`) the call runs in head space."""
+    dp = head_keys(project(z_prev, proj), params, forms)
     return eval_dattn_multihead(z_prev, dp, params, mask=mask, map_sink=map_sink)
 
 
@@ -183,6 +332,7 @@ def nv_causal_attention(
     proj: NvibProjection,
     params: AttentionParams,
     map_sink: MapSink = None,
+    forms: SiteForms | None = None,
 ) -> np.ndarray:
     """Causal self-attention: token keys j <= t visible to query t, the
     prior visible everywhere (so position 1 still has two components)."""
@@ -192,4 +342,5 @@ def nv_causal_attention(
         params,
         mask=AttentionMask("causal"),
         map_sink=map_sink,
+        forms=forms,
     )

@@ -14,20 +14,22 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .attention import AttentionMask, AttentionParams, attention
 from .denoising import (
+    SiteForms,
     eval_dattn_multihead,
+    head_keys,
     nv_causal_attention,
     nv_self_attention,
+    site_forms,
 )
 from .nvib import (
     GROUPS,
-    DpPosterior,
     EmpiricalPrior,
     NvibProjection,
     TauConfig,
@@ -126,7 +128,11 @@ class ModelWeights:
 
 @dataclass(frozen=True)
 class NvModel:
-    """Reinterpreted model: base weights plus per-site priors and dials."""
+    """Reinterpreted model: base weights plus per-site priors and dials.
+
+    Each site has its projection and, when the projection gives every token
+    component one variance, its head-space forms (None otherwise).
+    """
 
     base: ModelWeights
     priors: list[EmpiricalPrior]
@@ -134,6 +140,9 @@ class NvModel:
     enc_projs: list[NvibProjection] = field(repr=False)
     cross_projs: list[NvibProjection] = field(repr=False)
     dec_projs: list[NvibProjection] = field(repr=False)
+    enc_forms: list[SiteForms | None] = field(repr=False)
+    cross_forms: list[SiteForms | None] = field(repr=False)
+    dec_forms: list[SiteForms | None] = field(repr=False)
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -286,7 +295,8 @@ def _attention_sites(
     decoder's attention sites for `_decode` over a whole masked target.
 
     `hook` is forward_standard's site_hook or forward_nv's map_hook.  The
-    twin projects each cross site's posterior once, up front.
+    twin projects each cross site's posterior, with its head-space keys,
+    once, up front.
 
     The standard model also runs a padded batch: src (B, S) with its
     boolean validity src_valid (B, S), and tgt_valid (B, T) for the target
@@ -306,15 +316,20 @@ def _attention_sites(
 
         def self_attn(l: int, z: np.ndarray) -> np.ndarray:
             return nv_self_attention(
-                z, model.enc_projs[l], w.enc[l].self_attn, map_sink=sink("encoder", l)
+                z, model.enc_projs[l], w.enc[l].self_attn,
+                map_sink=sink("encoder", l), forms=model.enc_forms[l],
             )
 
         mem = _encode(w, src, self_attn)
-        posts = [project(mem, p) for p in model.cross_projs]
+        posts = [
+            head_keys(project(mem, proj), lay.cross_attn, forms)
+            for proj, lay, forms in zip(model.cross_projs, w.dec, model.cross_forms)
+        ]
 
         def causal(l: int, z: np.ndarray) -> np.ndarray:
             return nv_causal_attention(
-                z, model.dec_projs[l], w.dec[l].causal_attn, map_sink=sink("decoder", l)
+                z, model.dec_projs[l], w.dec[l].causal_attn,
+                map_sink=sink("decoder", l), forms=model.dec_forms[l],
             )
 
         def cross(l: int, q: np.ndarray) -> np.ndarray:
@@ -409,28 +424,41 @@ def _canonical_priors(
 def reinterpret(
     w: ModelWeights, priors: list[EmpiricalPrior], taus: TauConfig
 ) -> NvModel:
-    """Attach identity-initialised projections to every attention site.
+    """Attach identity-initialised projections to every attention site,
+    with each site's head-space forms.
 
-    The base weights are shared, not copied; only the projections depend on
-    the dial settings, and each group's dials touch only that group's sites.
+    The base weights are shared, not copied; only the projections and forms
+    depend on the dial settings, and each group's dials touch only that
+    group's sites.
     """
     config = w.config
     ordered = _canonical_priors(priors, config)
     d, h = config.dim, config.heads
-
-    def build(p: EmpiricalPrior) -> NvibProjection:
-        return identity_init(
+    projs = [
+        identity_init(
             p, taus.tau_alpha(p.layer_group), taus.tau_sigma(p.layer_group), d, h
         )
+        for p in ordered
+    ]
+    # the attention parameters of every site, in `sites` order
+    params = (
+        [lay.self_attn for lay in w.enc]
+        + [lay.cross_attn for lay in w.dec]
+        + [lay.causal_attn for lay in w.dec]
+    )
+    forms = [site_forms(proj, p) for proj, p in zip(projs, params)]
 
     ne, nd = config.layers_enc, config.layers_dec
     return NvModel(
         base=w,
         priors=ordered,
         taus=taus,
-        enc_projs=[build(p) for p in ordered[:ne]],
-        cross_projs=[build(p) for p in ordered[ne : ne + nd]],
-        dec_projs=[build(p) for p in ordered[ne + nd :]],
+        enc_projs=projs[:ne],
+        cross_projs=projs[ne : ne + nd],
+        dec_projs=projs[ne + nd :],
+        enc_forms=forms[:ne],
+        cross_forms=forms[ne : ne + nd],
+        dec_forms=forms[ne + nd :],
     )
 
 
@@ -459,21 +487,27 @@ def _step_logits(model, src: np.ndarray, positions: int):
     position t's post-norm row to decoder layer l's append-only cache and
     attends over the whole cache with no mask: causal masking means earlier
     rows never change.  The standard model caches the rows themselves; the
-    twin caches their projected components, the [P] row kept last.
+    twin caches their projected components (and head-space keys, like a KV
+    cache), the [P] row kept last.
     """
     w, _, cross = _attention_sites(model, src)
     if isinstance(model, NvModel):
-        n, d = positions + 1, w.config.dim
-        # mu, sigma and log_alpha rows of every layer's causal posterior
-        caches = [(np.empty((n, d)), np.empty((n, d)), np.empty(n)) for _ in w.dec]
+        caches: list[dict[str, np.ndarray]] = [{} for _ in w.dec]
 
         def causal(l: int, z: np.ndarray) -> np.ndarray:
+            params = w.dec[l].causal_attn
+            rows = head_keys(project(z, model.dec_projs[l]), params, model.dec_forms[l])
+            cache = caches[l]
+            if t == 0:  # one buffer per array field, rows along axis 0
+                for f in fields(rows):
+                    arr = getattr(rows, f.name)
+                    if isinstance(arr, np.ndarray):
+                        cache[f.name] = np.empty((positions + 1,) + arr.shape[1:])
             # the token row lands where [P] was and [P] moves down one
-            rows = project(z, model.dec_projs[l])
-            for buf, new in zip(caches[l], (rows.mu, rows.sigma, rows.log_alpha)):
-                buf[t : t + 2] = new
-            dp = DpPosterior(*(buf[: t + 2] for buf in caches[l]))
-            return eval_dattn_multihead(z, dp, w.dec[l].causal_attn)
+            for name, buf in cache.items():
+                buf[t : t + 2] = getattr(rows, name)
+            dp = replace(rows, **{name: buf[: t + 2] for name, buf in cache.items()})
+            return eval_dattn_multihead(z, dp, params)
 
     else:
         caches = [np.empty((positions, w.config.dim)) for _ in w.dec]

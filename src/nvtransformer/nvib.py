@@ -13,7 +13,7 @@ formed through log-sum-exp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -147,6 +147,13 @@ class NvibProjection:
     mu(Z) = Z w_mu + b_mu
     sigma^2(Z) = exp(Z w_sigma + b_sigma)
     log alpha(Z) = (Z*Z) w_alpha1 + Z w_alpha2 + b_alpha
+
+    Two structural facts are read once, at construction (the arrays must
+    not be modified afterwards): `mu_is_identity` when w_mu is the identity,
+    and `token_sigma`, the one std row every token component gets when
+    w_sigma is zero (None otherwise).  `project` skips the products they
+    make trivial, and a zero w_sigma is what lets denoising attention run
+    in head space.  `identity_init` has both.
     """
 
     w_mu: np.ndarray
@@ -157,6 +164,8 @@ class NvibProjection:
     w_alpha2: np.ndarray
     b_alpha: float
     prior: EmpiricalPrior
+    mu_is_identity: bool = field(init=False, repr=False, compare=False)
+    token_sigma: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.prior.dim
@@ -165,6 +174,9 @@ class NvibProjection:
         for name in ("b_mu", "b_sigma", "w_alpha1", "w_alpha2"):
             if getattr(self, name).shape != (d,):
                 raise ValueError(f"{name} must be (d,)")
+        object.__setattr__(self, "mu_is_identity", np.array_equal(self.w_mu, np.eye(d)))
+        shared = None if np.any(self.w_sigma) else _sigma(self.b_sigma)
+        object.__setattr__(self, "token_sigma", shared)
 
     @property
     def dim(self) -> int:
@@ -233,6 +245,14 @@ def identity_init(
     )
 
 
+def _sigma(log_sig2: np.ndarray) -> np.ndarray:
+    """Component stds from log variances: the log is clamped so exp stays
+    finite even for adversarial weights, the variance floored at
+    SIGMA_SQ_FLOOR."""
+    log_sig2 = np.minimum(log_sig2, LOG_ALPHA_CLAMP)
+    return np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
+
+
 def project(z: np.ndarray, proj: NvibProjection) -> DpPosterior:
     """Map n vectors to an (n+1)-component posterior, prior row last.
 
@@ -245,11 +265,12 @@ def project(z: np.ndarray, proj: NvibProjection) -> DpPosterior:
     if z.shape[1] != d:
         raise ValueError(f"vector width {z.shape[1]} != projection dim {d}")
 
-    mu = z @ proj.w_mu + proj.b_mu
-    log_sig2 = z @ proj.w_sigma + proj.b_sigma
-    # exp must stay finite even for adversarial weights
-    log_sig2 = np.minimum(log_sig2, LOG_ALPHA_CLAMP)
-    sig2 = np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR)
+    # z @ eye and z @ zeros are exact for finite z, so skipping them changes
+    # no bit of the result
+    mu = (z if proj.mu_is_identity else z @ proj.w_mu) + proj.b_mu
+    sigma = proj.token_sigma  # one row for every token, when shared
+    if sigma is None:
+        sigma = _sigma(z @ proj.w_sigma + proj.b_sigma)
 
     log_alpha = (z * z) @ proj.w_alpha1 + z @ proj.w_alpha2 + proj.b_alpha
     clamped = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
@@ -257,7 +278,9 @@ def project(z: np.ndarray, proj: NvibProjection) -> DpPosterior:
 
     p = proj.prior
     mu_all = np.vstack([mu, p.mu_p[None, :]])
-    sigma_all = np.vstack([np.sqrt(sig2), p.sigma_p[None, :]])
+    sigma_all = np.empty_like(mu_all)
+    sigma_all[:-1] = sigma
+    sigma_all[-1] = p.sigma_p
     log_alpha_all = np.concatenate([clamped, [p.log_alpha0_p]])
     return DpPosterior(mu=mu_all, sigma=sigma_all, log_alpha=log_alpha_all)
 

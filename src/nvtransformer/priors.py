@@ -10,6 +10,9 @@ the site consumes as keys/values:
 The corpus runs through the standard model in padded buckets: each shard
 is sorted by length and cut into buckets of at most BUCKET_TOKENS padded
 source tokens, and one forward per bucket hands every site its valid rows.
+The forward stops once the last site has seen its rows: the last decoder
+layer's cross attention and FFN, the final norm and the output projection
+reach no site, so they are never computed.
 Accumulation is merge-based Welford: each bucket contributes one batch per
 site whose exact count/mean/M2 are folded in with the pairwise-merge
 formula, so neither the bucketing nor sharding the corpus and merging shard
@@ -18,6 +21,7 @@ accumulators changes the result beyond rounding.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,11 @@ VAR_FLOOR = 1e-12   # on the prior component variance, per dimension
 # overhead stops dominating at toy size, small enough that sorted buckets
 # stay cache-resident and waste little padding at wide size.
 BUCKET_TOKENS = 512
+
+
+class _AllSitesSeen(Exception):
+    """Raised by the estimator's site hook after the last site of a bucket
+    to end that bucket's forward; nothing after it reaches a site."""
 
 
 class WelfordAccumulator:
@@ -238,15 +247,21 @@ def estimate_priors(
     merged = {site: _SiteAcc.fresh(config.dim) for site in site_list}
     for padded in shard_buckets:
         accs = {site: _SiteAcc.fresh(config.dim) for site in site_list}
+        seen = set()
 
         def hook(group: str, layer_id: int, z: np.ndarray) -> None:
             accs[(group, layer_id)].add(z, scale)
+            seen.add((group, layer_id))
+            if len(seen) == len(site_list):
+                raise _AllSitesSeen
 
         for ids, valid in padded:
             # each row's decoder input is ([BOS] + seq)[:max_len]
             tgt = np.pad(ids, ((0, 0), (1, 0)), constant_values=BOS_ID)[:, :cut]
             tgt_valid = np.pad(valid, ((0, 0), (1, 0)), constant_values=True)[:, :cut]
-            _teacher_forced(w, ids, tgt, hook, valid, tgt_valid)
+            seen.clear()
+            with suppress(_AllSitesSeen):
+                _teacher_forced(w, ids, tgt, hook, valid, tgt_valid)
         for key in merged:
             merged[key].merge(accs[key])
 

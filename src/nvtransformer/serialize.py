@@ -16,8 +16,9 @@ reinterpreted model, which adds the dials and the per-site priors.  Floats
 survive the JSON round trip bit-exactly (shortest-repr encoding), and the
 tensor order is fixed, so save -> load -> save reproduces the file byte for
 byte.  The reader refuses missing, misshapen, duplicate, unknown and
-non-UTF-8-named tensors, any length that claims more bytes than the file
-has left, and any bytes after the JSON tail.
+non-UTF-8-named tensors, tensors holding a NaN or an infinity, any length
+that claims more bytes than the file has left, and any bytes after the
+JSON tail.
 """
 
 from __future__ import annotations
@@ -170,6 +171,17 @@ class _Reader:
         self.left -= n
         return buf
 
+    def floats(self, shape: tuple) -> np.ndarray:
+        """A little-endian float64 tensor, read straight into its array."""
+        n = 8 * math.prod(shape)
+        if n > self.left:
+            raise WeightFormatError("truncated weight file")
+        arr = np.empty(shape, dtype="<f8")
+        if self.fh.readinto(arr.data.cast("B")) != n:
+            raise WeightFormatError("truncated weight file")
+        self.left -= n
+        return arr
+
     def u32(self) -> int:
         return struct.unpack("<I", self.exact(4))[0]
 
@@ -238,8 +250,10 @@ def load_weights(path: str) -> ModelWeights | NvModel:
                 raise WeightFormatError(f"duplicate tensor {name!r}")
             rank = rd.u32()
             shape = tuple(rd.u32() for _ in range(rank))
-            raw = rd.exact(8 * math.prod(shape))
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arr = rd.floats(shape)
+            if not np.isfinite(arr).all():
+                raise WeightFormatError(f"tensor {name!r} has non-finite values")
+            tensors[name] = arr
 
         blob_len = struct.unpack("<Q", rd.exact(8))[0]
         try:

@@ -210,6 +210,21 @@ class TestCertify:
         assert r == 3
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_non_finite_tensor_is_data_error(self, workdir, tmp_path, capsys):
+        # a NaN in the first entry of encoder layer 0's query weights; it
+        # used to load and fail only inside the softmax of a decode
+        raw = bytearray(pathlib.Path(workdir["model"]).read_bytes())
+        name = b"enc.0.self.wq"
+        start = raw.index(name) + len(name) + 4 + 2 * 4  # rank and two dims
+        raw[start : start + 8] = struct.pack("<d", float("nan"))
+        bad = tmp_path / "nan.nvtx"
+        bad.write_bytes(bytes(raw))
+        r = main([
+            "certify", "--model", str(bad), "--priors", workdir["priors"],
+        ])
+        assert r == 3
+        assert "'enc.0.self.wq' has non-finite" in capsys.readouterr().err
+
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([
             "certify", "--model", workdir["model"],

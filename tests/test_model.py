@@ -398,6 +398,34 @@ class TestIncrementalDecode:
         sources = [rng.integers(3, WIDE.vocab, 20).tolist()]
         self._check_against_oracle(w, priors, sources, 10)
 
+    def test_head_space_matches_general_path(self, toy_model, toy_priors, wide):
+        # every twin site has head-space forms; with the forms stripped the
+        # same twin runs the general path, the reference, at every decode
+        # step and teacher-forced
+        rng = np.random.default_rng(24)
+        for w, priors in [(toy_model, toy_priors), wide]:
+            src = rng.integers(3, w.config.vocab, 12).tolist()
+            for model, fwd in _models(w, priors)[1:]:
+                forms = {f"{g}_forms": getattr(model, f"{g}_forms") for g in ("enc", "cross", "dec")}
+                assert all(f is not None for group in forms.values() for f in group)
+                general = dataclasses.replace(
+                    model, **{k: [None] * len(v) for k, v in forms.items()}
+                )
+                tokens = greedy_decode(model, src, 10)
+                assert greedy_decode(general, src, 10) == tokens
+                fast = _step_logits(model, np.asarray(src), len(tokens))
+                slow = _step_logits(general, np.asarray(src), len(tokens))
+                next(fast)
+                next(slow)
+                for tok in [BOS_ID] + tokens[:-1]:
+                    np.testing.assert_allclose(
+                        fast.send(tok), slow.send(tok), rtol=0, atol=1e-12
+                    )
+                tgt = [BOS_ID] + tokens
+                np.testing.assert_allclose(
+                    fwd(model, src, tgt), fwd(general, src, tgt), rtol=0, atol=1e-12
+                )
+
     def test_encodes_once_and_projects_each_row_once(
         self, toy_model, toy_priors, monkeypatch
     ):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nvtransformer import CorpusError, estimate_priors, prior_report, site_stats
+from nvtransformer import model as model_module
 from nvtransformer import priors as priors_module
 from nvtransformer.evaluate import make_random_corpus
 from nvtransformer.model import BOS_ID, forward_standard
@@ -283,6 +284,29 @@ class TestBucketedPass:
                 assert (bucket.size + 1) * lengths[after[0]] > BUCKET_TOKENS
         # a sequence longer than the budget goes alone
         assert [b.tolist() for b in _buckets(np.array([2, BUCKET_TOKENS + 1]))] == [[0], [1]]
+
+    def test_forward_stops_after_the_last_site(self, toy_model, every_length, monkeypatch):
+        # per bucket: every encoder layer's attention and every decoder
+        # layer's causal attention, but no cross attention in the last
+        # decoder layer, whose site sees only the encoder states
+        corpus, _ = every_length
+        cfg = toy_model.config
+        forwards, attended = [], []
+        teacher_forced, attention = priors_module._teacher_forced, model_module.attention
+
+        def counting_forward(*args):
+            forwards.append(1)
+            return teacher_forced(*args)
+
+        def counting_attention(*args, **kwargs):
+            attended.append(1)
+            return attention(*args, **kwargs)
+
+        monkeypatch.setattr(priors_module, "_teacher_forced", counting_forward)
+        monkeypatch.setattr(model_module, "attention", counting_attention)
+        estimate_priors(toy_model, corpus)
+        assert len(forwards) > 1
+        assert len(attended) == len(forwards) * (cfg.layers_enc + 2 * cfg.layers_dec - 1)
 
     def test_bad_sequence_is_named_before_any_forward(self, toy_model, monkeypatch):
         corpus = make_random_corpus(toy_model.config, 200, seed=48)

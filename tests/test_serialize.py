@@ -180,6 +180,24 @@ class TestTensorNames:
             load_weights(str(bad))
 
 
+class TestNonFiniteTensors:
+    # one bad entry in one tensor, the other tensors as saved
+    @pytest.mark.parametrize(
+        "name, bad", [("enc.0.self.wq", np.nan), ("out.b", -np.inf)]
+    )
+    def test_rejects_non_finite_tensor(self, tmp_path, toy_model, name, bad):
+        items = []
+        for n, arr in _tensor_items(toy_model):
+            if n == name:
+                arr = arr.copy()
+                arr.flat[arr.size // 2] = bad
+            items.append((n, arr))
+        path = tmp_path / "bad.nvtx"
+        path.write_bytes(nvtx_bytes(items, toy_model.config))
+        with pytest.raises(WeightFormatError, match=f"tensor '{name}' has non-finite"):
+            load_weights(str(path))
+
+
 class TestFormatErrors:
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nvtx"

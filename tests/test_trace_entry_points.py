@@ -1,0 +1,65 @@
+"""The benchmark's tracer against the package: every function it patches
+exists, fires as often as the decode and estimator walk it, and changes no
+output.  Run in tier-1 so that a refactor which moves a traced call shows
+here, not only in the benchmark's own self-tests."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+from nvtransformer import identity_taus, model, priors, reinterpret
+from nvtransformer.evaluate import make_random_corpus
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_exists(spans):
+    for owner, attr, name in spans.TRACED:
+        assert callable(owner.__dict__.get(attr)), f"{name}: no {owner.__name__}.{attr}"
+
+
+def test_traced_calls_and_outputs(spans, toy_model, toy_priors):
+    cfg = toy_model.config
+    twin = reinterpret(toy_model, toy_priors, identity_taus())
+    src = [5, 9, 13, 40, 41]
+    corpus = make_random_corpus(cfg, 30, seed=19)
+    want_tokens = model.greedy_decode(twin, src, 8)
+    want_priors = priors.estimate_priors(toy_model, corpus)
+
+    originals = {(owner, attr): owner.__dict__[attr] for owner, attr, _ in spans.TRACED}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tokens = tracer.run_op(0, model.greedy_decode, twin, src, 8)
+        decode_calls = tracer.calls()
+        got_priors = tracer.run_op(1, priors.estimate_priors, toy_model, corpus)
+    finally:
+        tracer.uninstall()
+    for (owner, attr), fn in originals.items():
+        assert owner.__dict__[attr] is fn
+
+    # encoder sites once per decode; a causal and a cross site per decoder
+    # layer and step
+    steps = len(tokens)
+    assert decode_calls["denoising.eval_dattn_multihead"] == (
+        cfg.layers_enc + 2 * cfg.layers_dec * steps
+    )
+    assert decode_calls["nvib.project"] == cfg.layers_enc + cfg.layers_dec * (1 + steps)
+    assert tracer.calls()["priors.estimate_priors"] == 1
+
+    assert tokens == want_tokens
+    assert len(got_priors) == len(want_priors)
+    for a, b in zip(got_priors, want_priors):
+        assert (a.layer_group, a.layer_id) == (b.layer_group, b.layer_id)
+        for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
