@@ -28,11 +28,14 @@ from .model import (
     reinterpret,
     sites,
 )
-from .nvib import GROUPS, TauConfig
+from .nvib import GROUPS, TauConfig, identity_taus
 from .priors import estimate_priors, prior_report
 from .serialize import load_weights, read_corpus, save_weights
 
 __all__ = ["main", "entry"]
+
+# the identity corner; the CLI's one dial pair sets every group
+_IDENTITY = identity_taus()
 
 
 def _parse_config_file(path: str) -> dict[str, int]:
@@ -131,8 +134,8 @@ def _cmd_attn_dump(args) -> int:
     nvm = _load_nv(args.model)
     if args.tau_alpha is not None or args.tau_sigma is not None:
         taus = TauConfig.uniform(
-            args.tau_alpha if args.tau_alpha is not None else 10.0,
-            args.tau_sigma if args.tau_sigma is not None else 1e-38,
+            _IDENTITY.tau_alpha_enc if args.tau_alpha is None else args.tau_alpha,
+            _IDENTITY.tau_sigma_enc if args.tau_sigma is None else args.tau_sigma,
         )
         nvm = reinterpret(nvm.base, nvm.priors, taus)
     if (args.group, args.layer) not in sites(nvm.base.config):
@@ -195,8 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check equivalence at a dial setting")
     p.add_argument("--model", required=True)
     p.add_argument("--priors", required=True)
-    p.add_argument("--tau-alpha", type=float, default=10.0)
-    p.add_argument("--tau-sigma", type=float, default=1e-38)
+    p.add_argument("--tau-alpha", type=float, default=_IDENTITY.tau_alpha_enc)
+    p.add_argument("--tau-sigma", type=float, default=_IDENTITY.tau_sigma_enc)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)

@@ -138,10 +138,8 @@ def certify(
     one-point `run_sweep`.  Passes iff the worst teacher-forced logit
     deviation stays within `tol` and every greedy decode matches exactly.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     (row,) = run_sweep(w, priors, [taus], trials, seed, decode_steps)
     return CertifyResult(
         passed=(row.logit_max_diff <= tol and row.overlap_pct == 100.0),
@@ -212,6 +210,8 @@ def run_sweep(
     Points are independent of each other, so they could be farmed out to
     workers; rows are produced in the given order either way.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     pairs = random_eval_inputs(w.config, trials, seed)
     baseline = [greedy_decode(w, src, decode_steps) for src, _ in pairs]
     refs = [forward_standard(w, src, tgt) for src, tgt in pairs]

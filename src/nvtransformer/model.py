@@ -74,11 +74,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab < 3:
             raise ValueError("vocab must cover BOS/EOS plus one token")
-        if self.dim < 1 or self.dim % self.heads != 0:
-            raise ValueError("heads must divide dim")
         for name in ("heads", "layers_enc", "layers_dec", "ffn_dim", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.dim < 1 or self.dim % self.heads != 0:
+            raise ValueError("heads must divide dim")
 
 
 @dataclass(frozen=True)
@@ -154,76 +154,93 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     return pe
 
 
-def _init_attn(rng: np.random.Generator, d: int, h: int) -> AttentionParams:
+# init(rng, shape) -> a freshly drawn tensor
+Init = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
+
+
+def _normal(std: float) -> Init:
+    return lambda rng, shape: rng.normal(0.0, std, shape)
+
+
+def _build(
+    config: ModelConfig, leaf: Callable[[str, tuple[int, ...], Init], np.ndarray]
+) -> ModelWeights:
+    """The parameter tree, each tensor asked of `leaf(name, shape, init)` by
+    NVTX name in the init's draw order: encoder layers, decoder layers, then
+    embedding, positions, final norms and output layer."""
+    d, f, v, n = config.dim, config.ffn_dim, config.vocab, config.max_len
+    bias = _normal(0.05)
+    fan_d, fan_f = _normal(0.7 / np.sqrt(d)), _normal(0.7 / np.sqrt(f))
     # modest query/key scale keeps score spread small relative to the
     # pseudo-count dial's reach; values carry most of the signal
-    qk = 0.25 / np.sqrt(d)
-    v = 0.7 / np.sqrt(d)
-    return AttentionParams(
-        wq=rng.normal(0.0, qk, (d, d)),
-        wk=rng.normal(0.0, qk, (d, d)),
-        wv=rng.normal(0.0, v, (d, d)),
-        bq=rng.normal(0.0, 0.05, d),
-        bk=rng.normal(0.0, 0.05, d),
-        bv=rng.normal(0.0, 0.05, d),
-        heads=h,
-    )
-
-
-def _init_ln(rng: np.random.Generator, d: int) -> LayerNormParams:
+    qk = _normal(0.25 / np.sqrt(d))
     # wide gain/offset spread -> varied post-norm vector norms; the prior
     # dial works in units of that spread, so a flat 1/0 init would leave it
     # with nothing to push against
-    return LayerNormParams(
-        g=rng.uniform(0.2, 3.0, d),
-        b=rng.normal(0.0, 0.75, d),
-    )
+    gain = lambda rng, shape: rng.uniform(0.2, 3.0, shape)
+    offset = _normal(0.75)
 
+    def attn(prefix: str) -> AttentionParams:
+        return AttentionParams(
+            wq=leaf(f"{prefix}.wq", (d, d), qk),
+            wk=leaf(f"{prefix}.wk", (d, d), qk),
+            wv=leaf(f"{prefix}.wv", (d, d), fan_d),
+            bq=leaf(f"{prefix}.bq", (d,), bias),
+            bk=leaf(f"{prefix}.bk", (d,), bias),
+            bv=leaf(f"{prefix}.bv", (d,), bias),
+            heads=config.heads,
+        )
 
-def _init_ffn(rng: np.random.Generator, d: int, f: int) -> FfnParams:
-    return FfnParams(
-        w1=rng.normal(0.0, 0.7 / np.sqrt(d), (d, f)),
-        b1=rng.normal(0.0, 0.05, f),
-        w2=rng.normal(0.0, 0.7 / np.sqrt(f), (f, d)),
-        b2=rng.normal(0.0, 0.05, d),
+    def ln(prefix: str) -> LayerNormParams:
+        return LayerNormParams(
+            g=leaf(f"{prefix}.g", (d,), gain), b=leaf(f"{prefix}.b", (d,), offset)
+        )
+
+    def ffn(prefix: str) -> FfnParams:
+        return FfnParams(
+            w1=leaf(f"{prefix}.w1", (d, f), fan_d),
+            b1=leaf(f"{prefix}.b1", (f,), bias),
+            w2=leaf(f"{prefix}.w2", (f, d), fan_f),
+            b2=leaf(f"{prefix}.b2", (d,), bias),
+        )
+
+    enc = [
+        EncoderLayer(
+            ln1=ln(f"enc.{i}.ln1"),
+            self_attn=attn(f"enc.{i}.self"),
+            ln2=ln(f"enc.{i}.ln2"),
+            ffn=ffn(f"enc.{i}.ffn"),
+        )
+        for i in range(config.layers_enc)
+    ]
+    dec = [
+        DecoderLayer(
+            ln1=ln(f"dec.{i}.ln1"),
+            causal_attn=attn(f"dec.{i}.causal"),
+            ln2=ln(f"dec.{i}.ln2"),
+            cross_attn=attn(f"dec.{i}.cross"),
+            ln3=ln(f"dec.{i}.ln3"),
+            ffn=ffn(f"dec.{i}.ffn"),
+        )
+        for i in range(config.layers_dec)
+    ]
+    return ModelWeights(
+        config=config,
+        tok_emb=leaf("tok_emb", (v, d), _normal(1.0)),
+        pos_enc=leaf("pos_enc", (n, d), lambda _, s: sinusoidal_positions(*s)),
+        enc=enc,
+        enc_ln=ln("enc.final_ln"),
+        dec=dec,
+        dec_ln=ln("dec.final_ln"),
+        w_out=leaf("out.w", (d, v), fan_d),
+        b_out=leaf("out.b", (v,), bias),
     )
 
 
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Deterministic random weights for the toy model."""
     rng = make_rng(seed)
-    d, h = config.dim, config.heads
-    enc = [
-        EncoderLayer(
-            ln1=_init_ln(rng, d),
-            self_attn=_init_attn(rng, d, h),
-            ln2=_init_ln(rng, d),
-            ffn=_init_ffn(rng, d, config.ffn_dim),
-        )
-        for _ in range(config.layers_enc)
-    ]
-    dec = [
-        DecoderLayer(
-            ln1=_init_ln(rng, d),
-            causal_attn=_init_attn(rng, d, h),
-            ln2=_init_ln(rng, d),
-            cross_attn=_init_attn(rng, d, h),
-            ln3=_init_ln(rng, d),
-            ffn=_init_ffn(rng, d, config.ffn_dim),
-        )
-        for _ in range(config.layers_dec)
-    ]
-    return ModelWeights(
-        config=config,
-        tok_emb=rng.normal(0.0, 1.0, (config.vocab, d)),
-        pos_enc=sinusoidal_positions(config.max_len, d),
-        enc=enc,
-        enc_ln=_init_ln(rng, d),
-        dec=dec,
-        dec_ln=_init_ln(rng, d),
-        w_out=rng.normal(0.0, 0.7 / np.sqrt(d), (d, config.vocab)),
-        b_out=rng.normal(0.0, 0.05, config.vocab),
-    )
+    return _build(config, lambda name, shape, init: init(rng, shape))
 
 
 def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:

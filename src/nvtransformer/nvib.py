@@ -226,7 +226,7 @@ def identity_init(
     and log pseudo-counts are the scaled squared norm plus the dial offset
     epsilon_alpha * tau_alpha.
     """
-    if d % h != 0 or h < 1:
+    if h < 1 or d % h != 0:
         raise ValueError(f"heads={h} must divide d={d}")
     if prior.dim != d:
         raise ValueError(f"prior dimension {prior.dim} != d={d}")

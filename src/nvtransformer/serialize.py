@@ -15,10 +15,11 @@ The JSON tail distinguishes plain weights ({"kind": "standard"}) from a
 reinterpreted model, which adds the dials and the per-site priors.  Floats
 survive the JSON round trip bit-exactly (shortest-repr encoding), and the
 tensor order is fixed, so save -> load -> save reproduces the file byte for
-byte.  The reader refuses missing, misshapen, duplicate, unknown and
-non-UTF-8-named tensors, tensors holding a NaN or an infinity, any length
-that claims more bytes than the file has left, and any bytes after the
-JSON tail.
+byte.  The loader builds the model from the parameter description that
+`init_weights` draws from (`model._build`), taking each tensor by name.  It
+refuses missing, misshapen, duplicate, unknown and non-UTF-8-named tensors,
+tensors holding a NaN or an infinity, any length that claims more bytes
+than the file has left, and any bytes after the JSON tail.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ import numpy as np
 from .attention import AttentionParams
 from .errors import CorpusError, WeightFormatError
 from .model import (
-    DecoderLayer,
-    EncoderLayer,
     FfnParams,
     LayerNormParams,
     ModelConfig,
     ModelWeights,
     NvModel,
+    _build,
     reinterpret,
 )
 from .nvib import EmpiricalPrior, TauConfig
@@ -187,42 +187,15 @@ class _Reader:
 
 
 def _expect(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    if name not in tensors:
+    """Take tensor `name` out of `tensors`, checking its shape."""
+    arr = tensors.pop(name, None)
+    if arr is None:
         raise WeightFormatError(f"missing tensor {name!r}")
-    arr = tensors[name]
     if arr.shape != shape:
         raise WeightFormatError(
             f"tensor {name!r} has shape {arr.shape}, expected {shape}"
         )
     return arr
-
-
-def _load_attn(tensors, prefix: str, d: int, h: int) -> AttentionParams:
-    return AttentionParams(
-        wq=_expect(tensors, f"{prefix}.wq", (d, d)),
-        wk=_expect(tensors, f"{prefix}.wk", (d, d)),
-        wv=_expect(tensors, f"{prefix}.wv", (d, d)),
-        bq=_expect(tensors, f"{prefix}.bq", (d,)),
-        bk=_expect(tensors, f"{prefix}.bk", (d,)),
-        bv=_expect(tensors, f"{prefix}.bv", (d,)),
-        heads=h,
-    )
-
-
-def _load_ln(tensors, prefix: str, d: int) -> LayerNormParams:
-    return LayerNormParams(
-        g=_expect(tensors, f"{prefix}.g", (d,)),
-        b=_expect(tensors, f"{prefix}.b", (d,)),
-    )
-
-
-def _load_ffn(tensors, prefix: str, d: int, f: int) -> FfnParams:
-    return FfnParams(
-        w1=_expect(tensors, f"{prefix}.w1", (d, f)),
-        b1=_expect(tensors, f"{prefix}.b1", (f,)),
-        w2=_expect(tensors, f"{prefix}.w2", (f, d)),
-        b2=_expect(tensors, f"{prefix}.b2", (d,)),
-    )
 
 
 def load_weights(path: str) -> ModelWeights | NvModel:
@@ -263,42 +236,9 @@ def load_weights(path: str) -> ModelWeights | NvModel:
         if rd.left:
             raise WeightFormatError(f"{rd.left} trailing bytes after the JSON tail")
 
-    d, f = config.dim, config.ffn_dim
-    enc = [
-        EncoderLayer(
-            ln1=_load_ln(tensors, f"enc.{i}.ln1", d),
-            self_attn=_load_attn(tensors, f"enc.{i}.self", d, config.heads),
-            ln2=_load_ln(tensors, f"enc.{i}.ln2", d),
-            ffn=_load_ffn(tensors, f"enc.{i}.ffn", d, f),
-        )
-        for i in range(config.layers_enc)
-    ]
-    dec = [
-        DecoderLayer(
-            ln1=_load_ln(tensors, f"dec.{i}.ln1", d),
-            causal_attn=_load_attn(tensors, f"dec.{i}.causal", d, config.heads),
-            ln2=_load_ln(tensors, f"dec.{i}.ln2", d),
-            cross_attn=_load_attn(tensors, f"dec.{i}.cross", d, config.heads),
-            ln3=_load_ln(tensors, f"dec.{i}.ln3", d),
-            ffn=_load_ffn(tensors, f"dec.{i}.ffn", d, f),
-        )
-        for i in range(config.layers_dec)
-    ]
-    w = ModelWeights(
-        config=config,
-        tok_emb=_expect(tensors, "tok_emb", (config.vocab, d)),
-        pos_enc=_expect(tensors, "pos_enc", (config.max_len, d)),
-        enc=enc,
-        enc_ln=_load_ln(tensors, "enc.final_ln", d),
-        dec=dec,
-        dec_ln=_load_ln(tensors, "dec.final_ln", d),
-        w_out=_expect(tensors, "out.w", (d, config.vocab)),
-        b_out=_expect(tensors, "out.b", (config.vocab,)),
-    )
-    known = {name for name, _ in _tensor_items(w)}
-    unknown = [name for name in tensors if name not in known]
-    if unknown:
-        raise WeightFormatError(f"unknown tensor {unknown[0]!r}")
+    w = _build(config, lambda name, shape, _: _expect(tensors, name, shape))
+    if tensors:  # what the model did not take, in file order
+        raise WeightFormatError(f"unknown tensor {next(iter(tensors))!r}")
 
     kind = tail.get("kind")
     if kind == "standard":

@@ -21,9 +21,10 @@ from nvtransformer import (
     load_weights,
     write_corpus,
 )
-from nvtransformer.cli import main
+from nvtransformer.cli import _build_parser, main
 from nvtransformer.evaluate import make_random_corpus
 from nvtransformer.model import ModelConfig
+from nvtransformer.nvib import TauConfig, identity_taus
 
 
 @pytest.fixture(scope="module")
@@ -338,3 +339,72 @@ class TestUsage:
         )
         assert r.returncode == 0, r.stderr
         assert "estimate-prior" in r.stdout
+
+
+class TestArgumentEdges:
+    def test_init_model_zero_heads_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "m.nvtx"
+        r = main(["init-model", "--heads", "0", "--out", str(out)])
+        assert r == 2
+        assert "heads must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_heads_file_is_data_error(self, workdir, tmp_path, capsys):
+        raw = bytearray(pathlib.Path(workdir["model"]).read_bytes())
+        raw[16:20] = struct.pack("<I", 0)  # magic, version, vocab, dim, heads
+        bad = tmp_path / "heads0.nvtx"
+        bad.write_bytes(bytes(raw))
+        r = main([
+            "certify", "--model", str(bad), "--priors", workdir["priors"],
+        ])
+        assert r == 3
+        assert "invalid config block: heads must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_sweep_without_trials_is_usage_error(
+        self, workdir, tmp_path, capsys, trials
+    ):
+        out = tmp_path / "s.csv"
+        r = main([
+            "sweep", "--model", workdir["model"], "--priors", workdir["priors"],
+            "--grid", "interp:2", "--trials", trials, "--out", str(out),
+        ])
+        assert r == 2
+        assert "trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_certify_non_finite_tol_is_usage_error(self, workdir, capsys, tol):
+        r = main([
+            "certify", "--model", workdir["model"],
+            "--priors", workdir["priors"], "--trials", "1", "--tol", tol,
+        ])
+        assert r == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_certify_default_dials_are_the_identity(self):
+        args = _build_parser().parse_args(
+            ["certify", "--model", "m.nvtx", "--priors", "p.nvtx"]
+        )
+        assert TauConfig.uniform(args.tau_alpha, args.tau_sigma) == identity_taus()
+
+    def test_attn_dump_omitted_dial_is_the_identity(self, workdir, tmp_path):
+        # the priors file holds the identity dials, so giving either dial
+        # at its identity value alone leaves the map unchanged
+        ident = identity_taus()
+        dials = {
+            "none": [],
+            "alpha": ["--tau-alpha", repr(ident.tau_alpha_enc)],
+            "sigma": ["--tau-sigma", repr(ident.tau_sigma_enc)],
+        }
+        maps = {}
+        for key, extra in dials.items():
+            out = tmp_path / f"{key}.csv"
+            assert main([
+                "attn-dump", "--model", workdir["priors"], "--input", "3 4 5",
+                "--layer", "1", "--group", "cross", "--out", str(out), *extra,
+            ]) == 0
+            maps[key] = out.read_bytes()
+        assert maps["alpha"] == maps["none"]
+        assert maps["sigma"] == maps["none"]
+

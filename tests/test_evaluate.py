@@ -168,3 +168,16 @@ class TestSweep:
         a = run_sweep(toy_model, toy_priors, pts, trials=2, seed=7)
         b = run_sweep(toy_model, toy_priors, pts, trials=2, seed=7)
         assert sweep_csv(a) == sweep_csv(b)
+
+
+class TestTrialsAndTol:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sweep_rejects_no_trials(self, toy_model, toy_priors, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_sweep(toy_model, toy_priors, grid_points("interp:2"), trials=trials)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_certify_rejects_non_finite_tol(self, toy_model, toy_priors, tol):
+        with pytest.raises(ValueError, match="tol"):
+            certify(toy_model, toy_priors, interp_taus(0.0), trials=1, tol=tol)
+

@@ -1,6 +1,7 @@
 """Tests for the toy encoder-decoder model and its reinterpreted twin."""
 
 import dataclasses
+import hashlib
 import pathlib
 
 import numpy as np
@@ -17,6 +18,7 @@ from nvtransformer import (
     identity_taus,
     init_weights,
     reinterpret,
+    save_weights,
 )
 from nvtransformer import model as model_mod
 from nvtransformer.evaluate import grid_points, make_random_corpus
@@ -452,3 +454,38 @@ class TestIncrementalDecode:
             assert [n for p, n in projected if p is proj] == [len(src)]
         for proj in m.dec_projs:
             assert [n for p, n in projected if p is proj] == [1] * len(out)
+
+
+class TestConfigPositivity:
+    def test_zero_heads_rejected_before_dividing(self):
+        with pytest.raises(ValueError, match="heads must be positive"):
+            ModelConfig(heads=0)
+
+
+class TestDrawOrder:
+    """init_weights draws encoder layers, decoder layers, tok_emb, the final
+    norms and the output layer, in that order.  Configs whose encoder and
+    decoder depths differ pin it: swapping the two stacks, or moving
+    tok_emb, changes the file.  pos_enc is zeroed before saving because it
+    takes no draws and its sin/cos may differ in the last bit between NumPy
+    builds."""
+
+    # sha256 of each saved file, frozen
+    FROZEN = {
+        (1, 3, 0): "ce1a904992c456b6bf69feb9515a3c52a85faaa5fa15f8e2b63f9ffb39cdb57e",
+        (1, 3, 14): "7d2143faab65b669c8503487b127262ce2fea54958cc9518ae781d19d0807f24",
+        (3, 1, 0): "b8a867ded58b90c1b1c5908f38b9aaa01f85d6a5d7fdcf8aaed17e516bf254c8",
+        (3, 1, 14): "f18b0da8448d61c3ab0211024ba2c61b30cb42b98d829f899dfe883fa5042021",
+    }
+
+    @pytest.mark.parametrize(
+        "key", sorted(FROZEN), ids=lambda k: "enc{}-dec{}-seed{}".format(*k)
+    )
+    def test_uneven_config_file_digest(self, tmp_path, key):
+        enc, dec, seed = key
+        cfg = ModelConfig(dim=6, heads=3, layers_enc=enc, layers_dec=dec)
+        w = init_weights(cfg, seed)
+        path = tmp_path / "w.nvtx"
+        w = dataclasses.replace(w, pos_enc=np.zeros_like(w.pos_enc))
+        save_weights(str(path), w)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FROZEN[key]

@@ -150,6 +150,10 @@ class TestIdentityInit:
         with pytest.raises(ValueError, match="floor"):
             identity_init(small_prior(d=2), 10.0, 1e-39, d=2, h=1)
 
+    def test_rejects_zero_heads(self):
+        with pytest.raises(ValueError, match="heads=0"):
+            identity_init(small_prior(d=4), 10.0, 1e-3, d=4, h=0)
+
 
 class TestProject:
     def test_identity_init_frozen_example(self):

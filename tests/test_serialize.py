@@ -234,6 +234,16 @@ class TestFormatErrors:
         with pytest.raises(WeightFormatError, match="config"):
             load_weights(str(path))
 
+    def test_rejects_zero_heads_config(self, tmp_path):
+        buf = bytearray(minimal_header())
+        buf[16:20] = struct.pack("<I", 0)  # magic, version, vocab, dim, heads
+        path = tmp_path / "cfg.nvtx"
+        path.write_bytes(bytes(buf))
+        with pytest.raises(
+            WeightFormatError, match="invalid config block: heads must be positive"
+        ):
+            load_weights(str(path))
+
     def test_rejects_missing_tensor(self, tmp_path):
         tail = json.dumps({"kind": "standard"}).encode()
         path = tmp_path / "empty.nvtx"
