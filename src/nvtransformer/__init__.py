@@ -9,12 +9,7 @@ prior component, with no retraining.
 """
 
 from .attention import AttentionMask, AttentionParams, attention, attn_core
-from .denoising import (
-    eval_dattn_multihead,
-    nv_causal_attention,
-    nv_self_attention,
-    train_dattn_multihead,
-)
+from .denoising import eval_dattn_multihead, train_dattn_multihead
 from .errors import CorpusError, WeightFormatError
 from .evaluate import certify, grid_points, run_sweep, token_overlap
 from .mixture import (

@@ -155,7 +155,9 @@ def _cmd_attn_dump(args) -> int:
         if group == args.group and layer_id == args.layer:
             captured["map"] = weights
 
-    forward_nv(nvm, src, [BOS_ID] + src, map_hook=hook)
+    # teacher-forced on the source itself, cut at max_len as the estimator does
+    tgt = ([BOS_ID] + src)[: nvm.base.config.max_len]
+    forward_nv(nvm, src, tgt, map_hook=hook)
     mat = captured["map"]
     n = mat.shape[1] - 1
     header = "query," + ",".join(f"k{j}" for j in range(n)) + ",[P]"

@@ -49,6 +49,7 @@ from .attention import (
     merge_heads,
     split_heads,
 )
+# project is not called here; bench/spans.py traces it in this namespace.
 from .nvib import DpPosterior, NvibProjection, project
 from .numeric import as_matrix, sample_dirichlet, sample_gaussian, softmax_rows
 
@@ -59,8 +60,6 @@ __all__ = [
     "head_keys",
     "eval_dattn_multihead",
     "train_dattn_multihead",
-    "nv_self_attention",
-    "nv_causal_attention",
 ]
 
 MapSink = Callable[[np.ndarray], None] | None
@@ -309,38 +308,3 @@ def train_dattn_multihead(
     if map_sink is not None:
         map_sink(np.mean(w, axis=0))
     return merge_heads(out)
-
-
-def nv_self_attention(
-    z_prev: np.ndarray,
-    proj: NvibProjection,
-    params: AttentionParams,
-    mask: AttentionMask = NO_MASK,
-    map_sink: MapSink = None,
-    forms: SiteForms | None = None,
-) -> np.ndarray:
-    """Self-attention variant: keys/values come from projecting z_prev,
-    queries from z_prev itself (the pre-projection vectors).  There is no
-    pseudo-count skip connection.  With the site's `forms` (from
-    `site_forms(proj, params)`) the call runs in head space."""
-    dp = head_keys(project(z_prev, proj), params, forms)
-    return eval_dattn_multihead(z_prev, dp, params, mask=mask, map_sink=map_sink)
-
-
-def nv_causal_attention(
-    z_prev: np.ndarray,
-    proj: NvibProjection,
-    params: AttentionParams,
-    map_sink: MapSink = None,
-    forms: SiteForms | None = None,
-) -> np.ndarray:
-    """Causal self-attention: token keys j <= t visible to query t, the
-    prior visible everywhere (so position 1 still has two components)."""
-    return nv_self_attention(
-        z_prev,
-        proj,
-        params,
-        mask=AttentionMask("causal"),
-        map_sink=map_sink,
-        forms=forms,
-    )

@@ -5,7 +5,8 @@ weights, sinusoidal positions, greedy argmax decoding that encodes the
 source once and computes one new decoder position per step.  `reinterpret`
 swaps every attention site for denoising attention over a projected
 posterior, with per-group dials; at the identity dial setting the two models
-produce the same logits up to rounding.
+produce the same logits up to rounding.  Both run the same site walk and
+differ only in how a site reads its keys and attends (`_site_ops`).
 
 Layer-norm gains and offsets are initialised with real spread (not 1/0) so
 that post-norm vectors have varied norms; the norm-spread statistic the
@@ -15,19 +16,13 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionMask, AttentionParams, attention
-from .denoising import (
-    SiteForms,
-    eval_dattn_multihead,
-    head_keys,
-    nv_causal_attention,
-    nv_self_attention,
-    site_forms,
-)
+from .attention import NO_MASK, AttentionMask, AttentionParams, attention
+from .denoising import SiteForms, eval_dattn_multihead, head_keys, site_forms
 from .nvib import (
     GROUPS,
     EmpiricalPrior,
@@ -56,6 +51,8 @@ BOS_ID = 1
 EOS_ID = 2
 
 LN_EPS = 1e-5
+
+_CAUSAL = AttentionMask("causal")
 
 # hooks: (group, layer_id, matrix) -> None
 SiteHook = Callable[[str, int, np.ndarray], None] | None
@@ -130,19 +127,16 @@ class ModelWeights:
 class NvModel:
     """Reinterpreted model: base weights plus per-site priors and dials.
 
-    Each site has its projection and, when the projection gives every token
-    component one variance, its head-space forms (None otherwise).
+    `projs` and `forms` are keyed by site, (group, layer id): each site has
+    its projection and, when the projection gives every token component one
+    variance, its head-space forms (None otherwise).
     """
 
     base: ModelWeights
     priors: list[EmpiricalPrior]
     taus: TauConfig
-    enc_projs: list[NvibProjection] = field(repr=False)
-    cross_projs: list[NvibProjection] = field(repr=False)
-    dec_projs: list[NvibProjection] = field(repr=False)
-    enc_forms: list[SiteForms | None] = field(repr=False)
-    cross_forms: list[SiteForms | None] = field(repr=False)
-    dec_forms: list[SiteForms | None] = field(repr=False)
+    projs: dict[tuple[str, int], NvibProjection] = field(repr=False)
+    forms: dict[tuple[str, int], SiteForms | None] = field(repr=False)
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -278,7 +272,7 @@ def _encode(w: ModelWeights, src: np.ndarray, self_attn) -> np.ndarray:
     (S,) or padded batch of sources (B, S).
 
     `self_attn(l, z)` is encoder layer l's attention update for its
-    post-norm rows z, the one place the two model kinds differ.
+    post-norm rows z.
     """
     x = _embed(w, src)
     for l, lay in enumerate(w.enc):
@@ -291,8 +285,8 @@ def _decode(w: ModelWeights, y: np.ndarray, causal, cross) -> np.ndarray:
     """Logits for embedded target rows y through the decoder stack.
 
     `causal(l, z)` and `cross(l, q)` are decoder layer l's attention
-    updates for its post-norm rows, the sites where the two model kinds
-    (and full-sequence passes and decode steps) differ.
+    updates for its post-norm rows, the sites where full-sequence passes
+    and decode steps differ.
     """
     for l, lay in enumerate(w.dec):
         y = y + causal(l, layer_norm(y, lay.ln1))
@@ -301,83 +295,89 @@ def _decode(w: ModelWeights, y: np.ndarray, causal, cross) -> np.ndarray:
     return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
 
 
-def _attention_sites(
-    model,
-    src: np.ndarray,
-    hook: SiteHook = None,
-    src_valid: np.ndarray | None = None,
-    tgt_valid: np.ndarray | None = None,
-):
-    """Encode a checked source once; return (weights, causal, cross), the
-    decoder's attention sites for `_decode` over a whole masked target.
+def _site_params(w: ModelWeights) -> dict[tuple[str, int], AttentionParams]:
+    """Every attention site's parameters, keyed (group, layer id) in `sites`
+    order."""
+    return dict(zip(
+        sites(w.config),
+        [lay.self_attn for lay in w.enc]
+        + [lay.cross_attn for lay in w.dec]
+        + [lay.causal_attn for lay in w.dec],
+    ))
 
-    `hook` is forward_standard's site_hook or forward_nv's map_hook.  The
-    twin projects each cross site's posterior, with its head-space keys,
-    once, up front.
 
-    The standard model also runs a padded batch: src (B, S) with its
-    boolean validity src_valid (B, S), and tgt_valid (B, T) for the target
-    the decoder will be given.  Padded source keys are hidden from every
-    query; padded target positions come after every valid one, so the
-    causal mask already hides them from valid queries.  Padded rows are
-    computed and left for the caller to drop, and the hook sees only each
-    site's valid rows, sequence-major.
+def _site_ops(model, hook: SiteHook = None, src_valid=None, tgt_valid=None):
+    """(weights, keys, attend) of a model: the one place the two model kinds
+    differ.
+
+    `keys(site, rows)` is what a site reads of its key/value rows: the rows
+    themselves for the standard model; for the twin their projected
+    posterior with the site's head-space keys, [P] last.
+    `attend(site, q, kv, mask)` attends queries q over such keys: standard
+    attention, or denoising attention over the posterior.
+
+    `hook(group, layer_id, mat)` is forward_standard's site_hook, given the
+    valid key rows each site reads (sequence-major), or forward_nv's
+    map_hook, given each site's head-averaged weights.  src_valid (B, S) and
+    tgt_valid (B, T) are the standard model's padded-batch key validity:
+    the encoder and cross sites' and the causal sites'.
     """
     if isinstance(model, NvModel):
-        w = model.base
+        params = _site_params(model.base)
 
-        def sink(group: str, layer_id: int):
-            if hook is None:
-                return None
-            return lambda mat: hook(group, layer_id, mat)
-
-        def self_attn(l: int, z: np.ndarray) -> np.ndarray:
-            return nv_self_attention(
-                z, model.enc_projs[l], w.enc[l].self_attn,
-                map_sink=sink("encoder", l), forms=model.enc_forms[l],
+        def keys(site, rows):
+            return head_keys(
+                project(rows, model.projs[site]), params[site], model.forms[site]
             )
 
-        mem = _encode(w, src, self_attn)
-        posts = [
-            head_keys(project(mem, proj), lay.cross_attn, forms)
-            for proj, lay, forms in zip(model.cross_projs, w.dec, model.cross_forms)
-        ]
+        def attend(site, q, kv, mask):
+            sink = None if hook is None else partial(hook, *site)
+            return eval_dattn_multihead(q, kv, params[site], mask, sink)
 
-        def causal(l: int, z: np.ndarray) -> np.ndarray:
-            return nv_causal_attention(
-                z, model.dec_projs[l], w.dec[l].causal_attn,
-                map_sink=sink("decoder", l), forms=model.dec_forms[l],
-            )
+        return model.base, keys, attend
 
-        def cross(l: int, q: np.ndarray) -> np.ndarray:
-            return eval_dattn_multihead(
-                q, posts[l], w.dec[l].cross_attn, map_sink=sink("cross", l)
-            )
+    params = _site_params(model)
+    valid = {"encoder": src_valid, "cross": src_valid, "decoder": tgt_valid}
 
-        return w, causal, cross
+    def keys(site, rows):
+        return rows
 
-    w = model
-    rows = {"encoder": src_valid, "cross": src_valid, "decoder": tgt_valid}
-
-    def see(group: str, layer_id: int, z: np.ndarray) -> None:
+    def attend(site, q, kv, mask):
+        kv_valid = valid[site[0]]
         if hook is not None:
-            hook(group, layer_id, z if src_valid is None else z[rows[group]])
+            hook(*site, kv if kv_valid is None else kv[kv_valid])
+        return attention(q, kv, params[site], mask, key_valid=kv_valid)
+
+    return model, keys, attend
+
+
+def _attention_sites(ops, src: np.ndarray):
+    """Encode a checked source once through `_site_ops`' ops; return
+    (weights, causal, cross), the decoder's attention sites for `_decode`
+    over a whole target under the causal mask.  Each cross site reads its
+    keys of the memory once, up front.
+
+    A padded batch of sources (B, S) runs through the standard model's ops
+    built with its validity: padded source keys are hidden from every query;
+    padded target positions come after every valid one, so the causal mask
+    already hides them from valid queries.  Padded rows are computed and
+    left for the caller to drop.
+    """
+    w, keys, attend = ops
 
     def self_attn(l: int, z: np.ndarray) -> np.ndarray:
-        see("encoder", l, z)
-        return attention(z, z, w.enc[l].self_attn, key_valid=src_valid)
+        site = ("encoder", l)
+        return attend(site, z, keys(site, z), NO_MASK)
 
     mem = _encode(w, src, self_attn)
+    mem_keys = [keys(("cross", l), mem) for l in range(len(w.dec))]
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
-        see("decoder", l, z)
-        return attention(
-            z, z, w.dec[l].causal_attn, mask=AttentionMask("causal"), key_valid=tgt_valid
-        )
+        site = ("decoder", l)
+        return attend(site, z, keys(site, z), _CAUSAL)
 
     def cross(l: int, q: np.ndarray) -> np.ndarray:
-        see("cross", l, mem)
-        return attention(q, mem, w.dec[l].cross_attn, key_valid=src_valid)
+        return attend(("cross", l), q, mem_keys[l], NO_MASK)
 
     return w, causal, cross
 
@@ -402,7 +402,8 @@ def _teacher_forced(
     """Logits of checked tokens through `_attention_sites` and `_decode`;
     with src_valid and tgt_valid, a padded batch (standard model only) whose
     padded rows' logits mean nothing."""
-    w, causal, cross = _attention_sites(model, src, hook, src_valid, tgt_valid)
+    ops = _site_ops(model, hook, src_valid, tgt_valid)
+    w, causal, cross = _attention_sites(ops, src)
     return _decode(w, _embed(w, tgt), causal, cross)
 
 
@@ -451,32 +452,15 @@ def reinterpret(
     config = w.config
     ordered = _canonical_priors(priors, config)
     d, h = config.dim, config.heads
-    projs = [
-        identity_init(
+    params = _site_params(w)
+    projs, forms = {}, {}
+    for p in ordered:
+        site = (p.layer_group, p.layer_id)
+        projs[site] = identity_init(
             p, taus.tau_alpha(p.layer_group), taus.tau_sigma(p.layer_group), d, h
         )
-        for p in ordered
-    ]
-    # the attention parameters of every site, in `sites` order
-    params = (
-        [lay.self_attn for lay in w.enc]
-        + [lay.cross_attn for lay in w.dec]
-        + [lay.causal_attn for lay in w.dec]
-    )
-    forms = [site_forms(proj, p) for proj, p in zip(projs, params)]
-
-    ne, nd = config.layers_enc, config.layers_dec
-    return NvModel(
-        base=w,
-        priors=ordered,
-        taus=taus,
-        enc_projs=projs[:ne],
-        cross_projs=projs[ne : ne + nd],
-        dec_projs=projs[ne + nd :],
-        enc_forms=forms[:ne],
-        cross_forms=forms[ne : ne + nd],
-        dec_forms=forms[ne + nd :],
-    )
+        forms[site] = site_forms(projs[site], params[site])
+    return NvModel(base=w, priors=ordered, taus=taus, projs=projs, forms=forms)
 
 
 def forward_nv(
@@ -500,38 +484,38 @@ def _step_logits(model, src: np.ndarray, positions: int):
     is forward_*(src, prefix)[-1] up to rounding.  `src` must be checked;
     at most `positions` tokens may be sent.
 
-    The cross sites are `_attention_sites`'; the causal site appends
-    position t's post-norm row to decoder layer l's append-only cache and
+    The cross sites are `_attention_sites`'; the causal site writes
+    position t's keys at row t of decoder layer l's append-only cache and
     attends over the whole cache with no mask: causal masking means earlier
-    rows never change.  The standard model caches the rows themselves; the
-    twin caches their projected components (and head-space keys, like a KV
-    cache), the [P] row kept last.
+    rows never change.  The keys are rows (the standard model) or a
+    posterior whose array fields are rows (the twin), whose [P] row moves
+    down one each step and stays last.
     """
-    w, _, cross = _attention_sites(model, src)
-    if isinstance(model, NvModel):
-        caches: list[dict[str, np.ndarray]] = [{} for _ in w.dec]
+    ops = _site_ops(model)
+    w, keys, attend = ops
+    _, _, cross = _attention_sites(ops, src)
+    # per decoder layer: (field name, or None for plain rows; its buffer;
+    # rows per step)
+    caches: list[list] = [[] for _ in w.dec]
 
-        def causal(l: int, z: np.ndarray) -> np.ndarray:
-            params = w.dec[l].causal_attn
-            rows = head_keys(project(z, model.dec_projs[l]), params, model.dec_forms[l])
-            cache = caches[l]
-            if t == 0:  # one buffer per array field, rows along axis 0
-                for f in fields(rows):
-                    arr = getattr(rows, f.name)
-                    if isinstance(arr, np.ndarray):
-                        cache[f.name] = np.empty((positions + 1,) + arr.shape[1:])
-            # the token row lands where [P] was and [P] moves down one
-            for name, buf in cache.items():
-                buf[t : t + 2] = getattr(rows, name)
-            dp = replace(rows, **{name: buf[: t + 2] for name, buf in cache.items()})
-            return eval_dattn_multihead(z, dp, params)
-
-    else:
-        caches = [np.empty((positions, w.config.dim)) for _ in w.dec]
-
-        def causal(l: int, z: np.ndarray) -> np.ndarray:
-            caches[l][t] = z[0]
-            return attention(z, caches[l][: t + 1], w.dec[l].causal_attn)
+    def causal(l: int, z: np.ndarray) -> np.ndarray:
+        site = ("decoder", l)
+        kv, cache = keys(site, z), caches[l]
+        if t == 0:  # kv's row arrays are found once, not every step
+            arrays = (
+                [(None, kv)] if isinstance(kv, np.ndarray)
+                else [(f.name, getattr(kv, f.name)) for f in fields(kv)]
+            )
+            cache.extend(
+                (name, np.empty((positions - 1 + len(a),) + a.shape[1:]), len(a))
+                for name, a in arrays if isinstance(a, np.ndarray)
+            )
+        view = {}
+        for name, buf, k in cache:
+            buf[t : t + k] = kv if name is None else getattr(kv, name)
+            view[name] = buf[: t + k]
+        kv = view[None] if None in view else replace(kv, **view)
+        return attend(site, z, kv, NO_MASK)
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position

@@ -30,7 +30,9 @@ def as_matrix(a) -> np.ndarray:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (PCG64).  One owner per generator; never share across
-    concurrent callers."""
+    concurrent callers.  The seed must be a nonnegative integer."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -247,9 +247,10 @@ def load_weights(path: str) -> ModelWeights | NvModel:
         try:
             taus = TauConfig(**tail["taus"])
             priors = [_prior_from_json(p) for p in tail["priors"]]
+            # priors that miss a site or do not fit its width are the file's fault
+            return reinterpret(w, priors, taus)
         except (KeyError, TypeError, ValueError) as e:
             raise WeightFormatError(f"bad NV tail: {e}") from e
-        return reinterpret(w, priors, taus)
     raise WeightFormatError(f"unknown model kind {kind!r}")
 
 

@@ -226,6 +226,27 @@ class TestCertify:
         assert r == 3
         assert "'enc.0.self.wq' has non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["missing site", "wrong width"])
+    def test_priors_that_do_not_fit_the_model_are_data_error(
+        self, workdir, tmp_path, capsys, fault
+    ):
+        raw = pathlib.Path(workdir["priors"]).read_bytes()
+        start = raw.rindex(b'{"kind":"nv"')
+        tail = json.loads(raw[start:])
+        if fault == "missing site":
+            tail["priors"].pop()
+        else:
+            for key in ("mu_p", "sigma_p"):
+                tail["priors"][-1][key] = tail["priors"][-1][key][:8]
+        blob = json.dumps(tail).encode()
+        bad = tmp_path / "bad.nvtx"
+        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+        r = main([
+            "certify", "--model", workdir["model"], "--priors", str(bad),
+        ])
+        assert r == 3
+        assert "bad NV tail" in capsys.readouterr().err
+
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([
             "certify", "--model", workdir["model"],
@@ -301,6 +322,20 @@ class TestAttnDump:
         lines = (tmp_path / "map.csv").read_text().strip().split("\n")
         for ln in lines[1:]:
             assert float(ln.split(",")[-1]) > 0.99
+
+    def test_max_len_input_is_cut_like_the_estimator(self, workdir, tmp_path):
+        # 32 source tokens: the teacher-forced decoder input [BOS] + src is
+        # cut to max_len, so the map covers every source token
+        out = tmp_path / "map.csv"
+        src = " ".join(str(3 + i) for i in range(ModelConfig().max_len))
+        r = main([
+            "attn-dump", "--model", workdir["priors"], "--input", src,
+            "--layer", "0", "--group", "encoder", "--out", str(out),
+        ])
+        assert r == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 1 + 32
+        assert all(len(ln.split(",")) == 1 + 33 for ln in lines)
 
     def test_layer_out_of_range(self, workdir, tmp_path):
         r = main([
@@ -408,3 +443,25 @@ class TestArgumentEdges:
         assert maps["alpha"] == maps["none"]
         assert maps["sigma"] == maps["none"]
 
+    @pytest.mark.parametrize("command", ["init-model", "estimate-prior", "certify", "sweep"])
+    def test_negative_seed_is_usage_error(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = {
+            "init-model": ["--out", str(out)],
+            "estimate-prior": [
+                "--model", workdir["model"], "--corpus", workdir["corpus"],
+                "--out", str(out),
+            ],
+            "certify": [
+                "--model", workdir["model"], "--priors", workdir["priors"],
+                "--trials", "1",
+            ],
+            "sweep": [
+                "--model", workdir["model"], "--priors", workdir["priors"],
+                "--grid", "interp:2", "--trials", "1", "--out", str(out),
+            ],
+        }[command]
+        r = main([command, "--seed", "-2", *args])
+        assert r == 2
+        assert "seed must be nonnegative, got -2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -20,14 +20,24 @@ from nvtransformer import (
     eval_dattn_multihead,
     identity_init,
     init_weights,
-    nv_causal_attention,
-    nv_self_attention,
     project,
     to_gaussian_mixture,
     train_dattn_multihead,
 )
 from nvtransformer.denoising import KeyedPosterior, head_keys, site_forms
 from nvtransformer.numeric import sample_dirichlet, sample_gaussian
+
+
+def nv_self_attention(z, proj, params, mask=AttentionMask(), map_sink=None, forms=None):
+    """A twin self-attention site: queries z over the posterior projected
+    from z, in head space when given the site's forms."""
+    dp = head_keys(project(z, proj), params, forms)
+    return eval_dattn_multihead(z, dp, params, mask, map_sink)
+
+
+def nv_causal_attention(z, proj, params, map_sink=None, forms=None):
+    """A twin causal site: nv_self_attention under the causal mask."""
+    return nv_self_attention(z, proj, params, AttentionMask("causal"), map_sink, forms)
 
 
 def random_params(rng, d, h):

@@ -34,6 +34,11 @@ from nvtransformer.priors import estimate_priors
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def group_projs(m, group):
+    """The twin's projections of one group's sites, by layer."""
+    return [proj for (g, _), proj in m.projs.items() if g == group]
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ModelConfig()
@@ -176,9 +181,9 @@ class TestReinterpret:
             ("cross", 0), ("cross", 1),
             ("decoder", 0), ("decoder", 1),
         ]
-        assert len(m.enc_projs) == 2
-        assert len(m.cross_projs) == 2
-        assert len(m.dec_projs) == 2
+        assert len(group_projs(m, "encoder")) == 2
+        assert len(group_projs(m, "cross")) == 2
+        assert len(group_projs(m, "decoder")) == 2
 
     def test_missing_site_rejected(self, toy_model, toy_priors):
         with pytest.raises(ValueError, match="missing"):
@@ -202,13 +207,13 @@ class TestReinterpret:
     def test_group_dials_reach_only_their_group(self, toy_model, toy_priors):
         taus = TauConfig(tau_alpha_enc=-5.0, tau_sigma_cross=0.3)
         m = reinterpret(toy_model, toy_priors, taus)
-        for proj in m.enc_projs:
+        for proj in group_projs(m, "encoder"):
             assert proj.b_alpha == -5.0 * proj.prior.epsilon_alpha
-        for proj in m.cross_projs:
+        for proj in group_projs(m, "cross"):
             np.testing.assert_allclose(
                 proj.b_sigma, 2.0 * np.log(proj.prior.sigma_p * 0.3), rtol=1e-15
             )
-        for proj in m.dec_projs:
+        for proj in group_projs(m, "decoder"):
             assert proj.b_alpha == 10.0 * proj.prior.epsilon_alpha
 
 
@@ -408,11 +413,8 @@ class TestIncrementalDecode:
         for w, priors in [(toy_model, toy_priors), wide]:
             src = rng.integers(3, w.config.vocab, 12).tolist()
             for model, fwd in _models(w, priors)[1:]:
-                forms = {f"{g}_forms": getattr(model, f"{g}_forms") for g in ("enc", "cross", "dec")}
-                assert all(f is not None for group in forms.values() for f in group)
-                general = dataclasses.replace(
-                    model, **{k: [None] * len(v) for k, v in forms.items()}
-                )
+                assert all(f is not None for f in model.forms.values())
+                general = dataclasses.replace(model, forms=dict.fromkeys(model.forms))
                 tokens = greedy_decode(model, src, 10)
                 assert greedy_decode(general, src, 10) == tokens
                 fast = _step_logits(model, np.asarray(src), len(tokens))
@@ -448,11 +450,12 @@ class TestIncrementalDecode:
         src = [3, 4, 5, 6, 7]
         out = greedy_decode(m, src, 12)
         assert encodes == [1]
-        # every cross site projects the whole source once; every causal site
-        # projects one new row per step
-        for proj in m.cross_projs:
+        # every encoder site projects its rows of the source once, every
+        # cross site the whole source once; every causal site projects one
+        # new row per step
+        for proj in group_projs(m, "encoder") + group_projs(m, "cross"):
             assert [n for p, n in projected if p is proj] == [len(src)]
-        for proj in m.dec_projs:
+        for proj in group_projs(m, "decoder"):
             assert [n for p, n in projected if p is proj] == [1] * len(out)
 
 

@@ -144,3 +144,9 @@ class TestSampleDirichlet:
         a = sample_dirichlet(make_rng(16), np.array([1.0, 2.0, 3.0]))
         b = sample_dirichlet(make_rng(16), np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(a, b)
+
+
+class TestMakeRng:
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            make_rng(-1)

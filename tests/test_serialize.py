@@ -307,6 +307,27 @@ class TestFormatErrors:
         with pytest.raises(WeightFormatError, match="kind"):
             load_weights(str(bad))
 
+    @pytest.mark.parametrize("fault", ["missing site", "wrong width"])
+    def test_rejects_priors_that_do_not_fit_the_model(
+        self, tmp_path, toy_model, toy_priors, fault
+    ):
+        path = tmp_path / "m.nvtx"
+        save_weights(str(path), reinterpret(toy_model, toy_priors, TauConfig()))
+        raw = path.read_bytes()
+        start = raw.rindex(b'{"kind":"nv"')
+        tail = json.loads(raw[start:])
+        if fault == "missing site":
+            tail["priors"].pop()
+        else:
+            for key in ("mu_p", "sigma_p"):
+                tail["priors"][0][key] = tail["priors"][0][key][:8]
+        blob = json.dumps(tail).encode()
+        bad = tmp_path / "bad.nvtx"
+        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+        want = "missing" if fault == "missing site" else "dimension"
+        with pytest.raises(WeightFormatError, match=f"bad NV tail: .*{want}"):
+            load_weights(str(bad))
+
     def test_save_rejects_other_types(self, tmp_path):
         with pytest.raises(TypeError, match="serialise"):
             save_weights(str(tmp_path / "x.nvtx"), {"not": "a model"})

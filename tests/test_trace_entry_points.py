@@ -63,3 +63,24 @@ def test_traced_calls_and_outputs(spans, toy_model, toy_priors):
         assert (a.layer_group, a.layer_id) == (b.layer_group, b.layer_id)
         for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_traced_standard_decode(spans, toy_model):
+    # the standard model's sites all enter through attention.attention:
+    # encoder sites once per decode, a causal and a cross site per decoder
+    # layer and step
+    cfg = toy_model.config
+    src = [5, 9, 13, 40, 41]
+    want = model.greedy_decode(toy_model, src, 8)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tokens = tracer.run_op(0, model.greedy_decode, toy_model, src, 8)
+    finally:
+        tracer.uninstall()
+
+    assert tokens == want
+    assert tracer.calls()["attention.attention"] == (
+        cfg.layers_enc + 2 * cfg.layers_dec * len(tokens)
+    )
