@@ -47,6 +47,8 @@ TAU_SIGMA_RANGE = (TAU_SIGMA_MIN, 0.5)
 
 FIRST_TOKEN = 3  # ids 0..2 are reserved (padding unused, BOS, EOS)
 
+DECODE_STEPS = 16  # greedy decode length of every certify / sweep trial
+
 
 def make_random_corpus(
     config: ModelConfig, n: int, seed: int, min_len: int = 4, max_len: int | None = None
@@ -132,7 +134,6 @@ def certify(
     trials: int,
     tol: float,
     seed: int = 0,
-    decode_steps: int = 16,
 ) -> CertifyResult:
     """Equivalence check of reinterpret(w, priors, taus) against w: a
     one-point `run_sweep`.  Passes iff the worst teacher-forced logit
@@ -140,7 +141,7 @@ def certify(
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    (row,) = run_sweep(w, priors, [taus], trials, seed, decode_steps)
+    (row,) = run_sweep(w, priors, [taus], trials, seed)
     return CertifyResult(
         passed=(row.logit_max_diff <= tol and row.overlap_pct == 100.0),
         max_logit_diff=row.logit_max_diff,
@@ -203,7 +204,6 @@ def run_sweep(
     points: list[TauConfig],
     trials: int = 6,
     seed: int = 0,
-    decode_steps: int = 16,
 ) -> list[SweepRow]:
     """Evaluate every dial setting on one shared set of seeded inputs.
 
@@ -213,7 +213,7 @@ def run_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pairs = random_eval_inputs(w.config, trials, seed)
-    baseline = [greedy_decode(w, src, decode_steps) for src, _ in pairs]
+    baseline = [greedy_decode(w, src, DECODE_STEPS) for src, _ in pairs]
     refs = [forward_standard(w, src, tgt) for src, tgt in pairs]
     rows = []
     for taus in points:
@@ -225,7 +225,7 @@ def run_sweep(
         for (src, tgt), ref, ref_decode in zip(pairs, refs, baseline):
             got = forward_nv(nvm, src, tgt, map_hook=masses.hook)
             worst = max(worst, float(np.max(np.abs(got - ref))))
-            dec = greedy_decode(nvm, src, decode_steps)
+            dec = greedy_decode(nvm, src, DECODE_STEPS)
             overlaps.append(token_overlap(ref_decode, dec))
             lengths.append(len(dec))
         rows.append(

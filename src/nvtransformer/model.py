@@ -54,6 +54,9 @@ LN_EPS = 1e-5
 
 _CAUSAL = AttentionMask("causal")
 
+# NumPy holds a float id, or an integer past int64, in a non-integer array
+NOT_INT64 = "contains ids that are not int64-sized integers"
+
 # hooks: (group, layer_id, matrix) -> None
 SiteHook = Callable[[str, int, np.ndarray], None] | None
 
@@ -248,16 +251,18 @@ def _ffn(x: np.ndarray, p: FfnParams) -> np.ndarray:
 
 
 def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-D token sequence")
     if ids.size > config.max_len:
         raise ValueError(
             f"{what} length {ids.size} exceeds max_len {config.max_len}"
         )
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{what} {NOT_INT64}")
     if np.any(ids < 0) or np.any(ids >= config.vocab):
         raise ValueError(f"{what} contains ids outside [0, {config.vocab})")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def _embed(w: ModelWeights, ids: np.ndarray, start: int = 0) -> np.ndarray:

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusError
+from .model import BOS_ID, NOT_INT64, ModelWeights, _teacher_forced, sites
 # forward_standard is not called here; it is the per-sequence oracle of
 # the bucketed pass, and bench/spans.py traces it in this namespace.
-from .model import BOS_ID, ModelWeights, _teacher_forced, forward_standard, sites
+from .model import forward_standard
 from .nvib import GROUPS, EmpiricalPrior
 from .numeric import make_rng
 
@@ -188,7 +189,10 @@ def _pad(seqs: list, lengths: np.ndarray, vocab: int):
     bad: dict[int, str] = {}
     for r, seq in enumerate(seqs):
         try:
-            ids[r, : lengths[r]] = seq
+            row = np.asarray(seq)
+            if row.dtype.kind not in "iu":
+                raise ValueError(NOT_INT64)
+            ids[r, : lengths[r]] = row
         except ValueError as e:
             bad[r] = str(e)
     for r in np.flatnonzero(np.any(((ids < 0) | (ids >= vocab)) & valid, axis=1)):

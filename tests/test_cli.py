@@ -134,6 +134,16 @@ class TestEstimatePrior:
         ])
         assert r == 3
 
+    def test_id_past_int64_in_corpus_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 99999999999999999999999\n3 4 5\n")
+        r = main([
+            "estimate-prior", "--model", workdir["model"],
+            "--corpus", str(bad), "--out", str(tmp_path / "p.nvtx"),
+        ])
+        assert r == 3
+        assert "sequence 0 not usable" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_identity_passes(self, workdir, capsys):
@@ -247,6 +257,28 @@ class TestCertify:
         assert r == 3
         assert "bad NV tail" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "layer_id", [float("inf"), 1.5, True, "1"],
+        ids=["Infinity", "1.5", "true", "string"],
+    )
+    def test_non_integer_layer_id_is_data_error(
+        self, workdir, tmp_path, capsys, layer_id
+    ):
+        # the prior of site (encoder, 1), whose id each value would pass as
+        raw = pathlib.Path(workdir["priors"]).read_bytes()
+        start = raw.rindex(b'{"kind":"nv"')
+        tail = json.loads(raw[start:])
+        assert tail["priors"][1]["layer_id"] == 1
+        tail["priors"][1]["layer_id"] = layer_id
+        blob = json.dumps(tail).encode()
+        bad = tmp_path / "bad.nvtx"
+        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+        r = main([
+            "certify", "--model", workdir["model"], "--priors", str(bad),
+        ])
+        assert r == 3
+        assert "layer_id must be an integer" in capsys.readouterr().err
+
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([
             "certify", "--model", workdir["model"],
@@ -344,6 +376,15 @@ class TestAttnDump:
             "--out", str(tmp_path / "map.csv"),
         ])
         assert r == 2
+
+    def test_input_id_past_int64_is_usage_error(self, workdir, tmp_path, capsys):
+        r = main([
+            "attn-dump", "--model", workdir["priors"],
+            "--input", "3 99999999999999999999999", "--layer", "0",
+            "--group", "encoder", "--out", str(tmp_path / "map.csv"),
+        ])
+        assert r == 2
+        assert "int64" in capsys.readouterr().err
 
     def test_bad_input_tokens(self, workdir, tmp_path):
         r = main([

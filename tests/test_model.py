@@ -309,6 +309,12 @@ class TestGreedyDecode:
         with pytest.raises(ValueError, match="nonempty"):
             greedy_decode(toy_model, [], 0)
 
+    @pytest.mark.parametrize("src", [[3.7, 5], [3, 2**70]], ids=["float", "past-int64"])
+    def test_rejects_ids_that_are_not_int64_integers(self, toy_model, src):
+        # [3.7, 5] once decoded as [3, 5]
+        with pytest.raises(ValueError, match="not int64-sized integers"):
+            greedy_decode(toy_model, src, 3)
+
     def test_negative_steps_rejected(self, toy_model):
         with pytest.raises(ValueError, match="nonnegative"):
             greedy_decode(toy_model, [3, 4, 5], -1)

@@ -21,7 +21,8 @@ from nvtransformer import (
     save_weights,
     write_corpus,
 )
-from nvtransformer.nvib import TauConfig
+from nvtransformer.model import _build
+from nvtransformer.nvib import EmpiricalPrior, TauConfig
 from nvtransformer.serialize import MAGIC, VERSION, _CONFIG_FIELDS, _tensor_items
 
 
@@ -91,6 +92,64 @@ class TestNvRoundTrip:
         save_weights(str(p1), nv_model)
         save_weights(str(p2), load_weights(str(p1)))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFileLayout:
+    """The writer derives names and order from the parameter tree; these
+    pin the result, so a reordered dataclass field cannot silently change
+    every saved file."""
+
+    ONE_BY_ONE = ModelConfig(
+        vocab=5, dim=2, heads=1, layers_enc=1, layers_dec=1, ffn_dim=3, max_len=4
+    )
+
+    def test_tensor_names_in_file_order(self):
+        w = init_weights(self.ONE_BY_ONE, seed=0)
+        attn = ["wq", "wk", "wv", "bq", "bk", "bv"]
+        ffn = ["w1", "b1", "w2", "b2"]
+        assert [name for name, _ in _tensor_items(w)] == [
+            "tok_emb", "pos_enc",
+            "enc.0.ln1.g", "enc.0.ln1.b",
+            *[f"enc.0.self.{n}" for n in attn],
+            "enc.0.ln2.g", "enc.0.ln2.b",
+            *[f"enc.0.ffn.{n}" for n in ffn],
+            "enc.final_ln.g", "enc.final_ln.b",
+            "dec.0.ln1.g", "dec.0.ln1.b",
+            *[f"dec.0.causal.{n}" for n in attn],
+            "dec.0.ln2.g", "dec.0.ln2.b",
+            *[f"dec.0.cross.{n}" for n in attn],
+            "dec.0.ln3.g", "dec.0.ln3.b",
+            *[f"dec.0.ffn.{n}" for n in ffn],
+            "dec.final_ln.g", "dec.final_ln.b",
+            "out.w", "out.b",
+        ]
+
+    def test_twin_tail_bytes(self, tmp_path):
+        w = _build(self.ONE_BY_ONE, lambda name, shape, _: np.ones(shape))
+        priors = [  # handed over out of site order
+            EmpiricalPrior(np.array([0.1, -2.0]), np.array([0.5, 3.0]), 1.25, 0.0,
+                           "decoder", 0),
+            EmpiricalPrior(np.array([1.0, 0.0]), np.array([1e-06, 2.5]), -0.5, 0.75,
+                           "encoder", 0),
+            EmpiricalPrior(np.array([-0.3, 7.0]), np.array([1.0, 1.0]), 2.0, 1.5,
+                           "cross", 0),
+        ]
+        taus = TauConfig(-15.0, 0.1, 10.0, 1e-38, 0.25, 0.5)
+        path = tmp_path / "twin.nvtx"
+        save_weights(str(path), reinterpret(w, priors, taus))
+        tail = (
+            b'{"kind":"nv","priors":['
+            b'{"epsilon_alpha":0.75,"layer_group":"encoder","layer_id":0,'
+            b'"log_alpha0_p":-0.5,"mu_p":[1.0,0.0],"sigma_p":[1e-06,2.5]},'
+            b'{"epsilon_alpha":1.5,"layer_group":"cross","layer_id":0,'
+            b'"log_alpha0_p":2.0,"mu_p":[-0.3,7.0],"sigma_p":[1.0,1.0]},'
+            b'{"epsilon_alpha":0.0,"layer_group":"decoder","layer_id":0,'
+            b'"log_alpha0_p":1.25,"mu_p":[0.1,-2.0],"sigma_p":[0.5,3.0]}],'
+            b'"taus":{"tau_alpha_cross":0.1,"tau_alpha_dec":10.0,'
+            b'"tau_alpha_enc":-15.0,"tau_sigma_cross":0.25,"tau_sigma_dec":0.5,'
+            b'"tau_sigma_enc":1e-38}}'
+        )
+        assert path.read_bytes().endswith(struct.pack("<Q", len(tail)) + tail)
 
 
 def minimal_header(config=None, n_tensors=0):
