@@ -8,7 +8,7 @@ equivalence with the original model and full collapse onto an empirical
 prior component, with no retraining.
 """
 
-from .attention import AttentionMask, AttentionParams, attention, attn_core
+from .attention import AttentionParams, attention, attn_core
 from .denoising import eval_dattn_multihead, train_dattn_multihead
 from .errors import CorpusError, WeightFormatError
 from .evaluate import certify, grid_points, run_sweep, token_overlap

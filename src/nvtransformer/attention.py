@@ -8,7 +8,8 @@ products, adds one (m, n) bias shared by every head and applies a single
 softmax over the stack, and `merge_heads` lays the (h, m, d/h) outputs back
 side by side in (m, d).  Each head value-projects into its own slice of the
 output, so there is no separate output projection.  The denoising paths
-reuse the same split, attend and merge steps.
+reuse the same split, attend and merge steps.  Every site is unmasked
+(encoder, cross) or `causal` (decoder: query t sees keys j <= t).
 
 The three steps also take a leading batch axis: a padded batch of B
 sequences is (B, m, d) rows over (B, n, d) keys, with a (B, n) key-validity
@@ -17,13 +18,13 @@ mask that hides each sequence's padded keys from all of its queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numeric import as_matrix, softmax_rows
 
-__all__ = ["AttentionParams", "AttentionMask", "attention", "attn_core"]
+__all__ = ["AttentionParams", "attention", "attn_core"]
 
 
 @dataclass(frozen=True)
@@ -65,40 +66,12 @@ class AttentionParams:
         return self.model_dim // self.heads
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    """Visibility of keys per query: kind 'none', 'causal' or 'custom'.
-
-    The custom matrix is boolean (m, n) with True = visible.  'causal'
-    requires m == n and exposes keys j <= t to query t.
-    """
-
-    kind: str = "none"
-    custom: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        if self.kind not in ("none", "causal", "custom"):
-            raise ValueError(f"unknown mask kind {self.kind!r}")
-        if (self.kind == "custom") != (self.custom is not None):
-            raise ValueError("custom matrix required iff kind == 'custom'")
-
-    def visible(self, m: int, n: int) -> np.ndarray:
-        """Boolean (m, n) visibility matrix for m queries over n keys."""
-        if self.kind == "none":
-            return np.ones((m, n), dtype=bool)
-        if self.kind == "causal":
-            if m != n:
-                raise ValueError(
-                    f"causal mask needs square shape, got ({m}, {n})"
-                )
-            return np.tril(np.ones((m, n), dtype=bool))
-        c = self.custom
-        if c.shape != (m, n):
-            raise ValueError(f"custom mask shape {c.shape} != ({m}, {n})")
-        return c.astype(bool)
-
-
-NO_MASK = AttentionMask("none")
+def causal_visible(m: int, n: int) -> np.ndarray:
+    """Boolean (m, n) causal visibility, True = visible: query t sees keys
+    j <= t.  Needs m == n."""
+    if m != n:
+        raise ValueError(f"causal mask needs square shape, got ({m}, {n})")
+    return np.tri(m, dtype=bool)
 
 
 def _mask_bias(visible: np.ndarray) -> np.ndarray:
@@ -159,19 +132,20 @@ def attention(
     u_prime: np.ndarray,
     z: np.ndarray,
     params: AttentionParams,
-    mask: AttentionMask = NO_MASK,
+    causal: bool = False,
     key_valid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multi-head attention of m query vectors over n key/value vectors.
 
     Scores per head are (Q_i K_i^T + Q_i b^K_i) / sqrt(d/h); the key-bias
     term is constant per query so it never changes the weights, but it is
-    kept so the algebra matches the denoising path one-for-one.
+    kept so the algebra matches the denoising path one-for-one.  With
+    `causal`, m must equal n and query t sees keys j <= t.
 
     With `key_valid`, a boolean (B, n), the call is over a padded batch:
     u_prime is (B, m, d), z is (B, n, d) and the result (B, m, d).  Each
     sequence's invalid keys get zero weight in every one of its rows, on
-    top of `mask`, so a valid row does not depend on any padded key.
+    top of the causal mask, so a valid row does not depend on any padded key.
     """
     d = params.model_dim
     if key_valid is None:
@@ -189,7 +163,8 @@ def attention(
             )
     if u_prime.shape[-1] != d or z.shape[-1] != d:
         raise ValueError("query/key width must equal model_dim")
-    visible = mask.visible(u_prime.shape[-2], z.shape[-2])
+    m, n = u_prime.shape[-2], z.shape[-2]
+    visible = causal_visible(m, n) if causal else np.ones((m, n), dtype=bool)
     if key_valid is not None:
         # (m, n) & (B, 1, 1, n): one (B, 1, m, n) bias shared by the heads
         visible = visible & key_valid[:, None, None, :]

@@ -27,8 +27,8 @@ Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
 pseudo-counts and component vectors from their Gaussians; attention then
 runs on the sampled impulses with the sampled log-weights as key biases.
 
-Masks address the n token components only; the prior component is always
-visible (it acts as the start-of-sequence anchor in the causal case).  A
+A `causal` call hides the token components after t from query t; the
+prior component is always visible (the start-of-sequence anchor).  A
 callback can receive the head-averaged (m, n+1) weight matrix, whose last
 column belongs to the prior.
 """
@@ -41,11 +41,10 @@ from typing import Callable
 import numpy as np
 
 from .attention import (
-    NO_MASK,
-    AttentionMask,
     AttentionParams,
     _mask_bias,
     attend_heads,
+    causal_visible,
     merge_heads,
     split_heads,
 )
@@ -65,25 +64,14 @@ __all__ = [
 MapSink = Callable[[np.ndarray], None] | None
 
 
-def _component_mask_bias(
-    mask: AttentionMask, m: int, n_tokens: int
-) -> np.ndarray | float:
-    """Additive (m, n_tokens+1) bias; the prior column is always 0.  A mask
-    that hides nothing gives the scalar 0 (every decode step's case).
-
-    A custom mask may cover just the tokens (m, n) or all components
-    (m, n+1); in the wide form the prior column must be fully visible.
-    """
-    if mask.kind == "none":
+def _component_mask_bias(causal: bool, m: int, n_tokens: int) -> np.ndarray | float:
+    """Additive (m, n_tokens+1) bias of a causal call, whose prior column is
+    always visible; an unmasked call gives the scalar 0 (every decode
+    step's case)."""
+    if not causal:
         return 0.0
-    if mask.kind == "custom" and mask.custom.shape == (m, n_tokens + 1):
-        visible = mask.custom.astype(bool)
-        if not np.all(visible[:, -1]):
-            raise ValueError("the prior component must never be masked")
-    else:
-        visible = np.ones((m, n_tokens + 1), dtype=bool)
-        visible[:, :-1] = mask.visible(m, n_tokens)
-    return _mask_bias(visible)
+    prior = np.ones((m, 1), dtype=bool)
+    return _mask_bias(np.hstack([causal_visible(m, n_tokens), prior]))
 
 
 @dataclass(frozen=True)
@@ -171,7 +159,7 @@ def eval_dattn_multihead(
     queries_pre: np.ndarray,
     dp: DpPosterior,
     params: AttentionParams,
-    mask: AttentionMask = NO_MASK,
+    causal: bool = False,
     map_sink: MapSink = None,
 ) -> np.ndarray:
     """Closed-form denoising attention of m queries over n+1 components.
@@ -210,7 +198,7 @@ def eval_dattn_multihead(
     if queries_pre.shape[1] != d or dp.dim != d:
         raise ValueError("query/component width must equal model_dim")
     m = queries_pre.shape[0]
-    bias = _component_mask_bias(mask, m, dp.n_tokens)
+    bias = _component_mask_bias(causal, m, dp.n_tokens)
     h = params.heads
     scale = np.sqrt(params.head_dim)
 
@@ -277,7 +265,7 @@ def train_dattn_multihead(
     dp: DpPosterior,
     params: AttentionParams,
     rng: np.random.Generator,
-    mask: AttentionMask = NO_MASK,
+    causal: bool = False,
     map_sink: MapSink = None,
 ) -> np.ndarray:
     """One-sample Monte-Carlo denoising attention.
@@ -290,7 +278,7 @@ def train_dattn_multihead(
     d = params.model_dim
     if queries_pre.shape[1] != d or dp.dim != d:
         raise ValueError("query/component width must equal model_dim")
-    bias = _component_mask_bias(mask, queries_pre.shape[0], dp.n_tokens)
+    bias = _component_mask_bias(causal, queries_pre.shape[0], dp.n_tokens)
     h = params.heads
     scale = np.sqrt(params.head_dim)
 

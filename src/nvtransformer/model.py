@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import NO_MASK, AttentionMask, AttentionParams, attention
+from .attention import AttentionParams, attention
 from .denoising import SiteForms, eval_dattn_multihead, head_keys, site_forms
 from .nvib import (
     GROUPS,
@@ -51,8 +51,6 @@ BOS_ID = 1
 EOS_ID = 2
 
 LN_EPS = 1e-5
-
-_CAUSAL = AttentionMask("causal")
 
 # NumPy holds a float id, or an integer past int64, in a non-integer array
 NOT_INT64 = "contains ids that are not int64-sized integers"
@@ -318,7 +316,7 @@ def _site_ops(model, hook: SiteHook = None, src_valid=None, tgt_valid=None):
     `keys(site, rows)` is what a site reads of its key/value rows: the rows
     themselves for the standard model; for the twin their projected
     posterior with the site's head-space keys, [P] last.
-    `attend(site, q, kv, mask)` attends queries q over such keys: standard
+    `attend(site, q, kv, causal)` attends queries q over such keys: standard
     attention, or denoising attention over the posterior.
 
     `hook(group, layer_id, mat)` is forward_standard's site_hook, given the
@@ -335,9 +333,9 @@ def _site_ops(model, hook: SiteHook = None, src_valid=None, tgt_valid=None):
                 project(rows, model.projs[site]), params[site], model.forms[site]
             )
 
-        def attend(site, q, kv, mask):
+        def attend(site, q, kv, causal=False):
             sink = None if hook is None else partial(hook, *site)
-            return eval_dattn_multihead(q, kv, params[site], mask, sink)
+            return eval_dattn_multihead(q, kv, params[site], causal, sink)
 
         return model.base, keys, attend
 
@@ -347,11 +345,11 @@ def _site_ops(model, hook: SiteHook = None, src_valid=None, tgt_valid=None):
     def keys(site, rows):
         return rows
 
-    def attend(site, q, kv, mask):
+    def attend(site, q, kv, causal=False):
         kv_valid = valid[site[0]]
         if hook is not None:
             hook(*site, kv if kv_valid is None else kv[kv_valid])
-        return attention(q, kv, params[site], mask, key_valid=kv_valid)
+        return attention(q, kv, params[site], causal, key_valid=kv_valid)
 
     return model, keys, attend
 
@@ -372,17 +370,17 @@ def _attention_sites(ops, src: np.ndarray):
 
     def self_attn(l: int, z: np.ndarray) -> np.ndarray:
         site = ("encoder", l)
-        return attend(site, z, keys(site, z), NO_MASK)
+        return attend(site, z, keys(site, z))
 
     mem = _encode(w, src, self_attn)
     mem_keys = [keys(("cross", l), mem) for l in range(len(w.dec))]
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
-        return attend(site, z, keys(site, z), _CAUSAL)
+        return attend(site, z, keys(site, z), causal=True)
 
     def cross(l: int, q: np.ndarray) -> np.ndarray:
-        return attend(("cross", l), q, mem_keys[l], NO_MASK)
+        return attend(("cross", l), q, mem_keys[l])
 
     return w, causal, cross
 
@@ -520,7 +518,7 @@ def _step_logits(model, src: np.ndarray, positions: int):
             buf[t : t + k] = kv if name is None else getattr(kv, name)
             view[name] = buf[: t + k]
         kv = view[None] if None in view else replace(kv, **view)
-        return attend(site, z, kv, NO_MASK)
+        return attend(site, z, kv)
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nvtransformer.attention import (
-    AttentionMask,
     AttentionParams,
     attention,
     attn_core,
@@ -107,38 +106,37 @@ class TestAttention:
         d = 8
         p = random_params(rng, d, 2)
         z = rng.normal(size=(5, d))
-        out = attention(z, z, p, AttentionMask("causal"))
+        out = attention(z, z, p, causal=True)
         z2 = z.copy()
         z2[4] += 10.0
-        out2 = attention(z2, z2, p, AttentionMask("causal"))
+        out2 = attention(z2, z2, p, causal=True)
         np.testing.assert_array_equal(out[:4], out2[:4])
 
     def test_custom_mask_matches_slow(self):
+        # the causal flag against the reference given the lower triangle
         rng = make_rng(32)
         d = 8
         p = random_params(rng, d, 2)
-        u = rng.normal(size=(3, d))
         z = rng.normal(size=(4, d))
-        visible = rng.uniform(size=(3, 4)) < 0.7
-        visible[:, 0] = True  # keep every row visible somewhere
-        out = attention(u, z, p, AttentionMask("custom", visible))
-        np.testing.assert_allclose(out, slow_attention(u, z, p, visible),
+        out = attention(z, z, p, causal=True)
+        np.testing.assert_allclose(out, slow_attention(z, z, p, np.tri(4) > 0),
                                    atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
+        # a padded batch whose one sequence has no valid key
         rng = make_rng(33)
         p = random_params(rng, 4, 1)
-        visible = np.array([[True, True], [False, False]])
+        key_valid = np.array([[True, True], [False, False]])
         with pytest.raises(ValueError, match="masked"):
-            attention(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), p,
-                      AttentionMask("custom", visible))
+            attention(rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)), p,
+                      key_valid=key_valid)
 
     def test_causal_needs_square(self):
         rng = make_rng(34)
         p = random_params(rng, 4, 1)
         with pytest.raises(ValueError, match="square"):
             attention(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), p,
-                      AttentionMask("causal"))
+                      causal=True)
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="heads"):
@@ -185,10 +183,10 @@ class TestPaddedBatch:
         p = random_params(rng, d, h)
         lens = [1, 6, 3]
         _, z, valid = padded_batch(rng, d, lens, lens)
-        out = attention(z, z, p, AttentionMask("causal"), key_valid=valid)
+        out = attention(z, z, p, causal=True, key_valid=valid)
         for b, n in enumerate(lens):
             np.testing.assert_allclose(
-                out[b, :n], attention(z[b, :n], z[b, :n], p, AttentionMask("causal")),
+                out[b, :n], attention(z[b, :n], z[b, :n], p, causal=True),
                 atol=1e-12,
             )
 

@@ -10,7 +10,6 @@ from nvtransformer import (
     LOG_ALPHA_CLAMP,
     SIGMA_SQ_FLOOR,
     TAU_SIGMA_MIN,
-    AttentionMask,
     AttentionParams,
     DpPosterior,
     EmpiricalPrior,
@@ -28,16 +27,16 @@ from nvtransformer.denoising import KeyedPosterior, head_keys, site_forms
 from nvtransformer.numeric import sample_dirichlet, sample_gaussian
 
 
-def nv_self_attention(z, proj, params, mask=AttentionMask(), map_sink=None, forms=None):
+def nv_self_attention(z, proj, params, causal=False, map_sink=None, forms=None):
     """A twin self-attention site: queries z over the posterior projected
     from z, in head space when given the site's forms."""
     dp = head_keys(project(z, proj), params, forms)
-    return eval_dattn_multihead(z, dp, params, mask, map_sink)
+    return eval_dattn_multihead(z, dp, params, causal, map_sink)
 
 
 def nv_causal_attention(z, proj, params, map_sink=None, forms=None):
     """A twin causal site: nv_self_attention under the causal mask."""
-    return nv_self_attention(z, proj, params, AttentionMask("causal"), map_sink, forms)
+    return nv_self_attention(z, proj, params, True, map_sink, forms)
 
 
 def random_params(rng, d, h):
@@ -157,10 +156,9 @@ class TestHeadSpace:
         assert isinstance(keyed, KeyedPosterior)
 
         maps = []
-        got = eval_dattn_multihead(
-            z, keyed, params, AttentionMask(mask), map_sink=maps.append
-        )
-        want = eval_dattn_multihead(z, dp, params, AttentionMask(mask), map_sink=maps.append)
+        causal = mask == "causal"
+        got = eval_dattn_multihead(z, keyed, params, causal, map_sink=maps.append)
+        want = eval_dattn_multihead(z, dp, params, causal, map_sink=maps.append)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert maps[0].shape == (n, n + 1)
         np.testing.assert_allclose(maps[0], maps[1], rtol=0, atol=1e-12)
@@ -253,7 +251,7 @@ class TestIdentityEquivalence:
         z = rng.normal(size=(6, d))
 
         nv = nv_causal_attention(z, proj, params)
-        std = attention(z, z, params, AttentionMask("causal"))
+        std = attention(z, z, params, causal=True)
         np.testing.assert_allclose(nv, std, rtol=0, atol=1e-9)
 
 
@@ -304,57 +302,22 @@ class TestMasks:
         b = nv_causal_attention(z_edit, proj, params)
         np.testing.assert_array_equal(a[: n - 1], b[: n - 1])
 
-    def test_wide_custom_mask_must_keep_prior_visible(self):
-        rng = np.random.default_rng(107)
-        d, h, m, n = 4, 2, 2, 3
-        params = random_params(rng, d, h)
-        dp = random_posterior(rng, n, d)
-        wide = np.ones((m, n + 1), dtype=bool)
-        wide[1, -1] = False
-        with pytest.raises(ValueError, match="prior component"):
-            eval_dattn_multihead(
-                rng.normal(size=(m, d)),
-                dp,
-                params,
-                mask=AttentionMask("custom", wide),
-            )
-
-    def test_all_tokens_masked_leaves_prior_only(self):
-        # unlike plain attention, a fully-masked token row is fine: the
-        # prior component still receives all the weight
-        rng = np.random.default_rng(108)
-        d, h, m, n = 4, 2, 2, 3
-        params = random_params(rng, d, h)
-        dp = random_posterior(rng, n, d)
-        narrow = np.zeros((m, n), dtype=bool)
-
-        maps = []
-        eval_dattn_multihead(
-            rng.normal(size=(m, d)),
-            dp,
-            params,
-            mask=AttentionMask("custom", narrow),
-            map_sink=maps.append,
-        )
-        np.testing.assert_allclose(maps[0][:, -1], 1.0, rtol=1e-12)
-
-    def test_narrow_custom_mask_zeroes_hidden_tokens(self):
+    def test_causal_gives_future_tokens_zero_weight(self):
+        # the general path, over components with variances of their own
         rng = np.random.default_rng(109)
-        d, h, m, n = 4, 2, 3, 4
+        d, h, n = 4, 2, 4
         params = random_params(rng, d, h)
         dp = random_posterior(rng, n, d)
-        narrow = rng.random((m, n)) < 0.5
-        narrow[:, 0] = True
 
         maps = []
         eval_dattn_multihead(
-            rng.normal(size=(m, d)),
+            rng.normal(size=(n, d)),
             dp,
             params,
-            mask=AttentionMask("custom", narrow),
+            causal=True,
             map_sink=maps.append,
         )
-        np.testing.assert_array_equal(maps[0][:, :n][~narrow], 0.0)
+        np.testing.assert_array_equal(maps[0][:, :n][np.tri(n) == 0], 0.0)
 
 
 class TestTrainPath:
