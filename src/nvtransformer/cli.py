@@ -30,7 +30,7 @@ from .model import (
 )
 from .nvib import GROUPS, TauConfig, identity_taus
 from .priors import estimate_priors, prior_report
-from .serialize import load_weights, read_corpus, save_weights
+from .serialize import load_weights, parse_token_ids, read_corpus, save_weights
 
 __all__ = ["main", "entry"]
 
@@ -91,7 +91,7 @@ def _cmd_estimate_prior(args) -> int:
     priors = estimate_priors(
         w, corpus, fraction=args.fraction, seed=args.seed, shards=args.shards
     )
-    nvm = reinterpret(w, priors, TauConfig())
+    nvm = reinterpret(w, priors, _IDENTITY)
     save_weights(args.out, nvm)
     report_path = args.report or (args.out + ".csv")
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -142,10 +142,7 @@ def _cmd_attn_dump(args) -> int:
         raise ValueError(
             f"layer {args.layer} out of range for group {args.group}"
         )
-    try:
-        src = [int(t) for t in args.input.split()]
-    except ValueError:
-        raise ValueError("--input must be whitespace-separated token ids") from None
+    src = parse_token_ids(args.input)
     if not src:
         raise ValueError("--input is empty")
 

@@ -125,11 +125,16 @@ class EmpiricalPrior:
     def __post_init__(self):
         if self.layer_group not in GROUPS:
             raise ValueError(f"unknown layer group {self.layer_group!r}")
+        # stored as float64 whatever real numbers it is built from, so a
+        # prior built from ints saves as it reloads
+        for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
+            value = np.asarray(getattr(self, name))
+            if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite real numbers")
+            value = value.astype(np.float64, copy=False)
+            object.__setattr__(self, name, value if value.ndim else float(value))
         if self.mu_p.ndim != 1 or self.sigma_p.shape != self.mu_p.shape:
             raise ValueError("mu_p and sigma_p must be matching vectors")
-        for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
         if np.any(self.sigma_p <= 0.0):
             raise ValueError("sigma_p must be positive (variance floor applies)")
         if self.epsilon_alpha < 0.0:

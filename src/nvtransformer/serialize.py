@@ -20,8 +20,8 @@ byte.  Both directions take the tensor names from the parameter description
 `init_weights` draws from (`model._build`); the loader builds the model from
 it, taking each tensor by name.  It refuses missing, misshapen, duplicate,
 unknown and non-UTF-8-named tensors, tensors holding a NaN or an infinity,
-any length that claims more bytes than the file has left, and any bytes
-after the JSON tail.
+tail values that are not JSON numbers where numbers belong, any length that
+claims more bytes than the file has left, and any bytes after the JSON tail.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import os
+import re
 import struct
 from typing import BinaryIO, Iterator
 
@@ -45,12 +46,15 @@ __all__ = [
     "VERSION",
     "save_weights",
     "load_weights",
+    "parse_token_ids",
     "read_corpus",
     "write_corpus",
 ]
 
 MAGIC = b"NVTX"
 VERSION = 1
+
+_TOKEN_ID = re.compile(r"-?[0-9]+")
 
 
 @functools.cache
@@ -94,15 +98,23 @@ def _tensor_items(w: ModelWeights) -> Iterator[tuple[str, np.ndarray]]:
     return zip(_tensor_names(w.config), _leaves(w), strict=True)
 
 
+def _number(value, name: str) -> float:
+    """A JSON number (int or float) as a float; a bool or a string is
+    refused, and an int too large for a float raises OverflowError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _prior_from_json(obj: dict) -> EmpiricalPrior:
     layer_id = obj["layer_id"]
     if type(layer_id) is not int:  # JSON's 1.5, true, "1" or Infinity
         raise ValueError(f"layer_id must be an integer, got {layer_id!r}")
     return EmpiricalPrior(
-        mu_p=np.asarray(obj["mu_p"], dtype=np.float64),
-        sigma_p=np.asarray(obj["sigma_p"], dtype=np.float64),
-        log_alpha0_p=float(obj["log_alpha0_p"]),
-        epsilon_alpha=float(obj["epsilon_alpha"]),
+        mu_p=[_number(v, "mu_p") for v in obj["mu_p"]],
+        sigma_p=[_number(v, "sigma_p") for v in obj["sigma_p"]],
+        log_alpha0_p=_number(obj["log_alpha0_p"], "log_alpha0_p"),
+        epsilon_alpha=_number(obj["epsilon_alpha"], "epsilon_alpha"),
         layer_group=obj["layer_group"],
         layer_id=layer_id,
     )
@@ -234,30 +246,44 @@ def load_weights(path: str) -> ModelWeights | NvModel:
         return w
     if kind == "nv":
         try:
-            taus = TauConfig(**tail["taus"])
+            dials = tail["taus"]
+            if type(dials) is not dict:
+                raise ValueError(f"taus must be a JSON object, got {dials!r}")
+            taus = TauConfig(**{k: _number(v, k) for k, v in dials.items()})
             priors = [_prior_from_json(p) for p in tail["priors"]]
             # priors that miss a site or do not fit its width are the file's fault
             return reinterpret(w, priors, taus)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, OverflowError, TypeError, ValueError) as e:
             raise WeightFormatError(f"bad NV tail: {e}") from e
     raise WeightFormatError(f"unknown model kind {kind!r}")
 
 
-def read_corpus(path: str) -> list[list[int]]:
-    """Token sequences, one whitespace-separated line of integer ids each.
+def parse_token_ids(text: str) -> list[int]:
+    """Whitespace-separated ASCII decimal token ids.  A leading '-' is
+    read, so a negative id is refused later as out of range; '+4', '1_0'
+    and non-ASCII digits are refused here."""
+    ids = []
+    for part in text.split():
+        if not _TOKEN_ID.fullmatch(part):
+            raise ValueError(f"not a token id: {part!r}")
+        ids.append(int(part))
+    return ids
 
-    Blank lines are skipped; non-integer content is a corpus error.
+
+def read_corpus(path: str) -> list[list[int]]:
+    """Token sequences, one line of `parse_token_ids` ids each.
+
+    Blank lines are skipped; any other content is a corpus error.
     """
     seqs: list[list[int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
             try:
-                seqs.append([int(p) for p in parts])
+                ids = parse_token_ids(line)
             except ValueError as e:
-                raise CorpusError(f"line {lineno}: not token ids: {e}") from e
+                raise CorpusError(f"line {lineno}: {e}") from e
+            if ids:
+                seqs.append(ids)
     return seqs
 
 

@@ -26,6 +26,10 @@ from nvtransformer.evaluate import make_random_corpus
 from nvtransformer.model import ModelConfig
 from nvtransformer.nvib import TauConfig, identity_taus
 
+# token spellings Python's int accepts but a token id must not use
+NOT_ASCII_DECIMAL = ["1_0", "+4", "\u0663"]
+NOT_ASCII_DECIMAL_IDS = ["underscore", "plus", "arabic-indic-digit"]
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -43,6 +47,22 @@ def workdir(tmp_path_factory):
         "--out", priors,
     ]) == 0
     return {"root": root, "model": model, "corpus": corpus, "priors": priors}
+
+
+def with_tail_value(priors, tmp_path, path, value):
+    """A copy of the NVTX file `priors` whose JSON tail holds `value` at
+    `path`, a sequence of keys and indices; returns its path."""
+    raw = pathlib.Path(priors).read_bytes()
+    start = raw.rindex(b'{"kind":"nv"')
+    tail = json.loads(raw[start:])
+    node = tail
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    blob = json.dumps(tail).encode()
+    bad = tmp_path / "bad.nvtx"
+    bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+    return str(bad)
 
 
 class TestInitModel:
@@ -143,6 +163,20 @@ class TestEstimatePrior:
         ])
         assert r == 3
         assert "sequence 0 not usable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", NOT_ASCII_DECIMAL, ids=NOT_ASCII_DECIMAL_IDS)
+    def test_token_not_ascii_decimal_is_data_error(
+        self, workdir, tmp_path, capsys, token
+    ):
+        # Python's int reads each as an id in range: 10, 4 and 3
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"3 4 5\n3 {token} 5\n", encoding="utf-8")
+        r = main([
+            "estimate-prior", "--model", workdir["model"],
+            "--corpus", str(bad), "--out", str(tmp_path / "p.nvtx"),
+        ])
+        assert r == 3
+        assert "line 2: not a token id" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -279,6 +313,39 @@ class TestCertify:
         assert r == 3
         assert "layer_id must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("priors", 0, "log_alpha0_p"), "1.5"),
+            (("priors", 0, "log_alpha0_p"), True),
+            (("priors", 0, "epsilon_alpha"), "0.5"),
+            (("priors", 0, "mu_p", 0), True),
+            (("priors", 0, "mu_p", 1), "2"),
+            (("priors", 0, "sigma_p", 0), True),
+            (("taus", "tau_alpha_enc"), True),
+            (("taus", "tau_sigma_dec"), True),
+        ],
+        ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else repr(x),
+    )
+    def test_non_number_in_tail_is_data_error(
+        self, workdir, tmp_path, capsys, path, value
+    ):
+        # each value used to load, as the number it reads as or as the dial True
+        bad = with_tail_value(workdir["priors"], tmp_path, path, value)
+        r = main(["certify", "--model", workdir["model"], "--priors", bad])
+        assert r == 3
+        assert "must be a number" in capsys.readouterr().err
+
+    def test_int_past_float_range_in_tail_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        # a JSON integer too large for a float used to escape as OverflowError
+        path = ("priors", 0, "log_alpha0_p")
+        bad = with_tail_value(workdir["priors"], tmp_path, path, 10**400)
+        r = main(["certify", "--model", workdir["model"], "--priors", bad])
+        assert r == 3
+        assert "bad NV tail" in capsys.readouterr().err
+
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([
             "certify", "--model", workdir["model"],
@@ -385,6 +452,18 @@ class TestAttnDump:
         ])
         assert r == 2
         assert "int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", NOT_ASCII_DECIMAL, ids=NOT_ASCII_DECIMAL_IDS)
+    def test_input_token_not_ascii_decimal_is_usage_error(
+        self, workdir, tmp_path, capsys, token
+    ):
+        r = main([
+            "attn-dump", "--model", workdir["priors"],
+            "--input", f"3 {token} 5", "--layer", "0", "--group", "encoder",
+            "--out", str(tmp_path / "map.csv"),
+        ])
+        assert r == 2
+        assert "not a token id" in capsys.readouterr().err
 
     def test_bad_input_tokens(self, workdir, tmp_path):
         r = main([

@@ -121,6 +121,20 @@ class TestEmpiricalPriorValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             replace(p, **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("log_alpha0_p", "1.5"), ("epsilon_alpha", True),
+         ("mu_p", np.array(["1", "2"])), ("sigma_p", np.array([True, True]))],
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite real numbers"):
+            replace(small_prior(d=2), **{name: value})
+
+    def test_stores_float64(self):
+        p = EmpiricalPrior(np.array([1, 2]), np.array([1, 3]), 1, 0, "encoder", 0)
+        assert p.mu_p.dtype == p.sigma_p.dtype == np.float64
+        assert type(p.log_alpha0_p) is type(p.epsilon_alpha) is float
+
 
 class TestIdentityInit:
     def test_parameter_structure(self):

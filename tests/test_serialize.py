@@ -93,6 +93,18 @@ class TestNvRoundTrip:
         save_weights(str(p2), load_weights(str(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_int_valued_priors_save_load_save_byte_identical(self, tmp_path):
+        config = ModelConfig(vocab=5, dim=2, heads=1, layers_enc=1, layers_dec=1)
+        priors = [
+            EmpiricalPrior(np.array([1, 2]), np.array([1, 3]), 1, 0, group, 0)
+            for group in ("encoder", "cross", "decoder")
+        ]
+        p1 = tmp_path / "a.nvtx"
+        p2 = tmp_path / "b.nvtx"
+        save_weights(str(p1), reinterpret(init_weights(config, 0), priors, TauConfig()))
+        save_weights(str(p2), load_weights(str(p1)))
+        assert p1.read_bytes() == p2.read_bytes()
+
 
 class TestFileLayout:
     """The writer derives names and order from the parameter tree; these
