@@ -21,7 +21,10 @@ prior has its own, so the quadratic and interpolation terms reduce to two
 (d/h, d/h) forms per head and variance class (`SiteForms`, built once per
 site by `site_forms`), and the component means enter only through
 head-width keys and values computed once per posterior (`head_keys`).
-The two paths agree to rounding error.
+The two paths agree to rounding error.  Either posterior is one (n+1, F)
+row matrix, [P] last: [mu | sigma | log_alpha] (`DpPosterior.rows`) or
+[mu | k | v | c] (`KeyedPosterior.rows`).  Each row depends on its own
+component alone, so a causal cache appends a step's rows to one buffer.
 
 Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
 pseudo-counts and component vectors from their Gaussians; attention then
@@ -64,14 +67,18 @@ __all__ = [
 MapSink = Callable[[np.ndarray], None] | None
 
 
-def _component_mask_bias(causal: bool, m: int, n_tokens: int) -> np.ndarray | float:
-    """Additive (m, n_tokens+1) bias of a causal call, whose prior column is
-    always visible; an unmasked call gives the scalar 0 (every decode
-    step's case)."""
+def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
+    """The queries as a matrix and the additive (m, n+1) bias of a call over
+    dp's components.  A causal call's prior column is always visible; an
+    unmasked call's bias is the scalar 0 (every decode step's case)."""
+    queries_pre = as_matrix(queries_pre)
+    (m, width), (n_comp, dp_width) = queries_pre.shape, dp.mu.shape
+    if width != params.model_dim or dp_width != params.model_dim:
+        raise ValueError("query/component width must equal model_dim")
     if not causal:
-        return 0.0
+        return queries_pre, 0.0
     prior = np.ones((m, 1), dtype=bool)
-    return _mask_bias(np.hstack([causal_visible(m, n_tokens), prior]))
+    return queries_pre, _mask_bias(np.hstack([causal_visible(m, n_comp - 1), prior]))
 
 
 @dataclass(frozen=True)
@@ -114,29 +121,29 @@ def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms | Non
 
 
 @dataclass(frozen=True)
-class KeyedPosterior(DpPosterior):
-    """A posterior with the head-space keys of one site, read by
-    `eval_dattn_multihead`'s head-space path.
+class KeyedPosterior:
+    """One site's head-space keys of a posterior, for the head-space path.
 
-    k (n+1, d) is (mu/sigma_r^2) W^K and v (n+1, d) is
-    (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h);
-    c (n+1,) is each component's score bias log alpha
-    - 0.5 ||mu/sigma_r||^2 - 0.5 sum log sigma_r^2.  Every row depends on
-    its own component alone, so a causal cache can append rows.
+    rows (n+1, 3d+1) is [mu | k | v | c]: k = (mu/sigma_r^2) W^K and
+    v = (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h),
+    and c the score bias log alpha - 0.5 ||mu/sigma_r||^2 - 0.5 sum log
+    sigma_r^2.  Nothing is validated here: `project` validated the posterior.
     """
 
-    k: np.ndarray
-    v: np.ndarray
-    c: np.ndarray
+    rows: np.ndarray
     forms: SiteForms
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.rows[:, : self.forms.inv_var.shape[1]]
 
 
 def head_keys(
     dp: DpPosterior, params: AttentionParams, forms: SiteForms | None
-) -> DpPosterior:
-    """`dp` with the site's head-space keys, or `dp` itself when the site
-    has no forms.  `dp` must come from the projection `forms` was built
-    from: its token rows are taken to share the tokens' variance."""
+) -> DpPosterior | KeyedPosterior:
+    """The site's head-space keys of `dp`, or `dp` itself when the site has
+    no forms.  `dp` must come from the projection `forms` was built from:
+    its token rows are taken to share the tokens' variance."""
     if forms is None:
         return dp
     x = dp.mu * forms.inv_var[0]
@@ -144,20 +151,13 @@ def head_keys(
     c = dp.log_alpha - 0.5 * (dp.mu * x).sum(axis=1)
     c[:-1] -= forms.half_log_var[0]
     c[-1] -= forms.half_log_var[1]
-    return KeyedPosterior(
-        mu=dp.mu,
-        sigma=dp.sigma,
-        log_alpha=dp.log_alpha,
-        k=x @ params.wk,
-        v=np.sqrt(params.head_dim) * x @ params.wv,
-        c=c,
-        forms=forms,
-    )
+    v = np.sqrt(params.head_dim) * x @ params.wv
+    return KeyedPosterior(np.column_stack([dp.mu, x @ params.wk, v, c]), forms)
 
 
 def eval_dattn_multihead(
     queries_pre: np.ndarray,
-    dp: DpPosterior,
+    dp: DpPosterior | KeyedPosterior,
     params: AttentionParams,
     causal: bool = False,
     map_sink: MapSink = None,
@@ -190,16 +190,11 @@ def eval_dattn_multihead(
       output = w_tok Q_i B_i^tok + w_P Q_i B_i^P + w V_i
 
     where the quadratic term uses the tokens' form for token columns and
-    the prior's for the last.  Any other `DpPosterior` takes the general
-    path above.
+    the prior's for the last.  A `DpPosterior` takes the general path
+    above.
     """
-    queries_pre = as_matrix(queries_pre)
-    d = params.model_dim
-    if queries_pre.shape[1] != d or dp.dim != d:
-        raise ValueError("query/component width must equal model_dim")
-    m = queries_pre.shape[0]
-    bias = _component_mask_bias(causal, m, dp.n_tokens)
-    h = params.heads
+    queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
+    h, m = params.heads, queries_pre.shape[0]
     scale = np.sqrt(params.head_dim)
 
     q = split_heads(queries_pre @ params.wq + params.bq, h)    # (h, m, d/h)
@@ -244,8 +239,10 @@ def _head_space_path(q, qbk, dp: KeyedPosterior):
     """The head-space path: the same scores and map at width d/h."""
     h = q.shape[0]
     forms = dp.forms
+    d = forms.inv_var.shape[1]
+    k, v, c = dp.rows[:, d : 2 * d], dp.rows[:, 2 * d : -1], dp.rows[:, -1]
     quad = ((q @ forms.a) * q).sum(axis=-1)         # (2, h, m): Q_i A_i Q_i^T
-    scores = q @ split_heads(dp.k, h).swapaxes(-1, -2) + qbk + dp.c
+    scores = q @ split_heads(k, h).swapaxes(-1, -2) + qbk + c
     scores[..., :-1] -= 0.5 * quad[0][..., None]
     scores[..., -1] -= 0.5 * quad[1]
 
@@ -254,7 +251,7 @@ def _head_space_path(q, qbk, dp: KeyedPosterior):
         return (
             w[..., :-1].sum(axis=-1, keepdims=True) * qb[0]
             + w[..., -1:] * qb[1]
-            + w @ split_heads(dp.v, h)
+            + w @ split_heads(v, h)
         )
 
     return scores, mix
@@ -274,11 +271,7 @@ def train_dattn_multihead(
     component vectors Z~ from their Gaussians, then runs standard attention
     over the sampled impulses with key bias log pi - ||Z~||^2 / (2 sqrt(d/h)).
     """
-    queries_pre = as_matrix(queries_pre)
-    d = params.model_dim
-    if queries_pre.shape[1] != d or dp.dim != d:
-        raise ValueError("query/component width must equal model_dim")
-    bias = _component_mask_bias(causal, queries_pre.shape[0], dp.n_tokens)
+    queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
     h = params.heads
     scale = np.sqrt(params.head_dim)
 

@@ -15,16 +15,23 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .attention import AttentionParams, attention
-from .denoising import SiteForms, eval_dattn_multihead, head_keys, site_forms
+from .denoising import (
+    KeyedPosterior,
+    SiteForms,
+    eval_dattn_multihead,
+    head_keys,
+    site_forms,
+)
 from .nvib import (
     GROUPS,
+    DpPosterior,
     EmpiricalPrior,
     NvibProjection,
     TauConfig,
@@ -313,11 +320,11 @@ def _site_ops(model, hook: SiteHook = None, src_valid=None, tgt_valid=None):
     """(weights, keys, attend) of a model: the one place the two model kinds
     differ.
 
-    `keys(site, rows)` is what a site reads of its key/value rows: the rows
-    themselves for the standard model; for the twin their projected
-    posterior with the site's head-space keys, [P] last.
+    `keys(site, rows)` is what a site reads of its key/value rows, one row
+    matrix: the rows themselves for the standard model; for the twin the
+    rows of their projected posterior, [P] last (see `denoising`).
     `attend(site, q, kv, causal)` attends queries q over such keys: standard
-    attention, or denoising attention over the posterior.
+    attention, or denoising attention over the posterior the rows hold.
 
     `hook(group, layer_id, mat)` is forward_standard's site_hook, given the
     valid key rows each site reads (sequence-major), or forward_nv's
@@ -329,13 +336,16 @@ def _site_ops(model, hook: SiteHook = None, src_valid=None, tgt_valid=None):
         params = _site_params(model.base)
 
         def keys(site, rows):
-            return head_keys(
-                project(rows, model.projs[site]), params[site], model.forms[site]
-            )
+            dp = project(rows, model.projs[site])
+            return head_keys(dp, params[site], model.forms[site]).rows
 
         def attend(site, q, kv, causal=False):
+            forms, d = model.forms[site], params[site].model_dim
+            dp = KeyedPosterior(kv, forms) if forms is not None else DpPosterior(
+                kv[:, :d], kv[:, d:-1], kv[:, -1]
+            )
             sink = None if hook is None else partial(hook, *site)
-            return eval_dattn_multihead(q, kv, params[site], causal, sink)
+            return eval_dattn_multihead(q, dp, params[site], causal, sink)
 
         return model.base, keys, attend
 
@@ -487,38 +497,25 @@ def _step_logits(model, src: np.ndarray, positions: int):
     is forward_*(src, prefix)[-1] up to rounding.  `src` must be checked;
     at most `positions` tokens may be sent.
 
-    The cross sites are `_attention_sites`'; the causal site writes
-    position t's keys at row t of decoder layer l's append-only cache and
-    attends over the whole cache with no mask: causal masking means earlier
-    rows never change.  The keys are rows (the standard model) or a
-    posterior whose array fields are rows (the twin), whose [P] row moves
-    down one each step and stays last.
+    The cross sites are `_attention_sites`'; each decoder layer's causal
+    site keeps one row buffer, allocated at t=0: step t writes position t's
+    key rows at t : t+len(kv) and attends over buf[: t+len(kv)] with no
+    mask, as causal masking means earlier rows never change.  For the twin
+    the rows are a posterior's, whose [P] row moves down one each step.
     """
     ops = _site_ops(model)
     w, keys, attend = ops
     _, _, cross = _attention_sites(ops, src)
-    # per decoder layer: (field name, or None for plain rows; its buffer;
-    # rows per step)
-    caches: list[list] = [[] for _ in w.dec]
+    caches = [None] * len(w.dec)  # one row buffer per decoder layer
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
-        kv, cache = keys(site, z), caches[l]
-        if t == 0:  # kv's row arrays are found once, not every step
-            arrays = (
-                [(None, kv)] if isinstance(kv, np.ndarray)
-                else [(f.name, getattr(kv, f.name)) for f in fields(kv)]
-            )
-            cache.extend(
-                (name, np.empty((positions - 1 + len(a),) + a.shape[1:]), len(a))
-                for name, a in arrays if isinstance(a, np.ndarray)
-            )
-        view = {}
-        for name, buf, k in cache:
-            buf[t : t + k] = kv if name is None else getattr(kv, name)
-            view[name] = buf[: t + k]
-        kv = view[None] if None in view else replace(kv, **view)
-        return attend(site, z, kv)
+        kv = keys(site, z)
+        if t == 0:
+            caches[l] = np.empty((positions - 1 + len(kv), kv.shape[1]))
+        end = t + len(kv)
+        caches[l][t:end] = kv
+        return attend(site, z, caches[l][:end])
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position

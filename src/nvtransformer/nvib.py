@@ -217,6 +217,11 @@ class DpPosterior:
     def dim(self) -> int:
         return self.mu.shape[1]
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The components as one (n+1, 2d+1) matrix, [mu | sigma | log_alpha]."""
+        return np.column_stack([self.mu, self.sigma, self.log_alpha])
+
     def log_alpha_total(self) -> float:
         """log of the summed pseudo-counts, prior included."""
         return float(logsumexp_rows(self.log_alpha[None, :])[0])

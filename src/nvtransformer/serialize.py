@@ -19,9 +19,9 @@ dataclass field order, so save -> load -> save reproduces the file byte for
 byte.  Both directions take the tensor names from the parameter description
 `init_weights` draws from (`model._build`); the loader builds the model from
 it, taking each tensor by name.  It refuses missing, misshapen, duplicate,
-unknown and non-UTF-8-named tensors, tensors holding a NaN or an infinity,
-tail values that are not JSON numbers where numbers belong, any length that
-claims more bytes than the file has left, and any bytes after the JSON tail.
+unknown and non-UTF-8-named tensors, tensors of rank above 64 or holding a
+NaN or an infinity, a tail that is not a JSON object or has non-numbers where
+numbers belong, any length past the end of the file, and any trailing bytes.
 """
 
 from __future__ import annotations
@@ -223,6 +223,8 @@ def load_weights(path: str) -> ModelWeights | NvModel:
             if name in tensors:
                 raise WeightFormatError(f"duplicate tensor {name!r}")
             rank = rd.u32()
+            if rank > 64:  # NumPy's limit on an array's dimensions
+                raise WeightFormatError(f"tensor {name!r} has rank {rank} > 64")
             shape = tuple(rd.u32() for _ in range(rank))
             arr = rd.floats(shape)
             if not np.isfinite(arr).all():
@@ -241,6 +243,8 @@ def load_weights(path: str) -> ModelWeights | NvModel:
     if tensors:  # what the model did not take, in file order
         raise WeightFormatError(f"unknown tensor {next(iter(tensors))!r}")
 
+    if type(tail) is not dict:
+        raise WeightFormatError(f"JSON tail is a {type(tail).__name__}, not an object")
     kind = tail.get("kind")
     if kind == "standard":
         return w

@@ -244,6 +244,31 @@ class TestCertify:
         assert r == 3
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["non-object tail", "rank 65 tensor"])
+    def test_unreadable_priors_file_is_data_error(
+        self, workdir, tmp_path, capsys, fault
+    ):
+        raw = pathlib.Path(workdir["priors"]).read_bytes()
+        if fault == "non-object tail":
+            start = raw.rindex(b'{"kind":"nv"')
+            bad_bytes = raw[: start - 8] + struct.pack("<Q", 3) + b"[1]"
+            want = "JSON tail is a list, not an object"
+        else:
+            name = b"tok_emb"
+            record = (
+                struct.pack("<I", len(name)) + name
+                + struct.pack("<I", 65) + struct.pack("<I", 1) * 65
+            )
+            bad_bytes = raw[:36] + struct.pack("<I", 1) + record + bytes(64)
+            want = "rank 65 > 64"
+        bad = tmp_path / "bad.nvtx"
+        bad.write_bytes(bad_bytes)
+        r = main([
+            "certify", "--model", workdir["model"], "--priors", str(bad),
+        ])
+        assert r == 3
+        assert want in capsys.readouterr().err
+
     def test_non_utf8_tensor_name_is_data_error(self, workdir, tmp_path, capsys):
         raw = bytearray(pathlib.Path(workdir["model"]).read_bytes())
         raw[raw.index(b"tok_emb")] = 0xFF

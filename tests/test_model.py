@@ -28,7 +28,7 @@ from nvtransformer.model import (
     layer_norm,
     sinusoidal_positions,
 )
-from nvtransformer.nvib import TauConfig
+from nvtransformer.nvib import DpPosterior, TauConfig
 from nvtransformer.priors import estimate_priors
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -463,6 +463,27 @@ class TestIncrementalDecode:
             assert [n for p, n in projected if p is proj] == [len(src)]
         for proj in group_projs(m, "decoder"):
             assert [n for p, n in projected if p is proj] == [1] * len(out)
+
+    def test_validates_each_posterior_once(self, toy_model, toy_priors, monkeypatch):
+        # the causal cache holds rows, not posteriors: the only DpPosterior a
+        # decode builds, and so validates, is the one each project call returns
+        m = reinterpret(toy_model, toy_priors, identity_taus())
+        built, projected = [], []
+        post_init, project = DpPosterior.__post_init__, model_mod.project
+
+        def counting_post_init(dp):
+            built.append(1)
+            post_init(dp)
+
+        def counting_project(z, proj):
+            projected.append(1)
+            return project(z, proj)
+
+        monkeypatch.setattr(DpPosterior, "__post_init__", counting_post_init)
+        monkeypatch.setattr(model_mod, "project", counting_project)
+        out = greedy_decode(m, [3, 4, 5, 6, 7], 16)
+        assert len(out) > 1
+        assert len(built) == len(projected)
 
 
 class TestConfigPositivity:

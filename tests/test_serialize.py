@@ -222,6 +222,17 @@ class TestLengthChecks:
         with pytest.raises(WeightFormatError, match="truncated"):
             load_weights(str(bad))
 
+    def test_rejects_rank_above_numpy_limit(self, tmp_path):
+        # 65 dims of size 1 claim an 8-byte payload, which the file holds,
+        # but NumPy cannot make an array of that rank
+        path = tmp_path / "rank.nvtx"
+        path.write_bytes(
+            minimal_header(n_tensors=1) + tensor_header("tok_emb", (1,) * 65)
+            + bytes(64)
+        )
+        with pytest.raises(WeightFormatError, match="'tok_emb' has rank 65 > 64"):
+            load_weights(str(path))
+
 
 class TestTensorNames:
     def test_rejects_duplicate_tensor(self, tmp_path, toy_model):
@@ -371,12 +382,17 @@ class TestFormatErrors:
         path = tmp_path / "m.nvtx"
         save_weights(str(path), toy_model)
         raw = path.read_bytes()
-        # same-length substitution keeps the tail length prefix valid
-        swapped = raw.replace(b'{"kind":"standard"}', b'{"kind":"stendard"}')
-        bad = tmp_path / "kind.nvtx"
-        bad.write_bytes(swapped)
-        with pytest.raises(WeightFormatError, match="kind"):
-            load_weights(str(bad))
+        tail = b'{"kind":"standard"}'
+        # same-length substitutions keep the tail length prefix valid; a tail
+        # that is no JSON object has no kind to read
+        for swapped, want in [
+            (b'{"kind":"stendard"}', "kind"),
+            (b"[1]".ljust(len(tail)), "JSON tail is a list, not an object"),
+        ]:
+            bad = tmp_path / "kind.nvtx"
+            bad.write_bytes(raw.replace(tail, swapped))
+            with pytest.raises(WeightFormatError, match=want):
+                load_weights(str(bad))
 
     @pytest.mark.parametrize("fault", ["missing site", "wrong width"])
     def test_rejects_priors_that_do_not_fit_the_model(
