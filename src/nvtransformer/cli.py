@@ -86,8 +86,6 @@ def _cmd_init_model(args) -> int:
 def _cmd_estimate_prior(args) -> int:
     w = _load_base(args.model)
     corpus = read_corpus(args.corpus)
-    if not corpus:
-        raise CorpusError(f"{args.corpus} is empty")
     priors = estimate_priors(
         w, corpus, fraction=args.fraction, seed=args.seed, shards=args.shards
     )
@@ -143,8 +141,6 @@ def _cmd_attn_dump(args) -> int:
             f"layer {args.layer} out of range for group {args.group}"
         )
     src = parse_token_ids(args.input)
-    if not src:
-        raise ValueError("--input is empty")
 
     captured: dict[str, np.ndarray] = {}
 

@@ -59,9 +59,6 @@ EOS_ID = 2
 
 LN_EPS = 1e-5
 
-# NumPy holds a float id, or an integer past int64, in a non-integer array
-NOT_INT64 = "contains ids that are not int64-sized integers"
-
 # hooks: (group, layer_id, matrix) -> None
 SiteHook = Callable[[str, int, np.ndarray], None] | None
 
@@ -256,18 +253,23 @@ def _ffn(x: np.ndarray, p: FfnParams) -> np.ndarray:
 
 
 def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
+    """ids as int64 if they are a usable token sequence for `config`, else
+    a ValueError "{what} not usable: <why>"; the one rule for every input."""
     ids = np.asarray(ids)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError(f"{what} must be a nonempty 1-D token sequence")
-    if ids.size > config.max_len:
-        raise ValueError(
-            f"{what} length {ids.size} exceeds max_len {config.max_len}"
-        )
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"{what} {NOT_INT64}")
-    if np.any(ids < 0) or np.any(ids >= config.vocab):
-        raise ValueError(f"{what} contains ids outside [0, {config.vocab})")
-    return ids.astype(np.int64, copy=False)
+    if ids.ndim != 1:
+        why = "not a 1-D token sequence"
+    elif ids.size == 0:
+        why = "length 0, but a token sequence must be nonempty"
+    elif ids.size > config.max_len:
+        why = f"length {ids.size} exceeds max_len {config.max_len}"
+    elif ids.dtype.kind not in "iu":
+        # NumPy holds a float id, or an integer past int64, this way
+        why = "contains ids that are not int64-sized integers"
+    elif np.any(ids < 0) or np.any(ids >= config.vocab):
+        why = f"contains ids outside [0, {config.vocab})"
+    else:
+        return ids.astype(np.int64, copy=False)
+    raise ValueError(f"{what} not usable: {why}")
 
 
 def _embed(w: ModelWeights, ids: np.ndarray, start: int = 0) -> np.ndarray:

@@ -137,6 +137,11 @@ class EmpiricalPrior:
             raise ValueError("mu_p and sigma_p must be matching vectors")
         if np.any(self.sigma_p <= 0.0):
             raise ValueError("sigma_p must be positive (variance floor applies)")
+        with np.errstate(over="ignore"):   # the squares the kernel takes
+            if not np.all(np.isfinite(self.sigma_p**2)):
+                raise ValueError("sigma_p squared overflows float64")
+            if not np.isfinite(np.sum(self.mu_p**2)):
+                raise ValueError("sum(mu_p**2) overflows float64")
         if self.epsilon_alpha < 0.0:
             raise ValueError("epsilon_alpha must be nonnegative")
 

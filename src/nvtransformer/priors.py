@@ -7,6 +7,9 @@ the site consumes as keys/values:
   * mean and (N-1) std of the scaled squared norms ||z||^2 / (2 sqrt(d/h))
     -> prior pseudo-count (log) and the norm-spread unit epsilon_alpha
 
+Every subsampled sequence is checked with the model's own token rule
+(`model._check_tokens`) before any forward; an unusable one is reported as
+"sequence {i} not usable: <the reason the model gives for it as a source>".
 The corpus runs through the standard model in padded buckets: each shard
 is sorted by length and cut into buckets of at most BUCKET_TOKENS padded
 source tokens, and one forward per bucket hands every site its valid rows.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusError
-from .model import BOS_ID, NOT_INT64, ModelWeights, _teacher_forced, sites
+from .model import BOS_ID, ModelWeights, _check_tokens, _teacher_forced, sites
 # forward_standard is not called here; it is the per-sequence oracle of
 # the bucketed pass, and bench/spans.py traces it in this namespace.
 from .model import forward_standard
@@ -119,6 +122,8 @@ class _SiteAcc:
         self.norm.merge(other.norm)
 
     def finalize(self, group: str, layer_id: int) -> EmpiricalPrior:
+        if self.vec.count < 2:
+            raise CorpusError(f"site ({group}, {layer_id}) needs at least 2 vectors")
         var = np.maximum(self.vec.variance(), VAR_FLOOR)
         return EmpiricalPrior(
             mu_p=self.vec.mean.copy(),
@@ -141,8 +146,6 @@ def site_stats(
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != d:
         raise ValueError("vectors must be (n, d)")
-    if vectors.shape[0] < 2:
-        raise CorpusError("need at least 2 vectors per site")
     acc = _SiteAcc.fresh(d)
     acc.add(vectors, np.sqrt(d / h))
     return acc.finalize(group, layer_id)
@@ -181,23 +184,13 @@ def _buckets(lengths: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _pad(seqs: list, lengths: np.ndarray, vocab: int):
-    """Sequences as a zero-padded (B, L) id matrix, its (B, L) validity and
-    {row: why} for the rows that are not usable token sequences."""
+def _pad(seqs: list[np.ndarray], lengths: np.ndarray):
+    """Checked sequences as a zero-padded (B, L) id matrix and its (B, L)
+    validity."""
     valid = np.arange(lengths.max()) < lengths[:, None]
     ids = np.zeros(valid.shape, dtype=np.int64)
-    bad: dict[int, str] = {}
-    for r, seq in enumerate(seqs):
-        try:
-            row = np.asarray(seq)
-            if row.dtype.kind not in "iu":
-                raise ValueError(NOT_INT64)
-            ids[r, : lengths[r]] = row
-        except ValueError as e:
-            bad[r] = str(e)
-    for r in np.flatnonzero(np.any(((ids < 0) | (ids >= vocab)) & valid, axis=1)):
-        bad.setdefault(int(r), f"contains ids outside [0, {vocab})")
-    return ids, valid, bad
+    ids[valid] = np.concatenate(seqs)
+    return ids, valid
 
 
 def estimate_priors(
@@ -221,35 +214,23 @@ def estimate_priors(
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    idx = np.array(reservoir_subsample(len(corpus), fraction, seed))
+    idx = reservoir_subsample(len(corpus), fraction, seed)
     config = w.config
     site_list = sites(config)
     scale = np.sqrt(config.dim / config.heads)
 
-    lengths = np.array([len(corpus[i]) for i in idx])
-    fits = (lengths > 0) & (lengths <= config.max_len)
-    problems = {  # corpus index -> why that sequence is not usable
-        int(idx[p]): f"length {lengths[p]} is not in [1, {config.max_len}]"
-        for p in np.flatnonzero(~fits)
-    }
-    bounds = np.linspace(0, len(idx), shards + 1).astype(int)
-    shard_buckets = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        part = a + np.flatnonzero(fits[a:b])
-        padded = []
-        for pos in (part[bucket] for bucket in _buckets(lengths[part])):
-            seqs = [corpus[i] for i in idx[pos]]
-            ids, valid, bad = _pad(seqs, lengths[pos], config.vocab)
-            problems.update((int(idx[pos[r]]), why) for r, why in bad.items())
-            padded.append((ids, valid))
-        shard_buckets.append(padded)
-    if problems:
-        first = min(problems)
-        raise CorpusError(f"sequence {first} not usable: {problems[first]}")
+    checked = []
+    for i in idx:
+        try:
+            checked.append(_check_tokens(corpus[i], config, f"sequence {i}"))
+        except ValueError as e:
+            raise CorpusError(str(e)) from None
+    lengths = np.array([seq.size for seq in checked])
 
     cut = config.max_len
+    bounds = np.linspace(0, len(idx), shards + 1).astype(int)
     merged = {site: _SiteAcc.fresh(config.dim) for site in site_list}
-    for padded in shard_buckets:
+    for a, b in zip(bounds[:-1], bounds[1:]):
         accs = {site: _SiteAcc.fresh(config.dim) for site in site_list}
         seen = set()
 
@@ -259,7 +240,9 @@ def estimate_priors(
             if len(seen) == len(site_list):
                 raise _AllSitesSeen
 
-        for ids, valid in padded:
+        for bucket in _buckets(lengths[a:b]):
+            pos = a + bucket
+            ids, valid = _pad([checked[p] for p in pos], lengths[pos])
             # each row's decoder input is ([BOS] + seq)[:max_len]
             tgt = np.pad(ids, ((0, 0), (1, 0)), constant_values=BOS_ID)[:, :cut]
             tgt_valid = np.pad(valid, ((0, 0), (1, 0)), constant_values=True)[:, :cut]
@@ -268,16 +251,7 @@ def estimate_priors(
                 _teacher_forced(w, ids, tgt, hook, valid, tgt_valid)
         for key in merged:
             merged[key].merge(accs[key])
-
-    out = []
-    for group, layer_id in site_list:
-        acc = merged[(group, layer_id)]
-        if acc.vec.count < 2:
-            raise CorpusError(
-                f"site ({group}, {layer_id}) saw fewer than 2 vectors"
-            )
-        out.append(acc.finalize(group, layer_id))
-    return out
+    return [merged[site].finalize(*site) for site in site_list]
 
 
 def prior_report(priors: list[EmpiricalPrior]) -> str:

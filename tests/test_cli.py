@@ -10,6 +10,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestEstimatePrior:
         ])
         assert r == 3
         assert "sequence 0 not usable" in capsys.readouterr().err
+
+    def test_blank_corpus_is_data_error(self, workdir, tmp_path, capsys):
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n  \n")
+        r = main([
+            "estimate-prior", "--model", workdir["model"],
+            "--corpus", str(blank), "--out", str(tmp_path / "p.nvtx"),
+        ])
+        assert r == 3
+        assert "corpus is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", NOT_ASCII_DECIMAL, ids=NOT_ASCII_DECIMAL_IDS)
     def test_token_not_ascii_decimal_is_data_error(
@@ -339,6 +350,25 @@ class TestCertify:
         assert "layer_id must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field", ["sigma_p", "mu_p"], ids=["sigma_p", "mu_p"]
+    )
+    def test_prior_whose_square_overflows_is_data_error(
+        self, workdir, tmp_path, capsys, field
+    ):
+        # once loaded, then overflowed in the kernel: certify exited 2 on a
+        # row with no finite entries, attn-dump warned of the overflow
+        bad = with_tail_value(workdir["priors"], tmp_path, ("priors", 0, field, 0), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--model", workdir["model"], "--priors", bad]) == 3
+            assert main([
+                "attn-dump", "--model", bad, "--input", "3 4 5", "--layer", "0",
+                "--group", "encoder", "--out", str(tmp_path / "map.csv"),
+            ]) == 3
+        err = capsys.readouterr().err
+        assert err.count(field) == 2 and err.count("overflows") == 2
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             (("priors", 0, "log_alpha0_p"), "1.5"),
@@ -468,6 +498,15 @@ class TestAttnDump:
             "--out", str(tmp_path / "map.csv"),
         ])
         assert r == 2
+
+    def test_empty_input_is_usage_error(self, workdir, tmp_path, capsys):
+        r = main([
+            "attn-dump", "--model", workdir["priors"], "--input", "",
+            "--layer", "0", "--group", "encoder",
+            "--out", str(tmp_path / "map.csv"),
+        ])
+        assert r == 2
+        assert "source not usable: length 0" in capsys.readouterr().err
 
     def test_input_id_past_int64_is_usage_error(self, workdir, tmp_path, capsys):
         r = main([

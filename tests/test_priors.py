@@ -7,7 +7,7 @@ from nvtransformer import CorpusError, estimate_priors, prior_report, site_stats
 from nvtransformer import model as model_module
 from nvtransformer import priors as priors_module
 from nvtransformer.evaluate import make_random_corpus
-from nvtransformer.model import BOS_ID, forward_standard
+from nvtransformer.model import BOS_ID, ModelConfig, forward_standard
 from nvtransformer.priors import (
     BUCKET_TOKENS,
     VAR_FLOOR,
@@ -330,6 +330,21 @@ class TestBucketedPass:
         with pytest.raises(CorpusError, match="sequence 190 not usable: contains ids"):
             estimate_priors(toy_model, corpus)
         assert forwards == []
+
+    @pytest.mark.parametrize(
+        "seq",
+        [[], [3] * (ModelConfig().max_len + 1), [3, ModelConfig().vocab], [3.7, 5], [3, 2**70]],
+        ids=["empty", "past-max_len", "out-of-vocab", "float", "past-int64"],
+    )
+    def test_bad_sequence_reason_is_the_models(self, toy_model, seq):
+        with pytest.raises(ValueError) as as_source:
+            forward_standard(toy_model, seq, [BOS_ID])
+        with pytest.raises(CorpusError) as in_corpus:
+            estimate_priors(toy_model, [[3, 4], seq])
+        source_msg, corpus_msg = str(as_source.value), str(in_corpus.value)
+        assert source_msg.startswith("source not usable: ")
+        assert corpus_msg.startswith("sequence 1 not usable: ")
+        assert corpus_msg.partition("not usable: ")[2] == source_msg.partition("not usable: ")[2]
 
 
 class TestPriorReport:
