@@ -124,7 +124,7 @@ def attend_heads(
     """
     dh = q.shape[-1]
     scores = q @ k.swapaxes(-1, -2) / np.sqrt(dh) + bias
-    w = softmax_rows(scores.reshape(-1, scores.shape[-1])).reshape(scores.shape)
+    w = softmax_rows(scores)
     return w @ v, w
 
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (certification PASS included), 1 certification
-failure, 2 usage or configuration error, 3 data error (unreadable corpus or
-corrupt weight file).
+failure, 2 usage, configuration or file-access error, 3 data error
+(unparseable corpus or corrupt weight file).
 
 Model config files are plain ``key=value`` lines; command-line flags
 override file values.
@@ -141,17 +141,15 @@ def _cmd_attn_dump(args) -> int:
             f"layer {args.layer} out of range for group {args.group}"
         )
     src = parse_token_ids(args.input)
-
-    captured: dict[str, np.ndarray] = {}
+    maps: dict[tuple[str, int], np.ndarray] = {}
 
     def hook(group: str, layer_id: int, weights: np.ndarray) -> None:
-        if group == args.group and layer_id == args.layer:
-            captured["map"] = weights
+        maps[group, layer_id] = weights
 
     # teacher-forced on the source itself, cut at max_len as the estimator does
     tgt = ([BOS_ID] + src)[: nvm.base.config.max_len]
     forward_nv(nvm, src, tgt, map_hook=hook)
-    mat = captured["map"]
+    mat = maps[args.group, args.layer]
     n = mat.shape[1] - 1
     header = "query," + ",".join(f"k{j}" for j in range(n)) + ",[P]"
     lines = [header]
@@ -230,13 +228,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (WeightFormatError, CorpusError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

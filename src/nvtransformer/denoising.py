@@ -194,7 +194,7 @@ def eval_dattn_multihead(
     above.
     """
     queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
-    h, m = params.heads, queries_pre.shape[0]
+    h = params.heads
     scale = np.sqrt(params.head_dim)
 
     q = split_heads(queries_pre @ params.wq + params.bq, h)    # (h, m, d/h)
@@ -203,7 +203,7 @@ def eval_dattn_multihead(
         scores, mix = _head_space_path(q, qbk / scale, dp)
     else:
         scores, mix = _general_path(q, qbk / scale, dp, params)
-    w = softmax_rows((scores + bias).reshape(h * m, -1)).reshape(h, m, -1)
+    w = softmax_rows(scores + bias)
     if map_sink is not None:
         map_sink(np.mean(w, axis=0))
     return merge_heads(mix(w)) + params.bv

@@ -37,27 +37,27 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilised by subtracting each row's max.
+    """Softmax over the last axis, stabilised by subtracting each row's max.
 
     Entries of -inf are allowed and map to exactly zero weight, which is how
     masking is implemented upstream.  A row that is entirely -inf has no
     well-defined softmax and raises.
     """
-    a = as_matrix(a)
-    m = np.max(a, axis=1, keepdims=True)
+    a = np.asarray(a, dtype=np.float64)
+    m = np.max(a, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise ValueError("softmax given a row with no finite entries")
     e = np.exp(a - m)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))), max-stabilised.  Shape (m, n) -> (m,)."""
-    a = as_matrix(a)
-    m = np.max(a, axis=1)
+    """log(sum(exp(a))) over the last axis, max-stabilised: (..., n) -> (...)."""
+    a = np.asarray(a, dtype=np.float64)
+    m = np.max(a, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise ValueError("logsumexp given a row with no finite entries")
-    return m + np.log(np.sum(np.exp(a - m[:, None]), axis=1))
+    return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)))[..., 0]
 
 
 def sample_gaussian(

@@ -24,6 +24,7 @@ __all__ = [
     "LOG_ALPHA_CLAMP",
     "SIGMA_SQ_FLOOR",
     "TAU_SIGMA_MIN",
+    "SIGMA_P_RANGE",
     "ALPHA_CLAMP_EVENTS",
     "TauConfig",
     "EmpiricalPrior",
@@ -37,6 +38,7 @@ __all__ = [
 LOG_ALPHA_CLAMP = 700.0     # |log alpha| beyond this would overflow exp
 SIGMA_SQ_FLOOR = 1e-76      # smallest representable component variance
 TAU_SIGMA_MIN = 1e-38       # variance dial floor; log of its square is finite
+SIGMA_P_RANGE = (2.0**-1022 / TAU_SIGMA_MIN, 2.0**-26 / TAU_SIGMA_MIN)  # tiny, sqrt eps
 
 GROUPS = ("encoder", "cross", "decoder")
 _FIELD_SUFFIX = {"encoder": "enc", "cross": "cross", "decoder": "dec"}
@@ -113,6 +115,10 @@ class EmpiricalPrior:
     mu_p/sigma_p are per-dimension mean and std of the site's vectors;
     log_alpha0_p is the mean scaled squared norm ||z||^2 / (2 sqrt(d/h));
     epsilon_alpha is the std of those same per-token quantities.
+
+    Each sigma_p entry lies in SIGMA_P_RANGE, [tiny, sqrt(eps)] / TAU_SIGMA_MIN
+    (about [2.2e-270, 1.49e30]), so at the floor dial a token's std is normal
+    and its square vanishes next to the query noise (the identity corner).
     """
 
     mu_p: np.ndarray
@@ -135,13 +141,14 @@ class EmpiricalPrior:
             object.__setattr__(self, name, value if value.ndim else float(value))
         if self.mu_p.ndim != 1 or self.sigma_p.shape != self.mu_p.shape:
             raise ValueError("mu_p and sigma_p must be matching vectors")
-        if np.any(self.sigma_p <= 0.0):
-            raise ValueError("sigma_p must be positive (variance floor applies)")
         with np.errstate(over="ignore"):   # the squares the kernel takes
             if not np.all(np.isfinite(self.sigma_p**2)):
                 raise ValueError("sigma_p squared overflows float64")
             if not np.isfinite(np.sum(self.mu_p**2)):
                 raise ValueError("sum(mu_p**2) overflows float64")
+        lo, hi = SIGMA_P_RANGE
+        if not np.all((self.sigma_p >= lo) & (self.sigma_p <= hi)):
+            raise ValueError(f"sigma_p must be positive and within [{lo:.3g}, {hi:.3g}]")
         if self.epsilon_alpha < 0.0:
             raise ValueError("epsilon_alpha must be nonnegative")
 
@@ -229,7 +236,7 @@ class DpPosterior:
 
     def log_alpha_total(self) -> float:
         """log of the summed pseudo-counts, prior included."""
-        return float(logsumexp_rows(self.log_alpha[None, :])[0])
+        return float(logsumexp_rows(self.log_alpha))
 
 
 def identity_init(

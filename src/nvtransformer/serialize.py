@@ -277,13 +277,14 @@ def parse_token_ids(text: str) -> list[int]:
 def read_corpus(path: str) -> list[list[int]]:
     """Token sequences, one line of `parse_token_ids` ids each.
 
-    Blank lines are skipped; any other content is a corpus error.
+    Blank lines are skipped; any other content, a line that is not UTF-8
+    included, is a corpus error.
     """
     seqs: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                ids = parse_token_ids(line)
+                ids = parse_token_ids(line.encode(errors="surrogateescape").decode())
             except ValueError as e:
                 raise CorpusError(f"line {lineno}: {e}") from e
             if ids:

@@ -175,6 +175,17 @@ class TestEstimatePrior:
         assert r == 3
         assert "corpus is empty" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_line_is_data_error(self, workdir, tmp_path, capsys):
+        # the codec's error used to exit 2 without naming the line
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3 4 5\r\n3 \xff 5\n")
+        r = main([
+            "estimate-prior", "--model", workdir["model"],
+            "--corpus", str(bad), "--out", str(tmp_path / "p.nvtx"),
+        ])
+        assert r == 3
+        assert "line 2: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     @pytest.mark.parametrize("token", NOT_ASCII_DECIMAL, ids=NOT_ASCII_DECIMAL_IDS)
     def test_token_not_ascii_decimal_is_data_error(
         self, workdir, tmp_path, capsys, token
@@ -368,6 +379,27 @@ class TestCertify:
         err = capsys.readouterr().err
         assert err.count(field) == 2 and err.count("overflows") == 2
 
+    @pytest.mark.parametrize("value", [1e40, 1e-300], ids=["1e40", "1e-300"])
+    def test_sigma_p_outside_the_identity_band_is_data_error(
+        self, workdir, tmp_path, capsys, value
+    ):
+        # 1e40 loaded and failed certification (exit 1); 1e-300 loaded and
+        # warned of log(0) when the dials were applied
+        bad = with_tail_value(workdir["priors"], tmp_path, ("priors", 0, "sigma_p", 0), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--model", workdir["model"], "--priors", bad]) == 3
+        assert "bad NV tail: sigma_p must be positive and within" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[], "x", None], ids=["list", "string", "null"])
+    def test_taus_that_is_not_an_object_is_data_error(
+        self, workdir, tmp_path, capsys, value
+    ):
+        bad = with_tail_value(workdir["priors"], tmp_path, ("taus",), value)
+        r = main(["certify", "--model", workdir["model"], "--priors", bad])
+        assert r == 3
+        assert "bad NV tail: taus must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -536,6 +568,27 @@ class TestAttnDump:
             "--out", str(tmp_path / "map.csv"),
         ])
         assert r == 2
+
+
+class TestFileAccess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--model", "DIR", "--priors", "PRIORS"],
+            ["certify", "--model", "MODEL", "--priors", "DIR"],
+            ["estimate-prior", "--model", "MODEL", "--corpus", "DIR", "--out", "OUT"],
+            ["estimate-prior", "--model", "MODEL", "--corpus", "CORPUS", "--out", "DIR"],
+        ],
+        ids=["model", "priors", "corpus", "out"],
+    )
+    def test_directory_for_a_file_is_usage_error(self, workdir, tmp_path, capsys, argv):
+        # IsADirectoryError used to escape as a traceback with exit 1
+        files = {
+            "DIR": str(tmp_path), "MODEL": workdir["model"], "PRIORS": workdir["priors"],
+            "CORPUS": workdir["corpus"], "OUT": str(tmp_path / "p.nvtx"),
+        }
+        assert main([files.get(a, a) for a in argv]) == 2
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -60,6 +60,17 @@ class TestSoftmaxRows:
             softmax_rows(np.array([[-np.inf, -np.inf]]))
 
 
+class TestStacksOfRows:
+    def test_any_stack_reduces_over_the_last_axis_like_its_2d_rows(self):
+        a = make_rng(6).normal(size=(3, 4, 5)) * 30.0
+        a[1, 2, :3] = -np.inf
+        rows = a.reshape(-1, 5)
+        assert np.array_equal(softmax_rows(a), softmax_rows(rows).reshape(a.shape))
+        assert np.array_equal(logsumexp_rows(a), logsumexp_rows(rows).reshape(3, 4))
+        assert np.array_equal(softmax_rows(a[0, 0]), softmax_rows(rows[:1])[0])
+        assert logsumexp_rows(a[0, 0]) == logsumexp_rows(rows[:1])[0]
+
+
 class TestLogsumexpRows:
     def test_against_decimal(self):
         getcontext().prec = 50

@@ -94,6 +94,19 @@ class TestEmpiricalPriorValidation:
                 layer_id=0,
             )
 
+    @pytest.mark.parametrize("value", [1e40, 1e-300], ids=["1e40", "1e-300"])
+    def test_rejects_sigma_p_outside_the_identity_band(self, value):
+        # 1e40 loaded and broke the identity corner; 1e-300 times the
+        # floor dial underflowed to 0, and identity_init took log(0)
+        with pytest.raises(ValueError, match=r"within \[2.23e-270, 1.49e\+30\]"):
+            replace(small_prior(d=2), sigma_p=np.array([1.0, value]))
+
+    @pytest.mark.parametrize("value", [1e30, 1e-260], ids=["1e30", "1e-260"])
+    def test_sigma_p_inside_the_identity_band_loads(self, value):
+        p = replace(small_prior(d=2), sigma_p=np.array([1.0, value]))
+        proj = identity_init(p, 10.0, TAU_SIGMA_MIN, 2, 1)
+        assert np.all(np.isfinite(proj.b_sigma))
+
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             EmpiricalPrior(

@@ -432,6 +432,15 @@ class TestCorpus:
         path.write_text("3 4 5\n\n  \n9 10\n")
         assert read_corpus(str(path)) == [[3, 4, 5], [9, 10]]
 
+    def test_non_utf8_line_is_corpus_error_named_by_line(self, tmp_path):
+        # \r, \r\n and \n each end a line, as text mode reads them
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"3 4\r5 6\r\n7\n")
+        assert read_corpus(str(path)) == [[3, 4], [5, 6], [7]]
+        path.write_bytes(b"3 4\r5 6\r\n7\n8 \xff9\n10\n")
+        with pytest.raises(CorpusError, match="line 4: 'utf-8' codec can't decode"):
+            read_corpus(str(path))
+
     def test_non_integer_is_corpus_error(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("3 4\n5 six\n")
