@@ -11,6 +11,8 @@ override file values.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import fields
 
@@ -83,7 +85,24 @@ def _cmd_init_model(args) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would meet at a directory, a
+    missing parent directory or one we may not write to; creates nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _cmd_estimate_prior(args) -> int:
+    report_path = args.report or (args.out + ".csv")
+    # both outputs, before the corpus pass: a bad one must not cost that
+    # pass or leave the other file behind
+    for path in (args.out, report_path):
+        _check_writable(path)
     w = _load_base(args.model)
     corpus = read_corpus(args.corpus)
     priors = estimate_priors(
@@ -91,7 +110,6 @@ def _cmd_estimate_prior(args) -> int:
     )
     nvm = reinterpret(w, priors, _IDENTITY)
     save_weights(args.out, nvm)
-    report_path = args.report or (args.out + ".csv")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(prior_report(priors))
     print(f"estimated {len(priors)} site priors -> {args.out}, {report_path}")

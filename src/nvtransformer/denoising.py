@@ -26,6 +26,12 @@ row matrix, [P] last: [mu | sigma | log_alpha] (`DpPosterior.rows`) or
 [mu | k | v | c] (`KeyedPosterior.rows`).  Each row depends on its own
 component alone, so a causal cache appends a step's rows to one buffer.
 
+Both paths also take a padded batch: (B, m, d) queries over a (B, n+1, F)
+stack of row matrices, with per-row forms stacked (B, 2, ...) when the
+sequences sit at different dials.  A padded token's component carries
+pseudo-count zero (see `project`), so it takes no weight, while [P] is
+always visible.
+
 Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
 pseudo-counts and component vectors from their Gaussians; attention then
 runs on the sampled impulses with the sampled log-weights as key biases.
@@ -53,7 +59,7 @@ from .attention import (
 )
 # project is not called here; bench/spans.py traces it in this namespace.
 from .nvib import DpPosterior, NvibProjection, project
-from .numeric import as_matrix, sample_dirichlet, sample_gaussian, softmax_rows
+from .numeric import sample_dirichlet, sample_gaussian, softmax_rows
 
 __all__ = [
     "SiteForms",
@@ -68,12 +74,18 @@ MapSink = Callable[[np.ndarray], None] | None
 
 
 def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
-    """The queries as a matrix and the additive (m, n+1) bias of a call over
+    """The queries as an array and the additive (m, n+1) bias of a call over
     dp's components.  A causal call's prior column is always visible; an
     unmasked call's bias is the scalar 0 (every decode step's case)."""
-    queries_pre = as_matrix(queries_pre)
-    (m, width), (n_comp, dp_width) = queries_pre.shape, dp.mu.shape
-    if width != params.model_dim or dp_width != params.model_dim:
+    queries_pre = np.asarray(queries_pre, dtype=np.float64)
+    mu = dp.mu
+    if queries_pre.ndim not in (2, 3) or mu.shape[:-2] != queries_pre.shape[:-2]:
+        raise ValueError(
+            f"queries {queries_pre.shape} and components {mu.shape} must be "
+            "(m, d) and (n+1, d), or a batch (B, m, d) and (B, n+1, d)"
+        )
+    m, n_comp = queries_pre.shape[-2], mu.shape[-2]
+    if queries_pre.shape[-1] != params.model_dim or mu.shape[-1] != params.model_dim:
         raise ValueError("query/component width must equal model_dim")
     if not causal:
         return queries_pre, 0.0
@@ -85,12 +97,13 @@ def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
 class SiteForms:
     """Head-space forms of one site whose token components share a variance.
 
-    Along the leading axis of every array, index 0 is the tokens' variance
+    Along the first axis of every array, index 0 is the tokens' variance
     class and index 1 the prior's.  With sigma_r^2 = sqrt(d/h) + sigma^2:
     inv_var (2, d) is 1/sigma_r^2, half_log_var (2,) is
     0.5 sum log sigma_r^2, a (2, h, d/h, d/h) holds
     W^K_i^T diag(1/sigma_r^2) W^K_i and b (2, h, d/h, d/h) holds
-    W^K_i^T diag(sigma^2/sigma_r^2) W^V_i.
+    W^K_i^T diag(sigma^2/sigma_r^2) W^V_i.  The forms of a padded batch's
+    sequences may be stacked along a leading batch axis, (B, 2, ...).
     """
 
     inv_var: np.ndarray
@@ -122,20 +135,25 @@ def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms | Non
 
 @dataclass(frozen=True)
 class KeyedPosterior:
-    """One site's head-space keys of a posterior, for the head-space path.
+    """One site's keys of a posterior as one row matrix, unvalidated:
+    `project` validated the posterior the rows were read from.
 
-    rows (n+1, 3d+1) is [mu | k | v | c]: k = (mu/sigma_r^2) W^K and
+    With forms, for the head-space path, rows (n+1, 3d+1) are
+    [mu | k | v | c]: k = (mu/sigma_r^2) W^K and
     v = (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h),
     and c the score bias log alpha - 0.5 ||mu/sigma_r||^2 - 0.5 sum log
-    sigma_r^2.  Nothing is validated here: `project` validated the posterior.
+    sigma_r^2.  Without forms they are `DpPosterior.rows`, for the general
+    path.  A padded batch's rows are a (B, n+1, F) stack.
     """
 
     rows: np.ndarray
-    forms: SiteForms
+    forms: SiteForms | None
 
     @property
     def mu(self) -> np.ndarray:
-        return self.rows[:, : self.forms.inv_var.shape[1]]
+        width = self.rows.shape[-1]
+        d = (width - 1) // 2 if self.forms is None else self.forms.inv_var.shape[-1]
+        return self.rows[..., :d]
 
 
 def head_keys(
@@ -143,16 +161,18 @@ def head_keys(
 ) -> DpPosterior | KeyedPosterior:
     """The site's head-space keys of `dp`, or `dp` itself when the site has
     no forms.  `dp` must come from the projection `forms` was built from:
-    its token rows are taken to share the tokens' variance."""
+    its token rows are taken to share the tokens' variance.  A batch of
+    posteriors takes one set of forms or a (B, ...) stack of them."""
     if forms is None:
         return dp
-    x = dp.mu * forms.inv_var[0]
-    x[-1] = dp.mu[-1] * forms.inv_var[1]
-    c = dp.log_alpha - 0.5 * (dp.mu * x).sum(axis=1)
-    c[:-1] -= forms.half_log_var[0]
-    c[-1] -= forms.half_log_var[1]
+    x = dp.mu * forms.inv_var[..., None, 0, :]
+    x[..., -1, :] = dp.mu[..., -1, :] * forms.inv_var[..., 1, :]
+    c = dp.log_alpha - 0.5 * (dp.mu * x).sum(axis=-1)
+    c[..., :-1] -= forms.half_log_var[..., :1]
+    c[..., -1] -= forms.half_log_var[..., 1]
     v = np.sqrt(params.head_dim) * x @ params.wv
-    return KeyedPosterior(np.column_stack([dp.mu, x @ params.wk, v, c]), forms)
+    rows = np.concatenate([dp.mu, x @ params.wk, v, c[..., None]], axis=-1)
+    return KeyedPosterior(rows, forms)
 
 
 def eval_dattn_multihead(
@@ -190,46 +210,62 @@ def eval_dattn_multihead(
       output = w_tok Q_i B_i^tok + w_P Q_i B_i^P + w V_i
 
     where the quadratic term uses the tokens' form for token columns and
-    the prior's for the last.  A `DpPosterior` takes the general path
-    above.
+    the prior's for the last.  A `DpPosterior`, or a `KeyedPosterior`
+    without forms, takes the general path above.
+
+    A padded batch is (B, m, d) queries over a (B, n+1, F) posterior; the
+    result is then (B, m, d) and the map (B, m, n+1).
     """
     queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
     h = params.heads
     scale = np.sqrt(params.head_dim)
 
-    q = split_heads(queries_pre @ params.wq + params.bq, h)    # (h, m, d/h)
-    qbk = q @ split_heads(params.bk[None, :], h).transpose(0, 2, 1)  # (h, m, 1)
-    if isinstance(dp, KeyedPosterior):
+    q = split_heads(queries_pre @ params.wq + params.bq, h)    # (..., h, m, d/h)
+    qbk = q @ split_heads(params.bk[None, :], h).swapaxes(-1, -2)  # (..., h, m, 1)
+    if isinstance(dp, KeyedPosterior) and dp.forms is not None:
         scores, mix = _head_space_path(q, qbk / scale, dp)
     else:
         scores, mix = _general_path(q, qbk / scale, dp, params)
     w = softmax_rows(scores + bias)
     if map_sink is not None:
-        map_sink(np.mean(w, axis=0))
+        map_sink(np.mean(w, axis=-3))
     return merge_heads(mix(w)) + params.bv
 
 
-def _general_path(q, qbk, dp: DpPosterior, params: AttentionParams):
-    """The general path: (h, m, n+1) scores and the map from weights to the
-    (h, m, d/h) head outputs, at width d per head."""
-    h = params.heads
+def _general_path(q, qbk, dp: DpPosterior | KeyedPosterior, params: AttentionParams):
+    """The general path: (..., h, m, n+1) scores and the map from weights to
+    the (..., h, m, d/h) head outputs, at width d per head."""
+    h, d = params.heads, params.model_dim
     scale = np.sqrt(params.head_dim)
-    sig2 = dp.sigma * dp.sigma                      # (n+1, d)
+    if isinstance(dp, DpPosterior):
+        mu, sigma, log_alpha = dp.mu, dp.sigma, dp.log_alpha
+    else:
+        mu, sigma, log_alpha = dp.rows[..., :d], dp.rows[..., d:-1], dp.rows[..., -1]
+    sig2 = sigma * sigma                            # (..., n+1, d)
     var_r = scale + sig2                            # corrupted-query variances
     inv_var = 1.0 / var_r
     # per-component key bias: pseudo-count weight + Gaussian normalisation
     # (the alpha_0 shift is constant per query and left to the softmax)
     c = (
-        dp.log_alpha
-        - 0.5 * np.sum(dp.mu * dp.mu * inv_var, axis=1)
-        - 0.5 * np.sum(np.log(var_r), axis=1)
+        log_alpha
+        - 0.5 * np.sum(mu * mu * inv_var, axis=-1)
+        - 0.5 * np.sum(np.log(var_r), axis=-1)
     )
-    u = q @ split_heads(params.wk, h).transpose(0, 2, 1)        # (h, m, d)
-    scores = u @ (dp.mu * inv_var).T - 0.5 * (u * u) @ inv_var.T + qbk + c[None, :]
+
+    def per_head(x):                                # (..., n+1, d) -> (..., 1, n+1, d)
+        return x[..., None, :, :]
+
+    u = q @ split_heads(params.wk, h).swapaxes(-1, -2)         # (..., h, m, d)
+    scores = (
+        u @ per_head(mu * inv_var).swapaxes(-1, -2)
+        - 0.5 * (u * u) @ per_head(inv_var).swapaxes(-1, -2)
+        + qbk
+        + c[..., None, None, :]
+    )
 
     def mix(w):
         # denoised vectors: interpolate query toward means, then project
-        denoised = (w @ (sig2 * inv_var)) * u + w @ (scale * inv_var * dp.mu)
+        denoised = (w @ per_head(sig2 * inv_var)) * u + w @ per_head(scale * inv_var * mu)
         return denoised @ split_heads(params.wv, h)
 
     return scores, mix
@@ -237,20 +273,22 @@ def _general_path(q, qbk, dp: DpPosterior, params: AttentionParams):
 
 def _head_space_path(q, qbk, dp: KeyedPosterior):
     """The head-space path: the same scores and map at width d/h."""
-    h = q.shape[0]
+    h = q.shape[-3]
     forms = dp.forms
-    d = forms.inv_var.shape[1]
-    k, v, c = dp.rows[:, d : 2 * d], dp.rows[:, 2 * d : -1], dp.rows[:, -1]
-    quad = ((q @ forms.a) * q).sum(axis=-1)         # (2, h, m): Q_i A_i Q_i^T
-    scores = q @ split_heads(k, h).swapaxes(-1, -2) + qbk + c
-    scores[..., :-1] -= 0.5 * quad[0][..., None]
-    scores[..., -1] -= 0.5 * quad[1]
+    d = forms.inv_var.shape[-1]
+    k, v, c = dp.rows[..., d : 2 * d], dp.rows[..., 2 * d : -1], dp.rows[..., -1]
+    # one axis for the two variance classes of the forms: (..., 1, h, m, d/h)
+    q2 = q[..., None, :, :, :]
+    quad = ((q2 @ forms.a) * q2).sum(axis=-1)       # (..., 2, h, m): Q_i A_i Q_i^T
+    scores = q @ split_heads(k, h).swapaxes(-1, -2) + qbk + c[..., None, None, :]
+    scores[..., :-1] -= 0.5 * quad[..., 0, :, :, None]
+    scores[..., -1] -= 0.5 * quad[..., 1, :, :]
 
     def mix(w):
-        qb = q @ forms.b                            # (2, h, m, d/h)
+        qb = q2 @ forms.b                           # (..., 2, h, m, d/h)
         return (
-            w[..., :-1].sum(axis=-1, keepdims=True) * qb[0]
-            + w[..., -1:] * qb[1]
+            w[..., :-1].sum(axis=-1, keepdims=True) * qb[..., 0, :, :, :]
+            + w[..., -1:] * qb[..., 1, :, :, :]
             + w @ split_heads(v, h)
         )
 

@@ -17,11 +17,16 @@ from .model import (
     BOS_ID,
     ModelConfig,
     ModelWeights,
-    forward_nv,
-    forward_standard,
-    greedy_decode,
+    _greedy,
+    _pad,
+    _stack_twins,
+    _teacher_forced,
     reinterpret,
 )
+# forward_nv, forward_standard and greedy_decode are not called here: the
+# sweep runs their batched internals; bench/spans.py traces them in this
+# namespace.
+from .model import forward_nv, forward_standard, greedy_decode
 from .nvib import GROUPS, EmpiricalPrior, TAU_SIGMA_MIN, TauConfig
 from .numeric import make_rng
 
@@ -188,42 +193,59 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every dial setting on one shared set of seeded inputs.
 
-    Points are independent of each other, so they could be farmed out to
-    workers; rows are produced in the given order either way.
+    The K points x T input pairs run as one padded batch of K*T rows over
+    the shared base weights (`model._stack_twins`): the twins get one
+    teacher-forced pass and one greedy decode, and the standard baseline
+    one of each over the T pairs.  Padded source and target positions are
+    masked: their keys take no weight, and the logit difference and each
+    group's [P] mass are read over valid query rows only.  Rows are in the
+    order of `points`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not points:
+        return []
     pairs = random_eval_inputs(w.config, trials, seed)
-    baseline = [greedy_decode(w, src, DECODE_STEPS) for src, _ in pairs]
-    refs = [forward_standard(w, src, tgt) for src, tgt in pairs]
+    src, src_valid = _pad([s for s, _ in pairs])
+    tgt, tgt_valid = _pad([t for _, t in pairs])
+    steps = min(DECODE_STEPS, w.config.max_len)
+    baseline = _greedy(w, src, steps, src_valid)
+    ref = _teacher_forced(w, src, tgt, None, src_valid, tgt_valid)
+
+    k, t = len(points), len(pairs)
+    twins = [reinterpret(w, priors, taus) for taus in points]
+    batch = _stack_twins([m for m in twins for _ in pairs])
+    src, src_valid, tgt, tgt_valid = (
+        np.tile(a, (k, 1)) for a in (src, src_valid, tgt, tgt_valid)
+    )
+    total = {g: np.zeros(k) for g in GROUPS}
+    count = dict.fromkeys(GROUPS, 0)  # every group has a site: none stays 0
+
+    def hook(group: str, layer_id: int, weights: np.ndarray) -> None:
+        queries = src_valid if group == "encoder" else tgt_valid
+        per_row = np.sum(weights[..., -1], axis=-1, where=queries)
+        total[group] += per_row.reshape(k, t).sum(axis=1)
+        count[group] += int(np.sum(queries[:t]))
+
+    got = _teacher_forced(batch, src, tgt, hook, src_valid, tgt_valid)
+    diff = np.abs(got - np.tile(ref, (k, 1, 1)))
+    worst = np.max(diff, axis=(1, 2), where=tgt_valid[..., None], initial=0.0)
+    worst = worst.reshape(k, t).max(axis=1)
+    decodes = _greedy(batch, src, steps, src_valid)
     rows = []
-    for taus in points:
-        nvm = reinterpret(w, priors, taus)
-        total = dict.fromkeys(GROUPS, 0.0)
-        count = dict.fromkeys(GROUPS, 0)  # every group has a site: none stays 0
-
-        def hook(group: str, layer_id: int, weights: np.ndarray) -> None:
-            total[group] += float(np.sum(weights[:, -1]))
-            count[group] += weights.shape[0]
-
-        worst = 0.0
-        overlaps = []
-        lengths = []
-        for (src, tgt), ref, ref_decode in zip(pairs, refs, baseline):
-            got = forward_nv(nvm, src, tgt, map_hook=hook)
-            worst = max(worst, float(np.max(np.abs(got - ref))))
-            dec = greedy_decode(nvm, src, DECODE_STEPS)
-            overlaps.append(token_overlap(ref_decode, dec))
-            lengths.append(len(dec))
+    for i, taus in enumerate(points):
+        dec = decodes[i * t : (i + 1) * t]
         rows.append(
             SweepRow(
                 taus=taus,
-                logit_max_diff=worst,
-                overlap_pct=100.0 * float(np.mean(overlaps)),
-                prior_mass_enc=total["encoder"] / count["encoder"],
-                prior_mass_cross=total["cross"] / count["cross"],
-                prior_mass_dec=total["decoder"] / count["decoder"],
-                mean_decode_len=float(np.mean(lengths)),
+                logit_max_diff=float(worst[i]),
+                overlap_pct=100.0 * float(np.mean(
+                    [token_overlap(r, d) for r, d in zip(baseline, dec)]
+                )),
+                prior_mass_enc=float(total["encoder"][i]) / count["encoder"],
+                prior_mass_cross=float(total["cross"][i]) / count["cross"],
+                prior_mass_dec=float(total["decoder"][i]) / count["decoder"],
+                mean_decode_len=float(np.mean([len(d) for d in dec])),
             )
         )
     return rows

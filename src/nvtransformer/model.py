@@ -8,6 +8,14 @@ posterior, with per-group dials; at the identity dial setting the two models
 produce the same logits up to rounding.  Both run the same site walk and
 differ only in how a site reads its keys and attends (`_site_ops`).
 
+The walk runs a padded batch of sequences with their key validity; a single
+`forward_nv` or `greedy_decode` is the batch of one.  Twins of one base at
+different dials run as one batch too (`_stack_twins`), each row at its own
+twin's dials, which is how a dial sweep decodes every point and input pair
+in one pass.  A batched decode steps every row until all have emitted EOS;
+a row's positions after its EOS are padding, and its tokens are cut at its
+first EOS.
+
 Layer-norm gains and offsets are initialised with real spread (not 1/0) so
 that post-norm vectors have varied norms; the norm-spread statistic the
 prior estimator measures is what gives the pseudo-count dial its traction.
@@ -15,7 +23,7 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -31,7 +39,6 @@ from .denoising import (
 )
 from .nvib import (
     GROUPS,
-    DpPosterior,
     EmpiricalPrior,
     NvibProjection,
     TauConfig,
@@ -243,9 +250,11 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
 
 
 def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
-    mu = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + LN_EPS) * p.g + p.b
+    # np.var forms the same centred squares and mean; reusing them is
+    # bit-identical and skips its overhead
+    xc = x - np.mean(x, axis=-1, keepdims=True)
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    return xc / np.sqrt(var + LN_EPS) * p.g + p.b
 
 
 def _ffn(x: np.ndarray, p: FfnParams) -> np.ndarray:
@@ -270,6 +279,16 @@ def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
     else:
         return ids.astype(np.int64, copy=False)
     raise ValueError(f"{what} not usable: {why}")
+
+
+def _pad(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Checked token sequences as a zero-padded (B, L) id matrix and its
+    (B, L) validity."""
+    lengths = np.array([len(s) for s in seqs])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(valid.shape, dtype=np.int64)
+    ids[valid] = np.concatenate(seqs)
+    return ids, valid
 
 
 def _embed(w: ModelWeights, ids: np.ndarray, start: int = 0) -> np.ndarray:
@@ -318,81 +337,128 @@ def _site_params(w: ModelWeights) -> dict[tuple[str, int], AttentionParams]:
     ))
 
 
-def _site_ops(model, hook: SiteHook = None, src_valid=None, tgt_valid=None):
+def _site_ops(model, hook: SiteHook = None):
     """(weights, keys, attend) of a model: the one place the two model kinds
     differ.
 
-    `keys(site, rows)` is what a site reads of its key/value rows, one row
-    matrix: the rows themselves for the standard model; for the twin the
-    rows of their projected posterior, [P] last (see `denoising`).
-    `attend(site, q, kv, causal)` attends queries q over such keys: standard
-    attention, or denoising attention over the posterior the rows hold.
+    `keys(site, rows, valid)` is what a site reads of its key/value rows,
+    one row matrix: the rows themselves for the standard model; for the twin
+    the rows of their projected posterior, [P] last (see `denoising`).
+    `attend(site, q, kv, valid, causal)` attends queries q over such keys:
+    standard attention, or denoising attention over the posterior the rows
+    hold.  Rows are one sequence (n, d), or a padded batch (B, n, d) whose
+    (B, n) `valid` marks each sequence's real rows: the standard model hides
+    the others from attention, the twin gives their components pseudo-count
+    zero, so `attend` reads its validity from the rows.  The twin is an
+    NvModel, whose dials every row shares, or `_stack_twins`' batch.
 
     `hook(group, layer_id, mat)` is forward_standard's site_hook, given the
-    valid key rows each site reads (sequence-major), or forward_nv's
-    map_hook, given each site's head-averaged weights.  src_valid (B, S) and
-    tgt_valid (B, T) are the standard model's padded-batch key validity:
-    the encoder and cross sites' and the causal sites'.
+    valid key rows each site reads (sequence-major), or the twin's map hook,
+    given each site's head-averaged (B, m, n+1) weights.
     """
-    if isinstance(model, NvModel):
-        params = _site_params(model.base)
+    if isinstance(model, ModelWeights):
+        params = _site_params(model)
 
-        def keys(site, rows):
-            dp = project(rows, model.projs[site])
-            return head_keys(dp, params[site], model.forms[site]).rows
+        def keys(site, rows, valid):
+            return rows
 
-        def attend(site, q, kv, causal=False):
-            forms, d = model.forms[site], params[site].model_dim
-            dp = KeyedPosterior(kv, forms) if forms is not None else DpPosterior(
-                kv[:, :d], kv[:, d:-1], kv[:, -1]
-            )
-            sink = None if hook is None else partial(hook, *site)
-            return eval_dattn_multihead(q, dp, params[site], causal, sink)
+        def attend(site, q, kv, valid, causal=False):
+            if hook is not None:
+                hook(*site, kv if valid is None else kv[valid])
+            return attention(q, kv, params[site], causal, key_valid=valid)
 
-        return model.base, keys, attend
+        return model, keys, attend
 
-    params = _site_params(model)
-    valid = {"encoder": src_valid, "cross": src_valid, "decoder": tgt_valid}
+    params = _site_params(model.base)
 
-    def keys(site, rows):
-        return rows
+    def keys(site, rows, valid):
+        dp = project(rows, model.projs[site], valid)
+        return head_keys(dp, params[site], model.forms[site]).rows
 
-    def attend(site, q, kv, causal=False):
-        kv_valid = valid[site[0]]
-        if hook is not None:
-            hook(*site, kv if kv_valid is None else kv[kv_valid])
-        return attention(q, kv, params[site], causal, key_valid=kv_valid)
+    def attend(site, q, kv, valid, causal=False):
+        sink = None if hook is None else partial(hook, *site)
+        dp = KeyedPosterior(kv, model.forms[site])
+        return eval_dattn_multihead(q, dp, params[site], causal, sink)
 
-    return model, keys, attend
+    return model.base, keys, attend
 
 
-def _attention_sites(ops, src: np.ndarray):
+@dataclass(frozen=True)
+class _Twins:
+    """Twins of one base stacked for a padded batch: the walk reads it as it
+    reads an NvModel, with one b_alpha, b_sigma and set of forms per row."""
+
+    base: ModelWeights
+    projs: dict[tuple[str, int], NvibProjection]
+    forms: dict[tuple[str, int], SiteForms | None]
+
+
+def _stack_twins(twins: list[NvModel]) -> NvModel | _Twins:
+    """The model of a padded batch whose row b runs at twins[b]'s dials.
+
+    The twins must be `reinterpret`'s of one base and one set of priors, so
+    that their projections differ only in b_alpha and b_sigma; those and the
+    forms are stacked per site, one per row.  A batch of one twin is that
+    twin.  The head-space path runs when every twin has forms, the general
+    path otherwise.
+    """
+    index: dict[int, int] = {}
+    which = np.array([index.setdefault(id(t), len(index)) for t in twins])
+    uniq = list({id(t): t for t in twins}.values())  # uniq[index[id(t)]] is t
+    first = uniq[0]
+    if len(uniq) == 1:
+        return first
+    for t in uniq[1:]:
+        if t.base is not first.base or any(
+            a is not b for a, b in zip(t.priors, first.priors)
+        ):
+            raise ValueError("twins in one batch must share one base and one set of priors")
+
+    def per_row(values):
+        return np.stack(values)[which]
+
+    projs, forms = {}, {}
+    for site, proj in first.projs.items():
+        site_projs = [t.projs[site] for t in uniq]
+        projs[site] = replace(
+            proj,
+            b_alpha=per_row([p.b_alpha for p in site_projs]),
+            b_sigma=per_row([p.b_sigma for p in site_projs]),
+        )
+        site_forms = [t.forms[site] for t in uniq]
+        forms[site] = None if None in site_forms else SiteForms(
+            *(per_row([getattr(f, fld.name) for f in site_forms]) for fld in fields(SiteForms))
+        )
+    return _Twins(first.base, projs, forms)
+
+
+def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
     """Encode a checked source once through `_site_ops`' ops; return
     (weights, causal, cross), the decoder's attention sites for `_decode`
     over a whole target under the causal mask.  Each cross site reads its
     keys of the memory once, up front.
 
-    A padded batch of sources (B, S) runs through the standard model's ops
-    built with its validity: padded source keys are hidden from every query;
+    A padded batch of sources (B, S) comes with its validity src_valid, and
+    its targets' tgt_valid: padded keys take no weight in any query;
     padded target positions come after every valid one, so the causal mask
-    already hides them from valid queries.  Padded rows are computed and
-    left for the caller to drop.
+    hides them too.  Padded query rows are computed and left for the caller
+    to drop.
     """
     w, keys, attend = ops
 
     def self_attn(l: int, z: np.ndarray) -> np.ndarray:
         site = ("encoder", l)
-        return attend(site, z, keys(site, z))
+        return attend(site, z, keys(site, z, src_valid), src_valid)
 
     mem = _encode(w, src, self_attn)
-    mem_keys = [keys(("cross", l), mem) for l in range(len(w.dec))]
+    mem_keys = [keys(("cross", l), mem, src_valid) for l in range(len(w.dec))]
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
-        return attend(site, z, keys(site, z), causal=True)
+        return attend(site, z, keys(site, z, tgt_valid), tgt_valid, causal=True)
 
     def cross(l: int, q: np.ndarray) -> np.ndarray:
-        return attend(("cross", l), q, mem_keys[l])
+        return attend(("cross", l), q, mem_keys[l], src_valid)
 
     return w, causal, cross
 
@@ -415,10 +481,10 @@ def _teacher_forced(
     model, src, tgt, hook: SiteHook = None, src_valid=None, tgt_valid=None
 ):
     """Logits of checked tokens through `_attention_sites` and `_decode`;
-    with src_valid and tgt_valid, a padded batch (standard model only) whose
-    padded rows' logits mean nothing."""
-    ops = _site_ops(model, hook, src_valid, tgt_valid)
-    w, causal, cross = _attention_sites(ops, src)
+    with src_valid and tgt_valid, a padded batch whose padded rows' logits
+    mean nothing."""
+    ops = _site_ops(model, hook)
+    w, causal, cross = _attention_sites(ops, src, src_valid, tgt_valid)
     return _decode(w, _embed(w, tgt), causal, cross)
 
 
@@ -488,40 +554,67 @@ def forward_nv(
     """
     src = _check_tokens(src, m.base.config, "source")
     tgt = _check_tokens(tgt, m.base.config, "target")
-    return _teacher_forced(m, src, tgt, map_hook)
+    hook = None if map_hook is None else lambda g, l, mat: map_hook(g, l, mat[0])
+    return _teacher_forced(m, src[None], tgt[None], hook)[0]
 
 
-def _step_logits(model, src: np.ndarray, positions: int):
-    """Coroutine of last-row logits, one new decoder position per step.
+def _step_logits(model, src: np.ndarray, positions: int, src_valid=None):
+    """Coroutine of last-row logits, one new decoder position per step, for
+    a padded batch of checked sources (B, S) with validity src_valid (all
+    valid when None).
 
-    Prime it with next(), then send the target tokens one at a time, BOS
-    first; each send returns the logits row of the token just sent, which
-    is forward_*(src, prefix)[-1] up to rounding.  `src` must be checked;
-    at most `positions` tokens may be sent.
+    Prime it with next(), then send the batch's target tokens (B,) one
+    position at a time, BOS first; each send returns the (B, vocab) logits
+    of the tokens just sent, which are forward_*(src, prefix)[-1] up to
+    rounding.  At most `positions` tokens may be sent.  A row that has been
+    sent EOS is finished: the positions it is stepped through afterwards are
+    padding, hidden from its later queries.
 
     The cross sites are `_attention_sites`'; each decoder layer's causal
     site keeps one row buffer, allocated at t=0: step t writes position t's
-    key rows at t : t+len(kv) and attends over buf[: t+len(kv)] with no
+    key rows at t : t+len(kv) and attends over buf[:, : t+len(kv)] with no
     mask, as causal masking means earlier rows never change.  For the twin
     the rows are a posterior's, whose [P] row moves down one each step.
     """
+    if src_valid is None:
+        src_valid = np.ones(src.shape, dtype=bool)
     ops = _site_ops(model)
     w, keys, attend = ops
-    _, _, cross = _attention_sites(ops, src)
+    _, _, cross = _attention_sites(ops, src, src_valid)
     caches = [None] * len(w.dec)  # one row buffer per decoder layer
+    live = np.ones((len(src), positions), dtype=bool)  # the positions' validity
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
-        kv = keys(site, z)
+        kv = keys(site, z, live[:, t : t + 1])
         if t == 0:
-            caches[l] = np.empty((positions - 1 + len(kv), kv.shape[1]))
-        end = t + len(kv)
-        caches[l][t:end] = kv
-        return attend(site, z, caches[l][:end])
+            caches[l] = np.empty((len(kv), positions - 1 + kv.shape[1], kv.shape[2]))
+        end = t + kv.shape[1]
+        caches[l][:, t:end] = kv
+        return attend(site, z, caches[l][:, :end], live[:, : t + 1])
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position
-        tok = yield _decode(w, _embed(w, np.array([tok]), start=t), causal, cross)[0]
+        if t > 0:
+            live[:, t] = live[:, t - 1] & (tok != EOS_ID)
+        emb = _embed(w, np.asarray(tok)[:, None], start=t)
+        tok = yield _decode(w, emb, causal, cross)[:, 0]
+
+
+def _greedy(model, src: np.ndarray, positions: int, src_valid=None) -> list[list[int]]:
+    """Argmax decoding of a padded batch of checked sources (see
+    `_step_logits`), at most `positions` tokens per row.  Every row steps
+    until all have emitted EOS; each row's tokens end at its first EOS."""
+    steps = _step_logits(model, src, positions, src_valid)
+    next(steps)
+    tok = np.full(len(src), BOS_ID)
+    out, done = [], np.zeros(len(src), dtype=bool)
+    while len(out) < positions and not done.all():
+        tok = np.argmax(steps.send(tok), axis=-1)
+        out.append(tok)
+        done |= tok == EOS_ID
+    rows = np.stack(out, axis=1).tolist()
+    return [r[: r.index(EOS_ID) + 1] if EOS_ID in r else r for r in rows]
 
 
 def greedy_decode(model, src, max_steps: int) -> list[int]:
@@ -530,8 +623,8 @@ def greedy_decode(model, src, max_steps: int) -> list[int]:
     Ties resolve to the lowest token id.  Returns the generated tokens
     (EOS included when emitted); max_steps == 0 gives an empty sequence.
     The source is encoded once and each step computes one new decoder
-    position (`_step_logits`); forward_standard / forward_nv are its
-    teacher-forced oracle.
+    position (`_step_logits`, as a batch of one); forward_standard /
+    forward_nv are its teacher-forced oracle.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -544,16 +637,6 @@ def greedy_decode(model, src, max_steps: int) -> list[int]:
     src = _check_tokens(src, config, "source")
     if max_steps == 0:
         return []
-
     # the prefix never grows past max_len
-    positions = min(max_steps, config.max_len)
-    steps = _step_logits(model, src, positions)
-    next(steps)
-    out: list[int] = []
-    tok = BOS_ID
-    for _ in range(positions):
-        tok = int(np.argmax(steps.send(tok)))
-        out.append(tok)
-        if tok == EOS_ID:
-            break
+    (out,) = _greedy(model, src[None], min(max_steps, config.max_len))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .mixture import GaussianMixtureRepr
-from .numeric import as_matrix, logsumexp_rows
+from .numeric import logsumexp_rows
 
 __all__ = [
     "LOG_ALPHA_CLAMP",
@@ -171,6 +171,11 @@ class NvibProjection:
     w_sigma is zero (None otherwise).  `project` skips the products they
     make trivial, and a zero w_sigma is what lets denoising attention run
     in head space.  `identity_init` has both.
+
+    For a padded batch of B sequences, b_alpha may hold one value per
+    sequence, (B,), with b_sigma then (B, d): the rows share the weights and
+    differ in their dial offsets, as twins reinterpreted at different dials
+    do.  `token_sigma` is then (B, d).
     """
 
     w_mu: np.ndarray
@@ -188,9 +193,12 @@ class NvibProjection:
         d = self.prior.dim
         if self.w_mu.shape != (d, d) or self.w_sigma.shape != (d, d):
             raise ValueError("w_mu/w_sigma must be (d, d)")
-        for name in ("b_mu", "b_sigma", "w_alpha1", "w_alpha2"):
+        for name in ("b_mu", "w_alpha1", "w_alpha2"):
             if getattr(self, name).shape != (d,):
                 raise ValueError(f"{name} must be (d,)")
+        rows = np.shape(self.b_alpha)
+        if len(rows) > 1 or self.b_sigma.shape != rows + (d,):
+            raise ValueError("b_sigma must be (d,) with one b_alpha, or (B, d) with b_alpha (B,)")
         object.__setattr__(self, "mu_is_identity", np.array_equal(self.w_mu, np.eye(d)))
         shared = None if np.any(self.w_sigma) else _sigma(self.b_sigma)
         object.__setattr__(self, "token_sigma", shared)
@@ -204,7 +212,9 @@ class NvibProjection:
 class DpPosterior:
     """Mixture parameters for n tokens plus the prior as the last row.
 
-    mu, sigma: (n+1, d); log_alpha: (n+1,).  sigma holds stds.
+    mu, sigma: (n+1, d); log_alpha: (n+1,).  sigma holds stds.  A padded
+    batch of B posteriors adds a leading axis to each; a padded token's
+    component has log_alpha -inf, pseudo-count zero.
     """
 
     mu: np.ndarray
@@ -212,27 +222,28 @@ class DpPosterior:
     log_alpha: np.ndarray
 
     def __post_init__(self):
-        if self.mu.ndim != 2 or self.sigma.shape != self.mu.shape:
-            raise ValueError("mu and sigma must both be (n+1, d)")
-        if self.log_alpha.shape != (self.mu.shape[0],):
+        if self.mu.ndim not in (2, 3) or self.sigma.shape != self.mu.shape:
+            raise ValueError("mu and sigma must both be (n+1, d), or (B, n+1, d)")
+        if self.log_alpha.shape != self.mu.shape[:-1]:
             raise ValueError("log_alpha must have one entry per component")
-        if self.mu.shape[0] < 1:
+        if self.mu.shape[-2] < 1:
             raise ValueError("need at least the prior component")
         if np.any(self.sigma < 0.0):
             raise ValueError("sigma must be nonnegative")
 
     @property
     def n_tokens(self) -> int:
-        return self.mu.shape[0] - 1
+        return self.mu.shape[-2] - 1
 
     @property
     def dim(self) -> int:
-        return self.mu.shape[1]
+        return self.mu.shape[-1]
 
     @property
     def rows(self) -> np.ndarray:
-        """The components as one (n+1, 2d+1) matrix, [mu | sigma | log_alpha]."""
-        return np.column_stack([self.mu, self.sigma, self.log_alpha])
+        """The components as one (n+1, 2d+1) row matrix (a stack of them for a
+        batch), [mu | sigma | log_alpha]."""
+        return np.concatenate([self.mu, self.sigma, self.log_alpha[..., None]], axis=-1)
 
     def log_alpha_total(self) -> float:
         """log of the summed pseudo-counts, prior included."""
@@ -275,35 +286,53 @@ def _sigma(log_sig2: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
 
 
-def project(z: np.ndarray, proj: NvibProjection) -> DpPosterior:
+def project(
+    z: np.ndarray, proj: NvibProjection, valid: np.ndarray | None = None
+) -> DpPosterior:
     """Map n vectors to an (n+1)-component posterior, prior row last.
 
-    log pseudo-counts are clamped to +-LOG_ALPHA_CLAMP (occurrences recorded
-    on ALPHA_CLAMP_EVENTS); component variances are floored at
-    SIGMA_SQ_FLOOR.
+    z is (n, d), or a padded batch (B, n, d) whose boolean (B, n) `valid`
+    marks each sequence's real vectors (all of them when None).  A padded
+    vector's component gets pseudo-count zero, log alpha -inf, so no
+    attention weight; a projection with one b_alpha per row projects each
+    sequence with its own.  log pseudo-counts of real vectors are clamped to
+    +-LOG_ALPHA_CLAMP (occurrences recorded on ALPHA_CLAMP_EVENTS);
+    component variances are floored at SIGMA_SQ_FLOOR.
     """
-    z = as_matrix(z)
+    z = np.asarray(z, dtype=np.float64)
     d = proj.dim
-    if z.shape[1] != d:
-        raise ValueError(f"vector width {z.shape[1]} != projection dim {d}")
+    b_alpha = np.asarray(proj.b_alpha)
+    if z.ndim not in (2, 3) or b_alpha.shape not in ((), z.shape[:-2]):
+        raise ValueError(
+            f"vectors {z.shape} do not fit a projection with b_alpha {b_alpha.shape}"
+        )
+    if z.shape[-1] != d:
+        raise ValueError(f"vector width {z.shape[-1]} != projection dim {d}")
+    if valid is not None and (z.ndim != 3 or valid.shape != z.shape[:2]):
+        raise ValueError("a padded batch needs (B, n, d) vectors and a (B, n) valid")
 
     # z @ eye and z @ zeros are exact for finite z, so skipping them changes
     # no bit of the result
     mu = (z if proj.mu_is_identity else z @ proj.w_mu) + proj.b_mu
-    sigma = proj.token_sigma  # one row for every token, when shared
-    if sigma is None:
-        sigma = _sigma(z @ proj.w_sigma + proj.b_sigma)
+    if proj.token_sigma is None:
+        sigma = _sigma(z @ proj.w_sigma + proj.b_sigma[..., None, :])
+    else:
+        sigma = proj.token_sigma[..., None, :]  # one row for every token
 
-    log_alpha = (z * z) @ proj.w_alpha1 + z @ proj.w_alpha2 + proj.b_alpha
+    log_alpha = (z * z) @ proj.w_alpha1 + z @ proj.w_alpha2 + b_alpha[..., None]
     clamped = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
-    ALPHA_CLAMP_EVENTS.add(np.count_nonzero(clamped != log_alpha))
+    hit = clamped != log_alpha
+    ALPHA_CLAMP_EVENTS.add(np.count_nonzero(hit if valid is None else hit & valid))
+    if valid is not None:
+        clamped[~valid] = -np.inf
 
     p = proj.prior
-    mu_all = np.vstack([mu, p.mu_p[None, :]])
-    sigma_all = np.empty_like(mu_all)
-    sigma_all[:-1] = sigma
-    sigma_all[-1] = p.sigma_p
-    log_alpha_all = np.concatenate([clamped, [p.log_alpha0_p]])
+    shape = z.shape[:-2] + (z.shape[-2] + 1,)
+    mu_all, sigma_all = np.empty(shape + (d,)), np.empty(shape + (d,))
+    log_alpha_all = np.empty(shape)
+    mu_all[..., :-1, :], mu_all[..., -1, :] = mu, p.mu_p
+    sigma_all[..., :-1, :], sigma_all[..., -1, :] = sigma, p.sigma_p
+    log_alpha_all[..., :-1], log_alpha_all[..., -1] = clamped, p.log_alpha0_p
     return DpPosterior(mu=mu_all, sigma=sigma_all, log_alpha=log_alpha_all)
 
 

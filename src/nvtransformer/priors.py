@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusError
-from .model import BOS_ID, ModelWeights, _check_tokens, _teacher_forced, sites
+from .model import BOS_ID, ModelWeights, _check_tokens, _pad, _teacher_forced, sites
 # forward_standard is not called here; it is the per-sequence oracle of
 # the bucketed pass, and bench/spans.py traces it in this namespace.
 from .model import forward_standard
@@ -184,15 +184,6 @@ def _buckets(lengths: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _pad(seqs: list[np.ndarray], lengths: np.ndarray):
-    """Checked sequences as a zero-padded (B, L) id matrix and its (B, L)
-    validity."""
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.zeros(valid.shape, dtype=np.int64)
-    ids[valid] = np.concatenate(seqs)
-    return ids, valid
-
-
 def estimate_priors(
     w: ModelWeights,
     corpus: list[list[int]],
@@ -242,7 +233,7 @@ def estimate_priors(
 
         for bucket in _buckets(lengths[a:b]):
             pos = a + bucket
-            ids, valid = _pad([checked[p] for p in pos], lengths[pos])
+            ids, valid = _pad([checked[p] for p in pos])
             # each row's decoder input is ([BOS] + seq)[:max_len]
             tgt = np.pad(ids, ((0, 0), (1, 0)), constant_values=BOS_ID)[:, :cut]
             tgt_valid = np.pad(valid, ((0, 0), (1, 0)), constant_values=True)[:, :cut]

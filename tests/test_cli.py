@@ -129,6 +129,29 @@ class TestEstimatePrior:
         assert r == 0
         assert (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["out", "report"])
+    @pytest.mark.parametrize("how", ["directory", "missing-parent"])
+    def test_unwritable_output_exits_before_the_corpus_pass(
+        self, workdir, tmp_path, capsys, monkeypatch, bad, how
+    ):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("estimate_priors ran")
+
+        monkeypatch.setattr(nvtransformer.cli, "estimate_priors", no_pass)
+        outdir = tmp_path / "outputs"
+        outdir.mkdir()
+        paths = {"out": str(outdir / "p.nvtx"), "report": str(outdir / "p.csv")}
+        paths[bad] = str(outdir) if how == "directory" else str(outdir / "nope" / "x")
+        r = main([
+            "estimate-prior", "--model", workdir["model"],
+            "--corpus", workdir["corpus"],
+            "--out", paths["out"], "--report", paths["report"],
+        ])
+        assert r == 2
+        strerror = "Is a directory" if how == "directory" else "No such file or directory"
+        assert f"{strerror}: '{paths[bad]}'" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_missing_corpus_file(self, workdir, tmp_path):
         r = main([
             "estimate-prior", "--model", workdir["model"],

@@ -1,21 +1,79 @@
 """Tests for certification, grids, and sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nvtransformer import certify, grid_points, run_sweep, token_overlap
 from nvtransformer.evaluate import (
+    DECODE_STEPS,
     SWEEP_HEADER,
     TAU_ALPHA_RANGE,
     TAU_SIGMA_RANGE,
+    SweepRow,
     interp_taus,
     make_random_corpus,
     make_template_corpus,
     random_eval_inputs,
     sweep_csv,
 )
-from nvtransformer.model import BOS_ID, ModelConfig
-from nvtransformer.nvib import TAU_SIGMA_MIN
+from nvtransformer.model import (
+    BOS_ID,
+    EOS_ID,
+    ModelConfig,
+    _greedy,
+    _pad,
+    _stack_twins,
+    forward_nv,
+    forward_standard,
+    greedy_decode,
+    reinterpret,
+)
+from nvtransformer.nvib import ALPHA_CLAMP_EVENTS, GROUPS, TAU_SIGMA_MIN, TauConfig
+
+
+def per_pair_sweep(w, priors, points, trials, seed):
+    """The sweep one point and one input pair at a time: one forward_nv and
+    one greedy_decode each.  The reference `run_sweep`'s padded batch is
+    checked against; returns its rows and each point's decodes."""
+    pairs = random_eval_inputs(w.config, trials, seed)
+    baseline = [greedy_decode(w, src, DECODE_STEPS) for src, _ in pairs]
+    refs = [forward_standard(w, src, tgt) for src, tgt in pairs]
+    rows, decodes = [], []
+    for taus in points:
+        nvm = reinterpret(w, priors, taus)
+        total = dict.fromkeys(GROUPS, 0.0)
+        count = dict.fromkeys(GROUPS, 0)
+
+        def hook(group, layer_id, weights):
+            total[group] += float(np.sum(weights[:, -1]))
+            count[group] += weights.shape[0]
+
+        worst, overlaps, decs = 0.0, [], []
+        for (src, tgt), ref, ref_decode in zip(pairs, refs, baseline):
+            got = forward_nv(nvm, src, tgt, map_hook=hook)
+            worst = max(worst, float(np.max(np.abs(got - ref))))
+            decs.append(greedy_decode(nvm, src, DECODE_STEPS))
+            overlaps.append(token_overlap(ref_decode, decs[-1]))
+        rows.append(SweepRow(
+            taus=taus,
+            logit_max_diff=worst,
+            overlap_pct=100.0 * float(np.mean(overlaps)),
+            prior_mass_enc=total["encoder"] / count["encoder"],
+            prior_mass_cross=total["cross"] / count["cross"],
+            prior_mass_dec=total["decoder"] / count["decoder"],
+            mean_decode_len=float(np.mean([len(d) for d in decs])),
+        ))
+        decodes.append(decs)
+    return rows, decodes
+
+
+def eager_eos(w, bias):
+    """w with its EOS logit raised: some decodes stop after a few tokens."""
+    b_out = w.b_out.copy()
+    b_out[EOS_ID] += bias
+    return dataclasses.replace(w, b_out=b_out)
 
 
 class TestTokenOverlap:
@@ -168,6 +226,56 @@ class TestSweep:
         a = run_sweep(toy_model, toy_priors, pts, trials=2, seed=7)
         b = run_sweep(toy_model, toy_priors, pts, trials=2, seed=7)
         assert sweep_csv(a) == sweep_csv(b)
+
+
+class TestBatchedSweep:
+    """`run_sweep`'s one padded batch against the per-pair loop."""
+
+    @pytest.mark.parametrize("grid", ["interp:5", "random:3"])
+    @pytest.mark.parametrize("eos", [False, True], ids=["toy", "eager-eos"])
+    def test_matches_per_pair_loop(self, toy_model, toy_priors, grid, eos):
+        w = eager_eos(toy_model, 1.5) if eos else toy_model
+        points = grid_points(grid, seed=2)
+        got = run_sweep(w, toy_priors, points, trials=4, seed=9)
+        want, decodes = per_pair_sweep(w, toy_priors, points, trials=4, seed=9)
+        for g, r in zip(got, want):
+            assert g.taus == r.taus
+            assert g.overlap_pct == r.overlap_pct
+            assert g.mean_decode_len == r.mean_decode_len
+            for name in ("logit_max_diff", "prior_mass_enc", "prior_mass_cross", "prior_mass_dec"):
+                np.testing.assert_allclose(getattr(g, name), getattr(r, name), rtol=0, atol=1e-12)
+        # the decodes themselves, as run_sweep batches them
+        pairs = random_eval_inputs(w.config, 4, seed=9)
+        src, src_valid = _pad([s for s, _ in pairs])
+        twins = [reinterpret(w, toy_priors, taus) for taus in points]
+        batch = _stack_twins([m for m in twins for _ in pairs])
+        tiled = (np.tile(src, (len(points), 1)), np.tile(src_valid, (len(points), 1)))
+        flat = [d for decs in decodes for d in decs]
+        assert _greedy(batch, tiled[0], DECODE_STEPS, tiled[1]) == flat
+        if eos:
+            assert len({len(d) for d in flat}) > 1
+
+    def test_clamp_events_count_no_padded_row(self, toy_model, toy_priors):
+        # dials far past the clamp in both directions clamp every real token
+        # component; padded ones, and decode steps past a row's EOS, must
+        # not count
+        w = eager_eos(toy_model, 1.2)
+        points = [
+            TauConfig.uniform(1e3, TAU_SIGMA_MIN),
+            TauConfig.uniform(-1e3, 0.25),
+            interp_taus(0.0),
+        ]
+        ALPHA_CLAMP_EVENTS.reset()
+        _, decodes = per_pair_sweep(w, toy_priors, points, trials=4, seed=9)
+        want = ALPHA_CLAMP_EVENTS.count
+        # rows of the first point stop at different steps
+        assert {len(d) for d in decodes[0]} == {2, DECODE_STEPS}
+        ALPHA_CLAMP_EVENTS.reset()
+        run_sweep(w, toy_priors, points, trials=4, seed=9)
+        got = ALPHA_CLAMP_EVENTS.count
+        ALPHA_CLAMP_EVENTS.reset()
+        assert want > 0
+        assert got == want
 
 
 class TestTrialsAndTol:

@@ -23,8 +23,13 @@ from nvtransformer import (
 from nvtransformer import model as model_mod
 from nvtransformer.evaluate import grid_points, make_random_corpus
 from nvtransformer.model import (
+    LN_EPS,
     LayerNormParams,
+    _greedy,
+    _pad,
+    _stack_twins,
     _step_logits,
+    _teacher_forced,
     layer_norm,
     sinusoidal_positions,
 )
@@ -88,6 +93,23 @@ class TestLayerNorm:
         base = layer_norm(x, LayerNormParams(g=np.ones(4), b=np.zeros(4)))
         out = layer_norm(x, LayerNormParams(g=g, b=b))
         np.testing.assert_allclose(out, base * g + b, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape", [(7, 16), (3, 7, 16), (1, 1, 16), (90, 128), (2, 45, 128)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_bits_match_the_np_var_form(self, shape):
+        # np.var takes the same centred squares and mean, so reusing them
+        # must not move a bit
+        rng = np.random.default_rng(sum(shape))
+        d = shape[-1]
+        p = LayerNormParams(g=rng.uniform(0.2, 3.0, d), b=rng.normal(0.0, 0.75, d))
+        for scale in (1e-3, 1.0, 30.0):
+            x = rng.normal(0.5, scale, size=shape)
+            mu = np.mean(x, axis=-1, keepdims=True)
+            var = np.var(x, axis=-1, keepdims=True)
+            want = (x - mu) / np.sqrt(var + LN_EPS) * p.g + p.b
+            np.testing.assert_array_equal(layer_norm(x, p), want)
 
 
 class TestInitWeights:
@@ -394,11 +416,11 @@ class TestIncrementalDecode:
                     model, fwd, src, steps, w.config.max_len
                 )
                 assert greedy_decode(model, src, steps) == want
-                stepper = _step_logits(model, np.asarray(src), len(want))
+                stepper = _step_logits(model, np.asarray([src]), len(want))
                 next(stepper)
                 for tok, ref in zip([BOS_ID] + want[:-1], ref_rows):
                     np.testing.assert_allclose(
-                        stepper.send(tok), ref, rtol=0, atol=1e-12
+                        stepper.send(np.array([tok]))[0], ref, rtol=0, atol=1e-12
                     )
 
     def test_toy_matches_full_recompute(self, toy_model, toy_priors):
@@ -423,13 +445,14 @@ class TestIncrementalDecode:
                 general = dataclasses.replace(model, forms=dict.fromkeys(model.forms))
                 tokens = greedy_decode(model, src, 10)
                 assert greedy_decode(general, src, 10) == tokens
-                fast = _step_logits(model, np.asarray(src), len(tokens))
-                slow = _step_logits(general, np.asarray(src), len(tokens))
+                fast = _step_logits(model, np.asarray([src]), len(tokens))
+                slow = _step_logits(general, np.asarray([src]), len(tokens))
                 next(fast)
                 next(slow)
                 for tok in [BOS_ID] + tokens[:-1]:
                     np.testing.assert_allclose(
-                        fast.send(tok), slow.send(tok), rtol=0, atol=1e-12
+                        fast.send(np.array([tok])), slow.send(np.array([tok])),
+                        rtol=0, atol=1e-12,
                     )
                 tgt = [BOS_ID] + tokens
                 np.testing.assert_allclose(
@@ -447,9 +470,9 @@ class TestIncrementalDecode:
             encodes.append(1)
             return encode(*args)
 
-        def counting_project(z, proj):
-            projected.append((proj, z.shape[0]))
-            return project(z, proj)
+        def counting_project(z, proj, valid=None):
+            projected.append((proj, z.shape[-2]))
+            return project(z, proj, valid)
 
         monkeypatch.setattr(model_mod, "_encode", counting_encode)
         monkeypatch.setattr(model_mod, "project", counting_project)
@@ -475,15 +498,118 @@ class TestIncrementalDecode:
             built.append(1)
             post_init(dp)
 
-        def counting_project(z, proj):
+        def counting_project(z, proj, valid=None):
             projected.append(1)
-            return project(z, proj)
+            return project(z, proj, valid)
 
         monkeypatch.setattr(DpPosterior, "__post_init__", counting_post_init)
         monkeypatch.setattr(model_mod, "project", counting_project)
         out = greedy_decode(m, [3, 4, 5, 6, 7], 16)
         assert len(out) > 1
         assert len(built) == len(projected)
+
+
+    def test_general_path_builds_each_posterior_once(
+        self, toy_model, toy_priors, monkeypatch
+    ):
+        # with the forms stripped, the rows a site keeps are the posterior's
+        # own: attending over them builds no second DpPosterior
+        m = reinterpret(toy_model, toy_priors, identity_taus())
+        general = dataclasses.replace(m, forms=dict.fromkeys(m.forms))
+        built, projected = [], []
+        post_init, project = DpPosterior.__post_init__, model_mod.project
+
+        def counting_post_init(dp):
+            built.append(1)
+            post_init(dp)
+
+        def counting_project(z, proj, valid=None):
+            projected.append(1)
+            return project(z, proj, valid)
+
+        monkeypatch.setattr(DpPosterior, "__post_init__", counting_post_init)
+        monkeypatch.setattr(model_mod, "project", counting_project)
+        out = greedy_decode(general, [3, 4, 5, 6, 7], 16)
+        # 2 encoder and 2 cross projections, then 2 causal ones per step
+        assert len(out) == 16
+        assert len(projected) == len(built) == 36
+        monkeypatch.undo()
+        assert out == greedy_decode(m, [3, 4, 5, 6, 7], 16)
+
+
+class TestTwinBatch:
+    """A padded batch of twins at mixed dials against single-sequence calls,
+    modelled on test_attention.TestPaddedBatch."""
+
+    SRC_LENS = [2, 9, 5, 12, 1, 7]
+    TGT_LENS = [6, 1, 11, 3, 8, 2]
+
+    def _batch(self, toy_model, toy_priors, general):
+        """(the twin of each row, sources, targets); five dial points, row 5
+        reuses row 0's twin."""
+        points = grid_points("interp:3") + grid_points("random:2", seed=4)
+        twins = [reinterpret(toy_model, toy_priors, taus) for taus in points]
+        if general:
+            twins = [dataclasses.replace(t, forms=dict.fromkeys(t.forms)) for t in twins]
+        rng = np.random.default_rng(31)
+        srcs = [rng.integers(3, 64, n).tolist() for n in self.SRC_LENS]
+        tgts = [[BOS_ID] + rng.integers(3, 64, n - 1).tolist() for n in self.TGT_LENS]
+        return [twins[i % len(twins)] for i in range(len(srcs))], srcs, tgts
+
+    @pytest.mark.parametrize("general", [False, True], ids=["head-space", "general"])
+    def test_rows_match_single_sequence_forward(self, toy_model, toy_priors, general):
+        rows, srcs, tgts = self._batch(toy_model, toy_priors, general)
+        (src, src_valid), (tgt, tgt_valid) = _pad(srcs), _pad(tgts)
+        maps = {}
+        got = _teacher_forced(
+            _stack_twins(rows), src, tgt,
+            lambda g, l, mat: maps.setdefault((g, l), mat), src_valid, tgt_valid,
+        )
+        for b, (twin, s, t) in enumerate(zip(rows, srcs, tgts)):
+            single = {}
+            want = forward_nv(
+                twin, s, t, map_hook=lambda g, l, mat: single.setdefault((g, l), mat)
+            )
+            np.testing.assert_allclose(got[b, : len(t)], want, rtol=0, atol=1e-12)
+            for (g, l), mat in single.items():
+                n_keys = len(s) if g != "decoder" else len(t)
+                batched = maps[g, l][b, : mat.shape[0]]
+                np.testing.assert_allclose(batched[:, :n_keys], mat[:, :-1], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(batched[:, -1], mat[:, -1], rtol=0, atol=1e-12)
+                # a padded token component takes no weight, [P] always some
+                np.testing.assert_array_equal(maps[g, l][b, :, n_keys:-1], 0.0)
+                assert np.all(maps[g, l][b, :, -1] > 0.0)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["head-space", "general"])
+    @pytest.mark.parametrize("eos_bias", [0.0, 1.2], ids=["no-eos", "early-eos"])
+    def test_decodes_match_single_sequence_decodes(
+        self, toy_model, toy_priors, general, eos_bias
+    ):
+        # an EOS logit bias that stops some rows after 2 or 3 tokens while
+        # others run all 16 steps, in both models
+        b_out = toy_model.b_out.copy()
+        b_out[EOS_ID] += eos_bias
+        w = dataclasses.replace(toy_model, b_out=b_out)
+        rows, srcs, _ = self._batch(w, toy_priors, general)
+        src, src_valid = _pad(srcs)
+        want = [greedy_decode(twin, s, 16) for twin, s in zip(rows, srcs)]
+        std = [greedy_decode(w, s, 16) for s in srcs]
+        if eos_bias:
+            assert {len(d) for d in want} == {16, 2}
+            assert {len(d) for d in std} == {16, 3, 2}
+        assert _greedy(_stack_twins(rows), src, 16, src_valid) == want
+        assert _greedy(w, src, 16, src_valid) == std
+
+    def test_batch_of_one_twin_is_that_twin(self, toy_model, toy_priors):
+        m = reinterpret(toy_model, toy_priors, identity_taus())
+        assert _stack_twins([m, m, m]) is m
+
+    def test_twins_must_share_base_and_priors(self, toy_model, toy_priors):
+        a = reinterpret(toy_model, toy_priors, identity_taus())
+        other = dataclasses.replace(toy_model)
+        b = reinterpret(other, toy_priors, grid_points("interp:2")[1])
+        with pytest.raises(ValueError, match="share one base"):
+            _stack_twins([a, b])
 
 
 class TestConfigPositivity:

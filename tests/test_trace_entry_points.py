@@ -9,8 +9,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from nvtransformer import identity_taus, model, priors, reinterpret
-from nvtransformer.evaluate import make_random_corpus
+from nvtransformer import evaluate, identity_taus, model, priors, reinterpret
+from nvtransformer.evaluate import grid_points, make_random_corpus, sweep_csv
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -84,3 +84,29 @@ def test_traced_standard_decode(spans, toy_model):
     assert tracer.calls()["attention.attention"] == (
         cfg.layers_enc + 2 * cfg.layers_dec * len(tokens)
     )
+
+
+def test_traced_sweep_is_one_batch(spans, toy_model, toy_priors):
+    # every point and pair in one batch: the twins' sites are entered once
+    # per teacher-forced pass and decode step, the standard model's too
+    cfg = toy_model.config
+    args = (toy_model, toy_priors, grid_points("interp:3"), 2, 4)
+    want = sweep_csv(evaluate.run_sweep(*args))
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rows = tracer.run_op(0, evaluate.run_sweep, *args)
+    finally:
+        tracer.uninstall()
+
+    assert sweep_csv(rows) == want
+    steps = evaluate.DECODE_STEPS
+    assert all(r.mean_decode_len == steps for r in rows)  # no row stops early
+    sites = cfg.layers_enc + 2 * cfg.layers_dec
+    per_decode = cfg.layers_enc + 2 * cfg.layers_dec * steps
+    calls = tracer.calls()
+    assert calls["evaluate.run_sweep"] == 1
+    assert calls["denoising.eval_dattn_multihead"] == sites + per_decode
+    assert calls["attention.attention"] == sites + per_decode
+    assert calls["nvib.project"] == sites + cfg.layers_enc + cfg.layers_dec * (1 + steps)
