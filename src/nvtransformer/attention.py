@@ -14,11 +14,17 @@ reuse the same split, attend and merge steps.  Every site is unmasked
 The three steps also take a leading batch axis: a padded batch of B
 sequences is (B, m, d) rows over (B, n, d) keys, with a (B, n) key-validity
 mask that hides each sequence's padded keys from all of its queries.
+
+A bias is built only when a key is hidden: for a causal call, or when some
+key_valid entry is False.  An unmasked call over all-valid keys, such as
+every step of a greedy decode over an unpadded source, adds none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +71,11 @@ class AttentionParams:
     def head_dim(self) -> int:
         return self.model_dim // self.heads
 
+    @cached_property
+    def bk_heads(self) -> np.ndarray:
+        """bk as (h, d/h, 1) head columns, made once: q @ bk_heads is Q_i b^K_i."""
+        return split_heads(self.bk[None, :], self.heads).swapaxes(-1, -2)
+
 
 def causal_visible(m: int, n: int) -> np.ndarray:
     """Boolean (m, n) causal visibility, True = visible: query t sees keys
@@ -78,7 +89,7 @@ def _mask_bias(visible: np.ndarray) -> np.ndarray:
     """Additive bias: 0 where visible, -inf where hidden; the last axis
     indexes keys.  Rejects rows with nothing visible (their softmax would be
     undefined)."""
-    if not np.all(np.any(visible, axis=-1)):
+    if not visible.any(axis=-1).all():
         raise ValueError("a query row has every key masked")
     bias = np.zeros(visible.shape)
     bias[~visible] = -np.inf
@@ -113,17 +124,19 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def attend_heads(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """All-heads attention core over head stacks q (..., h, m, d/h) and
     k, v (..., h, n, d/h): softmax(q k^T / sqrt(d/h) + bias) v.
 
     `bias` broadcasts against the (..., h, m, n) scores: (m, n) is shared
-    by every head, (B, 1, m, n) by every head of one sequence.  Returns the
-    (..., h, m, d/h) outputs and the (..., h, m, n) weights.
+    by every head, (B, 1, m, n) by every head of one sequence; None adds
+    nothing.  Returns the (..., h, m, d/h) outputs and the (..., h, m, n)
+    weights.
     """
-    dh = q.shape[-1]
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(dh) + bias
+    scores = q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[-1])
+    if bias is not None:
+        scores += bias
     w = softmax_rows(scores)
     return w @ v, w
 
@@ -146,6 +159,9 @@ def attention(
     u_prime is (B, m, d), z is (B, n, d) and the result (B, m, d).  Each
     sequence's invalid keys get zero weight in every one of its rows, on
     top of the causal mask, so a valid row does not depend on any padded key.
+
+    A -inf bias is built, and checked for fully masked rows, only when a key
+    is hidden: a causal call, a False in key_valid, or no keys at all.
     """
     d = params.model_dim
     if key_valid is None:
@@ -164,11 +180,13 @@ def attention(
     if u_prime.shape[-1] != d or z.shape[-1] != d:
         raise ValueError("query/key width must equal model_dim")
     m, n = u_prime.shape[-2], z.shape[-2]
-    visible = causal_visible(m, n) if causal else np.ones((m, n), dtype=bool)
-    if key_valid is not None:
-        # (m, n) & (B, 1, 1, n): one (B, 1, m, n) bias shared by the heads
-        visible = visible & key_valid[:, None, None, :]
-    bias = _mask_bias(visible)
+    bias = None
+    if causal or n == 0 or (key_valid is not None and not key_valid.all()):
+        visible = causal_visible(m, n) if causal else np.ones((m, n), dtype=bool)
+        if key_valid is not None:
+            # (m, n) & (B, 1, 1, n): one (B, 1, m, n) bias shared by the heads
+            visible = visible & key_valid[:, None, None, :]
+        bias = _mask_bias(visible)
     h = params.heads
     # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i
     out, _ = attend_heads(

@@ -44,6 +44,7 @@ column belongs to the prior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,7 +77,7 @@ MapSink = Callable[[np.ndarray], None] | None
 def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
     """The queries as an array and the additive (m, n+1) bias of a call over
     dp's components.  A causal call's prior column is always visible; an
-    unmasked call's bias is the scalar 0 (every decode step's case)."""
+    unmasked call (every decode step's case) has no bias, None."""
     queries_pre = np.asarray(queries_pre, dtype=np.float64)
     mu = dp.mu
     if queries_pre.ndim not in (2, 3) or mu.shape[:-2] != queries_pre.shape[:-2]:
@@ -88,7 +89,7 @@ def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
     if queries_pre.shape[-1] != params.model_dim or mu.shape[-1] != params.model_dim:
         raise ValueError("query/component width must equal model_dim")
     if not causal:
-        return queries_pre, 0.0
+        return queries_pre, None
     prior = np.ones((m, 1), dtype=bool)
     return queries_pre, _mask_bias(np.hstack([causal_visible(m, n_comp - 1), prior]))
 
@@ -170,7 +171,7 @@ def head_keys(
     c = dp.log_alpha - 0.5 * (dp.mu * x).sum(axis=-1)
     c[..., :-1] -= forms.half_log_var[..., :1]
     c[..., -1] -= forms.half_log_var[..., 1]
-    v = np.sqrt(params.head_dim) * x @ params.wv
+    v = math.sqrt(params.head_dim) * x @ params.wv
     rows = np.concatenate([dp.mu, x @ params.wk, v, c[..., None]], axis=-1)
     return KeyedPosterior(rows, forms)
 
@@ -218,17 +219,19 @@ def eval_dattn_multihead(
     """
     queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
     h = params.heads
-    scale = np.sqrt(params.head_dim)
+    scale = math.sqrt(params.head_dim)
 
     q = split_heads(queries_pre @ params.wq + params.bq, h)    # (..., h, m, d/h)
-    qbk = q @ split_heads(params.bk[None, :], h).swapaxes(-1, -2)  # (..., h, m, 1)
+    qbk = q @ params.bk_heads                                   # (..., h, m, 1)
     if isinstance(dp, KeyedPosterior) and dp.forms is not None:
         scores, mix = _head_space_path(q, qbk / scale, dp)
     else:
         scores, mix = _general_path(q, qbk / scale, dp, params)
-    w = softmax_rows(scores + bias)
+    if bias is not None:
+        scores += bias
+    w = softmax_rows(scores)
     if map_sink is not None:
-        map_sink(np.mean(w, axis=-3))
+        map_sink(w.sum(axis=-3) / h)   # np.mean over the heads
     return merge_heads(mix(w)) + params.bv
 
 
@@ -236,7 +239,7 @@ def _general_path(q, qbk, dp: DpPosterior | KeyedPosterior, params: AttentionPar
     """The general path: (..., h, m, n+1) scores and the map from weights to
     the (..., h, m, d/h) head outputs, at width d per head."""
     h, d = params.heads, params.model_dim
-    scale = np.sqrt(params.head_dim)
+    scale = math.sqrt(params.head_dim)
     if isinstance(dp, DpPosterior):
         mu, sigma, log_alpha = dp.mu, dp.sigma, dp.log_alpha
     else:
@@ -311,7 +314,7 @@ def train_dattn_multihead(
     """
     queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
     h = params.heads
-    scale = np.sqrt(params.head_dim)
+    scale = math.sqrt(params.head_dim)
 
     pi = sample_dirichlet(rng, np.exp(dp.log_alpha))
     z_tilde = sample_gaussian(rng, dp.mu, dp.sigma)  # (n+1, d)
@@ -322,7 +325,7 @@ def train_dattn_multihead(
         split_heads(queries_pre @ params.wq + params.bq, h),
         split_heads(z_tilde @ params.wk + params.bk, h),
         split_heads(z_tilde @ params.wv + params.bv, h),
-        bias + key_bias[None, :],
+        key_bias[None, :] if bias is None else bias + key_bias[None, :],
     )
     if map_sink is not None:
         map_sink(np.mean(w, axis=0))

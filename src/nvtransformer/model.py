@@ -250,10 +250,11 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
 
 
 def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
-    # np.var forms the same centred squares and mean; reusing them is
-    # bit-identical and skips its overhead
-    xc = x - np.mean(x, axis=-1, keepdims=True)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    # np.mean is a sum over the axis over its length, and np.var the mean of
+    # the same centred squares: bit-identical, without their wrappers' cost
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     return xc / np.sqrt(var + LN_EPS) * p.g + p.b
 
 

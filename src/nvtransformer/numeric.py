@@ -43,12 +43,13 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     masking is implemented upstream.  A row that is entirely -inf has no
     well-defined softmax and raises.
     """
+    # the ndarray reductions are np.max's and np.sum's without their wrappers
     a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
+    m = a.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise ValueError("softmax given a row with no finite entries")
     e = np.exp(a - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:

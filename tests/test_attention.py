@@ -1,14 +1,21 @@
 """Multi-head attention against slow per-head references and mask contracts."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from nvtransformer import forward_standard, greedy_decode
 from nvtransformer.attention import (
     AttentionParams,
     attention,
     attn_core,
 )
+from nvtransformer.model import BOS_ID, _greedy, _pad
 from nvtransformer.numeric import make_rng
+
+# the package re-exports the function `attention` under the module's name
+attention_mod = importlib.import_module("nvtransformer.attention")
 
 
 def random_params(rng, d, h, zero_bias=False):
@@ -214,6 +221,59 @@ class TestPaddedBatch:
             attention(u[0], z[0], p, key_valid=key_valid)
         with pytest.raises(ValueError, match="masked"):
             attention(u, z, p, key_valid=np.zeros_like(key_valid))
+
+
+class TestMaskOnlyWhereHidden:
+    """A bias is built only when a key is hidden: a causal call, or a False
+    in key_valid."""
+
+    @pytest.fixture
+    def masks(self, monkeypatch):
+        built = []
+        real = attention_mod._mask_bias
+
+        def counting(visible):
+            built.append(visible.shape)
+            return real(visible)
+
+        monkeypatch.setattr(attention_mod, "_mask_bias", counting)
+        return built
+
+    def test_all_valid_decode_builds_no_mask(self, toy_model, masks):
+        out = greedy_decode(toy_model, [3, 14, 25, 36, 7], 8)
+        assert out
+        assert masks == []
+
+    def test_padded_decode_still_masks(self, toy_model, masks):
+        src, valid = _pad([np.array([3, 14, 25, 36, 7]), np.array([9, 10, 11])])
+        steps = len(_greedy(toy_model, src, 8, valid)[0])
+        cfg = toy_model.config
+        # each encoder layer, and each cross site at every step, hides the
+        # shorter source's padded keys
+        assert masks.count((2, 1, 5, 5)) == cfg.layers_enc
+        assert masks.count((2, 1, 1, 5)) >= steps * cfg.layers_dec
+
+    def test_causal_forward_masks_each_decoder_site(self, toy_model, masks):
+        forward_standard(toy_model, [3, 14, 25], [BOS_ID, 5, 6, 7])
+        # the unpadded encoder and cross sites hide nothing
+        assert masks == [(4, 4)] * toy_model.config.layers_dec
+
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    def test_all_valid_batch_matches_per_sequence_calls_bitwise(self, h):
+        rng = make_rng(90 + h)
+        d = 16
+        p = random_params(rng, d, h)
+        for m, n in ((1, 1), (1, 6), (4, 3), (7, 7)):
+            u, z = rng.normal(size=(3, m, d)), rng.normal(size=(3, n, d))
+            out = attention(u, z, p, key_valid=np.ones((3, n), dtype=bool))
+            for b in range(3):
+                np.testing.assert_array_equal(out[b], attention(u[b], z[b], p))
+
+    def test_no_keys_rejected(self):
+        rng = make_rng(95)
+        p = random_params(rng, 8, 2)
+        with pytest.raises(ValueError, match="masked"):
+            attention(rng.normal(size=(2, 8)), np.zeros((0, 8)), p)
 
 
 class TestAttnCore:

@@ -59,6 +59,23 @@ class TestSoftmaxRows:
         with pytest.raises(ValueError, match="no finite"):
             softmax_rows(np.array([[-np.inf, -np.inf]]))
 
+    # (..., n) stacks, and the (B, h, m, n) scores of toy (d 16, 2 heads) and
+    # wide (d 128, 8 heads) decode steps and passes
+    @pytest.mark.parametrize(
+        "shape", [(9,), (7, 5), (3, 4, 9), (3, 2, 1, 6), (3, 2, 12, 13),
+                  (1, 8, 1, 97), (2, 8, 40, 41)],
+    )
+    def test_bits_match_the_np_max_exp_sum_form(self, shape):
+        rng = make_rng(sum(shape))
+        for scale in (1e-3, 1.0, 300.0):
+            a = rng.normal(0.0, scale, size=shape)
+            a[rng.random(shape) < 0.3] = -np.inf
+            a[..., 0] = rng.normal(0.0, scale, size=shape[:-1])  # one finite per row
+            m = np.max(a, axis=-1, keepdims=True)
+            e = np.exp(a - m)
+            want = e / np.sum(e, axis=-1, keepdims=True)
+            np.testing.assert_array_equal(softmax_rows(a), want)
+
 
 class TestStacksOfRows:
     def test_any_stack_reduces_over_the_last_axis_like_its_2d_rows(self):
