@@ -10,25 +10,23 @@ reduce to softmax(U mu^T / scale + pseudo-count bias), which is how the
 identity initialisation reproduces standard attention.
 
 The closed form is evaluated in one of two ways, chosen by the posterior
-passed in.  The general path takes any `DpPosterior` and works at width d
-in every head (the per-head query U_i = Q_i (W^K_i)^T is projected back to
-d), so it costs h times the FLOPs of standard attention; it serves
-per-component variances (a nonzero w_sigma) and is the reference the
-head-space path is tested against.  The head-space path takes a
-`KeyedPosterior`: when w_sigma is zero, as under the identity
-initialisation, every token component shares one variance row and the
-prior has its own, so the quadratic and interpolation terms reduce to two
-(d/h, d/h) forms per head and variance class (`SiteForms`, built once per
-site by `site_forms`), and the component means enter only through
-head-width keys and values computed once per posterior (`head_keys`).
-The two paths agree to rounding error.  Either posterior is one (n+1, F)
-row matrix, [P] last: [mu | sigma | log_alpha] (`DpPosterior.rows`) or
+passed in.  The general path is the reference, on any `DpPosterior`: it
+works at width d in every head (the per-head query U_i = Q_i (W^K_i)^T is
+projected back to d), so it costs h times the FLOPs of standard attention,
+and the head-space path is tested against it.  The head-space path takes a
+`KeyedPosterior`, the twin's: under `NvibProjection` every token component
+shares one variance row and the prior has its own, so the quadratic and
+interpolation terms reduce to two (d/h, d/h) forms per head and variance
+class (`SiteForms`, built once per site by `site_forms`), and the
+component means enter only through head-width keys and values computed
+once per posterior (`head_keys`).  The two paths agree to rounding error.
+A keyed posterior is one (n+1, 3d+1) row matrix, [P] last,
 [mu | k | v | c] (`KeyedPosterior.rows`).  Each row depends on its own
 component alone, so a causal cache appends a step's rows to one buffer.
 
-Both paths also take a padded batch: (B, m, d) queries over a (B, n+1, F)
-stack of row matrices, with per-row forms stacked (B, 2, ...) when the
-sequences sit at different dials.  A padded token's component carries
+Both paths also take a padded batch: (B, m, d) queries over a batch of B
+posteriors, with per-row forms stacked (B, 2, ...) when the sequences sit
+at different dials.  A padded token's component carries
 pseudo-count zero (see `project`), so it takes no weight, while [P] is
 always visible.
 
@@ -113,11 +111,9 @@ class SiteForms:
     b: np.ndarray
 
 
-def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms | None:
-    """The head-space forms of a site, or None when its projection gives
-    token components their own variances (nonzero w_sigma)."""
-    if proj.token_sigma is None:
-        return None
+def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms:
+    """The head-space forms of a site: its projection's token variance
+    class and its prior's."""
     h = params.heads
     sigma = np.stack([proj.token_sigma, proj.prior.sigma_p])
     sig2 = sigma * sigma
@@ -136,36 +132,28 @@ def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms | Non
 
 @dataclass(frozen=True)
 class KeyedPosterior:
-    """One site's keys of a posterior as one row matrix, unvalidated:
-    `project` validated the posterior the rows were read from.
+    """One site's head-space keys of a posterior as one row matrix,
+    unvalidated: `project` validated the posterior the rows were read from.
 
-    With forms, for the head-space path, rows (n+1, 3d+1) are
-    [mu | k | v | c]: k = (mu/sigma_r^2) W^K and
+    Rows (n+1, 3d+1) are [mu | k | v | c]: k = (mu/sigma_r^2) W^K and
     v = (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h),
     and c the score bias log alpha - 0.5 ||mu/sigma_r||^2 - 0.5 sum log
-    sigma_r^2.  Without forms they are `DpPosterior.rows`, for the general
-    path.  A padded batch's rows are a (B, n+1, F) stack.
+    sigma_r^2.  A padded batch's rows are a (B, n+1, 3d+1) stack.
     """
 
     rows: np.ndarray
-    forms: SiteForms | None
+    forms: SiteForms
 
     @property
     def mu(self) -> np.ndarray:
-        width = self.rows.shape[-1]
-        d = (width - 1) // 2 if self.forms is None else self.forms.inv_var.shape[-1]
-        return self.rows[..., :d]
+        return self.rows[..., : self.forms.inv_var.shape[-1]]
 
 
-def head_keys(
-    dp: DpPosterior, params: AttentionParams, forms: SiteForms | None
-) -> DpPosterior | KeyedPosterior:
-    """The site's head-space keys of `dp`, or `dp` itself when the site has
-    no forms.  `dp` must come from the projection `forms` was built from:
-    its token rows are taken to share the tokens' variance.  A batch of
-    posteriors takes one set of forms or a (B, ...) stack of them."""
-    if forms is None:
-        return dp
+def head_keys(dp: DpPosterior, params: AttentionParams, forms: SiteForms) -> KeyedPosterior:
+    """The site's head-space keys of `dp`.  `dp` must come from the
+    projection `forms` was built from: its token rows are taken to share
+    the tokens' variance.  A batch of posteriors takes one set of forms or
+    a (B, ...) stack of them."""
     x = dp.mu * forms.inv_var[..., None, 0, :]
     x[..., -1, :] = dp.mu[..., -1, :] * forms.inv_var[..., 1, :]
     c = dp.log_alpha - 0.5 * (dp.mu * x).sum(axis=-1)
@@ -211,10 +199,10 @@ def eval_dattn_multihead(
       output = w_tok Q_i B_i^tok + w_P Q_i B_i^P + w V_i
 
     where the quadratic term uses the tokens' form for token columns and
-    the prior's for the last.  A `DpPosterior`, or a `KeyedPosterior`
-    without forms, takes the general path above.
+    the prior's for the last.  A `DpPosterior` takes the general path
+    above.
 
-    A padded batch is (B, m, d) queries over a (B, n+1, F) posterior; the
+    A padded batch is (B, m, d) queries over a batch of B posteriors; the
     result is then (B, m, d) and the map (B, m, n+1).
     """
     queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
@@ -223,7 +211,7 @@ def eval_dattn_multihead(
 
     q = split_heads(queries_pre @ params.wq + params.bq, h)    # (..., h, m, d/h)
     qbk = q @ params.bk_heads                                   # (..., h, m, 1)
-    if isinstance(dp, KeyedPosterior) and dp.forms is not None:
+    if isinstance(dp, KeyedPosterior):
         scores, mix = _head_space_path(q, qbk / scale, dp)
     else:
         scores, mix = _general_path(q, qbk / scale, dp, params)
@@ -235,15 +223,12 @@ def eval_dattn_multihead(
     return merge_heads(mix(w)) + params.bv
 
 
-def _general_path(q, qbk, dp: DpPosterior | KeyedPosterior, params: AttentionParams):
+def _general_path(q, qbk, dp: DpPosterior, params: AttentionParams):
     """The general path: (..., h, m, n+1) scores and the map from weights to
     the (..., h, m, d/h) head outputs, at width d per head."""
-    h, d = params.heads, params.model_dim
+    h = params.heads
     scale = math.sqrt(params.head_dim)
-    if isinstance(dp, DpPosterior):
-        mu, sigma, log_alpha = dp.mu, dp.sigma, dp.log_alpha
-    else:
-        mu, sigma, log_alpha = dp.rows[..., :d], dp.rows[..., d:-1], dp.rows[..., -1]
+    mu, sigma, log_alpha = dp.mu, dp.sigma, dp.log_alpha
     sig2 = sigma * sigma                            # (..., n+1, d)
     var_r = scale + sig2                            # corrupted-query variances
     inv_var = 1.0 / var_r

@@ -84,6 +84,9 @@ def random_eval_inputs(
     config: ModelConfig, k: int, seed: int
 ) -> list[tuple[list[int], list[int]]]:
     """(source, teacher-forced target) pairs with random contents."""
+    # a source of 4+ tokens and a target of BOS plus 3+, ids past EOS
+    if config.vocab <= FIRST_TOKEN or config.max_len < 5:
+        raise ValueError(f"random eval inputs need vocab > {FIRST_TOKEN} and max_len >= 5")
     rng = make_rng(seed)
     pairs = []
     for _ in range(k):

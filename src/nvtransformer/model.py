@@ -140,15 +140,14 @@ class NvModel:
     """Reinterpreted model: base weights plus per-site priors and dials.
 
     `projs` and `forms` are keyed by site, (group, layer id): each site has
-    its projection and, when the projection gives every token component one
-    variance, its head-space forms (None otherwise).
+    its projection and its head-space forms.
     """
 
     base: ModelWeights
     priors: list[EmpiricalPrior]
     taus: TauConfig
     projs: dict[tuple[str, int], NvibProjection] = field(repr=False)
-    forms: dict[tuple[str, int], SiteForms | None] = field(repr=False)
+    forms: dict[tuple[str, int], SiteForms] = field(repr=False)
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -391,7 +390,7 @@ class _Twins:
 
     base: ModelWeights
     projs: dict[tuple[str, int], NvibProjection]
-    forms: dict[tuple[str, int], SiteForms | None]
+    forms: dict[tuple[str, int], SiteForms]
 
 
 def _stack_twins(twins: list[NvModel]) -> NvModel | _Twins:
@@ -400,8 +399,7 @@ def _stack_twins(twins: list[NvModel]) -> NvModel | _Twins:
     The twins must be `reinterpret`'s of one base and one set of priors, so
     that their projections differ only in b_alpha and b_sigma; those and the
     forms are stacked per site, one per row.  A batch of one twin is that
-    twin.  The head-space path runs when every twin has forms, the general
-    path otherwise.
+    twin.
     """
     index: dict[int, int] = {}
     which = np.array([index.setdefault(id(t), len(index)) for t in twins])
@@ -427,7 +425,7 @@ def _stack_twins(twins: list[NvModel]) -> NvModel | _Twins:
             b_sigma=per_row([p.b_sigma for p in site_projs]),
         )
         site_forms = [t.forms[site] for t in uniq]
-        forms[site] = None if None in site_forms else SiteForms(
+        forms[site] = SiteForms(
             *(per_row([getattr(f, fld.name) for f in site_forms]) for fld in fields(SiteForms))
         )
     return _Twins(first.base, projs, forms)

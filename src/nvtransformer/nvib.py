@@ -159,53 +159,37 @@ class EmpiricalPrior:
 
 @dataclass(frozen=True)
 class NvibProjection:
-    """Affine/quadratic maps from vectors to posterior parameters.
+    """The identity-initialised map from vectors to posterior parameters
+    (`identity_init`), whose offsets b_sigma and b_alpha carry the dials:
 
-    mu(Z) = Z w_mu + b_mu
-    sigma^2(Z) = exp(Z w_sigma + b_sigma)
-    log alpha(Z) = (Z*Z) w_alpha1 + Z w_alpha2 + b_alpha
+    mu(Z) = Z
+    sigma(Z) = token_sigma, about exp(b_sigma / 2), one std row for every token
+    log alpha(Z) = (Z*Z) w_alpha + b_alpha
 
-    Two structural facts are read once, at construction (the arrays must
-    not be modified afterwards): `mu_is_identity` when w_mu is the identity,
-    and `token_sigma`, the one std row every token component gets when
-    w_sigma is zero (None otherwise).  `project` skips the products they
-    make trivial, and a zero w_sigma is what lets denoising attention run
-    in head space.  `identity_init` has both.
+    `token_sigma` is read once, at construction (the arrays must not be
+    modified afterwards); the variance the tokens share is what lets
+    denoising attention run in head space.
 
     For a padded batch of B sequences, b_alpha may hold one value per
-    sequence, (B,), with b_sigma then (B, d): the rows share the weights and
+    sequence, (B,), with b_sigma then (B, d): the rows share w_alpha and
     differ in their dial offsets, as twins reinterpreted at different dials
     do.  `token_sigma` is then (B, d).
     """
 
-    w_mu: np.ndarray
-    b_mu: np.ndarray
-    w_sigma: np.ndarray
     b_sigma: np.ndarray
-    w_alpha1: np.ndarray
-    w_alpha2: np.ndarray
+    w_alpha: np.ndarray
     b_alpha: float
     prior: EmpiricalPrior
-    mu_is_identity: bool = field(init=False, repr=False, compare=False)
-    token_sigma: np.ndarray | None = field(init=False, repr=False, compare=False)
+    token_sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.prior.dim
-        if self.w_mu.shape != (d, d) or self.w_sigma.shape != (d, d):
-            raise ValueError("w_mu/w_sigma must be (d, d)")
-        for name in ("b_mu", "w_alpha1", "w_alpha2"):
-            if getattr(self, name).shape != (d,):
-                raise ValueError(f"{name} must be (d,)")
+        if self.w_alpha.shape != (d,):
+            raise ValueError("w_alpha must be (d,)")
         rows = np.shape(self.b_alpha)
         if len(rows) > 1 or self.b_sigma.shape != rows + (d,):
             raise ValueError("b_sigma must be (d,) with one b_alpha, or (B, d) with b_alpha (B,)")
-        object.__setattr__(self, "mu_is_identity", np.array_equal(self.w_mu, np.eye(d)))
-        shared = None if np.any(self.w_sigma) else _sigma(self.b_sigma)
-        object.__setattr__(self, "token_sigma", shared)
-
-    @property
-    def dim(self) -> int:
-        return self.prior.dim
+        object.__setattr__(self, "token_sigma", _sigma(self.b_sigma))
 
 
 @dataclass(frozen=True)
@@ -267,12 +251,8 @@ def identity_init(
         raise ValueError(f"tau_sigma below floor {TAU_SIGMA_MIN:g}")
     scale = np.sqrt(d / h)
     return NvibProjection(
-        w_mu=np.eye(d),
-        b_mu=np.zeros(d),
-        w_sigma=np.zeros((d, d)),
         b_sigma=2.0 * np.log(prior.sigma_p * tau_sigma),
-        w_alpha1=np.full(d, 1.0 / (2.0 * scale)),
-        w_alpha2=np.zeros(d),
+        w_alpha=np.full(d, 1.0 / (2.0 * scale)),
         b_alpha=prior.epsilon_alpha * tau_alpha,
         prior=prior,
     )
@@ -280,7 +260,7 @@ def identity_init(
 
 def _sigma(log_sig2: np.ndarray) -> np.ndarray:
     """Component stds from log variances: the log is clamped so exp stays
-    finite even for adversarial weights, the variance floored at
+    finite even for an extreme b_sigma, the variance floored at
     SIGMA_SQ_FLOOR."""
     log_sig2 = np.minimum(log_sig2, LOG_ALPHA_CLAMP)
     return np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
@@ -300,7 +280,7 @@ def project(
     component variances are floored at SIGMA_SQ_FLOOR.
     """
     z = np.asarray(z, dtype=np.float64)
-    d = proj.dim
+    d = proj.prior.dim
     b_alpha = np.asarray(proj.b_alpha)
     if z.ndim not in (2, 3) or b_alpha.shape not in ((), z.shape[:-2]):
         raise ValueError(
@@ -311,15 +291,7 @@ def project(
     if valid is not None and (z.ndim != 3 or valid.shape != z.shape[:2]):
         raise ValueError("a padded batch needs (B, n, d) vectors and a (B, n) valid")
 
-    # z @ eye and z @ zeros are exact for finite z, so skipping them changes
-    # no bit of the result
-    mu = (z if proj.mu_is_identity else z @ proj.w_mu) + proj.b_mu
-    if proj.token_sigma is None:
-        sigma = _sigma(z @ proj.w_sigma + proj.b_sigma[..., None, :])
-    else:
-        sigma = proj.token_sigma[..., None, :]  # one row for every token
-
-    log_alpha = (z * z) @ proj.w_alpha1 + z @ proj.w_alpha2 + b_alpha[..., None]
+    log_alpha = (z * z) @ proj.w_alpha + b_alpha[..., None]
     clamped = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
     hit = clamped != log_alpha
     ALPHA_CLAMP_EVENTS.add(np.count_nonzero(hit if valid is None else hit & valid))
@@ -330,8 +302,8 @@ def project(
     shape = z.shape[:-2] + (z.shape[-2] + 1,)
     mu_all, sigma_all = np.empty(shape + (d,)), np.empty(shape + (d,))
     log_alpha_all = np.empty(shape)
-    mu_all[..., :-1, :], mu_all[..., -1, :] = mu, p.mu_p
-    sigma_all[..., :-1, :], sigma_all[..., -1, :] = sigma, p.sigma_p
+    mu_all[..., :-1, :], mu_all[..., -1, :] = z, p.mu_p
+    sigma_all[..., :-1, :], sigma_all[..., -1, :] = proj.token_sigma[..., None, :], p.sigma_p
     log_alpha_all[..., :-1], log_alpha_all[..., -1] = clamped, p.log_alpha0_p
     return DpPosterior(mu=mu_all, sigma=sigma_all, log_alpha=log_alpha_all)
 

@@ -725,3 +725,33 @@ class TestArgumentEdges:
         assert r == 2
         assert "seed must be nonnegative, got -2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, value, refused", [
+            ("--max-len", "4", True), ("--vocab", "3", True),
+            ("--max-len", "5", False), ("--vocab", "4", False),
+        ],
+    )
+    def test_certify_and_sweep_on_configs_too_small_for_eval_inputs(
+        self, tmp_path, capsys, flag, value, refused
+    ):
+        # eval pairs are a source of 4+ tokens and BOS plus 3+ tokens, drawn
+        # from the ids past EOS; a smaller model is valid but has no such
+        # pairs, and once failed in numpy with "low >= high"
+        model, corpus, priors = (str(tmp_path / f) for f in ("m.nvtx", "c.txt", "p.nvtx"))
+        assert main(["init-model", flag, value, "--out", model]) == 0
+        write_corpus(corpus, [[0, 1, 2], [2, 1]])
+        assert main([
+            "estimate-prior", "--model", model, "--corpus", corpus, "--out", priors,
+        ]) == 0
+        files = ["--model", model, "--priors", priors, "--trials", "2"]
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        certified = main(["certify", *files])
+        swept = main(["sweep", *files, "--grid", "interp:2", "--out", str(out)])
+        if refused:
+            assert certified == swept == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.count("random eval inputs need vocab > 3 and max_len >= 5") == 2
+        else:
+            assert certified in (0, 1) and swept == 0 and out.exists()

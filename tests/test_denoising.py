@@ -1,14 +1,9 @@
 """Tests for multi-head denoising attention (eval and train paths)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from nvtransformer import (
-    ALPHA_CLAMP_EVENTS,
-    LOG_ALPHA_CLAMP,
-    SIGMA_SQ_FLOOR,
     TAU_SIGMA_MIN,
     AttentionParams,
     DpPosterior,
@@ -27,16 +22,15 @@ from nvtransformer.denoising import KeyedPosterior, head_keys, site_forms
 from nvtransformer.numeric import sample_dirichlet, sample_gaussian
 
 
-def nv_self_attention(z, proj, params, causal=False, map_sink=None, forms=None):
-    """A twin self-attention site: queries z over the posterior projected
-    from z, in head space when given the site's forms."""
-    dp = head_keys(project(z, proj), params, forms)
-    return eval_dattn_multihead(z, dp, params, causal, map_sink)
+def nv_self_attention(z, proj, params, causal=False, map_sink=None):
+    """A twin self-attention site on the general path: queries z over the
+    posterior projected from z."""
+    return eval_dattn_multihead(z, project(z, proj), params, causal, map_sink)
 
 
-def nv_causal_attention(z, proj, params, map_sink=None, forms=None):
+def nv_causal_attention(z, proj, params, map_sink=None):
     """A twin causal site: nv_self_attention under the causal mask."""
-    return nv_self_attention(z, proj, params, True, map_sink, forms)
+    return nv_self_attention(z, proj, params, True, map_sink)
 
 
 def random_params(rng, d, h):
@@ -58,21 +52,6 @@ def random_posterior(rng, n, d, sigma_lo=0.1, sigma_hi=1.5):
         sigma=rng.uniform(sigma_lo, sigma_hi, size=(n + 1, d)),
         log_alpha=rng.normal(size=n + 1),
     )
-
-
-def per_head_oracle(queries, dp, params):
-    """h independent single-head sites on the column slices, each denoising
-    against the normalised mixture with the slow oracle."""
-    d, h = params.model_dim, params.heads
-    hd = d // h
-    q = queries @ params.wq + params.bq
-    g = to_gaussian_mixture(dp)
-    out = np.empty((queries.shape[0], d))
-    for i in range(h):
-        sl = slice(i * hd, (i + 1) * hd)
-        denoised = dattn_gaussians_oracle(q[:, sl] @ params.wk[:, sl].T, g, np.sqrt(hd))
-        out[:, sl] = denoised @ params.wv[:, sl] + params.bv[sl]
-    return out
 
 
 def synthetic_prior(rng, d, group="encoder", eps=4.0):
@@ -162,67 +141,6 @@ class TestHeadSpace:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert maps[0].shape == (n, n + 1)
         np.testing.assert_allclose(maps[0], maps[1], rtol=0, atol=1e-12)
-
-    def test_token_variances_of_their_own_take_the_general_path(self):
-        # a nonzero w_sigma gives each token its own variance: no forms, so
-        # nv_self_attention runs the general path, against the per-head
-        # mixture oracle
-        rng = np.random.default_rng(121)
-        d, h, n = 8, 2, 5
-        params = random_params(rng, d, h)
-        base = identity_init(synthetic_prior(rng, d, eps=1.0), 0.0, 0.5, d=d, h=h)
-        proj = dataclasses.replace(base, w_sigma=0.1 * rng.normal(size=(d, d)))
-        assert proj.token_sigma is None and site_forms(proj, params) is None
-        z = rng.normal(size=(n, d))
-        dp = project(z, proj)
-        assert type(head_keys(dp, params, None)) is DpPosterior
-
-        got = nv_self_attention(z, proj, params, forms=site_forms(proj, params))
-        np.testing.assert_allclose(got, per_head_oracle(z, dp, params), rtol=0, atol=1e-9)
-
-    def test_general_means_keep_head_space_attention(self):
-        # w_mu other than the identity: project multiplies by it, and the
-        # shared variance still allows the head-space path
-        rng = np.random.default_rng(122)
-        d, h, n = 8, 2, 5
-        params = random_params(rng, d, h)
-        base = identity_init(synthetic_prior(rng, d, eps=1.0), 0.0, 0.5, d=d, h=h)
-        proj = dataclasses.replace(base, w_mu=rng.normal(size=(d, d)))
-        assert not proj.mu_is_identity
-        forms = site_forms(proj, params)
-        z = rng.normal(size=(n, d))
-        dp = project(z, proj)
-        np.testing.assert_array_equal(dp.mu[:n], z @ proj.w_mu + proj.b_mu)
-
-        got = nv_self_attention(z, proj, params, forms=forms)
-        np.testing.assert_allclose(got, per_head_oracle(z, dp, params), rtol=0, atol=1e-9)
-
-    def test_project_skips_are_exact(self):
-        # identity w_mu and zero w_sigma: the skipped products change no
-        # value, signed zeros, huge entries, the variance floor and the
-        # clamp count included
-        rng = np.random.default_rng(123)
-        d = 6
-        prior = synthetic_prior(rng, d)
-        z = rng.normal(size=(9, d))
-        z[0, :3] = -0.0
-        z[1] = 1e150
-        for tau_sigma, b_alpha in [(0.5, 0.0), (TAU_SIGMA_MIN, 1e4)]:
-            proj = dataclasses.replace(
-                identity_init(prior, 1.0, tau_sigma, d=d, h=2), b_alpha=b_alpha
-            )
-            assert proj.mu_is_identity and proj.token_sigma is not None
-            ALPHA_CLAMP_EVENTS.reset()
-            dp = project(z, proj)
-            log_sig2 = np.minimum(z @ proj.w_sigma + proj.b_sigma, LOG_ALPHA_CLAMP)
-            np.testing.assert_array_equal(dp.mu[:-1], z @ proj.w_mu + proj.b_mu)
-            np.testing.assert_array_equal(
-                dp.sigma[:-1], np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
-            )
-            # z[1]'s log pseudo-count is far past the clamp; with the
-            # b_alpha push every row is
-            assert ALPHA_CLAMP_EVENTS.count == (1 if b_alpha == 0.0 else 9)
-        ALPHA_CLAMP_EVENTS.reset()
 
 
 class TestIdentityEquivalence:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from nvtransformer import (
     BOS_ID,
     EOS_ID,
     ModelConfig,
+    ModelWeights,
     NvModel,
+    eval_dattn_multihead,
     forward_nv,
     forward_standard,
     greedy_decode,
@@ -27,6 +30,8 @@ from nvtransformer.model import (
     LayerNormParams,
     _greedy,
     _pad,
+    _site_ops,
+    _site_params,
     _stack_twins,
     _step_logits,
     _teacher_forced,
@@ -42,6 +47,26 @@ DATA = pathlib.Path(__file__).parent / "data"
 def group_projs(m, group):
     """The twin's projections of one group's sites, by layer."""
     return [proj for (g, _), proj in m.projs.items() if g == group]
+
+
+def general_site_ops(model, hook=None):
+    """`_site_ops` with every twin site on the general path, the reference
+    the head-space path is checked against: a site keeps its posterior's
+    own rows, and attends over the `DpPosterior` they hold.  Patched over
+    `model._site_ops`; the standard model's ops are unchanged."""
+    if isinstance(model, ModelWeights):
+        return _site_ops(model, hook)
+    params, d = _site_params(model.base), model.base.config.dim
+
+    def keys(site, rows, valid):
+        return model_mod.project(rows, model.projs[site], valid).rows
+
+    def attend(site, q, kv, valid, causal=False):
+        dp = DpPosterior(kv[..., :d], kv[..., d:-1], kv[..., -1])
+        sink = None if hook is None else partial(hook, *site)
+        return eval_dattn_multihead(q, dp, params[site], causal, sink)
+
+    return model.base, keys, attend
 
 
 class TestConfig:
@@ -433,31 +458,30 @@ class TestIncrementalDecode:
         sources = [rng.integers(3, WIDE.vocab, 20).tolist()]
         self._check_against_oracle(w, priors, sources, 10)
 
-    def test_head_space_matches_general_path(self, toy_model, toy_priors, wide):
-        # every twin site has head-space forms; with the forms stripped the
-        # same twin runs the general path, the reference, at every decode
+    def test_head_space_matches_general_path(
+        self, toy_model, toy_priors, wide, monkeypatch
+    ):
+        # the same twin on the general path, the reference, at every decode
         # step and teacher-forced
+        def run(model, fwd, src):
+            tokens = greedy_decode(model, src, 10)
+            steps = _step_logits(model, np.asarray([src]), len(tokens))
+            next(steps)
+            logits = [steps.send(np.array([tok])) for tok in [BOS_ID] + tokens[:-1]]
+            return tokens, logits, fwd(model, src, [BOS_ID] + tokens)
+
         rng = np.random.default_rng(24)
         for w, priors in [(toy_model, toy_priors), wide]:
             src = rng.integers(3, w.config.vocab, 12).tolist()
             for model, fwd in _models(w, priors)[1:]:
-                assert all(f is not None for f in model.forms.values())
-                general = dataclasses.replace(model, forms=dict.fromkeys(model.forms))
-                tokens = greedy_decode(model, src, 10)
-                assert greedy_decode(general, src, 10) == tokens
-                fast = _step_logits(model, np.asarray([src]), len(tokens))
-                slow = _step_logits(general, np.asarray([src]), len(tokens))
-                next(fast)
-                next(slow)
-                for tok in [BOS_ID] + tokens[:-1]:
-                    np.testing.assert_allclose(
-                        fast.send(np.array([tok])), slow.send(np.array([tok])),
-                        rtol=0, atol=1e-12,
-                    )
-                tgt = [BOS_ID] + tokens
-                np.testing.assert_allclose(
-                    fwd(model, src, tgt), fwd(general, src, tgt), rtol=0, atol=1e-12
-                )
+                tokens, fast, fast_tf = run(model, fwd, src)
+                with monkeypatch.context() as patch:
+                    patch.setattr(model_mod, "_site_ops", general_site_ops)
+                    general, slow, slow_tf = run(model, fwd, src)
+                assert general == tokens
+                for got, want in zip(fast, slow):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(fast_tf, slow_tf, rtol=0, atol=1e-12)
 
     def test_encodes_once_and_projects_each_row_once(
         self, toy_model, toy_priors, monkeypatch
@@ -509,34 +533,6 @@ class TestIncrementalDecode:
         assert len(built) == len(projected)
 
 
-    def test_general_path_builds_each_posterior_once(
-        self, toy_model, toy_priors, monkeypatch
-    ):
-        # with the forms stripped, the rows a site keeps are the posterior's
-        # own: attending over them builds no second DpPosterior
-        m = reinterpret(toy_model, toy_priors, identity_taus())
-        general = dataclasses.replace(m, forms=dict.fromkeys(m.forms))
-        built, projected = [], []
-        post_init, project = DpPosterior.__post_init__, model_mod.project
-
-        def counting_post_init(dp):
-            built.append(1)
-            post_init(dp)
-
-        def counting_project(z, proj, valid=None):
-            projected.append(1)
-            return project(z, proj, valid)
-
-        monkeypatch.setattr(DpPosterior, "__post_init__", counting_post_init)
-        monkeypatch.setattr(model_mod, "project", counting_project)
-        out = greedy_decode(general, [3, 4, 5, 6, 7], 16)
-        # 2 encoder and 2 cross projections, then 2 causal ones per step
-        assert len(out) == 16
-        assert len(projected) == len(built) == 36
-        monkeypatch.undo()
-        assert out == greedy_decode(m, [3, 4, 5, 6, 7], 16)
-
-
 class TestTwinBatch:
     """A padded batch of twins at mixed dials against single-sequence calls,
     modelled on test_attention.TestPaddedBatch."""
@@ -544,21 +540,24 @@ class TestTwinBatch:
     SRC_LENS = [2, 9, 5, 12, 1, 7]
     TGT_LENS = [6, 1, 11, 3, 8, 2]
 
-    def _batch(self, toy_model, toy_priors, general):
+    def _batch(self, toy_model, toy_priors, general, monkeypatch):
         """(the twin of each row, sources, targets); five dial points, row 5
-        reuses row 0's twin."""
+        reuses row 0's twin.  A general batch runs every twin, batched or
+        single, on the general path."""
         points = grid_points("interp:3") + grid_points("random:2", seed=4)
         twins = [reinterpret(toy_model, toy_priors, taus) for taus in points]
         if general:
-            twins = [dataclasses.replace(t, forms=dict.fromkeys(t.forms)) for t in twins]
+            monkeypatch.setattr(model_mod, "_site_ops", general_site_ops)
         rng = np.random.default_rng(31)
         srcs = [rng.integers(3, 64, n).tolist() for n in self.SRC_LENS]
         tgts = [[BOS_ID] + rng.integers(3, 64, n - 1).tolist() for n in self.TGT_LENS]
         return [twins[i % len(twins)] for i in range(len(srcs))], srcs, tgts
 
     @pytest.mark.parametrize("general", [False, True], ids=["head-space", "general"])
-    def test_rows_match_single_sequence_forward(self, toy_model, toy_priors, general):
-        rows, srcs, tgts = self._batch(toy_model, toy_priors, general)
+    def test_rows_match_single_sequence_forward(
+        self, toy_model, toy_priors, general, monkeypatch
+    ):
+        rows, srcs, tgts = self._batch(toy_model, toy_priors, general, monkeypatch)
         (src, src_valid), (tgt, tgt_valid) = _pad(srcs), _pad(tgts)
         maps = {}
         got = _teacher_forced(
@@ -583,14 +582,14 @@ class TestTwinBatch:
     @pytest.mark.parametrize("general", [False, True], ids=["head-space", "general"])
     @pytest.mark.parametrize("eos_bias", [0.0, 1.2], ids=["no-eos", "early-eos"])
     def test_decodes_match_single_sequence_decodes(
-        self, toy_model, toy_priors, general, eos_bias
+        self, toy_model, toy_priors, general, eos_bias, monkeypatch
     ):
         # an EOS logit bias that stops some rows after 2 or 3 tokens while
         # others run all 16 steps, in both models
         b_out = toy_model.b_out.copy()
         b_out[EOS_ID] += eos_bias
         w = dataclasses.replace(toy_model, b_out=b_out)
-        rows, srcs, _ = self._batch(w, toy_priors, general)
+        rows, srcs, _ = self._batch(w, toy_priors, general, monkeypatch)
         src, src_valid = _pad(srcs)
         want = [greedy_decode(twin, s, 16) for twin, s in zip(rows, srcs)]
         std = [greedy_decode(w, s, 16) for s in srcs]

@@ -150,21 +150,6 @@ class TestEmpiricalPriorValidation:
 
 
 class TestIdentityInit:
-    def test_parameter_structure(self):
-        p = small_prior(d=4)
-        proj = identity_init(p, tau_alpha=10.0, tau_sigma=1e-3, d=4, h=2)
-        np.testing.assert_array_equal(proj.w_mu, np.eye(4))
-        np.testing.assert_array_equal(proj.b_mu, np.zeros(4))
-        np.testing.assert_array_equal(proj.w_sigma, np.zeros((4, 4)))
-        np.testing.assert_allclose(
-            proj.b_sigma, 2.0 * np.log(p.sigma_p * 1e-3), rtol=0, atol=0
-        )
-        np.testing.assert_allclose(
-            proj.w_alpha1, np.full(4, 1.0 / (2.0 * np.sqrt(2.0))), rtol=1e-15
-        )
-        np.testing.assert_array_equal(proj.w_alpha2, np.zeros(4))
-        assert proj.b_alpha == 0.7 * 10.0
-
     def test_rejects_bad_head_count(self):
         with pytest.raises(ValueError, match="divide"):
             identity_init(small_prior(d=4), 10.0, 1e-3, d=4, h=3)
@@ -207,47 +192,37 @@ class TestProject:
         )
         assert dp.log_alpha[2] == p.log_alpha0_p
 
-    def test_generic_projection_matches_formula(self):
-        rng = np.random.default_rng(41)
-        d = 5
-        p = EmpiricalPrior(
-            mu_p=rng.normal(size=d),
-            sigma_p=rng.uniform(0.5, 1.5, size=d),
-            log_alpha0_p=0.2,
-            epsilon_alpha=1.1,
-            layer_group="decoder",
-            layer_id=1,
-        )
-        proj_params = dict(
-            w_mu=rng.normal(size=(d, d)),
-            b_mu=rng.normal(size=d),
-            w_sigma=0.1 * rng.normal(size=(d, d)),
-            b_sigma=rng.normal(size=d),
-            w_alpha1=rng.normal(size=d),
-            w_alpha2=rng.normal(size=d),
-            b_alpha=0.4,
-        )
-        from nvtransformer import NvibProjection
-
-        proj = NvibProjection(prior=p, **proj_params)
-        z = rng.normal(size=(7, d))
-        dp = project(z, proj)
-
-        np.testing.assert_allclose(
-            dp.mu[:7], z @ proj_params["w_mu"] + proj_params["b_mu"], rtol=1e-14
-        )
-        np.testing.assert_allclose(
-            dp.sigma[:7] ** 2,
-            np.exp(z @ proj_params["w_sigma"] + proj_params["b_sigma"]),
-            rtol=1e-13,
-        )
-        np.testing.assert_allclose(
-            dp.log_alpha[:7],
-            (z * z) @ proj_params["w_alpha1"]
-            + z @ proj_params["w_alpha2"]
-            + 0.4,
-            rtol=1e-13,
-        )
+    def test_identity_map_bit_for_bit(self):
+        # means pass through (a -0.0 stays -0.0), every token gets the one
+        # std row, floor included, and log pseudo-counts are the scaled
+        # squared norm plus the dial offset, clamped: a 1e150 vector hits the
+        # clamp, and a b_alpha past it clamps every row
+        d, h = 6, 2
+        p = replace(small_prior(d=d), sigma_p=np.linspace(0.5, 2.0, d))
+        z = np.random.default_rng(123).normal(size=(9, d))
+        z[0, :3] = -0.0
+        z[1] = 1e150
+        w_alpha = np.full(d, 1.0 / (2.0 * np.sqrt(d / h)))
+        for tau_sigma, b_alpha, clamps in [(0.5, None, 1), (TAU_SIGMA_MIN, 1e4, 9)]:
+            proj = identity_init(p, tau_alpha=10.0, tau_sigma=tau_sigma, d=d, h=h)
+            assert proj.b_alpha == 0.7 * 10.0
+            np.testing.assert_array_equal(proj.b_sigma, 2.0 * np.log(p.sigma_p * tau_sigma))
+            if b_alpha is not None:
+                proj = replace(proj, b_alpha=b_alpha)
+            ALPHA_CLAMP_EVENTS.reset()
+            dp = project(z, proj)
+            assert dp.mu[:-1].tobytes() == z.tobytes()
+            log_sig2 = np.minimum(proj.b_sigma, LOG_ALPHA_CLAMP)
+            std = np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
+            np.testing.assert_array_equal(dp.sigma[:-1], np.broadcast_to(std, z.shape))
+            log_alpha = (z * z) @ w_alpha + proj.b_alpha
+            np.testing.assert_array_equal(
+                dp.log_alpha[:-1], np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+            )
+            assert ALPHA_CLAMP_EVENTS.count == clamps
+        # at the floor dial the smallest prior std puts its tokens on the floor
+        assert dp.sigma[0, 0] == np.sqrt(SIGMA_SQ_FLOOR)
+        ALPHA_CLAMP_EVENTS.reset()
 
     def test_rejects_width_mismatch(self):
         p = small_prior(d=2)
@@ -264,16 +239,7 @@ class TestGuards:
         p = small_prior(d=2)
         proj = identity_init(p, 10.0, 1e-3, d=2, h=1)
         # b_alpha past the clamp pushes every token row to the ceiling
-        hot = type(proj)(
-            w_mu=proj.w_mu,
-            b_mu=proj.b_mu,
-            w_sigma=proj.w_sigma,
-            b_sigma=proj.b_sigma,
-            w_alpha1=proj.w_alpha1,
-            w_alpha2=proj.w_alpha2,
-            b_alpha=1e4,
-            prior=p,
-        )
+        hot = replace(proj, b_alpha=1e4)
         dp = project(np.zeros((3, 2)), hot)
         np.testing.assert_array_equal(dp.log_alpha[:3], LOG_ALPHA_CLAMP)
         assert dp.log_alpha[3] == p.log_alpha0_p  # prior row never clamped
@@ -282,16 +248,7 @@ class TestGuards:
     def test_clamp_floor_side(self):
         p = small_prior(d=2)
         proj = identity_init(p, 10.0, 1e-3, d=2, h=1)
-        cold = type(proj)(
-            w_mu=proj.w_mu,
-            b_mu=proj.b_mu,
-            w_sigma=proj.w_sigma,
-            b_sigma=proj.b_sigma,
-            w_alpha1=proj.w_alpha1,
-            w_alpha2=proj.w_alpha2,
-            b_alpha=-1e4,
-            prior=p,
-        )
+        cold = replace(proj, b_alpha=-1e4)
         dp = project(np.zeros((2, 2)), cold)
         np.testing.assert_array_equal(dp.log_alpha[:2], -LOG_ALPHA_CLAMP)
         assert ALPHA_CLAMP_EVENTS.count == 2
@@ -305,32 +262,14 @@ class TestGuards:
     def test_variance_floor(self):
         p = small_prior(d=2)
         base = identity_init(p, 10.0, 1e-3, d=2, h=1)
-        frozen = type(base)(
-            w_mu=base.w_mu,
-            b_mu=base.b_mu,
-            w_sigma=base.w_sigma,
-            b_sigma=np.full(2, -1e6),
-            w_alpha1=base.w_alpha1,
-            w_alpha2=base.w_alpha2,
-            b_alpha=0.0,
-            prior=p,
-        )
+        frozen = replace(base, b_sigma=np.full(2, -1e6))
         dp = project(np.ones((1, 2)), frozen)
         np.testing.assert_array_equal(dp.sigma[0] ** 2, SIGMA_SQ_FLOOR)
 
     def test_variance_overflow_guard(self):
         p = small_prior(d=2)
         base = identity_init(p, 10.0, 1e-3, d=2, h=1)
-        hot = type(base)(
-            w_mu=base.w_mu,
-            b_mu=base.b_mu,
-            w_sigma=base.w_sigma,
-            b_sigma=np.full(2, 1e6),
-            w_alpha1=base.w_alpha1,
-            w_alpha2=base.w_alpha2,
-            b_alpha=0.0,
-            prior=p,
-        )
+        hot = replace(base, b_sigma=np.full(2, 1e6))
         dp = project(np.ones((1, 2)), hot)
         assert np.all(np.isfinite(dp.sigma))
 
