@@ -1,9 +1,14 @@
 """Tests for multi-head denoising attention (eval and train paths)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nvtransformer import (
+    ALPHA_CLAMP_EVENTS,
+    LOG_ALPHA_CLAMP,
+    SIGMA_SQ_FLOOR,
     TAU_SIGMA_MIN,
     AttentionParams,
     DpPosterior,
@@ -141,6 +146,36 @@ class TestHeadSpace:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert maps[0].shape == (n, n + 1)
         np.testing.assert_allclose(maps[0], maps[1], rtol=0, atol=1e-12)
+
+    def test_project_skips_are_exact(self):
+        # the identity map head space relies on: means are z itself (a -0.0
+        # stays -0.0), every token gets the one std row, floor included, and
+        # log pseudo-counts are the scaled squared norm plus the dial
+        # offset, clamped: a 1e150 vector hits the clamp, and a b_alpha past
+        # it clamps every row
+        rng = np.random.default_rng(123)
+        d, h = 6, 2
+        prior = synthetic_prior(rng, d)
+        z = rng.normal(size=(9, d))
+        z[0, :3] = -0.0
+        z[1] = 1e150
+        w_alpha = np.full(d, 1.0 / (2.0 * np.sqrt(d / h)))
+        for tau_sigma, b_alpha, clamps in [(0.5, 0.0, 1), (TAU_SIGMA_MIN, 1e4, 9)]:
+            proj = replace(identity_init(prior, 1.0, tau_sigma, d=d, h=h), b_alpha=b_alpha)
+            ALPHA_CLAMP_EVENTS.reset()
+            dp = project(z, proj)
+            assert dp.mu[:-1].tobytes() == z.tobytes()
+            log_sig2 = np.minimum(proj.b_sigma, LOG_ALPHA_CLAMP)
+            std = np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
+            np.testing.assert_array_equal(dp.sigma[:-1], np.broadcast_to(std, z.shape))
+            np.testing.assert_array_equal(
+                dp.log_alpha[:-1],
+                np.clip((z * z) @ w_alpha + b_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP),
+            )
+            assert ALPHA_CLAMP_EVENTS.count == clamps
+        # at the floor dial the smallest prior std puts its tokens on the floor
+        assert dp.sigma[0, np.argmin(prior.sigma_p)] == np.sqrt(SIGMA_SQ_FLOOR)
+        ALPHA_CLAMP_EVENTS.reset()
 
 
 class TestIdentityEquivalence:

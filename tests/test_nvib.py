@@ -12,6 +12,7 @@ from nvtransformer import (
     TAU_SIGMA_MIN,
     DpPosterior,
     EmpiricalPrior,
+    NvibProjection,
     TauConfig,
     identity_init,
     identity_taus,
@@ -150,6 +151,21 @@ class TestEmpiricalPriorValidation:
 
 
 class TestIdentityInit:
+    def test_parameter_structure(self):
+        # the dials live in the offsets; the alpha row is the norm weighting
+        p = small_prior(d=4)
+        proj = identity_init(p, tau_alpha=10.0, tau_sigma=1e-3, d=4, h=2)
+        assert [f.name for f in fields(proj)] == [
+            "b_sigma", "w_alpha", "b_alpha", "prior", "token_sigma"
+        ]
+        assert proj.prior is p
+        np.testing.assert_array_equal(proj.b_sigma, 2.0 * np.log(p.sigma_p * 1e-3))
+        np.testing.assert_array_equal(proj.w_alpha, np.full(4, 1.0 / (2.0 * np.sqrt(2.0))))
+        assert proj.b_alpha == 0.7 * 10.0
+        np.testing.assert_array_equal(
+            proj.token_sigma, np.sqrt(np.maximum(np.exp(proj.b_sigma), SIGMA_SQ_FLOOR))
+        )
+
     def test_rejects_bad_head_count(self):
         with pytest.raises(ValueError, match="divide"):
             identity_init(small_prior(d=4), 10.0, 1e-3, d=4, h=3)
@@ -192,36 +208,41 @@ class TestProject:
         )
         assert dp.log_alpha[2] == p.log_alpha0_p
 
-    def test_identity_map_bit_for_bit(self):
-        # means pass through (a -0.0 stays -0.0), every token gets the one
-        # std row, floor included, and log pseudo-counts are the scaled
-        # squared norm plus the dial offset, clamped: a 1e150 vector hits the
-        # clamp, and a b_alpha past it clamps every row
-        d, h = 6, 2
-        p = replace(small_prior(d=d), sigma_p=np.linspace(0.5, 2.0, d))
-        z = np.random.default_rng(123).normal(size=(9, d))
-        z[0, :3] = -0.0
-        z[1] = 1e150
-        w_alpha = np.full(d, 1.0 / (2.0 * np.sqrt(d / h)))
-        for tau_sigma, b_alpha, clamps in [(0.5, None, 1), (TAU_SIGMA_MIN, 1e4, 9)]:
-            proj = identity_init(p, tau_alpha=10.0, tau_sigma=tau_sigma, d=d, h=h)
-            assert proj.b_alpha == 0.7 * 10.0
-            np.testing.assert_array_equal(proj.b_sigma, 2.0 * np.log(p.sigma_p * tau_sigma))
-            if b_alpha is not None:
-                proj = replace(proj, b_alpha=b_alpha)
-            ALPHA_CLAMP_EVENTS.reset()
-            dp = project(z, proj)
-            assert dp.mu[:-1].tobytes() == z.tobytes()
-            log_sig2 = np.minimum(proj.b_sigma, LOG_ALPHA_CLAMP)
-            std = np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
-            np.testing.assert_array_equal(dp.sigma[:-1], np.broadcast_to(std, z.shape))
-            log_alpha = (z * z) @ w_alpha + proj.b_alpha
-            np.testing.assert_array_equal(
-                dp.log_alpha[:-1], np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
-            )
-            assert ALPHA_CLAMP_EVENTS.count == clamps
-        # at the floor dial the smallest prior std puts its tokens on the floor
-        assert dp.sigma[0, 0] == np.sqrt(SIGMA_SQ_FLOOR)
+    def test_generic_projection_matches_formula(self):
+        # any offsets and alpha row, not only identity_init's: means are z,
+        # every token gets the one floored std row, and log pseudo-counts
+        # are (z*z) @ w_alpha + b_alpha, clamped, bit for bit
+        rng = np.random.default_rng(41)
+        d = 5
+        p = EmpiricalPrior(
+            mu_p=rng.normal(size=d),
+            sigma_p=rng.uniform(0.5, 1.5, size=d),
+            log_alpha0_p=0.2,
+            epsilon_alpha=1.1,
+            layer_group="decoder",
+            layer_id=1,
+        )
+        b_sigma = rng.normal(size=d)
+        b_sigma[0] = -200.0  # below the variance floor
+        b_sigma[1] = 1e4  # past the clamp
+        proj = NvibProjection(b_sigma=b_sigma, w_alpha=rng.normal(size=d), b_alpha=0.4, prior=p)
+        z = rng.normal(size=(7, d))
+        z[2] = 1e150
+        ALPHA_CLAMP_EVENTS.reset()
+        dp = project(z, proj)
+
+        assert dp.mu[:7].tobytes() == z.tobytes()
+        std = np.sqrt(np.maximum(np.exp(np.minimum(b_sigma, LOG_ALPHA_CLAMP)), SIGMA_SQ_FLOOR))
+        assert std[0] == np.sqrt(SIGMA_SQ_FLOOR)
+        np.testing.assert_array_equal(dp.sigma[:7], np.broadcast_to(std, z.shape))
+        log_alpha = (z * z) @ proj.w_alpha + 0.4
+        np.testing.assert_array_equal(
+            dp.log_alpha[:7], np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+        )
+        assert ALPHA_CLAMP_EVENTS.count == 1
+        np.testing.assert_array_equal(dp.mu[7], p.mu_p)
+        np.testing.assert_array_equal(dp.sigma[7], p.sigma_p)
+        assert dp.log_alpha[7] == p.log_alpha0_p
         ALPHA_CLAMP_EVENTS.reset()
 
     def test_rejects_width_mismatch(self):
