@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +69,6 @@ class AttentionParams:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.heads
-
-    @cached_property
-    def bk_heads(self) -> np.ndarray:
-        """bk as (h, d/h, 1) head columns, made once: q @ bk_heads is Q_i b^K_i."""
-        return split_heads(self.bk[None, :], self.heads).swapaxes(-1, -2)
 
 
 def causal_visible(m: int, n: int) -> np.ndarray:
@@ -150,10 +144,10 @@ def attention(
 ) -> np.ndarray:
     """Multi-head attention of m query vectors over n key/value vectors.
 
-    Scores per head are (Q_i K_i^T + Q_i b^K_i) / sqrt(d/h); the key-bias
-    term is constant per query so it never changes the weights, but it is
-    kept so the algebra matches the denoising path one-for-one.  With
-    `causal`, m must equal n and query t sees keys j <= t.
+    Scores per head are (Q_i K_i^T + Q_i b^K_i) / sqrt(d/h), b^K folded
+    into the keys; the key-bias term is constant per query, so it never
+    changes the weights (the denoising paths leave it out).  With `causal`,
+    m must equal n and query t sees keys j <= t.
 
     With `key_valid`, a boolean (B, n), the call is over a padded batch:
     u_prime is (B, m, d), z is (B, n, d) and the result (B, m, d).  Each

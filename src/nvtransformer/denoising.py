@@ -15,19 +15,20 @@ works at width d in every head (the per-head query U_i = Q_i (W^K_i)^T is
 projected back to d), so it costs h times the FLOPs of standard attention,
 and the head-space path is tested against it.  The head-space path takes a
 `KeyedPosterior`, the twin's: under `NvibProjection` every token component
-shares one variance row and the prior has its own, so the quadratic and
-interpolation terms reduce to two (d/h, d/h) forms per head and variance
-class (`SiteForms`, built once per site by `site_forms`), and the
-component means enter only through head-width keys and values computed
-once per posterior (`head_keys`).  The two paths agree to rounding error.
-A keyed posterior is one (n+1, 3d+1) row matrix, [P] last,
-[mu | k | v | c] (`KeyedPosterior.rows`).  Each row depends on its own
-component alone, so a causal cache appends a step's rows to one buffer.
+shares one variance row and the prior has its own, so the tokens' quadratic
+term is the same in every token column and only [P]'s column keeps one.
+With the interpolation terms that is one (d/h, 3d/h) form per head
+(`SiteForms`, built once per site by `site_forms`); the component means
+enter only through head-width keys and values, written in one pass from the
+site's vectors (`head_keys`).  The two paths agree to rounding error.  A
+keyed posterior is one (n+1, 3d+1) row matrix, [P] last, [mu | k | v | c]
+(`KeyedPosterior.rows`).  Each row depends on its own component alone, so a
+causal cache appends a step's rows to one buffer.
 
 Both paths also take a padded batch: (B, m, d) queries over a batch of B
-posteriors, with per-row forms stacked (B, 2, ...) when the sequences sit
-at different dials.  A padded token's component carries
-pseudo-count zero (see `project`), so it takes no weight, while [P] is
+posteriors, with per-row forms stacked (B, ...) when the sequences sit at
+different dials.  A padded token's component carries pseudo-count zero
+(see `project` and `head_keys`), so it takes no weight, while [P] is
 always visible.
 
 Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
@@ -57,7 +58,7 @@ from .attention import (
     split_heads,
 )
 # project is not called here; bench/spans.py traces it in this namespace.
-from .nvib import DpPosterior, NvibProjection, project
+from .nvib import DpPosterior, NvibProjection, project, token_log_alpha
 from .numeric import sample_dirichlet, sample_gaussian, softmax_rows
 
 __all__ = [
@@ -96,44 +97,47 @@ def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
 class SiteForms:
     """Head-space forms of one site whose token components share a variance.
 
-    Along the first axis of every array, index 0 is the tokens' variance
-    class and index 1 the prior's.  With sigma_r^2 = sqrt(d/h) + sigma^2:
-    inv_var (2, d) is 1/sigma_r^2, half_log_var (2,) is
-    0.5 sum log sigma_r^2, a (2, h, d/h, d/h) holds
-    W^K_i^T diag(1/sigma_r^2) W^K_i and b (2, h, d/h, d/h) holds
-    W^K_i^T diag(sigma^2/sigma_r^2) W^V_i.  The forms of a padded batch's
-    sequences may be stacked along a leading batch axis, (B, 2, ...).
+    With sigma_r^2 = sqrt(d/h) + sigma^2 in each variance class, the tokens'
+    (tok) and the prior's (P), A = W^K_i^T diag(1/sigma_r^2) W^K_i and
+    B = W^K_i^T diag(sigma^2/sigma_r^2) W^V_i in head i: inv_var (d,) is the
+    tokens' 1/sigma_r^2, half_log_var () their 0.5 sum log sigma_r^2, f
+    (h, d/h, 3d/h) holds [A^P - A^tok | B^tok | B^P] per head, so that one
+    product q @ f gives [P]'s quadratic term and both interpolation terms,
+    and prior_row (3d+1,) is [P]'s row of `KeyedPosterior.rows`.  The forms
+    of a padded batch's sequences may be stacked, (B, ...).
     """
 
     inv_var: np.ndarray
     half_log_var: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    f: np.ndarray
+    prior_row: np.ndarray
 
 
 def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms:
     """The head-space forms of a site: its projection's token variance
-    class and its prior's."""
-    h = params.heads
-    sigma = np.stack([proj.token_sigma, proj.prior.sigma_p])
-    sig2 = sigma * sigma
-    var_r = np.sqrt(params.head_dim) + sig2
-    inv_var = 1.0 / var_r
-    wk = split_heads(params.wk, h)                  # (h, d, d/h)
+    class against its prior's, and the prior's keyed row."""
+    h, scale, prior = params.heads, math.sqrt(params.head_dim), proj.prior
+    sig2 = np.square(np.array((proj.token_sigma, prior.sigma_p)))
+    var_r = scale + sig2
+    inv_var = 1.0 / var_r                           # (2, d): tokens, prior
+    half_log_var = 0.5 * np.log(var_r).sum(axis=1)
+    wk = split_heads(params.wk, h)
     wk_t = wk.swapaxes(-1, -2)
-    # (h, d/h, d) @ (2, h, d, d/h): one stacked product per form
+    # W^K_i^T diag(.) [W^K_i | W^V_i | W^V_i]; B of both classes in one product
+    b = (wk_t * (sig2 * inv_var)[:, None, None, :]) @ split_heads(params.wv, h)
+    x = prior.mu_p * inv_var[1]
+    c = prior.log_alpha0_p - 0.5 * (prior.mu_p @ x) - half_log_var[1]
     return SiteForms(
-        inv_var=inv_var,
-        half_log_var=0.5 * np.sum(np.log(var_r), axis=1),
-        a=wk_t @ (inv_var[:, None, :, None] * wk),
-        b=wk_t @ ((sig2 * inv_var)[:, None, :, None] * split_heads(params.wv, h)),
+        inv_var=inv_var[0],
+        half_log_var=half_log_var[0],
+        f=np.concatenate(((wk_t * (inv_var[1] - inv_var[0])) @ wk, b[0], b[1]), axis=-1),
+        prior_row=np.concatenate((prior.mu_p, x @ params.wk, scale * x @ params.wv, (c,))),
     )
 
 
 @dataclass(frozen=True)
 class KeyedPosterior:
-    """One site's head-space keys of a posterior as one row matrix,
-    unvalidated: `project` validated the posterior the rows were read from.
+    """One site's head-space keys of a posterior as one row matrix (`head_keys`).
 
     Rows (n+1, 3d+1) are [mu | k | v | c]: k = (mu/sigma_r^2) W^K and
     v = (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h),
@@ -149,18 +153,24 @@ class KeyedPosterior:
         return self.rows[..., : self.forms.inv_var.shape[-1]]
 
 
-def head_keys(dp: DpPosterior, params: AttentionParams, forms: SiteForms) -> KeyedPosterior:
-    """The site's head-space keys of `dp`.  `dp` must come from the
-    projection `forms` was built from: its token rows are taken to share
-    the tokens' variance.  A batch of posteriors takes one set of forms or
-    a (B, ...) stack of them."""
-    x = dp.mu * forms.inv_var[..., None, 0, :]
-    x[..., -1, :] = dp.mu[..., -1, :] * forms.inv_var[..., 1, :]
-    c = dp.log_alpha - 0.5 * (dp.mu * x).sum(axis=-1)
-    c[..., :-1] -= forms.half_log_var[..., :1]
-    c[..., -1] -= forms.half_log_var[..., 1]
-    v = math.sqrt(params.head_dim) * x @ params.wv
-    rows = np.concatenate([dp.mu, x @ params.wk, v, c[..., None]], axis=-1)
+def head_keys(
+    z, proj: NvibProjection, params: AttentionParams, forms: SiteForms, valid=None
+) -> KeyedPosterior:
+    """The site's keys of `project(z, proj, valid)`, written in one pass
+    from the vectors z, (n, d) or a padded batch (B, n, d) with its (B, n)
+    `valid`, unvalidated.  `forms` is `site_forms`' of `proj`, or a (B, ...)
+    stack of them.  The token means are z, so c is `token_log_alpha` (-inf
+    for a padded row) - 0.5 sum z*z/sigma_r^2 - half_log_var; [P]'s row is
+    the forms' own."""
+    d = z.shape[-1]
+    x = z * forms.inv_var[..., None, :]
+    rows = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1))
+    rows[..., -1, :] = forms.prior_row
+    tok = rows[..., :-1, :]
+    tok[..., :d], tok[..., d : 2 * d] = z, x @ params.wk
+    tok[..., 2 * d : -1] = math.sqrt(params.head_dim) * x @ params.wv
+    c = token_log_alpha(z * z, proj, valid) - 0.5 * (z * x).sum(axis=-1)
+    tok[..., -1] = c - forms.half_log_var[..., None]
     return KeyedPosterior(rows, forms)
 
 
@@ -178,43 +188,38 @@ def eval_dattn_multihead(
     variances:
 
       scores = U_i (mu/sigma_r^2)^T - 0.5 (U_i*U_i) (1/sigma_r^2)^T
-               + Q_i b^K_i / sqrt(d/h)
                + log alpha - 0.5 ||mu/sigma_r||^2 - sum log sigma_r
 
-    (the Q_i b^K_i term is constant per query and cancels in the softmax;
-    it is kept for parity with the standard path).  The pseudo-count
-    normaliser log alpha_0 is deliberately NOT subtracted: softmax removes
-    any per-query constant exactly, and subtracting a total over all
-    components would let causally-hidden tokens perturb visible rows at the
-    last bit.  The output interpolates between the queries and the component
-    means by sigma^2/sigma_r^2 before the value projection.
+    Terms constant per query are left to the softmax, which removes them
+    exactly: the key bias's Q_i b^K_i / sqrt(d/h), and the normaliser
+    log alpha_0, whose total over all components would also let
+    causally-hidden tokens perturb visible rows at the last bit.  The output
+    interpolates between the queries and the component means by
+    sigma^2/sigma_r^2 before the value projection.
 
     A `KeyedPosterior` (see `head_keys`; the token components share one
     variance) is evaluated in head space, at the cost of standard attention
-    plus two (d/h, d/h) forms per query and head.  With K_i, V_i, c and the
-    forms A, B of the posterior, w_P the prior's weight and w_tok the
-    summed token weights:
+    plus one (d/h, 3d/h) form per query and head, F_i = [A^P - A^tok |
+    B^tok | B^P] (`SiteForms`).  With K_i, V_i, c of the posterior, w_P the
+    prior's weight and w_tok the summed token weights:
 
-      scores = Q_i K_i^T - 0.5 Q_i A_i Q_i^T + Q_i b^K_i / sqrt(d/h) + c
-      output = w_tok Q_i B_i^tok + w_P Q_i B_i^P + w V_i
+      scores = Q_i K_i^T + c, less 0.5 Q_i (A^P - A^tok) Q_i^T in [P]'s column
+      output = w_tok Q_i B^tok + w_P Q_i B^P + w V_i
 
-    where the quadratic term uses the tokens' form for token columns and
-    the prior's for the last.  A `DpPosterior` takes the general path
-    above.
+    The tokens' own quadratic term, -0.5 Q_i A^tok Q_i^T, is the same in
+    every column and is left to the softmax too.  A `DpPosterior` takes the
+    general path above.
 
     A padded batch is (B, m, d) queries over a batch of B posteriors; the
     result is then (B, m, d) and the map (B, m, n+1).
     """
     queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
     h = params.heads
-    scale = math.sqrt(params.head_dim)
-
     q = split_heads(queries_pre @ params.wq + params.bq, h)    # (..., h, m, d/h)
-    qbk = q @ params.bk_heads                                   # (..., h, m, 1)
     if isinstance(dp, KeyedPosterior):
-        scores, mix = _head_space_path(q, qbk / scale, dp)
+        scores, mix = _head_space_path(q, dp)
     else:
-        scores, mix = _general_path(q, qbk / scale, dp, params)
+        scores, mix = _general_path(q, dp, params)
     if bias is not None:
         scores += bias
     w = softmax_rows(scores)
@@ -223,7 +228,7 @@ def eval_dattn_multihead(
     return merge_heads(mix(w)) + params.bv
 
 
-def _general_path(q, qbk, dp: DpPosterior, params: AttentionParams):
+def _general_path(q, dp: DpPosterior, params: AttentionParams):
     """The general path: (..., h, m, n+1) scores and the map from weights to
     the (..., h, m, d/h) head outputs, at width d per head."""
     h = params.heads
@@ -247,7 +252,6 @@ def _general_path(q, qbk, dp: DpPosterior, params: AttentionParams):
     scores = (
         u @ per_head(mu * inv_var).swapaxes(-1, -2)
         - 0.5 * (u * u) @ per_head(inv_var).swapaxes(-1, -2)
-        + qbk
         + c[..., None, None, :]
     )
 
@@ -259,24 +263,19 @@ def _general_path(q, qbk, dp: DpPosterior, params: AttentionParams):
     return scores, mix
 
 
-def _head_space_path(q, qbk, dp: KeyedPosterior):
-    """The head-space path: the same scores and map at width d/h."""
-    h = q.shape[-3]
-    forms = dp.forms
-    d = forms.inv_var.shape[-1]
+def _head_space_path(q, dp: KeyedPosterior):
+    """The head-space path: the same weights and map at width d/h."""
+    h, dh = q.shape[-3], q.shape[-1]
+    d = h * dh
     k, v, c = dp.rows[..., d : 2 * d], dp.rows[..., 2 * d : -1], dp.rows[..., -1]
-    # one axis for the two variance classes of the forms: (..., 1, h, m, d/h)
-    q2 = q[..., None, :, :, :]
-    quad = ((q2 @ forms.a) * q2).sum(axis=-1)       # (..., 2, h, m): Q_i A_i Q_i^T
-    scores = q @ split_heads(k, h).swapaxes(-1, -2) + qbk + c[..., None, None, :]
-    scores[..., :-1] -= 0.5 * quad[..., 0, :, :, None]
-    scores[..., -1] -= 0.5 * quad[..., 1, :, :]
+    qf = q @ dp.forms.f                             # (..., h, m, 3d/h)
+    scores = q @ split_heads(k, h).swapaxes(-1, -2) + c[..., None, None, :]
+    scores[..., -1] -= 0.5 * (qf[..., :dh] * q).sum(axis=-1)
 
     def mix(w):
-        qb = q2 @ forms.b                           # (..., 2, h, m, d/h)
         return (
-            w[..., :-1].sum(axis=-1, keepdims=True) * qb[..., 0, :, :, :]
-            + w[..., -1:] * qb[..., 1, :, :, :]
+            w[..., :-1].sum(axis=-1, keepdims=True) * qf[..., dh : 2 * dh]
+            + w[..., -1:] * qf[..., 2 * dh :]
             + w @ split_heads(v, h)
         )
 

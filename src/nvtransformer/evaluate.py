@@ -58,9 +58,11 @@ DECODE_STEPS = 16  # greedy decode length of every certify / sweep trial
 def make_random_corpus(
     config: ModelConfig, n: int, seed: int, min_len: int = 4, max_len: int | None = None
 ) -> list[list[int]]:
-    """Random token sequences over the non-reserved vocabulary."""
-    rng = make_rng(seed)
+    """Random token sequences over the non-reserved vocabulary, min_len..max_len long."""
     hi = max_len if max_len is not None else min(config.max_len - 1, 16)
+    if config.vocab <= FIRST_TOKEN or hi < min_len:
+        raise ValueError(f"random corpus needs vocab > {FIRST_TOKEN} and lengths {min_len}..{hi}")
+    rng = make_rng(seed)
     out = []
     for _ in range(n):
         length = int(rng.integers(min_len, hi + 1))
@@ -74,6 +76,8 @@ def make_template_corpus(config: ModelConfig, n: int, seed: int) -> list[list[in
     every site a rich latent distribution, while any sequence-level
     subsample reproduces the full-corpus statistics up to the sample-size
     correction."""
+    if config.vocab <= FIRST_TOKEN:
+        raise ValueError(f"template corpus needs vocab > {FIRST_TOKEN}")
     rng = make_rng(seed)
     length = min(30, config.max_len - 1)
     template = rng.integers(FIRST_TOKEN, config.vocab, length).tolist()

@@ -37,6 +37,7 @@ from .denoising import (
     head_keys,
     site_forms,
 )
+# project is not called here; bench/spans.py traces it in this namespace.
 from .nvib import (
     GROUPS,
     EmpiricalPrior,
@@ -372,8 +373,7 @@ def _site_ops(model, hook: SiteHook = None):
     params = _site_params(model.base)
 
     def keys(site, rows, valid):
-        dp = project(rows, model.projs[site], valid)
-        return head_keys(dp, params[site], model.forms[site]).rows
+        return head_keys(rows, model.projs[site], params[site], model.forms[site], valid).rows
 
     def attend(site, q, kv, valid, causal=False):
         sink = None if hook is None else partial(hook, *site)

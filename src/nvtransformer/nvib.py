@@ -32,6 +32,7 @@ __all__ = [
     "DpPosterior",
     "identity_init",
     "project",
+    "token_log_alpha",
     "to_gaussian_mixture",
 ]
 
@@ -223,12 +224,6 @@ class DpPosterior:
     def dim(self) -> int:
         return self.mu.shape[-1]
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The components as one (n+1, 2d+1) row matrix (a stack of them for a
-        batch), [mu | sigma | log_alpha]."""
-        return np.concatenate([self.mu, self.sigma, self.log_alpha[..., None]], axis=-1)
-
     def log_alpha_total(self) -> float:
         """log of the summed pseudo-counts, prior included."""
         return float(logsumexp_rows(self.log_alpha))
@@ -266,6 +261,20 @@ def _sigma(log_sig2: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.exp(log_sig2), SIGMA_SQ_FLOOR))
 
 
+def token_log_alpha(zz: np.ndarray, proj: NvibProjection, valid=None) -> np.ndarray:
+    """log pseudo-counts of vectors with squared entries zz, (n, d) or (B,
+    n, d): zz @ w_alpha + b_alpha clamped to +-LOG_ALPHA_CLAMP, clamps of
+    real vectors counted on ALPHA_CLAMP_EVENTS, -inf where `valid` is False.
+    The one clamp rule of `project` and of the twin's key map."""
+    log_alpha = zz @ proj.w_alpha + np.asarray(proj.b_alpha)[..., None]
+    clamped = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+    hit = clamped != log_alpha
+    ALPHA_CLAMP_EVENTS.add(np.count_nonzero(hit if valid is None else hit & valid))
+    if valid is not None:
+        clamped[~valid] = -np.inf
+    return clamped
+
+
 def project(
     z: np.ndarray, proj: NvibProjection, valid: np.ndarray | None = None
 ) -> DpPosterior:
@@ -275,8 +284,7 @@ def project(
     marks each sequence's real vectors (all of them when None).  A padded
     vector's component gets pseudo-count zero, log alpha -inf, so no
     attention weight; a projection with one b_alpha per row projects each
-    sequence with its own.  log pseudo-counts of real vectors are clamped to
-    +-LOG_ALPHA_CLAMP (occurrences recorded on ALPHA_CLAMP_EVENTS);
+    sequence with its own.  log pseudo-counts are `token_log_alpha`'s;
     component variances are floored at SIGMA_SQ_FLOOR.
     """
     z = np.asarray(z, dtype=np.float64)
@@ -291,13 +299,7 @@ def project(
     if valid is not None and (z.ndim != 3 or valid.shape != z.shape[:2]):
         raise ValueError("a padded batch needs (B, n, d) vectors and a (B, n) valid")
 
-    log_alpha = (z * z) @ proj.w_alpha + b_alpha[..., None]
-    clamped = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
-    hit = clamped != log_alpha
-    ALPHA_CLAMP_EVENTS.add(np.count_nonzero(hit if valid is None else hit & valid))
-    if valid is not None:
-        clamped[~valid] = -np.inf
-
+    clamped = token_log_alpha(z * z, proj, valid)
     p = proj.prior
     shape = z.shape[:-2] + (z.shape[-2] + 1,)
     mu_all, sigma_all = np.empty(shape + (d,)), np.empty(shape + (d,))

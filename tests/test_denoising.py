@@ -20,10 +20,13 @@ from nvtransformer import (
     identity_init,
     init_weights,
     project,
+    reinterpret,
     to_gaussian_mixture,
     train_dattn_multihead,
 )
 from nvtransformer.denoising import KeyedPosterior, head_keys, site_forms
+from nvtransformer.model import _stack_twins, sites
+from nvtransformer.nvib import TauConfig
 from nvtransformer.numeric import sample_dirichlet, sample_gaussian
 
 
@@ -36,6 +39,16 @@ def nv_self_attention(z, proj, params, causal=False, map_sink=None):
 def nv_causal_attention(z, proj, params, map_sink=None):
     """A twin causal site: nv_self_attention under the causal mask."""
     return nv_self_attention(z, proj, params, True, map_sink)
+
+
+def posterior_keys(dp, params):
+    """The keyed rows [mu | k | v | c] of a posterior whose components each
+    keep their own variance row: the reference for `head_keys`."""
+    scale = np.sqrt(params.head_dim)
+    var_r = scale + dp.sigma * dp.sigma
+    x = dp.mu / var_r
+    c = dp.log_alpha - 0.5 * np.sum(dp.mu * x, axis=-1) - 0.5 * np.sum(np.log(var_r), axis=-1)
+    return np.concatenate([dp.mu, x @ params.wk, scale * x @ params.wv, c[..., None]], axis=-1)
 
 
 def random_params(rng, d, h):
@@ -136,7 +149,7 @@ class TestHeadSpace:
         proj = identity_init(synthetic_prior(rng, d, eps=2.0), tau_alpha, tau_sigma, d=d, h=h)
         z = rng.normal(0.0, 1.5, size=(n, d))
         dp = project(z, proj)
-        keyed = head_keys(dp, params, site_forms(proj, params))
+        keyed = head_keys(z, proj, params, site_forms(proj, params))
         assert isinstance(keyed, KeyedPosterior)
 
         maps = []
@@ -146,6 +159,87 @@ class TestHeadSpace:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert maps[0].shape == (n, n + 1)
         np.testing.assert_allclose(maps[0], maps[1], rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _stacked_site(h, taus, rows):
+        """A (1+1)-layer d=32 twin per dial point in `taus`, stacked by
+        `_stack_twins` so that batch row b runs at taus[rows[b]]; returns
+        the encoder site's (params, stacked projection, stacked forms)."""
+        rng = np.random.default_rng(125)
+        d = 32
+        w = init_weights(ModelConfig(dim=d, heads=h, layers_enc=1, layers_dec=1), seed=h)
+        priors = [
+            replace(synthetic_prior(rng, d, group=g, eps=2.0), layer_id=l)
+            for g, l in sites(w.config)
+        ]
+        twins = [reinterpret(w, priors, t) for t in taus]
+        batch = _stack_twins([twins[i] for i in rows])
+        site = ("encoder", 0)
+        return w.enc[0].self_attn, batch.projs[site], batch.forms[site]
+
+    def test_key_map_clamp_edges(self):
+        # head_keys against project plus the keys of the posterior it
+        # returns, each component with its own variance: rows past
+        # +LOG_ALPHA_CLAMP, a b_alpha past -LOG_ALPHA_CLAMP, -0.0 entries,
+        # and a padded batch at mixed dials.  Both count the same clamps.
+        rng = np.random.default_rng(124)
+        d, h, n = 32, 2, 6
+        taus = [
+            TauConfig.uniform(10.0, TAU_SIGMA_MIN),
+            TauConfig.uniform(-3.0, 0.5),
+            TauConfig.uniform(-1e4, 0.25),       # b_alpha = -2e4: every row clamps
+        ]
+        params, proj, forms = self._stacked_site(h, taus, [0, 1, 2, 1])
+        z = rng.normal(0.0, 1.5, size=(4, n, d))
+        z[0, 1] = 1e150                          # log alpha about 1e299
+        z[1, 2] = 40.0                           # log alpha about 1.1e4
+        z[2, 0, :5] = -0.0
+        z[3, 3] = 60.0                           # past the clamp, but padded
+        valid = np.arange(n) < np.array([6, 4, 5, 3])[:, None]
+
+        ALPHA_CLAMP_EVENTS.reset()
+        dp = project(z, proj, valid)
+        want_clamps = ALPHA_CLAMP_EVENTS.count
+        want = posterior_keys(dp, params)
+        ALPHA_CLAMP_EVENTS.reset()
+        got = head_keys(z, proj, params, forms, valid).rows
+        assert ALPHA_CLAMP_EVENTS.count == want_clamps == 2 + 5
+        ALPHA_CLAMP_EVENTS.reset()
+
+        assert got[..., :-1, :d].tobytes() == z.tobytes()  # -0.0 kept
+        np.testing.assert_array_equal(got[..., :-1, -1][~valid], -np.inf)
+        np.testing.assert_array_equal(want[..., :-1, -1][~valid], -np.inf)
+        live = np.concatenate([valid, np.ones((4, 1), dtype=bool)], axis=1)
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=0)
+        # the clamped rows' bias is the clamp less their own norm term
+        assert got[0, 1, -1] < -1e298 and got[2, :5, -1].max() < -LOG_ALPHA_CLAMP
+
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    @pytest.mark.parametrize("mask", ["none", "causal"])
+    @pytest.mark.parametrize("tau_sigma", [TAU_SIGMA_MIN, 0.5])
+    def test_one_form_kernel_on_stacked_twins(self, h, mask, tau_sigma):
+        # a padded batch of twins at three alpha dials, the last putting
+        # most mass on [P] so its form counts: weights and outputs
+        # of the head-space kernel against the general path's
+        rng = np.random.default_rng(126)
+        n = 7
+        taus = [TauConfig.uniform(a, tau_sigma) for a in (10.0, -3.0, -15.0)]
+        params, proj, forms = self._stacked_site(h, taus, [0, 1, 2, 0, 1])
+        z = rng.normal(0.0, 1.5, size=(5, n, 32))
+        valid = np.arange(n) < np.array([7, 3, 5, 1, 6])[:, None]
+        causal = mask == "causal"
+
+        maps = []
+        got = eval_dattn_multihead(
+            z, head_keys(z, proj, params, forms, valid), params, causal, maps.append
+        )
+        want = eval_dattn_multihead(z, project(z, proj, valid), params, causal, maps.append)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert maps[0].shape == (5, n, n + 1)
+        np.testing.assert_allclose(maps[0], maps[1], rtol=0, atol=1e-12)
+        # padded tokens take no weight; the prior takes real mass somewhere
+        np.testing.assert_array_equal(maps[0][..., :-1][~valid[:, None, :].repeat(n, 1)], 0.0)
+        assert maps[0][..., -1].max() > 0.5
 
     def test_project_skips_are_exact(self):
         # the identity map head space relies on: means are z itself (a -0.0

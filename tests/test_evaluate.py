@@ -116,6 +116,28 @@ class TestCorpusBuilders:
         corpus[0][0] = 99  # rows must not alias each other
         assert corpus[1][0] != 99
 
+    @pytest.mark.parametrize(
+        "cfg", [ModelConfig(max_len=4), ModelConfig(max_len=1), ModelConfig(vocab=3)],
+        ids=["max_len-4", "max_len-1", "vocab-3"],
+    )
+    def test_empty_draw_ranges_refused_up_front(self, cfg):
+        # no lengths or no ids to draw from: a named error, not numpy's
+        # "low >= high" from deep in the draw
+        with pytest.raises(ValueError, match="random corpus needs vocab > 3"):
+            make_random_corpus(cfg, 5, seed=1)
+        if cfg.vocab == 3:
+            with pytest.raises(ValueError, match="template corpus needs vocab > 3"):
+                make_template_corpus(cfg, 5, seed=1)
+        else:
+            assert len(make_template_corpus(cfg, 2, seed=1)) == 2
+
+    def test_explicit_lengths_must_overlap(self):
+        with pytest.raises(ValueError, match="lengths 8..5"):
+            make_random_corpus(ModelConfig(), 5, seed=1, min_len=8, max_len=5)
+        # the smallest configs with something to draw still draw
+        assert all(len(s) == 4 for s in make_random_corpus(ModelConfig(max_len=5), 3, seed=1))
+        assert all(set(s) == {3} for s in make_random_corpus(ModelConfig(vocab=4), 3, seed=1))
+
     def test_eval_inputs_teacher_forced(self):
         cfg = ModelConfig()
         pairs = random_eval_inputs(cfg, 10, seed=4)

@@ -59,7 +59,8 @@ def general_site_ops(model, hook=None):
     params, d = _site_params(model.base), model.base.config.dim
 
     def keys(site, rows, valid):
-        return model_mod.project(rows, model.projs[site], valid).rows
+        dp = model_mod.project(rows, model.projs[site], valid)
+        return np.concatenate([dp.mu, dp.sigma, dp.log_alpha[..., None]], axis=-1)
 
     def attend(site, q, kv, valid, causal=False):
         dp = DpPosterior(kv[..., :d], kv[..., d:-1], kv[..., -1])
@@ -488,49 +489,52 @@ class TestIncrementalDecode:
     ):
         m = reinterpret(toy_model, toy_priors, identity_taus())
         encodes, projected = [], []
-        encode, project = model_mod._encode, model_mod.project
+        encode, head_keys = model_mod._encode, model_mod.head_keys
 
         def counting_encode(*args):
             encodes.append(1)
             return encode(*args)
 
-        def counting_project(z, proj, valid=None):
+        def counting_head_keys(z, proj, *args):
             projected.append((proj, z.shape[-2]))
-            return project(z, proj, valid)
+            return head_keys(z, proj, *args)
 
         monkeypatch.setattr(model_mod, "_encode", counting_encode)
-        monkeypatch.setattr(model_mod, "project", counting_project)
+        monkeypatch.setattr(model_mod, "head_keys", counting_head_keys)
         src = [3, 4, 5, 6, 7]
         out = greedy_decode(m, src, 12)
         assert encodes == [1]
-        # every encoder site projects its rows of the source once, every
-        # cross site the whole source once; every causal site projects one
-        # new row per step
+        # every encoder site keys its rows of the source once, every cross
+        # site the whole source once; every causal site keys one new row per
+        # step
         for proj in group_projs(m, "encoder") + group_projs(m, "cross"):
             assert [n for p, n in projected if p is proj] == [len(src)]
         for proj in group_projs(m, "decoder"):
             assert [n for p, n in projected if p is proj] == [1] * len(out)
 
     def test_validates_each_posterior_once(self, toy_model, toy_priors, monkeypatch):
-        # the causal cache holds rows, not posteriors: the only DpPosterior a
-        # decode builds, and so validates, is the one each project call returns
+        # the key map writes each row's keys straight from the site's
+        # vectors and the causal cache holds rows: a decode builds, and so
+        # validates, no DpPosterior at all
         m = reinterpret(toy_model, toy_priors, identity_taus())
-        built, projected = [], []
-        post_init, project = DpPosterior.__post_init__, model_mod.project
+        built, keyed = [], []
+        post_init, head_keys = DpPosterior.__post_init__, model_mod.head_keys
 
         def counting_post_init(dp):
             built.append(1)
             post_init(dp)
 
-        def counting_project(z, proj, valid=None):
-            projected.append(1)
-            return project(z, proj, valid)
+        def counting_head_keys(*args):
+            keyed.append(1)
+            return head_keys(*args)
 
         monkeypatch.setattr(DpPosterior, "__post_init__", counting_post_init)
-        monkeypatch.setattr(model_mod, "project", counting_project)
+        monkeypatch.setattr(model_mod, "head_keys", counting_head_keys)
         out = greedy_decode(m, [3, 4, 5, 6, 7], 16)
         assert len(out) > 1
-        assert len(built) == len(projected)
+        cfg = toy_model.config
+        assert len(keyed) == cfg.layers_enc + cfg.layers_dec * (1 + len(out))
+        assert built == []
 
 
 class TestTwinBatch:
