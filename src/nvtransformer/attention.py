@@ -2,18 +2,18 @@
 
 Full d x d projection matrices are stored once; head i owns columns
 [i*d/h, (i+1)*d/h) of each.  Every path computes all heads at once in three
-steps: `split_heads` reshapes projected (m, d) rows into an (h, m, d/h)
-stack, `attend_heads` forms the (h, m, n) scores with stacked matrix
-products, adds one (m, n) bias shared by every head and applies a single
-softmax over the stack, and `merge_heads` lays the (h, m, d/h) outputs back
-side by side in (m, d).  Each head value-projects into its own slice of the
-output, so there is no separate output projection.  The denoising paths
-reuse the same split, attend and merge steps.  Every site is unmasked
-(encoder, cross) or `causal` (decoder: query t sees keys j <= t).
+steps: `split_heads` reshapes projected (..., m, d) rows into an
+(..., h, m, d/h) stack, `attend_heads` forms the (..., h, m, n) scores with
+stacked matrix products, adds one bias shared by every head and applies a
+single softmax over the stack, and `merge_heads` lays the (..., h, m, d/h)
+outputs back side by side in (..., m, d).  Each head value-projects into its
+own slice of the output, so there is no separate output projection.  The
+denoising paths reuse the same split, attend and merge steps.  Every site is
+unmasked (encoder, cross) or `causal` (decoder: query t sees keys j <= t).
 
-The three steps also take a leading batch axis: a padded batch of B
-sequences is (B, m, d) rows over (B, n, d) keys, with a (B, n) key-validity
-mask that hides each sequence's padded keys from all of its queries.
+All three kernels take queries (..., m, d) over keys (..., n, d), with the
+same leading axes (`check_inputs`).  In a padded batch, a (B, n) key_valid
+hides each sequence's padded keys from all of its queries.
 
 A bias is built only when a key is hidden: for a causal call, or when some
 key_valid entry is False.  An unmasked call over all-valid keys, such as
@@ -135,6 +135,24 @@ def attend_heads(
     return w @ v, w
 
 
+def check_inputs(queries, keys, d: int, key_valid=None):
+    """The input rule of the three attention kernels: queries (..., m, d)
+    over keys (..., n, d) with the same leading axes and width d, and any
+    key_valid shaped like the keys less their last axis; all as arrays."""
+    q, k = np.asarray(queries, dtype=np.float64), np.asarray(keys, dtype=np.float64)
+    if (q.ndim < 2 or k.ndim != q.ndim or k.shape[:-2] != q.shape[:-2]
+            or q.shape[-1] != d or k.shape[-1] != d):
+        raise ValueError(
+            f"queries {q.shape} and keys {k.shape} need the same leading axes and width {d}"
+        )
+    valid = None if key_valid is None else np.asarray(key_valid, dtype=bool)
+    if valid is not None and valid.shape != k.shape[:-1]:
+        raise ValueError(
+            f"a padded batch's key_valid {valid.shape} must be its keys' {k.shape[:-1]}"
+        )
+    return q, k, valid
+
+
 def attention(
     u_prime: np.ndarray,
     z: np.ndarray,
@@ -149,37 +167,22 @@ def attention(
     changes the weights (the denoising paths leave it out).  With `causal`,
     m must equal n and query t sees keys j <= t.
 
-    With `key_valid`, a boolean (B, n), the call is over a padded batch:
-    u_prime is (B, m, d), z is (B, n, d) and the result (B, m, d).  Each
-    sequence's invalid keys get zero weight in every one of its rows, on
-    top of the causal mask, so a valid row does not depend on any padded key.
+    Queries u_prime (..., m, d) over keys z (..., n, d) give (..., m, d).  A
+    boolean `key_valid` shaped like z less its last axis, such as a padded
+    batch's (B, n), gives invalid keys zero weight in every row of their
+    sequence, on top of the causal mask, so no valid row reads a padded key.
 
     A -inf bias is built, and checked for fully masked rows, only when a key
     is hidden: a causal call, a False in key_valid, or no keys at all.
     """
-    d = params.model_dim
-    if key_valid is None:
-        u_prime = as_matrix(u_prime)
-        z = as_matrix(z)
-    else:
-        u_prime = np.asarray(u_prime, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        key_valid = np.asarray(key_valid, dtype=bool)
-        if (u_prime.ndim != 3 or z.ndim != 3 or u_prime.shape[0] != z.shape[0]
-                or key_valid.shape != z.shape[:2]):
-            raise ValueError(
-                "a padded batch needs (B, m, d) queries, (B, n, d) keys and "
-                "a (B, n) key_valid"
-            )
-    if u_prime.shape[-1] != d or z.shape[-1] != d:
-        raise ValueError("query/key width must equal model_dim")
+    u_prime, z, key_valid = check_inputs(u_prime, z, params.model_dim, key_valid)
     m, n = u_prime.shape[-2], z.shape[-2]
     bias = None
     if causal or n == 0 or (key_valid is not None and not key_valid.all()):
         visible = causal_visible(m, n) if causal else np.ones((m, n), dtype=bool)
         if key_valid is not None:
-            # (m, n) & (B, 1, 1, n): one (B, 1, m, n) bias shared by the heads
-            visible = visible & key_valid[:, None, None, :]
+            # (m, n) & (..., 1, 1, n): one (..., 1, m, n) bias shared by the heads
+            visible = visible & key_valid[..., None, None, :]
         bias = _mask_bias(visible)
     h = params.heads
     # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i

@@ -52,8 +52,8 @@ def _parse_config_file(path: str) -> dict[str, int]:
             key = key.strip()
             if not sep or key not in names:
                 raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
-            try:
-                out[key] = int(value.strip())
+            try:  # one ASCII decimal, as a token id is read
+                (out[key],) = parse_token_ids(value)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: {key} needs an integer"

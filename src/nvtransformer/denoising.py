@@ -54,6 +54,7 @@ from .attention import (
     _mask_bias,
     attend_heads,
     causal_visible,
+    check_inputs,
     merge_heads,
     split_heads,
 )
@@ -74,21 +75,13 @@ MapSink = Callable[[np.ndarray], None] | None
 
 
 def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
-    """The queries as an array and the additive (m, n+1) bias of a call over
-    dp's components.  A causal call's prior column is always visible; an
-    unmasked call (every decode step's case) has no bias, None."""
-    queries_pre = np.asarray(queries_pre, dtype=np.float64)
-    mu = dp.mu
-    if queries_pre.ndim not in (2, 3) or mu.shape[:-2] != queries_pre.shape[:-2]:
-        raise ValueError(
-            f"queries {queries_pre.shape} and components {mu.shape} must be "
-            "(m, d) and (n+1, d), or a batch (B, m, d) and (B, n+1, d)"
-        )
-    m, n_comp = queries_pre.shape[-2], mu.shape[-2]
-    if queries_pre.shape[-1] != params.model_dim or mu.shape[-1] != params.model_dim:
-        raise ValueError("query/component width must equal model_dim")
+    """`check_inputs`' queries over dp's components, and the additive (m, n+1)
+    bias of a causal call, whose prior column is always visible; an unmasked
+    call (every decode step's case) has none, None."""
+    queries_pre, mu, _ = check_inputs(queries_pre, dp.mu, params.model_dim)
     if not causal:
         return queries_pre, None
+    m, n_comp = queries_pre.shape[-2], mu.shape[-2]
     prior = np.ones((m, 1), dtype=bool)
     return queries_pre, _mask_bias(np.hstack([causal_visible(m, n_comp - 1), prior]))
 
@@ -296,6 +289,8 @@ def train_dattn_multihead(
     component vectors Z~ from their Gaussians, then runs standard attention
     over the sampled impulses with key bias log pi - ||Z~||^2 / (2 sqrt(d/h)).
     """
+    if dp.mu.ndim != 2:
+        raise ValueError("train_dattn_multihead takes one posterior, not a padded batch")
     queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
     h = params.heads
     scale = math.sqrt(params.head_dim)

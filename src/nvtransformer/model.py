@@ -9,12 +9,12 @@ produce the same logits up to rounding.  Both run the same site walk and
 differ only in how a site reads its keys and attends (`_site_ops`).
 
 The walk runs a padded batch of sequences with their key validity; a single
-`forward_nv` or `greedy_decode` is the batch of one.  Twins of one base at
-different dials run as one batch too (`_stack_twins`), each row at its own
-twin's dials, which is how a dial sweep decodes every point and input pair
-in one pass.  A batched decode steps every row until all have emitted EOS;
-a row's positions after its EOS are padding, and its tokens are cut at its
-first EOS.
+`forward_standard`, `forward_nv` or `greedy_decode` is the batch of one.
+Twins of one base at different dials run as one batch too (`_stack_twins`),
+each row at its own twin's dials, which is how a dial sweep decodes every
+point and input pair in one pass.  A batched decode steps every row until
+all have emitted EOS; a row's positions after its EOS are padding, and its
+tokens are cut at its first EOS.
 
 Layer-norm gains and offsets are initialised with real spread (not 1/0) so
 that post-norm vectors have varied norms; the norm-spread statistic the
@@ -294,14 +294,14 @@ def _pad(seqs) -> tuple[np.ndarray, np.ndarray]:
 
 def _embed(w: ModelWeights, ids: np.ndarray, start: int = 0) -> np.ndarray:
     """Scaled token embeddings plus the positions start, start+1, ...; ids
-    is one sequence (L,) or a padded batch (B, L)."""
+    is a padded batch (B, L)."""
     d = w.config.dim
     return w.tok_emb[ids] * np.sqrt(d) + w.pos_enc[start : start + ids.shape[-1]]
 
 
 def _encode(w: ModelWeights, src: np.ndarray, self_attn) -> np.ndarray:
-    """Final encoder states (the cross sites' memory) for a checked source
-    (S,) or padded batch of sources (B, S).
+    """Final encoder states (the cross sites' memory) for a padded batch of
+    checked sources (B, S).
 
     `self_attn(l, z)` is encoder layer l's attention update for its
     post-norm rows z.
@@ -347,8 +347,8 @@ def _site_ops(model, hook: SiteHook = None):
     the rows of their projected posterior, [P] last (see `denoising`).
     `attend(site, q, kv, valid, causal)` attends queries q over such keys:
     standard attention, or denoising attention over the posterior the rows
-    hold.  Rows are one sequence (n, d), or a padded batch (B, n, d) whose
-    (B, n) `valid` marks each sequence's real rows: the standard model hides
+    hold.  Rows are a padded batch (B, n, d) whose (B, n) `valid` marks each
+    sequence's real rows, all of them when None: the standard model hides
     the others from attention, the twin gives their components pseudo-count
     zero, so `attend` reads its validity from the rows.  The twin is an
     NvModel, whose dials every row shares, or `_stack_twins`' batch.
@@ -365,7 +365,7 @@ def _site_ops(model, hook: SiteHook = None):
 
         def attend(site, q, kv, valid, causal=False):
             if hook is not None:
-                hook(*site, kv if valid is None else kv[valid])
+                hook(*site, kv.reshape(-1, kv.shape[-1]) if valid is None else kv[valid])
             return attention(q, kv, params[site], causal, key_valid=valid)
 
         return model, keys, attend
@@ -432,16 +432,15 @@ def _stack_twins(twins: list[NvModel]) -> NvModel | _Twins:
 
 
 def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
-    """Encode a checked source once through `_site_ops`' ops; return
-    (weights, causal, cross), the decoder's attention sites for `_decode`
-    over a whole target under the causal mask.  Each cross site reads its
-    keys of the memory once, up front.
+    """Encode a padded batch of checked sources (B, S) once through
+    `_site_ops`' ops; return (weights, causal, cross), the decoder's
+    attention sites for `_decode` over whole targets under the causal mask.
+    Each cross site reads its keys of the memory once, up front.
 
-    A padded batch of sources (B, S) comes with its validity src_valid, and
-    its targets' tgt_valid: padded keys take no weight in any query;
-    padded target positions come after every valid one, so the causal mask
-    hides them too.  Padded query rows are computed and left for the caller
-    to drop.
+    src_valid and tgt_valid are the sources' and targets' validity, all
+    valid when None: padded keys take no weight in any query; padded target
+    positions come after every valid one, so the causal mask hides them
+    too.  Padded query rows are computed and left for the caller to drop.
     """
     w, keys, attend = ops
 
@@ -473,15 +472,15 @@ def forward_standard(
     """
     src = _check_tokens(src, w.config, "source")
     tgt = _check_tokens(tgt, w.config, "target")
-    return _teacher_forced(w, src, tgt, site_hook)
+    return _teacher_forced(w, src[None], tgt[None], site_hook)[0]
 
 
 def _teacher_forced(
     model, src, tgt, hook: SiteHook = None, src_valid=None, tgt_valid=None
 ):
-    """Logits of checked tokens through `_attention_sites` and `_decode`;
-    with src_valid and tgt_valid, a padded batch whose padded rows' logits
-    mean nothing."""
+    """Logits (B, L, vocab) of a padded batch of checked sources (B, S) and
+    targets (B, L) through `_attention_sites` and `_decode`; with src_valid
+    and tgt_valid, padded rows' logits mean nothing."""
     ops = _site_ops(model, hook)
     w, causal, cross = _attention_sites(ops, src, src_valid, tgt_valid)
     return _decode(w, _embed(w, tgt), causal, cross)
@@ -575,8 +574,6 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None):
     mask, as causal masking means earlier rows never change.  For the twin
     the rows are a posterior's, whose [P] row moves down one each step.
     """
-    if src_valid is None:
-        src_valid = np.ones(src.shape, dtype=bool)
     ops = _site_ops(model)
     w, keys, attend = ops
     _, _, cross = _attention_sites(ops, src, src_valid)

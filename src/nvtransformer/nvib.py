@@ -224,9 +224,10 @@ class DpPosterior:
     def dim(self) -> int:
         return self.mu.shape[-1]
 
-    def log_alpha_total(self) -> float:
-        """log of the summed pseudo-counts, prior included."""
-        return float(logsumexp_rows(self.log_alpha))
+    def log_alpha_total(self) -> float | np.ndarray:
+        """log of the summed pseudo-counts, prior included: one total per
+        posterior, a float, or (B,) for a padded batch."""
+        return logsumexp_rows(self.log_alpha)[()]
 
 
 def identity_init(
@@ -313,6 +314,8 @@ def project(
 def to_gaussian_mixture(dp: DpPosterior) -> GaussianMixtureRepr:
     """Normalise pseudo-counts into mixture weights (log-sum-exp, prior
     included) and expose the components as a Gaussian mixture."""
+    if dp.mu.ndim != 2:
+        raise ValueError("to_gaussian_mixture takes one posterior, not a padded batch")
     logw = dp.log_alpha - dp.log_alpha_total()
     return GaussianMixtureRepr(
         mu=dp.mu.copy(), sigma=dp.sigma.copy(), weights=np.exp(logw)

@@ -154,8 +154,9 @@ def site_stats(
 def reservoir_subsample(
     n: int, fraction: float, seed: int
 ) -> list[int]:
-    """Indices of a seeded reservoir sample of ceil-rounded size
-    max(1, round(fraction * n)), returned in stream order."""
+    """Indices of a seeded reservoir sample of size max(1, round(fraction *
+    n)), returned in stream order; `round` takes a half to the even side, so
+    n=5 at fraction 0.5 keeps 2 and n=7 keeps 4."""
     if not (0.0 < fraction <= 1.0):
         raise ValueError("fraction must be in (0, 1]")
     if n == 0:

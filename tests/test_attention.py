@@ -5,7 +5,13 @@ import importlib
 import numpy as np
 import pytest
 
-from nvtransformer import forward_standard, greedy_decode
+from nvtransformer import (
+    DpPosterior,
+    eval_dattn_multihead,
+    forward_standard,
+    greedy_decode,
+    train_dattn_multihead,
+)
 from nvtransformer.attention import (
     AttentionParams,
     attention,
@@ -274,6 +280,44 @@ class TestMaskOnlyWhereHidden:
         p = random_params(rng, 8, 2)
         with pytest.raises(ValueError, match="masked"):
             attention(rng.normal(size=(2, 8)), np.zeros((0, 8)), p)
+
+
+class TestOneInputRule:
+    """Queries (..., m, d) over keys (..., n, d) with the same leading axes,
+    and key_valid optional in every layout."""
+
+    def test_batch_without_key_valid_matches_per_sequence_calls_bitwise(self):
+        rng = make_rng(96)
+        p = random_params(rng, 16, 2)
+        u, z = rng.normal(size=(3, 4, 16)), rng.normal(size=(3, 6, 16))
+        out = attention(u, z, p)
+        for b in range(3):
+            np.testing.assert_array_equal(out[b], attention(u[b], z[b], p))
+
+    def test_unbatched_key_valid_hides_keys(self):
+        rng = make_rng(97)
+        p = random_params(rng, 8, 2)
+        u, z = rng.normal(size=(3, 8)), rng.normal(size=(5, 8))
+        valid = np.array([True, False, True, True, False])
+        np.testing.assert_allclose(
+            attention(u, z, p, key_valid=valid), attention(u, z[valid], p), atol=1e-12
+        )
+
+    def test_three_kernels_refuse_mismatched_leading_axes(self):
+        rng = make_rng(98)
+        p = random_params(rng, 4, 2)
+        queries = rng.normal(size=(2, 3, 4))
+        batch = DpPosterior(mu=np.zeros((3, 4, 4)), sigma=np.ones((3, 4, 4)),
+                            log_alpha=np.zeros((3, 4)))
+        one = DpPosterior(mu=np.zeros((4, 4)), sigma=np.ones((4, 4)), log_alpha=np.zeros(4))
+        for call in (
+            lambda: attention(queries, rng.normal(size=(3, 4, 4)), p),
+            lambda: attention(queries[0], rng.normal(size=(3, 4, 4)), p),
+            lambda: eval_dattn_multihead(queries, batch, p),
+            lambda: train_dattn_multihead(queries, one, p, rng),
+        ):
+            with pytest.raises(ValueError, match="same leading axes"):
+                call()
 
 
 class TestAttnCore:

@@ -88,6 +88,22 @@ class TestInitModel:
         assert w.config.dim == 8
         assert w.config.vocab == 24  # flag wins over file
 
+    @pytest.mark.parametrize(
+        "line",
+        ["dim=1_6", "heads=+2", "vocab=\u0666\u0664", "dim=x"],
+        ids=["underscore", "plus", "arabic-indic-digits", "not-a-number"],
+    )
+    def test_config_value_is_an_ascii_decimal(self, tmp_path, capsys, line):
+        # the token-id rule: what int() would also read is refused
+        cfg_file = tmp_path / "model.cfg"
+        cfg_file.write_text(f"# toy setup\n{line}\n", encoding="utf-8")
+        r = main(["init-model", "--config", str(cfg_file),
+                  "--out", str(tmp_path / "m.nvtx")])
+        assert r == 2
+        key = line.partition("=")[0]
+        assert f"model.cfg:2: {key} needs an integer" in capsys.readouterr().err
+        assert not (tmp_path / "m.nvtx").exists()
+
     def test_bad_config_line_is_usage_error(self, tmp_path):
         cfg_file = tmp_path / "model.cfg"
         cfg_file.write_text("dim=8\nwidth=9\n")
@@ -623,17 +639,36 @@ class TestUsage:
         assert main(["certify", "--model", "x.nvtx"]) == 2
         capsys.readouterr()
 
-    def test_module_entry_point_runs_from_source(self):
-        # `python -m nvtransformer` from a source checkout, package not installed
+    @staticmethod
+    def run_from_source(*args):
+        """`python *args` from a source checkout, package not installed."""
         src = str(pathlib.Path(nvtransformer.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        r = subprocess.run(
-            [sys.executable, "-m", "nvtransformer", "--help"],
-            env=env, capture_output=True, text=True, timeout=60,
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
         )
+
+    def test_module_entry_point_runs_from_source(self):
+        r = self.run_from_source("-m", "nvtransformer", "--help")
         assert r.returncode == 0, r.stderr
         assert "estimate-prior" in r.stdout
+
+    @pytest.mark.parametrize(
+        "launch",
+        [
+            ("-m", "nvtransformer"),
+            # what the installed `nvtransformer` console script runs
+            ("-c", "from nvtransformer.cli import entry; entry()"),
+        ],
+        ids=["module", "console-script"],
+    )
+    def test_entry_exit_codes(self, launch):
+        r = self.run_from_source(*launch, "--help")
+        assert r.returncode == 0, r.stderr
+        r = self.run_from_source(*launch, "certify")
+        assert r.returncode == 2
+        assert "required" in r.stderr
 
 
 class TestArgumentEdges:

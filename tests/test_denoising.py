@@ -464,3 +464,11 @@ class TestValidation:
         dp = random_posterior(rng, 3, 5)
         with pytest.raises(ValueError, match="width"):
             train_dattn_multihead(np.zeros((2, 4)), dp, params, rng)
+
+    def test_train_refuses_a_padded_batch(self):
+        rng = np.random.default_rng(116)
+        params = random_params(rng, 4, 2)
+        one = random_posterior(rng, 3, 4)
+        dp = DpPosterior(*(np.stack([a, a]) for a in (one.mu, one.sigma, one.log_alpha)))
+        with pytest.raises(ValueError, match="takes one posterior"):
+            train_dattn_multihead(np.zeros((2, 2, 4)), dp, params, rng)

@@ -24,7 +24,7 @@ from nvtransformer import (
     save_weights,
 )
 from nvtransformer import model as model_mod
-from nvtransformer.evaluate import grid_points, make_random_corpus
+from nvtransformer.evaluate import grid_points, make_random_corpus, run_sweep
 from nvtransformer.model import (
     LN_EPS,
     LayerNormParams,
@@ -613,6 +613,40 @@ class TestTwinBatch:
         b = reinterpret(other, toy_priors, grid_points("interp:2")[1])
         with pytest.raises(ValueError, match="share one base"):
             _stack_twins([a, b])
+
+
+class TestOneLayout:
+    def test_every_caller_runs_the_walk_batched(self, toy_model, toy_priors, monkeypatch):
+        # the single-pair entry points are batches of one, like the sweep
+        # and the estimator: the kernels only ever see (B, m, d) queries
+        ndims = []
+
+        def spy(kernel):
+            def wrapped(queries, *args, **kwargs):
+                ndims.append(np.ndim(queries))
+                return kernel(queries, *args, **kwargs)
+            return wrapped
+
+        for name in ("attention", "eval_dattn_multihead"):
+            monkeypatch.setattr(model_mod, name, spy(getattr(model_mod, name)))
+        twin = reinterpret(toy_model, toy_priors, identity_taus())
+        src, tgt = [3, 14, 25, 36], [BOS_ID, 5, 6]
+        callers = {
+            "forward_standard": lambda: forward_standard(toy_model, src, tgt),
+            "forward_nv": lambda: forward_nv(twin, src, tgt),
+            "greedy_decode standard": lambda: greedy_decode(toy_model, src, 4),
+            "greedy_decode twin": lambda: greedy_decode(twin, src, 4),
+            "estimate_priors": lambda: estimate_priors(
+                toy_model, make_random_corpus(toy_model.config, 8, seed=3)
+            ),
+            "run_sweep": lambda: run_sweep(
+                toy_model, toy_priors, grid_points("interp:2"), trials=2, seed=1
+            ),
+        }
+        for caller, call in callers.items():
+            ndims.clear()
+            call()
+            assert ndims and set(ndims) == {3}, caller
 
 
 class TestConfigPositivity:

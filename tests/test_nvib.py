@@ -316,6 +316,17 @@ class TestDpPosterior:
             dp.log_alpha_total(), 700.0 + np.log(2.0), rtol=1e-15
         )
 
+    def test_log_alpha_total_per_posterior_of_a_batch(self):
+        rng = np.random.default_rng(6)
+        la = rng.normal(size=(2, 4))
+        dp = DpPosterior(mu=np.zeros((2, 4, 3)), sigma=np.ones((2, 4, 3)), log_alpha=la)
+        totals = dp.log_alpha_total()
+        assert totals.shape == (2,)
+        for b in range(2):
+            one = DpPosterior(mu=np.zeros((4, 3)), sigma=np.ones((4, 3)), log_alpha=la[b])
+            assert isinstance(one.log_alpha_total(), float)
+            assert totals[b] == one.log_alpha_total()
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n\\+1"):
             DpPosterior(
@@ -361,3 +372,10 @@ class TestToGaussianMixture:
         g = to_gaussian_mixture(dp)
         assert np.all(np.isfinite(g.weights))
         np.testing.assert_allclose(np.sum(g.weights), 1.0, rtol=1e-12)
+
+    def test_batch_refused(self):
+        dp = DpPosterior(
+            mu=np.zeros((2, 3, 1)), sigma=np.ones((2, 3, 1)), log_alpha=np.zeros((2, 3))
+        )
+        with pytest.raises(ValueError, match="takes one posterior"):
+            to_gaussian_mixture(dp)

@@ -138,6 +138,9 @@ class TestReservoir:
         assert len(reservoir_subsample(1000, 0.001, seed=0)) == 1
         assert len(reservoir_subsample(1000, 0.25, seed=0)) == 250
         assert reservoir_subsample(7, 1.0, seed=0) == list(range(7))
+        # round() takes a half to the even side: 2.5 -> 2, 3.5 -> 4
+        assert len(reservoir_subsample(5, 0.5, seed=0)) == 2
+        assert len(reservoir_subsample(7, 0.5, seed=0)) == 4
 
     def test_indices_sorted_unique_in_range(self):
         idx = reservoir_subsample(500, 0.05, seed=9)
