@@ -4,20 +4,27 @@ Full d x d projection matrices are stored once; head i owns columns
 [i*d/h, (i+1)*d/h) of each.  Every path computes all heads at once in three
 steps: `split_heads` reshapes projected (..., m, d) rows into an
 (..., h, m, d/h) stack, `attend_heads` forms the (..., h, m, n) scores with
-stacked matrix products, adds one bias shared by every head and applies a
-single softmax over the stack, and `merge_heads` lays the (..., h, m, d/h)
-outputs back side by side in (..., m, d).  Each head value-projects into its
-own slice of the output, so there is no separate output projection.  The
-denoising paths reuse the same split, attend and merge steps.  Every site is
-unmasked (encoder, cross) or `causal` (decoder: query t sees keys j <= t).
+stacked matrix products, hides keys with one mask shared by every head and
+applies a single softmax over the stack, and `merge_heads` lays the
+(..., h, m, d/h) outputs back side by side in (..., m, d).  Each head
+value-projects into its own slice of the output, so there is no separate
+output projection.  The denoising paths reuse the same split, attend and
+merge steps.  Every site is unmasked (encoder, cross) or `causal` (decoder:
+query t sees keys j <= t).
 
 All three kernels take queries (..., m, d) over keys (..., n, d), with the
 same leading axes (`check_inputs`).  In a padded batch, a (B, n) key_valid
 hides each sequence's padded keys from all of its queries.
 
-A bias is built only when a key is hidden: for a causal call, or when some
+A mask is built only when a key is hidden: for a causal call, or when some
 key_valid entry is False.  An unmasked call over all-valid keys, such as
-every step of a greedy decode over an unpadded source, adds none.
+every step of a greedy decode over an unpadded source, builds none.
+
+Each result is allocated once and transformed in place by the operations of
+the out-of-place form, in its order, so the bits are the same: a projection
+adds its bias to the product (`numeric.affine`), the scores are divided and
+take -inf where a key is hidden, and `softmax_rows` allocates only its
+result.  No kernel writes its arguments.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import as_matrix, softmax_rows
+from .numeric import affine, as_matrix, softmax_rows
 
 __all__ = ["AttentionParams", "attention", "attn_core"]
 
@@ -79,15 +86,12 @@ def causal_visible(m: int, n: int) -> np.ndarray:
     return np.tri(m, dtype=bool)
 
 
-def _mask_bias(visible: np.ndarray) -> np.ndarray:
-    """Additive bias: 0 where visible, -inf where hidden; the last axis
-    indexes keys.  Rejects rows with nothing visible (their softmax would be
-    undefined)."""
+def _hidden(visible: np.ndarray) -> np.ndarray:
+    """The mask of hidden keys, ~visible; the last axis indexes keys.
+    Rejects rows with nothing visible (their softmax would be undefined)."""
     if not visible.any(axis=-1).all():
         raise ValueError("a query row has every key masked")
-    bias = np.zeros(visible.shape)
-    bias[~visible] = -np.inf
-    return bias
+    return ~visible
 
 
 def attn_core(u: np.ndarray, z: np.ndarray, scale: float) -> np.ndarray:
@@ -118,19 +122,24 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def attend_heads(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray | None
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None,
+    bias: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All-heads attention core over head stacks q (..., h, m, d/h) and
-    k, v (..., h, n, d/h): softmax(q k^T / sqrt(d/h) + bias) v.
+    k, v (..., h, n, d/h): softmax(q k^T / sqrt(d/h) + bias) v, with -inf
+    in the scores where `hidden` is True.
 
-    `bias` broadcasts against the (..., h, m, n) scores: (m, n) is shared
-    by every head, (B, 1, m, n) by every head of one sequence; None adds
-    nothing.  Returns the (..., h, m, d/h) outputs and the (..., h, m, n)
-    weights.
+    `hidden` and `bias` broadcast against the (..., h, m, n) scores: (m, n)
+    is shared by every head, (B, 1, m, n) by every head of one sequence;
+    None hides or adds nothing.  Returns the (..., h, m, d/h) outputs and
+    the (..., h, m, n) weights.
     """
-    scores = q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[-1])
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(q.shape[-1])
     if bias is not None:
         scores += bias
+    if hidden is not None:
+        np.copyto(scores, -np.inf, where=hidden)
     w = softmax_rows(scores)
     return w @ v, w
 
@@ -172,24 +181,24 @@ def attention(
     batch's (B, n), gives invalid keys zero weight in every row of their
     sequence, on top of the causal mask, so no valid row reads a padded key.
 
-    A -inf bias is built, and checked for fully masked rows, only when a key
-    is hidden: a causal call, a False in key_valid, or no keys at all.
+    A mask is built, and checked for fully masked rows, only when a key is
+    hidden: a causal call, a False in key_valid, or no keys at all.
     """
     u_prime, z, key_valid = check_inputs(u_prime, z, params.model_dim, key_valid)
     m, n = u_prime.shape[-2], z.shape[-2]
-    bias = None
+    hidden = None
     if causal or n == 0 or (key_valid is not None and not key_valid.all()):
         visible = causal_visible(m, n) if causal else np.ones((m, n), dtype=bool)
         if key_valid is not None:
-            # (m, n) & (..., 1, 1, n): one (..., 1, m, n) bias shared by the heads
+            # (m, n) & (..., 1, 1, n): one (..., 1, m, n) mask shared by the heads
             visible = visible & key_valid[..., None, None, :]
-        bias = _mask_bias(visible)
+        hidden = _hidden(visible)
     h = params.heads
     # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i
     out, _ = attend_heads(
-        split_heads(u_prime @ params.wq + params.bq, h),
-        split_heads(z @ params.wk + params.bk, h),
-        split_heads(z @ params.wv + params.bv, h),
-        bias,
+        split_heads(affine(u_prime, params.wq, params.bq), h),
+        split_heads(affine(z, params.wk, params.bk), h),
+        split_heads(affine(z, params.wv, params.bv), h),
+        hidden,
     )
     return merge_heads(out)

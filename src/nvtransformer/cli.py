@@ -40,6 +40,12 @@ __all__ = ["main", "entry"]
 _IDENTITY = identity_taus()
 
 
+def decimal(text: str) -> int:
+    """An integer flag or config value: one ASCII decimal, read as a token id is."""
+    (value,) = parse_token_ids(text)
+    return value
+
+
 def _parse_config_file(path: str) -> dict[str, int]:
     out: dict[str, int] = {}
     names = {f.name for f in fields(ModelConfig)}
@@ -52,8 +58,8 @@ def _parse_config_file(path: str) -> dict[str, int]:
             key = key.strip()
             if not sep or key not in names:
                 raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
-            try:  # one ASCII decimal, as a token id is read
-                (out[key],) = parse_token_ids(value)
+            try:
+                out[key] = decimal(value)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: {key} needs an integer"
@@ -190,18 +196,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init-model", help="create seeded random weights")
     p.add_argument("--config", help="key=value file with model dimensions")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=decimal, default=0)
     p.add_argument("--out", required=True)
     for f in fields(ModelConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=int)
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=decimal)
     p.set_defaults(func=_cmd_init_model)
 
     p = sub.add_parser("estimate-prior", help="per-site priors from a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--fraction", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--seed", type=decimal, default=0)
+    p.add_argument("--shards", type=decimal, default=1)
     p.add_argument("--out", required=True, help="NVTX file with priors attached")
     p.add_argument("--report", help="CSV report path (default: OUT.csv)")
     p.set_defaults(func=_cmd_estimate_prior)
@@ -211,24 +217,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--priors", required=True)
     p.add_argument("--tau-alpha", type=float, default=_IDENTITY.tau_alpha_enc)
     p.add_argument("--tau-sigma", type=float, default=_IDENTITY.tau_sigma_enc)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=decimal, default=20)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=decimal, default=0)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("sweep", help="evaluate a grid of dial settings")
     p.add_argument("--model", required=True)
     p.add_argument("--priors", required=True)
     p.add_argument("--grid", required=True, help="'interp:K' or 'random:K'")
-    p.add_argument("--trials", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=decimal, default=6)
+    p.add_argument("--seed", type=decimal, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("attn-dump", help="head-averaged attention map CSV")
     p.add_argument("--model", required=True, help="NVTX file with priors")
     p.add_argument("--input", required=True, help="whitespace-separated ids")
-    p.add_argument("--layer", type=int, required=True)
+    p.add_argument("--layer", type=decimal, required=True)
     p.add_argument("--group", choices=GROUPS, required=True)
     p.add_argument("--tau-alpha", type=float)
     p.add_argument("--tau-sigma", type=float)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .attention import (
     AttentionParams,
-    _mask_bias,
+    _hidden,
     attend_heads,
     causal_visible,
     check_inputs,
@@ -60,7 +60,7 @@ from .attention import (
 )
 # project is not called here; bench/spans.py traces it in this namespace.
 from .nvib import DpPosterior, NvibProjection, project, token_log_alpha
-from .numeric import sample_dirichlet, sample_gaussian, softmax_rows
+from .numeric import affine, sample_dirichlet, sample_gaussian, softmax_rows
 
 __all__ = [
     "SiteForms",
@@ -74,16 +74,16 @@ __all__ = [
 MapSink = Callable[[np.ndarray], None] | None
 
 
-def _queries_and_bias(queries_pre, dp, params: AttentionParams, causal: bool):
-    """`check_inputs`' queries over dp's components, and the additive (m, n+1)
-    bias of a causal call, whose prior column is always visible; an unmasked
-    call (every decode step's case) has none, None."""
+def _queries_and_hidden(queries_pre, dp, params: AttentionParams, causal: bool):
+    """`check_inputs`' queries over dp's components, and the (m, n+1) mask of
+    hidden keys of a causal call, whose prior column is always visible; an
+    unmasked call (every decode step's case) has none, None."""
     queries_pre, mu, _ = check_inputs(queries_pre, dp.mu, params.model_dim)
     if not causal:
         return queries_pre, None
     m, n_comp = queries_pre.shape[-2], mu.shape[-2]
     prior = np.ones((m, 1), dtype=bool)
-    return queries_pre, _mask_bias(np.hstack([causal_visible(m, n_comp - 1), prior]))
+    return queries_pre, _hidden(np.hstack([causal_visible(m, n_comp - 1), prior]))
 
 
 @dataclass(frozen=True)
@@ -206,19 +206,22 @@ def eval_dattn_multihead(
     A padded batch is (B, m, d) queries over a batch of B posteriors; the
     result is then (B, m, d) and the map (B, m, n+1).
     """
-    queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
+    queries_pre, hidden = _queries_and_hidden(queries_pre, dp, params, causal)
     h = params.heads
-    q = split_heads(queries_pre @ params.wq + params.bq, h)    # (..., h, m, d/h)
+    q = split_heads(affine(queries_pre, params.wq, params.bq), h)  # (..., h, m, d/h)
     if isinstance(dp, KeyedPosterior):
         scores, mix = _head_space_path(q, dp)
     else:
         scores, mix = _general_path(q, dp, params)
-    if bias is not None:
-        scores += bias
+    if hidden is not None:
+        np.copyto(scores, -np.inf, where=hidden)
     w = softmax_rows(scores)
+    del scores  # mix reads only the weights: free the scores first
     if map_sink is not None:
         map_sink(w.sum(axis=-3) / h)   # np.mean over the heads
-    return merge_heads(mix(w)) + params.bv
+    out = merge_heads(mix(w))
+    out += params.bv
+    return out
 
 
 def _general_path(q, dp: DpPosterior, params: AttentionParams):
@@ -262,15 +265,15 @@ def _head_space_path(q, dp: KeyedPosterior):
     d = h * dh
     k, v, c = dp.rows[..., d : 2 * d], dp.rows[..., 2 * d : -1], dp.rows[..., -1]
     qf = q @ dp.forms.f                             # (..., h, m, 3d/h)
-    scores = q @ split_heads(k, h).swapaxes(-1, -2) + c[..., None, None, :]
+    scores = q @ split_heads(k, h).swapaxes(-1, -2)
+    scores += c[..., None, None, :]
     scores[..., -1] -= 0.5 * (qf[..., :dh] * q).sum(axis=-1)
 
     def mix(w):
-        return (
-            w[..., :-1].sum(axis=-1, keepdims=True) * qf[..., dh : 2 * dh]
-            + w[..., -1:] * qf[..., 2 * dh :]
-            + w @ split_heads(v, h)
-        )
+        out = w[..., :-1].sum(axis=-1, keepdims=True) * qf[..., dh : 2 * dh]
+        out += w[..., -1:] * qf[..., 2 * dh :]
+        out += w @ split_heads(v, h)
+        return out
 
     return scores, mix
 
@@ -291,7 +294,7 @@ def train_dattn_multihead(
     """
     if dp.mu.ndim != 2:
         raise ValueError("train_dattn_multihead takes one posterior, not a padded batch")
-    queries_pre, bias = _queries_and_bias(queries_pre, dp, params, causal)
+    queries_pre, hidden = _queries_and_hidden(queries_pre, dp, params, causal)
     h = params.heads
     scale = math.sqrt(params.head_dim)
 
@@ -301,10 +304,11 @@ def train_dattn_multihead(
         key_bias = np.log(pi) - np.sum(z_tilde * z_tilde, axis=1) / (2.0 * scale)
 
     out, w = attend_heads(
-        split_heads(queries_pre @ params.wq + params.bq, h),
-        split_heads(z_tilde @ params.wk + params.bk, h),
-        split_heads(z_tilde @ params.wv + params.bv, h),
-        key_bias[None, :] if bias is None else bias + key_bias[None, :],
+        split_heads(affine(queries_pre, params.wq, params.bq), h),
+        split_heads(affine(z_tilde, params.wk, params.bk), h),
+        split_heads(affine(z_tilde, params.wv, params.bv), h),
+        hidden,
+        key_bias,
     )
     if map_sink is not None:
         map_sink(np.mean(w, axis=0))

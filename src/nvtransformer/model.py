@@ -46,7 +46,7 @@ from .nvib import (
     identity_init,
     project,
 )
-from .numeric import make_rng
+from .numeric import affine, make_rng
 
 __all__ = [
     "BOS_ID",
@@ -255,11 +255,15 @@ def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
     n = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / n
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    return xc / np.sqrt(var + LN_EPS) * p.g + p.b
+    xc /= np.sqrt(var + LN_EPS)
+    xc *= p.g
+    xc += p.b
+    return xc
 
 
 def _ffn(x: np.ndarray, p: FfnParams) -> np.ndarray:
-    return np.maximum(x @ p.w1 + p.b1, 0.0) @ p.w2 + p.b2
+    hidden = affine(x, p.w1, p.b1)
+    return affine(np.maximum(hidden, 0.0, out=hidden), p.w2, p.b2)
 
 
 def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
@@ -324,7 +328,7 @@ def _decode(w: ModelWeights, y: np.ndarray, causal, cross) -> np.ndarray:
         y = y + causal(l, layer_norm(y, lay.ln1))
         y = y + cross(l, layer_norm(y, lay.ln2))
         y = y + _ffn(layer_norm(y, lay.ln3), lay.ffn)
-    return layer_norm(y, w.dec_ln) @ w.w_out + w.b_out
+    return affine(layer_norm(y, w.dec_ln), w.w_out, w.b_out)
 
 
 def _site_params(w: ModelWeights) -> dict[tuple[str, int], AttentionParams]:

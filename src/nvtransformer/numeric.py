@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "affine",
     "as_matrix",
     "make_rng",
     "softmax_rows",
@@ -28,6 +29,13 @@ def as_matrix(a) -> np.ndarray:
     return out
 
 
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b in one buffer: the product, then b added in place."""
+    out = x @ w
+    out += b
+    return out
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (PCG64).  One owner per generator; never share across
     concurrent callers.  The seed must be a nonnegative integer."""
@@ -41,15 +49,18 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
 
     Entries of -inf are allowed and map to exactly zero weight, which is how
     masking is implemented upstream.  A row that is entirely -inf has no
-    well-defined softmax and raises.
+    well-defined softmax and raises.  `a` is never written: the result is
+    the one new array, and the exp and the division run in it.
     """
     # the ndarray reductions are np.max's and np.sum's without their wrappers
     a = np.asarray(a, dtype=np.float64)
     m = a.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise ValueError("softmax given a row with no finite entries")
-    e = np.exp(a - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = a - m
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:

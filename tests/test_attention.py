@@ -230,19 +230,19 @@ class TestPaddedBatch:
 
 
 class TestMaskOnlyWhereHidden:
-    """A bias is built only when a key is hidden: a causal call, or a False
+    """A mask is built only when a key is hidden: a causal call, or a False
     in key_valid."""
 
     @pytest.fixture
     def masks(self, monkeypatch):
         built = []
-        real = attention_mod._mask_bias
+        real = attention_mod._hidden
 
         def counting(visible):
             built.append(visible.shape)
             return real(visible)
 
-        monkeypatch.setattr(attention_mod, "_mask_bias", counting)
+        monkeypatch.setattr(attention_mod, "_hidden", counting)
         return built
 
     def test_all_valid_decode_builds_no_mask(self, toy_model, masks):

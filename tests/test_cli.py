@@ -703,6 +703,39 @@ class TestArgumentEdges:
         assert "trials" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("init-model", "--dim", "1_6"),
+            ("init-model", "--heads", "+2"),
+            ("init-model", "--seed", "\u0663"),
+            ("sweep", "--trials", "1_0"),
+            ("attn-dump", "--layer", "\u0660"),
+        ],
+        ids=["dim-underscore", "heads-plus", "seed-arabic-indic", "trials-underscore",
+             "layer-arabic-indic"],
+    )
+    def test_integer_flags_are_ascii_decimals(
+        self, workdir, tmp_path, capsys, command, flag, value
+    ):
+        # the token-id rule, as in a --config file: what int() would also
+        # read is refused, and the error names the flag
+        out = tmp_path / "out"
+        args = {
+            "init-model": [],
+            "sweep": ["--model", workdir["model"], "--priors", workdir["priors"],
+                      "--grid", "interp:2"],
+            "attn-dump": ["--model", workdir["priors"], "--input", "3 4 5",
+                          "--group", "encoder"],
+        }[command]
+        plain = {"1_6": "16", "+2": "2", "1_0": "1"}.get(value, "0")
+        assert main([command, *args, flag, plain, "--out", str(out)]) == 0
+        out.unlink()
+        r = main([command, *args, flag, value, "--out", str(out)])
+        assert r == 2
+        assert f"argument {flag}: invalid decimal value" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_certify_non_finite_tol_is_usage_error(self, workdir, capsys, tol):
         r = main([

@@ -66,6 +66,8 @@ class TestSoftmaxRows:
                   (1, 8, 1, 97), (2, 8, 40, 41)],
     )
     def test_bits_match_the_np_max_exp_sum_form(self, shape):
+        # the result is a new buffer, transformed in place: the input keeps
+        # its bytes and the bits are the out-of-place form's
         rng = make_rng(sum(shape))
         for scale in (1e-3, 1.0, 300.0):
             a = rng.normal(0.0, scale, size=shape)
@@ -74,7 +76,11 @@ class TestSoftmaxRows:
             m = np.max(a, axis=-1, keepdims=True)
             e = np.exp(a - m)
             want = e / np.sum(e, axis=-1, keepdims=True)
-            np.testing.assert_array_equal(softmax_rows(a), want)
+            before = a.tobytes()
+            got = softmax_rows(a)
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, a)
+            assert a.tobytes() == before
 
 
 class TestStacksOfRows:
