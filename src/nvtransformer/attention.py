@@ -9,16 +9,16 @@ applies a single softmax over the stack, and `merge_heads` lays the
 (..., h, m, d/h) outputs back side by side in (..., m, d).  Each head
 value-projects into its own slice of the output, so there is no separate
 output projection.  The denoising paths reuse the same split, attend and
-merge steps.  Every site is unmasked (encoder, cross) or `causal` (decoder:
-query t sees keys j <= t).
+merge steps.
 
 All three kernels take queries (..., m, d) over keys (..., n, d), with the
-same leading axes (`check_inputs`).  In a padded batch, a (B, n) key_valid
-hides each sequence's padded keys from all of its queries.
-
-A mask is built only when a key is hidden: for a causal call, or when some
-key_valid entry is False.  An unmasked call over all-valid keys, such as
-every step of a greedy decode over an unpadded source, builds none.
+same leading axes, and which keys each query sees is one rule
+(`check_inputs`): query t of a `causal` call (the decoder's self-attention)
+sees token keys j <= t, a False in a padded batch's key_valid hides that
+key from every query of its sequence, and a twin site's last key, the prior
+component [P], is seen by every query.  A mask is built only when a key is
+hidden, so an unmasked call over all-valid keys, such as every step of a
+greedy decode over an unpadded source, builds none.
 
 Each result is allocated once and transformed in place by the operations of
 the out-of-place form, in its order, so the bits are the same: a projection
@@ -76,14 +76,6 @@ class AttentionParams:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.heads
-
-
-def causal_visible(m: int, n: int) -> np.ndarray:
-    """Boolean (m, n) causal visibility, True = visible: query t sees keys
-    j <= t.  Needs m == n."""
-    if m != n:
-        raise ValueError(f"causal mask needs square shape, got ({m}, {n})")
-    return np.tri(m, dtype=bool)
 
 
 def _hidden(visible: np.ndarray) -> np.ndarray:
@@ -144,10 +136,18 @@ def attend_heads(
     return w @ v, w
 
 
-def check_inputs(queries, keys, d: int, key_valid=None):
-    """The input rule of the three attention kernels: queries (..., m, d)
-    over keys (..., n, d) with the same leading axes and width d, and any
-    key_valid shaped like the keys less their last axis; all as arrays."""
+def check_inputs(queries, keys, d: int, key_valid=None, causal=False, prior=False):
+    """The input and visibility rules of the three attention kernels.
+
+    Queries (..., m, d) over keys (..., n, d) with the same leading axes and
+    width d, and any key_valid shaped like the keys less their last axis.
+    Query t of a `causal` call sees token keys j <= t, so m must equal the
+    token count; a False in key_valid hides that key from every query of
+    its sequence; with `prior` the last key is [P], seen by every query.
+    Returns the queries and keys as arrays and the mask of hidden keys,
+    (m, n) or (..., 1, m, n) to share over the heads, or None when no key
+    is hidden.
+    """
     q, k = np.asarray(queries, dtype=np.float64), np.asarray(keys, dtype=np.float64)
     if (q.ndim < 2 or k.ndim != q.ndim or k.shape[:-2] != q.shape[:-2]
             or q.shape[-1] != d or k.shape[-1] != d):
@@ -159,7 +159,17 @@ def check_inputs(queries, keys, d: int, key_valid=None):
         raise ValueError(
             f"a padded batch's key_valid {valid.shape} must be its keys' {k.shape[:-1]}"
         )
-    return q, k, valid
+    m, n = q.shape[-2], k.shape[-2]
+    if causal and m != n - prior:
+        raise ValueError(f"causal mask needs square shape, got ({m}, {n - prior})")
+    if not (causal or n == 0 or (valid is not None and not valid.all())):
+        return q, k, None
+    visible = np.tri(m, n, dtype=bool) if causal else np.ones((m, n), dtype=bool)
+    if valid is not None:
+        visible = visible & valid[..., None, None, :]
+    if prior:
+        visible[..., -1] = True
+    return q, k, _hidden(visible)
 
 
 def attention(
@@ -173,26 +183,16 @@ def attention(
 
     Scores per head are (Q_i K_i^T + Q_i b^K_i) / sqrt(d/h), b^K folded
     into the keys; the key-bias term is constant per query, so it never
-    changes the weights (the denoising paths leave it out).  With `causal`,
-    m must equal n and query t sees keys j <= t.
+    changes the weights (the denoising paths leave it out).
 
-    Queries u_prime (..., m, d) over keys z (..., n, d) give (..., m, d).  A
-    boolean `key_valid` shaped like z less its last axis, such as a padded
-    batch's (B, n), gives invalid keys zero weight in every row of their
-    sequence, on top of the causal mask, so no valid row reads a padded key.
-
-    A mask is built, and checked for fully masked rows, only when a key is
-    hidden: a causal call, a False in key_valid, or no keys at all.
+    Queries u_prime (..., m, d) over keys z (..., n, d) give (..., m, d).
+    The keys each query sees are `check_inputs`': with `causal`, m must
+    equal n and query t sees keys j <= t; a boolean `key_valid` shaped like
+    z less its last axis, such as a padded batch's (B, n), gives invalid
+    keys zero weight in every row of their sequence, so no valid row reads
+    a padded key.
     """
-    u_prime, z, key_valid = check_inputs(u_prime, z, params.model_dim, key_valid)
-    m, n = u_prime.shape[-2], z.shape[-2]
-    hidden = None
-    if causal or n == 0 or (key_valid is not None and not key_valid.all()):
-        visible = causal_visible(m, n) if causal else np.ones((m, n), dtype=bool)
-        if key_valid is not None:
-            # (m, n) & (..., 1, 1, n): one (..., 1, m, n) mask shared by the heads
-            visible = visible & key_valid[..., None, None, :]
-        hidden = _hidden(visible)
+    u_prime, z, hidden = check_inputs(u_prime, z, params.model_dim, key_valid, causal)
     h = params.heads
     # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i
     out, _ = attend_heads(

@@ -35,10 +35,11 @@ Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
 pseudo-counts and component vectors from their Gaussians; attention then
 runs on the sampled impulses with the sampled log-weights as key biases.
 
-A `causal` call hides the token components after t from query t; the
-prior component is always visible (the start-of-sequence anchor).  A
-callback can receive the head-averaged (m, n+1) weight matrix, whose last
-column belongs to the prior.
+Which components each query sees is the standard kernel's rule
+(`attention.check_inputs`): a `causal` call hides the token components
+after t from query t, and the prior component, the last, is always visible
+(the start-of-sequence anchor).  A callback can receive the head-averaged
+(m, n+1) weight matrix, whose last column belongs to the prior.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ import numpy as np
 
 from .attention import (
     AttentionParams,
-    _hidden,
     attend_heads,
-    causal_visible,
     check_inputs,
     merge_heads,
     split_heads,
@@ -72,18 +71,6 @@ __all__ = [
 ]
 
 MapSink = Callable[[np.ndarray], None] | None
-
-
-def _queries_and_hidden(queries_pre, dp, params: AttentionParams, causal: bool):
-    """`check_inputs`' queries over dp's components, and the (m, n+1) mask of
-    hidden keys of a causal call, whose prior column is always visible; an
-    unmasked call (every decode step's case) has none, None."""
-    queries_pre, mu, _ = check_inputs(queries_pre, dp.mu, params.model_dim)
-    if not causal:
-        return queries_pre, None
-    m, n_comp = queries_pre.shape[-2], mu.shape[-2]
-    prior = np.ones((m, 1), dtype=bool)
-    return queries_pre, _hidden(np.hstack([causal_visible(m, n_comp - 1), prior]))
 
 
 @dataclass(frozen=True)
@@ -206,7 +193,9 @@ def eval_dattn_multihead(
     A padded batch is (B, m, d) queries over a batch of B posteriors; the
     result is then (B, m, d) and the map (B, m, n+1).
     """
-    queries_pre, hidden = _queries_and_hidden(queries_pre, dp, params, causal)
+    queries_pre, _, hidden = check_inputs(
+        queries_pre, dp.mu, params.model_dim, causal=causal, prior=True
+    )
     h = params.heads
     q = split_heads(affine(queries_pre, params.wq, params.bq), h)  # (..., h, m, d/h)
     if isinstance(dp, KeyedPosterior):
@@ -294,7 +283,9 @@ def train_dattn_multihead(
     """
     if dp.mu.ndim != 2:
         raise ValueError("train_dattn_multihead takes one posterior, not a padded batch")
-    queries_pre, hidden = _queries_and_hidden(queries_pre, dp, params, causal)
+    queries_pre, _, hidden = check_inputs(
+        queries_pre, dp.mu, params.model_dim, causal=causal, prior=True
+    )
     h = params.heads
     scale = math.sqrt(params.head_dim)
 

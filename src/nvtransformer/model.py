@@ -405,33 +405,19 @@ def _stack_twins(twins: list[NvModel]) -> NvModel | _Twins:
     forms are stacked per site, one per row.  A batch of one twin is that
     twin.
     """
-    index: dict[int, int] = {}
-    which = np.array([index.setdefault(id(t), len(index)) for t in twins])
-    uniq = list({id(t): t for t in twins}.values())  # uniq[index[id(t)]] is t
-    first = uniq[0]
-    if len(uniq) == 1:
+    first = twins[0]
+    if all(t is first for t in twins):
         return first
-    for t in uniq[1:]:
-        if t.base is not first.base or any(
-            a is not b for a, b in zip(t.priors, first.priors)
-        ):
-            raise ValueError("twins in one batch must share one base and one set of priors")
-
-    def per_row(values):
-        return np.stack(values)[which]
-
+    if any(t.base is not first.base or any(a is not b for a, b in zip(t.priors, first.priors))
+           for t in twins):
+        raise ValueError("twins in one batch must share one base and one set of priors")
     projs, forms = {}, {}
     for site, proj in first.projs.items():
-        site_projs = [t.projs[site] for t in uniq]
-        projs[site] = replace(
-            proj,
-            b_alpha=per_row([p.b_alpha for p in site_projs]),
-            b_sigma=per_row([p.b_sigma for p in site_projs]),
-        )
-        site_forms = [t.forms[site] for t in uniq]
-        forms[site] = SiteForms(
-            *(per_row([getattr(f, fld.name) for f in site_forms]) for fld in fields(SiteForms))
-        )
+        rows = [t.projs[site] for t in twins]
+        projs[site] = replace(proj, b_alpha=np.stack([p.b_alpha for p in rows]),
+                              b_sigma=np.stack([p.b_sigma for p in rows]))
+        forms[site] = SiteForms(*(np.stack([getattr(t.forms[site], f.name) for t in twins])
+                                  for f in fields(SiteForms)))
     return _Twins(first.base, projs, forms)
 
 

@@ -246,8 +246,10 @@ def identity_init(
     if tau_sigma < TAU_SIGMA_MIN:
         raise ValueError(f"tau_sigma below floor {TAU_SIGMA_MIN:g}")
     scale = np.sqrt(d / h)
+    with np.errstate(over="ignore"):   # an overflowing std's log is +inf: `_sigma` clamps it
+        std = prior.sigma_p * tau_sigma
     return NvibProjection(
-        b_sigma=2.0 * np.log(prior.sigma_p * tau_sigma),
+        b_sigma=2.0 * np.log(std),
         w_alpha=np.full(d, 1.0 / (2.0 * scale)),
         b_alpha=prior.epsilon_alpha * tau_alpha,
         prior=prior,

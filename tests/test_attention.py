@@ -8,8 +8,11 @@ import pytest
 from nvtransformer import (
     DpPosterior,
     eval_dattn_multihead,
+    forward_nv,
     forward_standard,
     greedy_decode,
+    identity_taus,
+    reinterpret,
     train_dattn_multihead,
 )
 from nvtransformer.attention import (
@@ -162,6 +165,11 @@ class TestAttention:
                 wq=np.eye(4), wk=np.eye(5), wv=np.eye(4),
                 bq=np.zeros(4), bk=np.zeros(4), bv=np.zeros(4), heads=1,
             )
+        with pytest.raises(ValueError, match=r"bv must be \(4,\)"):
+            AttentionParams(
+                wq=np.eye(4), wk=np.eye(4), wv=np.eye(4),
+                bq=np.zeros(4), bk=np.zeros(4), bv=np.zeros((1, 4)), heads=1,
+            )
 
 
 def padded_batch(rng, d, q_lens, k_lens):
@@ -263,6 +271,14 @@ class TestMaskOnlyWhereHidden:
         forward_standard(toy_model, [3, 14, 25], [BOS_ID, 5, 6, 7])
         # the unpadded encoder and cross sites hide nothing
         assert masks == [(4, 4)] * toy_model.config.layers_dec
+
+    def test_twin_masks_its_causal_sites_with_p_visible(self, toy_model, toy_priors, masks):
+        # the twin's sites go through the same rule: [P] is a key of every
+        # site and hidden from none, so only the causal sites build a mask
+        twin = reinterpret(toy_model, toy_priors, identity_taus())
+        forward_nv(twin, [3, 14, 25], [BOS_ID, 5, 6, 7])
+        assert greedy_decode(twin, [3, 14, 25, 36, 7], 8)
+        assert masks == [(4, 5)] * toy_model.config.layers_dec
 
     @pytest.mark.parametrize("h", [1, 2, 8])
     def test_all_valid_batch_matches_per_sequence_calls_bitwise(self, h):

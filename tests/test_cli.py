@@ -670,6 +670,15 @@ class TestUsage:
         assert r.returncode == 2
         assert "required" in r.stderr
 
+    def test_module_without_command_and_with_init_model(self, tmp_path):
+        r = self.run_from_source("-m", "nvtransformer")
+        assert r.returncode == 2
+        assert "required: command" in r.stderr
+        out = tmp_path / "m.nvtx"
+        r = self.run_from_source("-m", "nvtransformer", "init-model", "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert load_weights(str(out)).config == ModelConfig()
+
 
 class TestArgumentEdges:
     def test_init_model_zero_heads_is_usage_error(self, tmp_path, capsys):

@@ -109,6 +109,12 @@ class TestLogsumexpRows:
             logsumexp_rows(a + 50.0), logsumexp_rows(a) + 50.0, atol=1e-10
         )
 
+    def test_row_without_finite_entries_refused(self):
+        a = np.zeros((2, 3))
+        a[1] = -np.inf
+        with pytest.raises(ValueError, match="no finite entries"):
+            logsumexp_rows(a)
+
 
 class TestSampleGaussian:
     def test_zero_sigma_exact(self):

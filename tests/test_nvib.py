@@ -178,6 +178,19 @@ class TestIdentityInit:
         with pytest.raises(ValueError, match="floor"):
             identity_init(small_prior(d=2), 10.0, 1e-39, d=2, h=1)
 
+    def test_std_past_float64_is_the_clamped_std(self):
+        # sigma_p * tau_sigma overflows in the second entry only: its
+        # log-variance is +inf, which `_sigma` clamps like any past 700,
+        # without a warning (warnings are errors under pytest here)
+        p = small_prior(d=2)
+        huge = identity_init(p, 10.0, 1e308, d=2, h=1)
+        assert np.isfinite(huge.b_sigma[0]) and huge.b_sigma[1] == np.inf
+        big = identity_init(p, 10.0, 1e300, d=2, h=1)
+        np.testing.assert_array_equal(huge.token_sigma, big.token_sigma)
+        np.testing.assert_array_equal(
+            huge.token_sigma, np.full(2, np.sqrt(np.exp(LOG_ALPHA_CLAMP)))
+        )
+
     def test_rejects_zero_heads(self):
         with pytest.raises(ValueError, match="heads=0"):
             identity_init(small_prior(d=4), 10.0, 1e-3, d=4, h=0)
@@ -250,6 +263,29 @@ class TestProject:
         proj = identity_init(p, 10.0, 1e-3, d=2, h=1)
         with pytest.raises(ValueError, match="width"):
             project(np.zeros((3, 4)), proj)
+
+    def test_rejects_vectors_that_do_not_fit(self):
+        p = small_prior(d=2)
+        proj = identity_init(p, 10.0, 1e-3, d=2, h=1)
+        rows = replace(proj, b_sigma=np.zeros((3, 2)), b_alpha=np.zeros(3))
+        for z, fit in ((np.zeros(2), proj), (np.zeros((1, 3, 2, 2)), proj),
+                       (np.zeros((3, 2)), rows), (np.zeros((2, 3, 2)), rows)):
+            with pytest.raises(ValueError, match="do not fit a projection"):
+                project(z, fit)
+        for z, valid in ((np.zeros((3, 2)), np.ones(3, dtype=bool)),
+                         (np.zeros((2, 3, 2)), np.ones((2, 2), dtype=bool))):
+            with pytest.raises(ValueError, match="padded batch needs"):
+                project(z, proj, valid)
+
+    def test_projection_shapes(self):
+        p = small_prior(d=2)
+        with pytest.raises(ValueError, match="w_alpha"):
+            NvibProjection(b_sigma=np.zeros(2), w_alpha=np.zeros(3), b_alpha=0.0, prior=p)
+        for b_sigma, b_alpha in ((np.zeros(3), 0.0), (np.zeros((2, 2)), 0.0),
+                                 (np.zeros((3, 2)), np.zeros(2)),
+                                 (np.zeros((1, 3, 2)), np.zeros((1, 3)))):
+            with pytest.raises(ValueError, match="b_sigma must be"):
+                NvibProjection(b_sigma=b_sigma, w_alpha=np.zeros(2), b_alpha=b_alpha, prior=p)
 
 
 class TestGuards:
@@ -346,6 +382,8 @@ class TestDpPosterior:
                 sigma=-np.ones((2, 2)),
                 log_alpha=np.zeros(2),
             )
+        with pytest.raises(ValueError, match="at least the prior"):
+            DpPosterior(mu=np.zeros((0, 2)), sigma=np.zeros((0, 2)), log_alpha=np.zeros(0))
 
 
 class TestToGaussianMixture:

@@ -223,6 +223,17 @@ class TestEstimatePriors:
                 a.epsilon_alpha, b.epsilon_alpha, atol=1e-9
             )
 
+    def test_more_shards_than_sequences(self, toy_model):
+        # four of the seven shards hold no sequence and merge as nothing
+        corpus = make_random_corpus(toy_model.config, 3, seed=48)
+        one = estimate_priors(toy_model, corpus, shards=1)
+        seven = estimate_priors(toy_model, corpus, shards=7)
+        for a, b in zip(one, seven):
+            np.testing.assert_allclose(a.mu_p, b.mu_p, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(a.sigma_p, b.sigma_p, rtol=1e-13)
+            np.testing.assert_allclose(a.log_alpha0_p, b.log_alpha0_p, rtol=1e-13)
+            np.testing.assert_allclose(a.epsilon_alpha, b.epsilon_alpha, rtol=1e-13)
+
     def test_subsample_uses_reservoir_indices(self, toy_model):
         corpus = make_random_corpus(toy_model.config, 40, seed=46)
         got = estimate_priors(toy_model, corpus, fraction=0.5, seed=11)
@@ -336,8 +347,9 @@ class TestBucketedPass:
 
     @pytest.mark.parametrize(
         "seq",
-        [[], [3] * (ModelConfig().max_len + 1), [3, ModelConfig().vocab], [3.7, 5], [3, 2**70]],
-        ids=["empty", "past-max_len", "out-of-vocab", "float", "past-int64"],
+        [[], [3] * (ModelConfig().max_len + 1), [3, ModelConfig().vocab], [3.7, 5], [3, 2**70],
+         [[3, 4]]],
+        ids=["empty", "past-max_len", "out-of-vocab", "float", "past-int64", "2-D"],
     )
     def test_bad_sequence_reason_is_the_models(self, toy_model, seq):
         with pytest.raises(ValueError) as as_source:
