@@ -58,6 +58,8 @@ def _parse_config_file(path: str) -> dict[str, int]:
             key = key.strip()
             if not sep or key not in names:
                 raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: {key} is set twice")
             try:
                 out[key] = decimal(value)
             except ValueError:
@@ -105,6 +107,8 @@ def _check_writable(path: str) -> None:
 
 def _cmd_estimate_prior(args) -> int:
     report_path = args.report or (args.out + ".csv")
+    if os.path.realpath(report_path) == os.path.realpath(args.out):
+        raise ValueError(f"--report {report_path} is the --out file")
     # both outputs, before the corpus pass: a bad one must not cost that
     # pass or leave the other file behind
     for path in (args.out, report_path):

@@ -29,6 +29,7 @@ from .model import (
 from .model import forward_nv, forward_standard, greedy_decode
 from .nvib import GROUPS, EmpiricalPrior, TAU_SIGMA_MIN, TauConfig
 from .numeric import make_rng
+from .serialize import _TOKEN_ID
 
 __all__ = [
     "TAU_ALPHA_RANGE",
@@ -159,10 +160,9 @@ def grid_points(spec: str, seed: int = 0) -> list[TauConfig]:
     'random:K'  K settings drawn uniformly from the search box, per group
     """
     kind, _, arg = spec.partition(":")
-    try:
-        k = int(arg)
-    except ValueError:
-        raise ValueError(f"bad grid spec {spec!r}") from None
+    if not _TOKEN_ID.fullmatch(arg):  # one ASCII decimal, as a token id is
+        raise ValueError(f"bad grid spec {spec!r}")
+    k = int(arg)
     if k < 1:
         raise ValueError("grid needs at least one point")
     if kind == "interp":

@@ -12,16 +12,17 @@ Layout (all integers little-endian):
     tail    u64 length, utf-8 JSON
 
 The JSON tail distinguishes plain weights ({"kind": "standard"}) from a
-reinterpreted model, which adds the dials and the per-site priors, written
-from their dataclasses.  Floats survive the JSON round trip bit-exactly
-(shortest-repr encoding), and the tensor order is the parameter tree's
-dataclass field order, so save -> load -> save reproduces the file byte for
-byte.  Both directions take the tensor names from the parameter description
-`init_weights` draws from (`model._build`); the loader builds the model from
-it, taking each tensor by name.  It refuses missing, misshapen, duplicate,
-unknown and non-UTF-8-named tensors, tensors of rank above 64 or holding a
-NaN or an infinity, a tail that is not a JSON object or has non-numbers where
-numbers belong, any length past the end of the file, and any trailing bytes.
+reinterpreted model, which adds the dials and the per-site priors.  Floats
+survive the JSON round trip bit-exactly (shortest-repr encoding), and the
+tensor order is the parameter tree's dataclass field order, so save -> load
+-> save reproduces the file byte for byte.  Both directions take the tensor
+names from the parameter description `init_weights` draws from
+(`model._build`), and the tail from the dataclasses `TauConfig` and
+`EmpiricalPrior`: each tail object holds exactly its fields, each once, each
+the JSON type its annotation names.  The loader refuses missing, misshapen,
+duplicate, unknown and non-UTF-8-named tensors, tensors of rank above 64 or
+holding a NaN or an infinity, a tail off that rule, weights that overflow the
+twin's forms, any length past the end of the file, and any trailing bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import os
 import re
 import struct
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, get_args, get_type_hints
 
 import numpy as np
 
@@ -98,26 +99,45 @@ def _tensor_items(w: ModelWeights) -> Iterator[tuple[str, np.ndarray]]:
     return zip(_tensor_names(w.config), _leaves(w), strict=True)
 
 
-def _number(value, name: str) -> float:
-    """A JSON number (int or float) as a float; a bool or a string is
-    refused, and an int too large for a float raises OverflowError."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+# the JSON types a plain tail value reads from, named (a bool is no number)
+_JSON_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+               str: ((str,), "a string"), list: ((list,), "a list")}
+# each tail dataclass's fields and each kind of tail's keys, with their types
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (TauConfig, EmpiricalPrior)}
+_TAIL_TYPES = {"standard": {"kind": str},
+               "nv": {"kind": str, "taus": TauConfig, "priors": list[EmpiricalPrior]}}
 
 
-def _prior_from_json(obj: dict) -> EmpiricalPrior:
-    layer_id = obj["layer_id"]
-    if type(layer_id) is not int:  # JSON's 1.5, true, "1" or Infinity
-        raise ValueError(f"layer_id must be an integer, got {layer_id!r}")
-    return EmpiricalPrior(
-        mu_p=[_number(v, "mu_p") for v in obj["mu_p"]],
-        sigma_p=[_number(v, "sigma_p") for v in obj["sigma_p"]],
-        log_alpha0_p=_number(obj["log_alpha0_p"], "log_alpha0_p"),
-        epsilon_alpha=_number(obj["epsilon_alpha"], "epsilon_alpha"),
-        layer_group=obj["layer_group"],
-        layer_id=layer_id,
-    )
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object that gives each key once (`json.loads`' pairs hook)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def _fields(obj, types: dict[str, type], where: str) -> dict:
+    """A tail object's fields: exactly the keys of `types`, each read by its type."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    for key in sorted(obj.keys() ^ types.keys()):  # the first unknown or missing key
+        raise ValueError(f"{'unknown' if key in obj else 'missing'} key {key!r} in {where}")
+    return {name: _json_value(obj[name], tp, name) for name, tp in types.items()}
+
+
+def _json_value(value, tp, name: str):
+    """A tail value of type `tp` from its JSON: a float from any number, a
+    dataclass from its fields, an array or list[X] from a list of floats or X."""
+    if tp in _JSON_TYPES:
+        kinds, what = _JSON_TYPES[tp]
+        if type(value) not in kinds:
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return float(value) if tp is float else value
+    if tp in _FIELD_TYPES:
+        return tp(**_fields(value, _FIELD_TYPES[tp], name))
+    item = float if tp is np.ndarray else get_args(tp)[0]
+    return [_json_value(v, item, name) for v in _json_value(value, list, name)]
 
 
 def save_weights(path: str, model: ModelWeights | NvModel) -> None:
@@ -233,8 +253,8 @@ def load_weights(path: str) -> ModelWeights | NvModel:
 
         blob_len = struct.unpack("<Q", rd.exact(8))[0]
         try:
-            tail = json.loads(rd.exact(blob_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            tail = json.loads(rd.exact(blob_len).decode("utf-8"), object_pairs_hook=_json_object)
+        except (RecursionError, ValueError) as e:  # not UTF-8 JSON, too deep, a repeat
             raise WeightFormatError(f"bad JSON tail: {e}") from e
         if rd.left:
             raise WeightFormatError(f"{rd.left} trailing bytes after the JSON tail")
@@ -246,20 +266,18 @@ def load_weights(path: str) -> ModelWeights | NvModel:
     if type(tail) is not dict:
         raise WeightFormatError(f"JSON tail is a {type(tail).__name__}, not an object")
     kind = tail.get("kind")
-    if kind == "standard":
-        return w
-    if kind == "nv":
-        try:
-            dials = tail["taus"]
-            if type(dials) is not dict:
-                raise ValueError(f"taus must be a JSON object, got {dials!r}")
-            taus = TauConfig(**{k: _number(v, k) for k, v in dials.items()})
-            priors = [_prior_from_json(p) for p in tail["priors"]]
-            # priors that miss a site or do not fit its width are the file's fault
-            return reinterpret(w, priors, taus)
-        except (KeyError, OverflowError, TypeError, ValueError) as e:
-            raise WeightFormatError(f"bad NV tail: {e}") from e
-    raise WeightFormatError(f"unknown model kind {kind!r}")
+    if kind not in ("standard", "nv"):  # compared, not hashed: any JSON value
+        raise WeightFormatError(f"unknown model kind {kind!r}")
+    try:
+        top = _fields(tail, _TAIL_TYPES[kind], "the tail")
+        # priors that miss a site or do not fit its width are the file's
+        # fault, and so are weights that overflow the twin's forms
+        with np.errstate(over="raise", invalid="raise"):
+            return reinterpret(w, top["priors"], top["taus"]) if kind == "nv" else w
+    except FloatingPointError as e:
+        raise WeightFormatError(f"weights overflow the twin's forms: {e}") from e
+    except (OverflowError, ValueError) as e:
+        raise WeightFormatError(f"bad {kind.upper()} tail: {e}") from e
 
 
 def parse_token_ids(text: str) -> list[int]:

@@ -104,6 +104,16 @@ class TestInitModel:
         assert f"model.cfg:2: {key} needs an integer" in capsys.readouterr().err
         assert not (tmp_path / "m.nvtx").exists()
 
+    def test_config_key_set_twice_is_usage_error(self, tmp_path, capsys):
+        # the later value used to win silently: dim 32, not 16
+        cfg_file = tmp_path / "model.cfg"
+        cfg_file.write_text("dim=16\nheads=2\ndim=32\n")
+        r = main(["init-model", "--config", str(cfg_file),
+                  "--out", str(tmp_path / "m.nvtx")])
+        assert r == 2
+        assert "model.cfg:3: dim is set twice" in capsys.readouterr().err
+        assert not (tmp_path / "m.nvtx").exists()
+
     def test_bad_config_line_is_usage_error(self, tmp_path):
         cfg_file = tmp_path / "model.cfg"
         cfg_file.write_text("dim=8\nwidth=9\n")
@@ -167,6 +177,23 @@ class TestEstimatePrior:
         strerror = "Is a directory" if how == "directory" else "No such file or directory"
         assert f"{strerror}: '{paths[bad]}'" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
+
+    def test_report_naming_the_out_file_exits_before_the_corpus_pass(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        # the CSV used to overwrite the twin it was written after
+        def no_pass(*args, **kwargs):
+            raise AssertionError("estimate_priors ran")
+
+        monkeypatch.setattr(nvtransformer.cli, "estimate_priors", no_pass)
+        monkeypatch.chdir(tmp_path)
+        r = main([
+            "estimate-prior", "--model", workdir["model"],
+            "--corpus", workdir["corpus"], "--out", "p.nvtx", "--report", "./p.nvtx",
+        ])
+        assert r == 2
+        assert "--report ./p.nvtx is the --out file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_corpus_file(self, workdir, tmp_path):
         r = main([
@@ -471,6 +498,29 @@ class TestCertify:
         r = main(["certify", "--model", workdir["model"], "--priors", bad])
         assert r == 3
         assert "bad NV tail" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, want",
+        [
+            (b'"tau_alpha_enc":10.0,', b"", "missing key 'tau_alpha_enc' in taus"),
+            (b'"layer_id":0,', b'"layer_id":0,"note":0,', "unknown key 'note' in priors"),
+            (b'{"kind":"nv",', b'{"kind":"nv","kind":"nv",', "repeated key 'kind'"),
+        ],
+        ids=["deleted-dial", "unknown-prior-key", "repeated-top-key"],
+    )
+    def test_tail_off_its_dataclasses_is_data_error(
+        self, workdir, tmp_path, capsys, old, new, want
+    ):
+        # each used to load: the deleted dial at its identity default
+        raw = pathlib.Path(workdir["priors"]).read_bytes()
+        start = raw.rindex(b'{"kind":"nv"')
+        blob = raw[start:].replace(old, new, 1)
+        assert blob != raw[start:]
+        bad = tmp_path / "bad.nvtx"
+        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+        r = main(["certify", "--model", workdir["model"], "--priors", str(bad)])
+        assert r == 3
+        assert want in capsys.readouterr().err
 
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([

@@ -185,7 +185,10 @@ class TestGrids:
         assert grid_points("random:3", seed=1) != grid_points("random:3", seed=2)
 
     def test_bad_specs(self):
-        for spec in ("interp:x", "foo:3", "interp:0", "interp"):
+        # K is one ASCII decimal, as a token id is: int() read the last three
+        # as 10, 2 and 3 points
+        for spec in ("interp:x", "foo:3", "interp:0", "interp",
+                     "interp:1_0", "interp: 2", "random:\u0663"):
             with pytest.raises(ValueError, match="grid"):
                 grid_points(spec)
 

@@ -420,6 +420,97 @@ class TestFormatErrors:
             save_weights(str(tmp_path / "x.nvtx"), {"not": "a model"})
 
 
+def twin_with_tail(tmp_path, model, edit) -> str:
+    """A copy of `model` saved as an NVTX file whose JSON tail text is
+    `edit(text)`, the length prefix rewritten to fit; returns its path."""
+    path = tmp_path / "twin.nvtx"
+    save_weights(str(path), model)
+    raw = path.read_bytes()
+    start = raw.rindex(b'{"kind":')
+    blob = edit(raw[start:].decode()).encode()
+    bad = tmp_path / "bad.nvtx"
+    bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+    return str(bad)
+
+
+def edit_key(text: str, where: str, key: str, fault: str) -> str:
+    """Twin tail `text` with `key` of its object `where` (the top level,
+    taus or the first prior) deleted, added with a value or given twice."""
+    tail = json.loads(text)
+    obj = {"top": tail, "taus": tail["taus"], "prior": tail["priors"][0]}[where]
+    if fault == "deleted":
+        del obj[key]
+    elif fault == "unknown":
+        obj[key] = 1.0
+    else:  # json.dumps writes a key once, so the twin is renamed in the text
+        obj["@twin"] = obj[key]
+    return json.dumps(tail).replace('"@twin"', json.dumps(key))
+
+
+class TestTailSchema:
+    """The tail is read from its dataclasses' fields: each object holds
+    exactly its fields, each once, each of its annotated JSON type."""
+
+    @pytest.fixture()
+    def twin(self, toy_model, toy_priors):
+        return reinterpret(toy_model, toy_priors, TauConfig())
+
+    @pytest.mark.parametrize(
+        "where, key, fault",
+        [
+            ("top", "priors", "deleted"),
+            ("top", "note", "unknown"),
+            ("top", "kind", "repeated"),
+            ("taus", "tau_alpha_enc", "deleted"),
+            ("taus", "tau_alpha_all", "unknown"),
+            ("taus", "tau_sigma_dec", "repeated"),
+            ("prior", "epsilon_alpha", "deleted"),
+            ("prior", "note", "unknown"),
+            ("prior", "layer_id", "repeated"),
+        ],
+    )
+    def test_refuses_a_deleted_unknown_or_repeated_key(
+        self, tmp_path, twin, where, key, fault
+    ):
+        # each used to load or fail on another count: a deleted dial at its
+        # default, an unknown key ignored (but in taus), a repeated key at
+        # its last value
+        bad = twin_with_tail(tmp_path, twin, lambda t: edit_key(t, where, key, fault))
+        word = {"deleted": "missing", "unknown": "unknown", "repeated": "repeated"}[fault]
+        with pytest.raises(WeightFormatError, match=f"{word} key '{key}'"):
+            load_weights(bad)
+
+    def test_standard_tail_is_kind_alone(self, tmp_path, toy_model):
+        bad = twin_with_tail(
+            tmp_path, toy_model, lambda t: t.replace("}", ',"taus":{}}')
+        )
+        with pytest.raises(WeightFormatError, match="unknown key 'taus' in the tail"):
+            load_weights(bad)
+
+    def test_too_deeply_nested_tail_is_refused(self, tmp_path, toy_model):
+        # json.loads' RecursionError used to escape, so certify exited 1
+        bad = twin_with_tail(tmp_path, toy_model, lambda t: "[" * 100_000)
+        with pytest.raises(WeightFormatError, match="bad JSON tail: maximum recursion"):
+            load_weights(bad)
+
+    def test_weights_that_overflow_the_twin_are_refused(self, tmp_path, twin):
+        # one finite 1e200 weight overflowed the twin's forms while loading
+        path = tmp_path / "twin.nvtx"
+        save_weights(str(path), twin)
+        raw = bytearray(path.read_bytes())
+        name = b"enc.0.self.wk"
+        start = raw.index(name) + len(name) + 4 + 2 * 4  # rank and two dims
+        raw[start : start + 8] = struct.pack("<d", 1e200)
+        bad = tmp_path / "big.nvtx"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(WeightFormatError, match="overflow encountered"):
+            load_weights(str(bad))
+        # a dial whose std overflows by design is clamped, not refused
+        huge = reinterpret(twin.base, twin.priors, TauConfig.uniform(10.0, 1e308))
+        save_weights(str(path), huge)
+        assert load_weights(str(path)).taus == huge.taus
+
+
 class TestCorpus:
     def test_round_trip(self, tmp_path):
         seqs = [[3, 4, 5], [9], [30, 31, 32, 33]]
