@@ -83,8 +83,9 @@ class SiteForms:
     tokens' 1/sigma_r^2, half_log_var () their 0.5 sum log sigma_r^2, f
     (h, d/h, 3d/h) holds [A^P - A^tok | B^tok | B^P] per head, so that one
     product q @ f gives [P]'s quadratic term and both interpolation terms,
-    and prior_row (3d+1,) is [P]'s row of `KeyedPosterior.rows`.  The forms
-    of a padded batch's sequences may be stacked, (B, ...).
+    and prior_row (3d+1,) is [P]'s row of `KeyedPosterior.rows`.  The
+    tokens' forms of a padded batch's sequences may be stacked, (B, ...);
+    [P]'s row is every sequence's.
     """
 
     inv_var: np.ndarray
@@ -95,22 +96,27 @@ class SiteForms:
 
 def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms:
     """The head-space forms of a site: its projection's token variance
-    class against its prior's, and the prior's keyed row."""
-    h, scale, prior = params.heads, math.sqrt(params.head_dim), proj.prior
-    sig2 = np.square(np.array((proj.token_sigma, prior.sigma_p)))
-    var_r = scale + sig2
-    inv_var = 1.0 / var_r                           # (2, d): tokens, prior
-    half_log_var = 0.5 * np.log(var_r).sum(axis=1)
-    wk = split_heads(params.wk, h)
+    class against its prior's, and the prior's keyed row.  A projection
+    with one dial per row (b_sigma (B, d)) gives the tokens' forms stacked
+    (B, ...), each row's products taken as for that row alone."""
+    h, dh, prior = params.heads, params.head_dim, proj.prior
+    scale = math.sqrt(dh)
+    tok2, p2 = np.square(proj.token_sigma), np.square(prior.sigma_p)
+    tok_r, p_r = scale + tok2, scale + p2           # sigma_r^2: tokens, prior
+    inv_tok, inv_p = 1.0 / tok_r, 1.0 / p_r
+    wk, wv = split_heads(params.wk, h), split_heads(params.wv, h)
     wk_t = wk.swapaxes(-1, -2)
-    # W^K_i^T diag(.) [W^K_i | W^V_i | W^V_i]; B of both classes in one product
-    b = (wk_t * (sig2 * inv_var)[:, None, None, :]) @ split_heads(params.wv, h)
-    x = prior.mu_p * inv_var[1]
-    c = prior.log_alpha0_p - 0.5 * (prior.mu_p @ x) - half_log_var[1]
+    # W^K_i^T diag(.) [W^K_i | W^V_i | W^V_i]; the prior's B is every row's
+    f = np.empty(tok2.shape[:-1] + (h, dh, 3 * dh))
+    f[..., :dh] = (wk_t * (inv_p - inv_tok)[..., None, None, :]) @ wk
+    f[..., dh : 2 * dh] = (wk_t * (tok2 * inv_tok)[..., None, None, :]) @ wv
+    f[..., 2 * dh :] = (wk_t * (p2 * inv_p)) @ wv
+    x = prior.mu_p * inv_p
+    c = prior.log_alpha0_p - 0.5 * (prior.mu_p @ x) - 0.5 * np.log(p_r).sum()
     return SiteForms(
-        inv_var=inv_var[0],
-        half_log_var=half_log_var[0],
-        f=np.concatenate(((wk_t * (inv_var[1] - inv_var[0])) @ wk, b[0], b[1]), axis=-1),
+        inv_var=inv_tok,
+        half_log_var=0.5 * np.log(tok_r).sum(axis=-1),
+        f=f,
         prior_row=np.concatenate((prior.mu_p, x @ params.wk, scale * x @ params.wv, (c,))),
     )
 

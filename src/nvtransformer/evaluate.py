@@ -17,16 +17,16 @@ from .model import (
     BOS_ID,
     ModelConfig,
     ModelWeights,
+    _check_integer,
     _greedy,
     _pad,
-    _stack_twins,
     _teacher_forced,
-    reinterpret,
+    _twins,
 )
-# forward_nv, forward_standard and greedy_decode are not called here: the
-# sweep runs their batched internals; bench/spans.py traces them in this
-# namespace.
-from .model import forward_nv, forward_standard, greedy_decode
+# forward_nv, forward_standard, greedy_decode and reinterpret are not called
+# here: the sweep runs their batched internals; bench/spans.py traces them in
+# this namespace.
+from .model import forward_nv, forward_standard, greedy_decode, reinterpret
 from .nvib import GROUPS, EmpiricalPrior, TAU_SIGMA_MIN, TauConfig
 from .numeric import make_rng
 from .serialize import _TOKEN_ID
@@ -200,48 +200,42 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every dial setting on one shared set of seeded inputs.
 
-    The K points x T input pairs run as one padded batch of K*T rows over
-    the shared base weights (`model._stack_twins`): the twins get one
-    teacher-forced pass and one greedy decode, and the standard baseline
-    one of each over the T pairs.  Padded source and target positions are
-    masked: their keys take no weight, and the logit difference and each
-    group's [P] mass are read over valid query rows only.  Rows are in the
-    order of `points`.
+    The standard baseline's T input pairs and the K points x T pairs run as
+    one padded batch of T + K*T rows, baseline first, over the shared base
+    weights (`model._twins`, which builds the twin rows in one pass per
+    site): one teacher-forced pass and one greedy decode serve both kinds.
+    Padded source and target positions are masked: their keys take no
+    weight, and the logit difference and each group's [P] mass are read
+    over valid query rows only.  Rows are in the order of `points`.
     """
+    _check_integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not points:
         return []
     pairs = random_eval_inputs(w.config, trials, seed)
-    src, src_valid = _pad([s for s, _ in pairs])
-    tgt, tgt_valid = _pad([t for _, t in pairs])
-    steps = min(DECODE_STEPS, w.config.max_len)
-    baseline = _greedy(w, src, steps, src_valid)
-    ref = _teacher_forced(w, src, tgt, None, src_valid, tgt_valid)
-
     k, t = len(points), len(pairs)
-    twins = [reinterpret(w, priors, taus) for taus in points]
-    batch = _stack_twins([m for m in twins for _ in pairs])
-    src, src_valid, tgt, tgt_valid = (
-        np.tile(a, (k, 1)) for a in (src, src_valid, tgt, tgt_valid)
-    )
+    batch = _twins(w, priors, [taus for taus in points for _ in pairs], head=t)
+    src, src_valid = _pad([s for s, _ in pairs] * (k + 1))
+    tgt, tgt_valid = _pad([g for _, g in pairs] * (k + 1))
     total = {g: np.zeros(k) for g in GROUPS}
     count = dict.fromkeys(GROUPS, 0)  # every group has a site: none stays 0
 
     def hook(group: str, layer_id: int, weights: np.ndarray) -> None:
-        queries = src_valid if group == "encoder" else tgt_valid
+        queries = (src_valid if group == "encoder" else tgt_valid)[t:]
         per_row = np.sum(weights[..., -1], axis=-1, where=queries)
         total[group] += per_row.reshape(k, t).sum(axis=1)
         count[group] += int(np.sum(queries[:t]))
 
-    got = _teacher_forced(batch, src, tgt, hook, src_valid, tgt_valid)
-    diff = np.abs(got - np.tile(ref, (k, 1, 1)))
-    worst = np.max(diff, axis=(1, 2), where=tgt_valid[..., None], initial=0.0)
+    logits = _teacher_forced(batch, src, tgt, hook, src_valid, tgt_valid)
+    diff = np.abs(logits[t:] - np.tile(logits[:t], (k, 1, 1)))
+    worst = np.max(diff, axis=(1, 2), where=tgt_valid[t:, :, None], initial=0.0)
     worst = worst.reshape(k, t).max(axis=1)
-    decodes = _greedy(batch, src, steps, src_valid)
+    decodes = _greedy(batch, src, min(DECODE_STEPS, w.config.max_len), src_valid)
+    baseline = decodes[:t]
     rows = []
     for i, taus in enumerate(points):
-        dec = decodes[i * t : (i + 1) * t]
+        dec = decodes[(i + 1) * t : (i + 2) * t]
         rows.append(
             SweepRow(
                 taus=taus,

@@ -10,11 +10,12 @@ differ only in how a site reads its keys and attends (`_site_ops`).
 
 The walk runs a padded batch of sequences with their key validity; a single
 `forward_standard`, `forward_nv` or `greedy_decode` is the batch of one.
-Twins of one base at different dials run as one batch too (`_stack_twins`),
-each row at its own twin's dials, which is how a dial sweep decodes every
-point and input pair in one pass.  A batched decode steps every row until
-all have emitted EOS; a row's positions after its EOS are padding, and its
-tokens are cut at its first EOS.
+Twins of one base at different dials run as one batch too (`_twins`), each
+row at its own dials; a dial sweep leads that batch with the base model's
+own rows, a mixed batch, and so runs its baseline and every point and input
+pair in one teacher-forced pass and one decode.  A batched decode steps
+every row until all have emitted EOS; a row's positions after its EOS are
+padding, and its tokens are cut at its first EOS.
 
 Layer-norm gains and offsets are initialised with real spread (not 1/0) so
 that post-norm vectors have varied norms; the norm-spread statistic the
@@ -23,7 +24,7 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -286,6 +287,12 @@ def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
     raise ValueError(f"{what} not usable: {why}")
 
 
+def _check_integer(n, name: str) -> None:
+    """A ValueError naming `name` unless n is an integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 def _pad(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Checked token sequences as a zero-padded (B, L) id matrix and its
     (B, L) validity."""
@@ -355,12 +362,34 @@ def _site_ops(model, hook: SiteHook = None):
     sequence's real rows, all of them when None: the standard model hides
     the others from attention, the twin gives their components pseudo-count
     zero, so `attend` reads its validity from the rows.  The twin is an
-    NvModel, whose dials every row shares, or `_stack_twins`' batch.
+    NvModel, whose dials every row shares, or `_twins`' batch.  A mixed
+    batch (`_Twins` with head n) splits at row n: its keys are the pair of
+    both kinds' keys, and `attend` joins both kinds' results.
 
     `hook(group, layer_id, mat)` is forward_standard's site_hook, given the
     valid key rows each site reads (sequence-major), or the twin's map hook,
-    given each site's head-averaged (B, m, n+1) weights.
+    given each site's head-averaged (B, m, n+1) weights; a mixed batch
+    gives it the twin rows' alone.
     """
+    if isinstance(model, _Twins) and model.head:
+        n = model.head
+        w, std_keys, std_attend = _site_ops(model.base)
+        _, nv_keys, nv_attend = _site_ops(replace(model, head=0), hook)
+
+        def split(valid):
+            return (None, None) if valid is None else (valid[:n], valid[n:])
+
+        def keys(site, rows, valid):
+            head, tail = split(valid)
+            return std_keys(site, rows[:n], head), nv_keys(site, rows[n:], tail)
+
+        def attend(site, q, kv, valid, causal=False):
+            head, tail = split(valid)
+            return np.concatenate((std_attend(site, q[:n], kv[0], head, causal),
+                                   nv_attend(site, q[n:], kv[1], tail, causal)))
+
+        return w, keys, attend
+
     if isinstance(model, ModelWeights):
         params = _site_params(model)
 
@@ -389,36 +418,14 @@ def _site_ops(model, hook: SiteHook = None):
 
 @dataclass(frozen=True)
 class _Twins:
-    """Twins of one base stacked for a padded batch: the walk reads it as it
-    reads an NvModel, with one b_alpha, b_sigma and set of forms per row."""
+    """Twins of one base for a padded batch (`_twins`): the walk reads it as
+    it reads an NvModel, with one b_alpha, b_sigma and set of forms per
+    row, after `head` rows of the base model itself."""
 
     base: ModelWeights
     projs: dict[tuple[str, int], NvibProjection]
     forms: dict[tuple[str, int], SiteForms]
-
-
-def _stack_twins(twins: list[NvModel]) -> NvModel | _Twins:
-    """The model of a padded batch whose row b runs at twins[b]'s dials.
-
-    The twins must be `reinterpret`'s of one base and one set of priors, so
-    that their projections differ only in b_alpha and b_sigma; those and the
-    forms are stacked per site, one per row.  A batch of one twin is that
-    twin.
-    """
-    first = twins[0]
-    if all(t is first for t in twins):
-        return first
-    if any(t.base is not first.base or any(a is not b for a, b in zip(t.priors, first.priors))
-           for t in twins):
-        raise ValueError("twins in one batch must share one base and one set of priors")
-    projs, forms = {}, {}
-    for site, proj in first.projs.items():
-        rows = [t.projs[site] for t in twins]
-        projs[site] = replace(proj, b_alpha=np.stack([p.b_alpha for p in rows]),
-                              b_sigma=np.stack([p.b_sigma for p in rows]))
-        forms[site] = SiteForms(*(np.stack([getattr(t.forms[site], f.name) for t in twins])
-                                  for f in fields(SiteForms)))
-    return _Twins(first.base, projs, forms)
+    head: int = 0
 
 
 def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
@@ -508,28 +515,36 @@ def _canonical_priors(
     return [by_site[s] for s in want]
 
 
+def _twins(w: ModelWeights, priors: list[EmpiricalPrior], taus, head: int = 0) -> _Twins:
+    """The model of a padded batch whose first `head` rows run w and whose
+    row head+b runs w's twin at taus[b], each site's projection and forms
+    built for every row in one pass from its prior; one TauConfig is
+    `reinterpret`'s twin, every row at those dials.  Each group's dials
+    touch only that group's sites."""
+    config = w.config
+    params = _site_params(w)
+    projs, forms = {}, {}
+    for p in _canonical_priors(priors, config):
+        site = g, _ = (p.layer_group, p.layer_id)
+        dials = ((taus.tau_alpha(g), taus.tau_sigma(g)) if isinstance(taus, TauConfig)
+                 else np.array([(t.tau_alpha(g), t.tau_sigma(g)) for t in taus]).T)
+        projs[site] = identity_init(p, *dials, config.dim, config.heads)
+        forms[site] = site_forms(projs[site], params[site])
+    return _Twins(w, projs, forms, head)
+
+
 def reinterpret(
     w: ModelWeights, priors: list[EmpiricalPrior], taus: TauConfig
 ) -> NvModel:
     """Attach identity-initialised projections to every attention site,
-    with each site's head-space forms.
+    with each site's head-space forms (`_twins` at one dial setting).
 
     The base weights are shared, not copied; only the projections and forms
-    depend on the dial settings, and each group's dials touch only that
-    group's sites.
+    depend on the dial settings.
     """
-    config = w.config
-    ordered = _canonical_priors(priors, config)
-    d, h = config.dim, config.heads
-    params = _site_params(w)
-    projs, forms = {}, {}
-    for p in ordered:
-        site = (p.layer_group, p.layer_id)
-        projs[site] = identity_init(
-            p, taus.tau_alpha(p.layer_group), taus.tau_sigma(p.layer_group), d, h
-        )
-        forms[site] = site_forms(projs[site], params[site])
-    return NvModel(base=w, priors=ordered, taus=taus, projs=projs, forms=forms)
+    twin = _twins(w, priors, taus)
+    ordered = _canonical_priors(priors, w.config)
+    return NvModel(base=w, priors=ordered, taus=taus, projs=twin.projs, forms=twin.forms)
 
 
 def forward_nv(
@@ -562,22 +577,30 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None):
     site keeps one row buffer, allocated at t=0: step t writes position t's
     key rows at t : t+len(kv) and attends over buf[:, : t+len(kv)] with no
     mask, as causal masking means earlier rows never change.  For the twin
-    the rows are a posterior's, whose [P] row moves down one each step.
+    the rows are a posterior's, whose [P] row moves down one each step.  A
+    mixed batch keeps one buffer per kind.
     """
     ops = _site_ops(model)
     w, keys, attend = ops
     _, _, cross = _attention_sites(ops, src, src_valid)
-    caches = [None] * len(w.dec)  # one row buffer per decoder layer
+    caches = {}  # one row buffer per decoder layer and model kind
     live = np.ones((len(src), positions), dtype=bool)  # the positions' validity
+
+    def cached(key, kv: np.ndarray) -> np.ndarray:
+        if t == 0:
+            caches[key] = np.empty((len(kv), positions - 1 + kv.shape[1], kv.shape[2]))
+        end = t + kv.shape[1]
+        caches[key][:, t:end] = kv
+        return caches[key][:, :end]
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
         kv = keys(site, z, live[:, t : t + 1])
-        if t == 0:
-            caches[l] = np.empty((len(kv), positions - 1 + kv.shape[1], kv.shape[2]))
-        end = t + kv.shape[1]
-        caches[l][:, t:end] = kv
-        return attend(site, z, caches[l][:, :end], live[:, : t + 1])
+        if isinstance(kv, tuple):  # a mixed batch: standard rows, then the twin's
+            kv = cached((l, 0), kv[0]), cached((l, 1), kv[1])
+        else:
+            kv = cached(l, kv)
+        return attend(site, z, kv, live[:, : t + 1])
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position
@@ -612,6 +635,7 @@ def greedy_decode(model, src, max_steps: int) -> list[int]:
     position (`_step_logits`, as a batch of one); forward_standard /
     forward_nv are its teacher-forced oracle.
     """
+    _check_integer(max_steps, "max_steps")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     if isinstance(model, NvModel):

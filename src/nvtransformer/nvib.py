@@ -237,17 +237,19 @@ def identity_init(
 
     Means pass through unchanged, stds are pinned at sigma_p * tau_sigma,
     and log pseudo-counts are the scaled squared norm plus the dial offset
-    epsilon_alpha * tau_alpha.
+    epsilon_alpha * tau_alpha.  Dials given as (B,) arrays, one per row of
+    a padded batch, give the per-row b_alpha (B,) and b_sigma (B, d).
     """
     if h < 1 or d % h != 0:
         raise ValueError(f"heads={h} must divide d={d}")
     if prior.dim != d:
         raise ValueError(f"prior dimension {prior.dim} != d={d}")
-    if tau_sigma < TAU_SIGMA_MIN:
+    tau_sigma = np.asarray(tau_sigma)
+    if (tau_sigma < TAU_SIGMA_MIN).any():
         raise ValueError(f"tau_sigma below floor {TAU_SIGMA_MIN:g}")
     scale = np.sqrt(d / h)
     with np.errstate(over="ignore"):   # an overflowing std's log is +inf: `_sigma` clamps it
-        std = prior.sigma_p * tau_sigma
+        std = prior.sigma_p * tau_sigma[..., None]
     return NvibProjection(
         b_sigma=2.0 * np.log(std),
         w_alpha=np.full(d, 1.0 / (2.0 * scale)),

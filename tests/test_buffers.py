@@ -14,7 +14,7 @@ from nvtransformer.evaluate import make_random_corpus
 from nvtransformer.model import (
     ModelConfig,
     _ffn,
-    _stack_twins,
+    _twins,
     init_weights,
     layer_norm,
     reinterpret,
@@ -39,9 +39,11 @@ def toy():
 def _site(w, priors, *taus, site=("decoder", 0)):
     """(params, projection, forms) of one site of the batch whose row b runs
     at taus[b % len(taus)]: the twin itself for one dial point, else
-    `_stack_twins`' stacked batch."""
-    twins = [reinterpret(w, priors, t) for t in taus]
-    nv = _stack_twins([twins[b % len(twins)] for b in range(B)])
+    `_twins`' stacked batch."""
+    if len(taus) == 1:
+        nv = reinterpret(w, priors, *taus)
+    else:
+        nv = _twins(w, priors, [taus[b % len(taus)] for b in range(B)])
     return w.dec[0].causal_attn, nv.projs[site], nv.forms[site]
 
 

@@ -20,12 +20,11 @@ from nvtransformer import (
     identity_init,
     init_weights,
     project,
-    reinterpret,
     to_gaussian_mixture,
     train_dattn_multihead,
 )
 from nvtransformer.denoising import KeyedPosterior, head_keys, site_forms
-from nvtransformer.model import _stack_twins, sites
+from nvtransformer.model import _twins, sites
 from nvtransformer.nvib import TauConfig
 from nvtransformer.numeric import sample_dirichlet, sample_gaussian
 
@@ -163,7 +162,7 @@ class TestHeadSpace:
     @staticmethod
     def _stacked_site(h, taus, rows):
         """A (1+1)-layer d=32 twin per dial point in `taus`, stacked by
-        `_stack_twins` so that batch row b runs at taus[rows[b]]; returns
+        `_twins` so that batch row b runs at taus[rows[b]]; returns
         the encoder site's (params, stacked projection, stacked forms)."""
         rng = np.random.default_rng(125)
         d = 32
@@ -172,8 +171,7 @@ class TestHeadSpace:
             replace(synthetic_prior(rng, d, group=g, eps=2.0), layer_id=l)
             for g, l in sites(w.config)
         ]
-        twins = [reinterpret(w, priors, t) for t in taus]
-        batch = _stack_twins([twins[i] for i in rows])
+        batch = _twins(w, priors, [taus[i] for i in rows])
         site = ("encoder", 0)
         return w.enc[0].self_attn, batch.projs[site], batch.forms[site]
 

@@ -24,7 +24,8 @@ from nvtransformer.model import (
     ModelConfig,
     _greedy,
     _pad,
-    _stack_twins,
+    _teacher_forced,
+    _twins,
     forward_nv,
     forward_standard,
     greedy_decode,
@@ -272,13 +273,39 @@ class TestBatchedSweep:
         # the decodes themselves, as run_sweep batches them
         pairs = random_eval_inputs(w.config, 4, seed=9)
         src, src_valid = _pad([s for s, _ in pairs])
-        twins = [reinterpret(w, toy_priors, taus) for taus in points]
-        batch = _stack_twins([m for m in twins for _ in pairs])
+        batch = _twins(w, toy_priors, [taus for taus in points for _ in pairs])
         tiled = (np.tile(src, (len(points), 1)), np.tile(src_valid, (len(points), 1)))
         flat = [d for decs in decodes for d in decs]
         assert _greedy(batch, tiled[0], DECODE_STEPS, tiled[1]) == flat
         if eos:
             assert len({len(d) for d in flat}) > 1
+
+    @pytest.mark.parametrize("eos", [False, True], ids=["toy", "eager-eos"])
+    def test_mixed_batch_rows_are_each_kinds_own(self, toy_model, toy_priors, eos):
+        # the sweep's batch: its T standard rows give, bit for bit, the
+        # reference logits and baseline decodes of the standard model over
+        # the same padded pairs, and its twin rows those of the twins alone
+        w = eager_eos(toy_model, 1.5) if eos else toy_model
+        points = grid_points("random:3", seed=2)
+        pairs = random_eval_inputs(w.config, 4, seed=9)
+        k, t = len(points), len(pairs)
+        assert len({len(s) for s, _ in pairs}) > 1 and len({len(g) for _, g in pairs}) > 1
+        rows = [taus for taus in points for _ in pairs]
+        mixed = _twins(w, toy_priors, rows, head=t)
+        (src, src_valid), (tgt, tgt_valid) = (_pad([p[i] for p in pairs] * (k + 1)) for i in (0, 1))
+        got = _teacher_forced(mixed, src, tgt, None, src_valid, tgt_valid)
+        ref = _teacher_forced(w, src[:t], tgt[:t], None, src_valid[:t], tgt_valid[:t])
+        twins = _teacher_forced(
+            _twins(w, toy_priors, rows), src[t:], tgt[t:], None, src_valid[t:], tgt_valid[t:]
+        )
+        assert np.array_equal(got[:t], ref)
+        assert np.array_equal(got[t:], twins)
+        decodes = _greedy(mixed, src, DECODE_STEPS, src_valid)
+        baseline = _greedy(w, src[:t], DECODE_STEPS, src_valid[:t])
+        assert decodes[:t] == baseline
+        assert decodes[t:] == _greedy(_twins(w, toy_priors, rows), src[t:], DECODE_STEPS, src_valid[t:])
+        if eos:
+            assert len({len(d) for d in decodes}) > 1
 
     def test_clamp_events_count_no_padded_row(self, toy_model, toy_priors):
         # dials far past the clamp in both directions clamp every real token
@@ -308,6 +335,20 @@ class TestTrialsAndTol:
     def test_sweep_rejects_no_trials(self, toy_model, toy_priors, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             run_sweep(toy_model, toy_priors, grid_points("interp:2"), trials=trials)
+
+    @pytest.mark.parametrize("trials", [2.0, True], ids=["float", "bool"])
+    def test_sweep_and_certify_reject_non_integer_trials(self, toy_model, toy_priors, trials):
+        # 2.0 once raised a NumPy TypeError deep in the input draw, and True
+        # ran one trial
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_sweep(toy_model, toy_priors, grid_points("interp:2"), trials=trials)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            certify(toy_model, toy_priors, interp_taus(0.0), trials=trials, tol=1e-5)
+
+    def test_numpy_integer_trials_accepted(self, toy_model, toy_priors):
+        pts = grid_points("interp:2")
+        got = run_sweep(toy_model, toy_priors, pts, trials=np.int64(2), seed=3)
+        assert sweep_csv(got) == sweep_csv(run_sweep(toy_model, toy_priors, pts, trials=2, seed=3))
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_certify_rejects_non_finite_tol(self, toy_model, toy_priors, tol):

@@ -32,9 +32,9 @@ from nvtransformer.model import (
     _pad,
     _site_ops,
     _site_params,
-    _stack_twins,
     _step_logits,
     _teacher_forced,
+    _twins,
     layer_norm,
     sinusoidal_positions,
 )
@@ -367,6 +367,17 @@ class TestGreedyDecode:
         with pytest.raises(ValueError, match="nonnegative"):
             greedy_decode(toy_model, [3, 4, 5], -1)
 
+    @pytest.mark.parametrize("steps", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_steps_rejected_first(self, toy_model, steps):
+        # 2.5 once raised NumPy's TypeError from inside the step loop and
+        # True decoded one token; the empty source shows no work came first
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            greedy_decode(toy_model, [], steps)
+
+    def test_numpy_integer_steps_accepted(self, toy_model):
+        src = [3, 4, 5]
+        assert greedy_decode(toy_model, src, np.int64(3)) == greedy_decode(toy_model, src, 3)
+
     def test_ties_resolve_to_lowest_id(self, toy_model):
         # equal logits everywhere: argmax must pick token 0 each step
         flat = dataclasses.replace(
@@ -545,9 +556,9 @@ class TestTwinBatch:
     TGT_LENS = [6, 1, 11, 3, 8, 2]
 
     def _batch(self, toy_model, toy_priors, general, monkeypatch):
-        """(the twin of each row, sources, targets); five dial points, row 5
-        reuses row 0's twin.  A general batch runs every twin, batched or
-        single, on the general path."""
+        """(the batch, the twin of each row, sources, targets); five dial
+        points, row 5 reuses row 0's.  A general batch runs every twin,
+        batched or single, on the general path."""
         points = grid_points("interp:3") + grid_points("random:2", seed=4)
         twins = [reinterpret(toy_model, toy_priors, taus) for taus in points]
         if general:
@@ -555,17 +566,19 @@ class TestTwinBatch:
         rng = np.random.default_rng(31)
         srcs = [rng.integers(3, 64, n).tolist() for n in self.SRC_LENS]
         tgts = [[BOS_ID] + rng.integers(3, 64, n - 1).tolist() for n in self.TGT_LENS]
-        return [twins[i % len(twins)] for i in range(len(srcs))], srcs, tgts
+        rows = [i % len(twins) for i in range(len(srcs))]
+        batch = _twins(toy_model, toy_priors, [points[i] for i in rows])
+        return batch, [twins[i] for i in rows], srcs, tgts
 
     @pytest.mark.parametrize("general", [False, True], ids=["head-space", "general"])
     def test_rows_match_single_sequence_forward(
         self, toy_model, toy_priors, general, monkeypatch
     ):
-        rows, srcs, tgts = self._batch(toy_model, toy_priors, general, monkeypatch)
+        batch, rows, srcs, tgts = self._batch(toy_model, toy_priors, general, monkeypatch)
         (src, src_valid), (tgt, tgt_valid) = _pad(srcs), _pad(tgts)
         maps = {}
         got = _teacher_forced(
-            _stack_twins(rows), src, tgt,
+            batch, src, tgt,
             lambda g, l, mat: maps.setdefault((g, l), mat), src_valid, tgt_valid,
         )
         for b, (twin, s, t) in enumerate(zip(rows, srcs, tgts)):
@@ -593,26 +606,36 @@ class TestTwinBatch:
         b_out = toy_model.b_out.copy()
         b_out[EOS_ID] += eos_bias
         w = dataclasses.replace(toy_model, b_out=b_out)
-        rows, srcs, _ = self._batch(w, toy_priors, general, monkeypatch)
+        batch, rows, srcs, _ = self._batch(w, toy_priors, general, monkeypatch)
         src, src_valid = _pad(srcs)
         want = [greedy_decode(twin, s, 16) for twin, s in zip(rows, srcs)]
         std = [greedy_decode(w, s, 16) for s in srcs]
         if eos_bias:
             assert {len(d) for d in want} == {16, 2}
             assert {len(d) for d in std} == {16, 3, 2}
-        assert _greedy(_stack_twins(rows), src, 16, src_valid) == want
+        assert _greedy(batch, src, 16, src_valid) == want
         assert _greedy(w, src, 16, src_valid) == std
 
-    def test_batch_of_one_twin_is_that_twin(self, toy_model, toy_priors):
-        m = reinterpret(toy_model, toy_priors, identity_taus())
-        assert _stack_twins([m, m, m]) is m
-
-    def test_twins_must_share_base_and_priors(self, toy_model, toy_priors):
-        a = reinterpret(toy_model, toy_priors, identity_taus())
-        other = dataclasses.replace(toy_model)
-        b = reinterpret(other, toy_priors, grid_points("interp:2")[1])
-        with pytest.raises(ValueError, match="share one base"):
-            _stack_twins([a, b])
+    def test_one_pass_build_is_each_points_reinterpret(self, toy_model, toy_priors):
+        # per-group dials, each batch row's projection and forms bit for
+        # bit those of its point's own twin ([P]'s row is every row's)
+        points = grid_points("random:3", seed=2)
+        rows = [2, 0, 1, 2, 1]
+        batch = _twins(toy_model, toy_priors, [points[i] for i in rows])
+        for b, i in enumerate(rows):
+            twin = reinterpret(toy_model, toy_priors, points[i])
+            assert batch.projs.keys() == twin.projs.keys() == batch.forms.keys()
+            for site, proj in twin.projs.items():
+                got = batch.projs[site]
+                assert got.prior is proj.prior
+                np.testing.assert_array_equal(got.w_alpha, proj.w_alpha)
+                assert got.b_alpha[b] == proj.b_alpha
+                for name in ("b_sigma", "token_sigma"):
+                    assert np.array_equal(getattr(got, name)[b], getattr(proj, name))
+                for f in dataclasses.fields(twin.forms[site]):
+                    want = getattr(twin.forms[site], f.name)
+                    got = np.broadcast_to(getattr(batch.forms[site], f.name), (len(rows),) + want.shape)
+                    assert np.array_equal(got[b], want), (site, f.name)
 
 
 class TestOneLayout:

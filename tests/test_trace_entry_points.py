@@ -89,7 +89,8 @@ def test_traced_standard_decode(spans, toy_model):
 
 def test_traced_sweep_is_one_batch(spans, toy_model, toy_priors):
     # every point and pair in one batch: the twins' sites are entered once
-    # per teacher-forced pass and decode step, the standard model's too
+    # per teacher-forced pass and decode step, the standard model's too,
+    # and the baseline's rows share the twins' layer norms and FFNs
     cfg = toy_model.config
     args = (toy_model, toy_priors, grid_points("interp:3"), 2, 4)
     want = sweep_csv(evaluate.run_sweep(*args))
@@ -111,3 +112,8 @@ def test_traced_sweep_is_one_batch(spans, toy_model, toy_priors):
     assert calls["denoising.eval_dattn_multihead"] == sites + per_decode
     assert calls["attention.attention"] == sites + per_decode
     assert "nvib.project" not in calls
+    # one teacher-forced pass and one decode, the encoder once in each
+    enc_norms, dec_norms = 2 * cfg.layers_enc + 1, 3 * cfg.layers_dec + 1
+    assert calls["model.layer_norm"] == 2 * enc_norms + dec_norms * (1 + steps)
+    assert calls["model.ffn"] == 2 * cfg.layers_enc + cfg.layers_dec * (1 + steps)
+    assert "model.reinterpret" not in calls
