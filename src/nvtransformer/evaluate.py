@@ -17,7 +17,6 @@ from .model import (
     BOS_ID,
     ModelConfig,
     ModelWeights,
-    _check_integer,
     _greedy,
     _pad,
     _teacher_forced,
@@ -28,7 +27,7 @@ from .model import (
 # this namespace.
 from .model import forward_nv, forward_standard, greedy_decode, reinterpret
 from .nvib import GROUPS, EmpiricalPrior, TAU_SIGMA_MIN, TauConfig
-from .numeric import make_rng
+from .numeric import _check_integer, make_rng
 from .serialize import _TOKEN_ID
 
 __all__ = [
@@ -61,6 +60,8 @@ def make_random_corpus(
 ) -> list[list[int]]:
     """Random token sequences over the non-reserved vocabulary, min_len..max_len long."""
     hi = max_len if max_len is not None else min(config.max_len - 1, 16)
+    for name, value in (("n", n), ("min_len", min_len), ("max_len", hi)):
+        _check_integer(value, name)
     if config.vocab <= FIRST_TOKEN or hi < min_len:
         raise ValueError(f"random corpus needs vocab > {FIRST_TOKEN} and lengths {min_len}..{hi}")
     rng = make_rng(seed)
@@ -77,6 +78,7 @@ def make_template_corpus(config: ModelConfig, n: int, seed: int) -> list[list[in
     every site a rich latent distribution, while any sequence-level
     subsample reproduces the full-corpus statistics up to the sample-size
     correction."""
+    _check_integer(n, "n")
     if config.vocab <= FIRST_TOKEN:
         raise ValueError(f"template corpus needs vocab > {FIRST_TOKEN}")
     rng = make_rng(seed)
@@ -89,6 +91,7 @@ def random_eval_inputs(
     config: ModelConfig, k: int, seed: int
 ) -> list[tuple[list[int], list[int]]]:
     """(source, teacher-forced target) pairs with random contents."""
+    _check_integer(k, "k")
     # a source of 4+ tokens and a target of BOS plus 3+, ids past EOS
     if config.vocab <= FIRST_TOKEN or config.max_len < 5:
         raise ValueError(f"random eval inputs need vocab > {FIRST_TOKEN} and max_len >= 5")

@@ -24,7 +24,7 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -47,7 +47,7 @@ from .nvib import (
     identity_init,
     project,
 )
-from .numeric import affine, make_rng
+from .numeric import _check_integer, affine, make_rng
 
 __all__ = [
     "BOS_ID",
@@ -83,6 +83,8 @@ class ModelConfig:
     max_len: int = 32
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_integer(getattr(self, f.name), f.name)
         if self.vocab < 3:
             raise ValueError("vocab must cover BOS/EOS plus one token")
         for name in ("heads", "layers_enc", "layers_dec", "ffn_dim", "max_len"):
@@ -287,12 +289,6 @@ def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
     raise ValueError(f"{what} not usable: {why}")
 
 
-def _check_integer(n, name: str) -> None:
-    """A ValueError naming `name` unless n is an integer, not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-
-
 def _pad(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Checked token sequences as a zero-padded (B, L) id matrix and its
     (B, L) validity."""
@@ -465,8 +461,10 @@ def forward_standard(
 
     `site_hook(group, layer_id, z)` receives the matrix each attention site
     consumes as keys/values (post-norm vectors; final encoder states for the
-    cross sites).  Used by the prior estimator.
+    cross sites).  Acceptance criterion 8's two-pass estimator oracle uses it.
     """
+    if not isinstance(w, ModelWeights):
+        raise TypeError(f"forward_standard needs ModelWeights, got {type(w).__name__}")
     src = _check_tokens(src, w.config, "source")
     tgt = _check_tokens(tgt, w.config, "target")
     return _teacher_forced(w, src[None], tgt[None], site_hook)[0]
@@ -555,6 +553,8 @@ def forward_nv(
     `map_hook(group, layer_id, weights)` receives each site's head-averaged
     (queries, n+1) attention matrix; the last column is the prior's.
     """
+    if not isinstance(m, NvModel):
+        raise TypeError(f"forward_nv needs an NvModel, got {type(m).__name__}")
     src = _check_tokens(src, m.base.config, "source")
     tgt = _check_tokens(tgt, m.base.config, "target")
     hook = None if map_hook is None else lambda g, l, mat: map_hook(g, l, mat[0])

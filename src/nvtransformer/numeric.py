@@ -36,9 +36,16 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_integer(n, name: str) -> None:
+    """A ValueError naming `name` unless n is an integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (PCG64).  One owner per generator; never share across
     concurrent callers.  The seed must be a nonnegative integer."""
+    _check_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(seed)

@@ -237,13 +237,17 @@ def identity_init(
 
     Means pass through unchanged, stds are pinned at sigma_p * tau_sigma,
     and log pseudo-counts are the scaled squared norm plus the dial offset
-    epsilon_alpha * tau_alpha.  Dials given as (B,) arrays, one per row of
-    a padded batch, give the per-row b_alpha (B,) and b_sigma (B, d).
+    epsilon_alpha * tau_alpha.  Dials must be finite, as TauConfig's are;
+    given as (B,) arrays, one per row of a padded batch, they give the
+    per-row b_alpha (B,) and b_sigma (B, d).
     """
     if h < 1 or d % h != 0:
         raise ValueError(f"heads={h} must divide d={d}")
     if prior.dim != d:
         raise ValueError(f"prior dimension {prior.dim} != d={d}")
+    for name, dial in (("tau_alpha", tau_alpha), ("tau_sigma", tau_sigma)):
+        if not np.isfinite(dial).all():
+            raise ValueError(f"{name} must be finite")
     tau_sigma = np.asarray(tau_sigma)
     if (tau_sigma < TAU_SIGMA_MIN).any():
         raise ValueError(f"tau_sigma below floor {TAU_SIGMA_MIN:g}")

@@ -35,7 +35,7 @@ from .model import BOS_ID, ModelWeights, _check_tokens, _pad, _teacher_forced, s
 # the bucketed pass, and bench/spans.py traces it in this namespace.
 from .model import forward_standard
 from .nvib import GROUPS, EmpiricalPrior
-from .numeric import make_rng
+from .numeric import _check_integer, make_rng
 
 __all__ = [
     "WelfordAccumulator",
@@ -204,6 +204,7 @@ def estimate_priors(
     independently and merged; the result does not depend on the shard
     count or the bucketing.
     """
+    _check_integer(shards, "shards")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     idx = reservoir_subsample(len(corpus), fraction, seed)

@@ -268,16 +268,25 @@ class TestEstimatePrior:
 
 
 class TestCertify:
-    def test_identity_passes(self, workdir, capsys):
-        r = main([
-            "certify", "--model", workdir["model"],
-            "--priors", workdir["priors"], "--trials", "5",
-        ])
+    @pytest.mark.parametrize(
+        "shape", [[], ["--dim", "32", "--heads", "4"]], ids=["2-heads", "4-heads"]
+    )
+    def test_identity_passes(self, workdir, tmp_path, capsys, shape):
+        model, priors = workdir["model"], workdir["priors"]
+        if shape:  # the head-space kernel at another head count
+            model, priors = str(tmp_path / "m.nvtx"), str(tmp_path / "p.nvtx")
+            assert main(["init-model", "--seed", "7", *shape, "--out", model]) == 0
+            assert main([
+                "estimate-prior", "--model", model, "--corpus", workdir["corpus"],
+                "--out", priors,
+            ]) == 0
+            capsys.readouterr()
+        r = main(["certify", "--model", model, "--priors", priors, "--trials", "5"])
         out = capsys.readouterr().out
         assert r == 0
         assert "max logit diff:" in out
         assert "decode overlap:" in out
-        assert "PASS" in out
+        assert out.splitlines()[-1] == "PASS"
 
     def test_over_regularised_fails_with_code_1(self, workdir, capsys):
         r = main([
@@ -597,6 +606,21 @@ class TestAttnDump:
         lines = (tmp_path / "map.csv").read_text().strip().split("\n")
         for ln in lines[1:]:
             assert float(ln.split(",")[-1]) > 0.99
+
+    def test_collapse_map_rows_are_distributions(self, workdir, tmp_path):
+        out = tmp_path / "map.csv"
+        r = main([
+            "attn-dump", "--model", workdir["priors"], "--input", "3 14 25 36",
+            "--layer", "0", "--group", "encoder",
+            "--tau-alpha", "-30", "--tau-sigma", "0.25", "--out", str(out),
+        ])
+        assert r == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "query,k0,k1,k2,k3,[P]"
+        assert len(lines) == 5
+        for ln in lines[1:]:
+            weights = [float(v) for v in ln.split(",")[1:]]
+            np.testing.assert_allclose(sum(weights), 1.0, rtol=0, atol=1e-9)
 
     def test_max_len_input_is_cut_like_the_estimator(self, workdir, tmp_path):
         # 32 source tokens: the teacher-forced decoder input [BOS] + src is

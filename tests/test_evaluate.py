@@ -29,9 +29,11 @@ from nvtransformer.model import (
     forward_nv,
     forward_standard,
     greedy_decode,
+    init_weights,
     reinterpret,
 )
 from nvtransformer.nvib import ALPHA_CLAMP_EVENTS, GROUPS, TAU_SIGMA_MIN, TauConfig
+from nvtransformer.priors import estimate_priors
 
 
 def per_pair_sweep(w, priors, points, trials, seed):
@@ -344,6 +346,33 @@ class TestTrialsAndTol:
             run_sweep(toy_model, toy_priors, grid_points("interp:2"), trials=trials)
         with pytest.raises(ValueError, match="trials must be an integer"):
             certify(toy_model, toy_priors, interp_taus(0.0), trials=trials, tol=1e-5)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("n", lambda w, p: make_random_corpus(w.config, 2.5, 0)),
+            ("n", lambda w, p: make_random_corpus(w.config, True, 0)),
+            ("min_len", lambda w, p: make_random_corpus(w.config, 2, 0, min_len=4.0)),
+            ("max_len", lambda w, p: make_random_corpus(w.config, 2, 0, 4, 6.0)),
+            ("k", lambda w, p: random_eval_inputs(w.config, 2.0, 0)),
+            ("n", lambda w, p: make_template_corpus(w.config, 2.0, 0)),
+            ("shards", lambda w, p: estimate_priors(w, [[3, 4]], shards=2.5)),
+            ("shards", lambda w, p: estimate_priors(w, [[3, 4]], shards=True)),
+            ("seed", lambda w, p: estimate_priors(w, [[3, 4]], seed=True)),
+            ("seed", lambda w, p: init_weights(w.config, 1.5)),
+            ("seed", lambda w, p: grid_points("random:2", seed=1.5)),
+            ("seed", lambda w, p: certify(w, p, interp_taus(0.0), 2, 1e-5, seed=1.5)),
+        ],
+        ids=[
+            "corpus-n-float", "corpus-n-bool", "corpus-min_len", "corpus-max_len",
+            "eval-inputs-k", "template-n", "shards-float", "shards-bool",
+            "estimate-seed-bool", "init-seed", "grid-seed", "certify-seed",
+        ],
+    )
+    def test_counts_and_seeds_must_be_integers(self, toy_model, toy_priors, name, call):
+        # each once raised NumPy's TypeError deep in a draw, or ran a bool as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(toy_model, toy_priors)
 
     def test_numpy_integer_trials_accepted(self, toy_model, toy_priors):
         pts = grid_points("interp:2")

@@ -87,6 +87,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(layers_dec=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("heads", True), ("dim", 16.0), ("max_len", 32.0), ("vocab", np.float64(64))],
+        ids=["bool-heads", "float-dim", "float-max_len", "numpy-float-vocab"],
+    )
+    def test_fields_must_be_integers(self, field, value):
+        # heads=True once built a 1-head config; dim=16.0 failed in init_weights
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelConfig(**{field: value})
+        default = getattr(ModelConfig(), field)
+        assert ModelConfig(**{field: np.int64(default)}) == ModelConfig()
+
 
 class TestPositions:
     def test_shape_and_first_row(self):
@@ -207,6 +219,19 @@ class TestForwardStandard:
             site_hook=lambda g, l, z: mats.setdefault((g, l), z),
         )
         np.testing.assert_array_equal(mats[("cross", 0)], mats[("cross", 1)])
+
+    @pytest.mark.parametrize("kind", ["other", "dict"])
+    @pytest.mark.parametrize("forward", [forward_standard, forward_nv], ids=["standard", "nv"])
+    def test_forward_passes_refuse_the_wrong_model_kind(
+        self, toy_model, toy_priors, forward, kind
+    ):
+        # each once failed with an AttributeError on the model's fields
+        other = toy_model if forward is forward_nv else reinterpret(
+            toy_model, toy_priors, identity_taus()
+        )
+        model = other if kind == "other" else {}
+        with pytest.raises(TypeError, match=f"got {type(model).__name__}$"):
+            forward(model, [3, 4], [BOS_ID, 5])
 
     def test_input_validation(self, toy_model):
         with pytest.raises(ValueError, match="nonempty"):

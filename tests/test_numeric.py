@@ -190,3 +190,12 @@ class TestMakeRng:
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             make_rng(-1)
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, True, np.float64(2.0)], ids=["float", "bool", "numpy-float"]
+    )
+    def test_non_integer_seed_is_named(self, seed):
+        # 1.5 once raised the SeedSequence TypeError, and True ran as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_rng(seed)
+        assert make_rng(np.int64(3)).random() == make_rng(3).random()

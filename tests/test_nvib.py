@@ -178,6 +178,24 @@ class TestIdentityInit:
         with pytest.raises(ValueError, match="floor"):
             identity_init(small_prior(d=2), 10.0, 1e-39, d=2, h=1)
 
+    @pytest.mark.parametrize(
+        "name, tau_alpha, tau_sigma",
+        [
+            ("tau_alpha", np.nan, 1e-3),
+            ("tau_alpha", np.inf, 1e-3),
+            ("tau_sigma", 10.0, np.nan),
+            ("tau_sigma", 10.0, np.inf),
+            ("tau_alpha", np.array([10.0, -np.inf]), np.array([1e-3, 1e-3])),
+            ("tau_sigma", np.array([10.0, 10.0]), np.array([1e-3, np.nan])),
+        ],
+        ids=["nan-alpha", "inf-alpha", "nan-sigma", "inf-sigma", "row-alpha", "row-sigma"],
+    )
+    def test_rejects_non_finite_dial(self, name, tau_alpha, tau_sigma):
+        # these once gave a NaN or infinite b_alpha or b_sigma; a NaN
+        # tau_sigma passed the floor check
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            identity_init(small_prior(d=2), tau_alpha, tau_sigma, d=2, h=1)
+
     def test_std_past_float64_is_the_clamped_std(self):
         # sigma_p * tau_sigma overflows in the second entry only: its
         # log-variance is +inf, which `_sigma` clamps like any past 700,
