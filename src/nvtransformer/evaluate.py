@@ -26,8 +26,8 @@ from .model import (
 # here: the sweep runs their batched internals; bench/spans.py traces them in
 # this namespace.
 from .model import forward_nv, forward_standard, greedy_decode, reinterpret
-from .nvib import GROUPS, EmpiricalPrior, TAU_SIGMA_MIN, TauConfig
-from .numeric import _check_integer, make_rng
+from .nvib import GROUPS, EmpiricalPrior, TauConfig, identity_taus
+from .numeric import _check_count, _check_integer, make_rng
 from .serialize import _TOKEN_ID
 
 __all__ = [
@@ -46,9 +46,9 @@ __all__ = [
     "sweep_csv",
 ]
 
-# dial search space
-TAU_ALPHA_RANGE = (-15.0, 10.0)
-TAU_SIGMA_RANGE = (TAU_SIGMA_MIN, 0.5)
+# dial search space, whose identity ends make `interp_taus(0)` the identity
+TAU_ALPHA_RANGE = (-15.0, identity_taus().tau_alpha_enc)
+TAU_SIGMA_RANGE = (identity_taus().tau_sigma_enc, 0.5)
 
 FIRST_TOKEN = 3  # ids 0..2 are reserved (padding unused, BOS, EOS)
 
@@ -60,7 +60,8 @@ def make_random_corpus(
 ) -> list[list[int]]:
     """Random token sequences over the non-reserved vocabulary, min_len..max_len long."""
     hi = max_len if max_len is not None else min(config.max_len - 1, 16)
-    for name, value in (("n", n), ("min_len", min_len), ("max_len", hi)):
+    _check_count(n, "n")
+    for name, value in (("min_len", min_len), ("max_len", hi)):
         _check_integer(value, name)
     if config.vocab <= FIRST_TOKEN or hi < min_len:
         raise ValueError(f"random corpus needs vocab > {FIRST_TOKEN} and lengths {min_len}..{hi}")
@@ -78,7 +79,7 @@ def make_template_corpus(config: ModelConfig, n: int, seed: int) -> list[list[in
     every site a rich latent distribution, while any sequence-level
     subsample reproduces the full-corpus statistics up to the sample-size
     correction."""
-    _check_integer(n, "n")
+    _check_count(n, "n")
     if config.vocab <= FIRST_TOKEN:
         raise ValueError(f"template corpus needs vocab > {FIRST_TOKEN}")
     rng = make_rng(seed)
@@ -91,7 +92,7 @@ def random_eval_inputs(
     config: ModelConfig, k: int, seed: int
 ) -> list[tuple[list[int], list[int]]]:
     """(source, teacher-forced target) pairs with random contents."""
-    _check_integer(k, "k")
+    _check_count(k, "k")
     # a source of 4+ tokens and a target of BOS plus 3+, ids past EOS
     if config.vocab <= FIRST_TOKEN or config.max_len < 5:
         raise ValueError(f"random eval inputs need vocab > {FIRST_TOKEN} and max_len >= 5")

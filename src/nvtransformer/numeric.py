@@ -42,12 +42,17 @@ def _check_integer(n, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {n!r}")
 
 
+def _check_count(n, name: str) -> None:
+    """A ValueError naming `name` unless n is a nonnegative integer."""
+    _check_integer(n, name)
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (PCG64).  One owner per generator; never share across
     concurrent callers.  The seed must be a nonnegative integer."""
-    _check_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_count(seed, "seed")
     return np.random.default_rng(seed)
 
 

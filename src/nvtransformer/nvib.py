@@ -239,7 +239,11 @@ def identity_init(
     and log pseudo-counts are the scaled squared norm plus the dial offset
     epsilon_alpha * tau_alpha.  Dials must be finite, as TauConfig's are;
     given as (B,) arrays, one per row of a padded batch, they give the
-    per-row b_alpha (B,) and b_sigma (B, d).
+    per-row b_alpha (B,) and b_sigma (B, d).  Once b_alpha passes
+    LOG_ALPHA_CLAMP, raising tau_alpha further moves the twin away from the
+    identity: every token's log pseudo-count sits at the clamp, so the norm
+    weighting is lost (the README quick start's `certify --tau-alpha 1e308`
+    reads a max logit diff of 1.66 and fails).
     """
     if h < 1 or d % h != 0:
         raise ValueError(f"heads={h} must divide d={d}")
@@ -252,12 +256,13 @@ def identity_init(
     if (tau_sigma < TAU_SIGMA_MIN).any():
         raise ValueError(f"tau_sigma below floor {TAU_SIGMA_MIN:g}")
     scale = np.sqrt(d / h)
-    with np.errstate(over="ignore"):   # an overflowing std's log is +inf: `_sigma` clamps it
+    with np.errstate(over="ignore"):  # `_sigma`, `token_log_alpha` clamp an inf
         std = prior.sigma_p * tau_sigma[..., None]
+        b_alpha = prior.epsilon_alpha * tau_alpha
     return NvibProjection(
         b_sigma=2.0 * np.log(std),
         w_alpha=np.full(d, 1.0 / (2.0 * scale)),
-        b_alpha=prior.epsilon_alpha * tau_alpha,
+        b_alpha=b_alpha,
         prior=prior,
     )
 

@@ -19,10 +19,14 @@ tensor order is the parameter tree's dataclass field order, so save -> load
 names from the parameter description `init_weights` draws from
 (`model._build`), and the tail from the dataclasses `TauConfig` and
 `EmpiricalPrior`: each tail object holds exactly its fields, each once, each
-the JSON type its annotation names.  The loader refuses missing, misshapen,
-duplicate, unknown and non-UTF-8-named tensors, tensors of rank above 64 or
-holding a NaN or an infinity, a tail off that rule, weights that overflow the
-twin's forms, any length past the end of the file, and any trailing bytes.
+the JSON type its annotation names.  A field or array item of another JSON
+type is refused by the field's name: null, a bool, a string, a list or an
+object where it does not belong, a fraction or an infinity for an int, an
+integer past float range for a float.  The loader refuses missing,
+misshapen, duplicate, unknown and non-UTF-8-named tensors, tensors of rank
+above 64 or holding a NaN or an infinity, a tail off that rule, weights that
+overflow the twin's forms, any length past the end of the file, and any
+trailing bytes.
 """
 
 from __future__ import annotations
@@ -133,7 +137,10 @@ def _json_value(value, tp, name: str):
         kinds, what = _JSON_TYPES[tp]
         if type(value) not in kinds:
             raise ValueError(f"{name} must be {what}, got {value!r}")
-        return float(value) if tp is float else value
+        try:
+            return float(value) if tp is float else value
+        except OverflowError:  # a JSON integer past float range
+            raise ValueError(f"{name} must be a number within float range") from None
     if tp in _FIELD_TYPES:
         return tp(**_fields(value, _FIELD_TYPES[tp], name))
     item = float if tp is np.ndarray else get_args(tp)[0]

@@ -10,7 +10,6 @@ import pathlib
 import struct
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ import nvtransformer
 from nvtransformer import (
     ModelWeights,
     NvModel,
+    WeightFormatError,
     load_weights,
     write_corpus,
 )
@@ -50,20 +50,25 @@ def workdir(tmp_path_factory):
     return {"root": root, "model": model, "corpus": corpus, "priors": priors}
 
 
-def with_tail_value(priors, tmp_path, path, value):
-    """A copy of the NVTX file `priors` whose JSON tail holds `value` at
-    `path`, a sequence of keys and indices; returns its path."""
-    raw = pathlib.Path(priors).read_bytes()
-    start = raw.rindex(b'{"kind":"nv"')
-    tail = json.loads(raw[start:])
-    node = tail
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    blob = json.dumps(tail).encode()
-    bad = tmp_path / "bad.nvtx"
-    bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
-    return str(bad)
+@pytest.fixture(scope="module")
+def twin(workdir) -> NvModel:
+    return load_weights(workdir["priors"])
+
+
+def assert_refused(capsys, argv, bad) -> None:
+    """`main(argv)`, given the file `bad` that the loader refuses, exits 3
+    and prints `error: ` and the loader's message."""
+    with pytest.raises(WeightFormatError) as refusal:
+        load_weights(bad)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {refusal.value}\n"
+
+
+def certify_refuses(workdir, capsys, *, model=None, priors=None) -> None:
+    """`certify` with one file the loader refuses, the other from `workdir`."""
+    argv = ["certify", "--model", model or workdir["model"],
+            "--priors", priors or workdir["priors"]]
+    assert_refused(capsys, argv, model or priors)
 
 
 class TestInitModel:
@@ -305,77 +310,45 @@ class TestCertify:
         assert r == 2
         assert "tau_alpha" in capsys.readouterr().err
 
-    def test_non_finite_prior_in_file_is_data_error(
-        self, workdir, tmp_path, capsys
-    ):
-        # rewrite the JSON tail with one prior value set to NaN
-        raw = pathlib.Path(workdir["priors"]).read_bytes()
-        start = raw.rindex(b'{"kind":"nv"')
-        tail = json.loads(raw[start:])
-        tail["priors"][0]["log_alpha0_p"] = float("nan")
-        blob = json.dumps(tail).encode()
-        bad = tmp_path / "nan.nvtx"
-        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
-        r = main([
-            "certify", "--model", workdir["model"], "--priors", str(bad),
-        ])
-        assert r == 3
-        assert "log_alpha0_p" in capsys.readouterr().err
+    def test_non_finite_prior_in_file_is_data_error(self, workdir, twin, with_tail, capsys):
+        bad = with_tail(twin, {("priors", 0, "log_alpha0_p"): float("nan")})
+        certify_refuses(workdir, capsys, priors=bad)
 
-    def test_oversized_tensor_in_priors_is_data_error(
-        self, workdir, tmp_path, capsys
-    ):
+    def test_oversized_tensor_in_priors_is_data_error(self, workdir, tmp_path, capsys):
         # a header claiming a (65536,)*4 tensor, 2**67 bytes, in a short file
         raw = pathlib.Path(workdir["priors"]).read_bytes()
-        header = raw[:36] + struct.pack("<I", 1)
         name = b"tok_emb"
         record = (
             struct.pack("<I", len(name)) + name
             + struct.pack("<5I", 4, 65536, 65536, 65536, 65536)
         )
         bad = tmp_path / "huge.nvtx"
-        bad.write_bytes(header + record + bytes(64))
-        r = main([
-            "certify", "--model", workdir["model"], "--priors", str(bad),
-        ])
-        assert r == 3
-        assert "truncated" in capsys.readouterr().err
+        bad.write_bytes(raw[:36] + struct.pack("<I", 1) + record + bytes(64))
+        certify_refuses(workdir, capsys, priors=str(bad))
 
     @pytest.mark.parametrize("fault", ["non-object tail", "rank 65 tensor"])
     def test_unreadable_priors_file_is_data_error(
-        self, workdir, tmp_path, capsys, fault
+        self, workdir, twin, with_tail, tmp_path, capsys, fault
     ):
-        raw = pathlib.Path(workdir["priors"]).read_bytes()
         if fault == "non-object tail":
-            start = raw.rindex(b'{"kind":"nv"')
-            bad_bytes = raw[: start - 8] + struct.pack("<Q", 3) + b"[1]"
-            want = "JSON tail is a list, not an object"
+            bad = with_tail(twin, lambda tail: "[1]")
         else:
             name = b"tok_emb"
             record = (
                 struct.pack("<I", len(name)) + name
                 + struct.pack("<I", 65) + struct.pack("<I", 1) * 65
             )
-            bad_bytes = raw[:36] + struct.pack("<I", 1) + record + bytes(64)
-            want = "rank 65 > 64"
-        bad = tmp_path / "bad.nvtx"
-        bad.write_bytes(bad_bytes)
-        r = main([
-            "certify", "--model", workdir["model"], "--priors", str(bad),
-        ])
-        assert r == 3
-        assert want in capsys.readouterr().err
+            raw = pathlib.Path(workdir["priors"]).read_bytes()
+            bad = tmp_path / "bad.nvtx"
+            bad.write_bytes(raw[:36] + struct.pack("<I", 1) + record + bytes(64))
+        certify_refuses(workdir, capsys, priors=str(bad))
 
     def test_non_utf8_tensor_name_is_data_error(self, workdir, tmp_path, capsys):
         raw = bytearray(pathlib.Path(workdir["model"]).read_bytes())
         raw[raw.index(b"tok_emb")] = 0xFF
         bad = tmp_path / "name.nvtx"
         bad.write_bytes(bytes(raw))
-        r = main([
-            "certify", "--model", str(bad), "--priors", workdir["priors"],
-        ])
-        assert r == 3
-        assert "not UTF-8" in capsys.readouterr().err
+        certify_refuses(workdir, capsys, model=str(bad))
 
     def test_non_finite_tensor_is_data_error(self, workdir, tmp_path, capsys):
         # a NaN in the first entry of encoder layer 0's query weights; it
@@ -386,94 +359,55 @@ class TestCertify:
         raw[start : start + 8] = struct.pack("<d", float("nan"))
         bad = tmp_path / "nan.nvtx"
         bad.write_bytes(bytes(raw))
-        r = main([
-            "certify", "--model", str(bad), "--priors", workdir["priors"],
-        ])
-        assert r == 3
-        assert "'enc.0.self.wq' has non-finite" in capsys.readouterr().err
+        certify_refuses(workdir, capsys, model=str(bad))
 
     @pytest.mark.parametrize("fault", ["missing site", "wrong width"])
     def test_priors_that_do_not_fit_the_model_are_data_error(
-        self, workdir, tmp_path, capsys, fault
+        self, workdir, twin, with_tail, capsys, fault
     ):
-        raw = pathlib.Path(workdir["priors"]).read_bytes()
-        start = raw.rindex(b'{"kind":"nv"')
-        tail = json.loads(raw[start:])
-        if fault == "missing site":
-            tail["priors"].pop()
-        else:
-            for key in ("mu_p", "sigma_p"):
-                tail["priors"][-1][key] = tail["priors"][-1][key][:8]
-        blob = json.dumps(tail).encode()
-        bad = tmp_path / "bad.nvtx"
-        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
-        r = main([
-            "certify", "--model", workdir["model"], "--priors", str(bad),
-        ])
-        assert r == 3
-        assert "bad NV tail" in capsys.readouterr().err
+        def edit(tail):
+            if fault == "missing site":
+                tail["priors"].pop()
+            else:
+                for key in ("mu_p", "sigma_p"):
+                    tail["priors"][-1][key] = tail["priors"][-1][key][:8]
+
+        certify_refuses(workdir, capsys, priors=with_tail(twin, edit))
 
     @pytest.mark.parametrize(
         "layer_id", [float("inf"), 1.5, True, "1"],
         ids=["Infinity", "1.5", "true", "string"],
     )
     def test_non_integer_layer_id_is_data_error(
-        self, workdir, tmp_path, capsys, layer_id
+        self, workdir, twin, with_tail, capsys, layer_id
     ):
         # the prior of site (encoder, 1), whose id each value would pass as
-        raw = pathlib.Path(workdir["priors"]).read_bytes()
-        start = raw.rindex(b'{"kind":"nv"')
-        tail = json.loads(raw[start:])
-        assert tail["priors"][1]["layer_id"] == 1
-        tail["priors"][1]["layer_id"] = layer_id
-        blob = json.dumps(tail).encode()
-        bad = tmp_path / "bad.nvtx"
-        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
-        r = main([
-            "certify", "--model", workdir["model"], "--priors", str(bad),
-        ])
-        assert r == 3
-        assert "layer_id must be an integer" in capsys.readouterr().err
+        bad = with_tail(twin, {("priors", 1, "layer_id"): layer_id})
+        certify_refuses(workdir, capsys, priors=bad)
 
-    @pytest.mark.parametrize(
-        "field", ["sigma_p", "mu_p"], ids=["sigma_p", "mu_p"]
-    )
+    @pytest.mark.parametrize("field", ["sigma_p", "mu_p"])
     def test_prior_whose_square_overflows_is_data_error(
-        self, workdir, tmp_path, capsys, field
+        self, workdir, twin, with_tail, capsys, field
     ):
         # once loaded, then overflowed in the kernel: certify exited 2 on a
-        # row with no finite entries, attn-dump warned of the overflow
-        bad = with_tail_value(workdir["priors"], tmp_path, ("priors", 0, field, 0), 1e300)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["certify", "--model", workdir["model"], "--priors", bad]) == 3
-            assert main([
-                "attn-dump", "--model", bad, "--input", "3 4 5", "--layer", "0",
-                "--group", "encoder", "--out", str(tmp_path / "map.csv"),
-            ]) == 3
-        err = capsys.readouterr().err
-        assert err.count(field) == 2 and err.count("overflows") == 2
+        # row with no finite entries
+        bad = with_tail(twin, {("priors", 0, field, 0): 1e300})
+        certify_refuses(workdir, capsys, priors=bad)
 
     @pytest.mark.parametrize("value", [1e40, 1e-300], ids=["1e40", "1e-300"])
     def test_sigma_p_outside_the_identity_band_is_data_error(
-        self, workdir, tmp_path, capsys, value
+        self, workdir, twin, with_tail, capsys, value
     ):
         # 1e40 loaded and failed certification (exit 1); 1e-300 loaded and
         # warned of log(0) when the dials were applied
-        bad = with_tail_value(workdir["priors"], tmp_path, ("priors", 0, "sigma_p", 0), value)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["certify", "--model", workdir["model"], "--priors", bad]) == 3
-        assert "bad NV tail: sigma_p must be positive and within" in capsys.readouterr().err
+        bad = with_tail(twin, {("priors", 0, "sigma_p", 0): value})
+        certify_refuses(workdir, capsys, priors=bad)
 
     @pytest.mark.parametrize("value", [[], "x", None], ids=["list", "string", "null"])
     def test_taus_that_is_not_an_object_is_data_error(
-        self, workdir, tmp_path, capsys, value
+        self, workdir, twin, with_tail, capsys, value
     ):
-        bad = with_tail_value(workdir["priors"], tmp_path, ("taus",), value)
-        r = main(["certify", "--model", workdir["model"], "--priors", bad])
-        assert r == 3
-        assert "bad NV tail: taus must be a JSON object" in capsys.readouterr().err
+        certify_refuses(workdir, capsys, priors=with_tail(twin, {("taus",): value}))
 
     @pytest.mark.parametrize(
         "path, value",
@@ -490,46 +424,34 @@ class TestCertify:
         ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else repr(x),
     )
     def test_non_number_in_tail_is_data_error(
-        self, workdir, tmp_path, capsys, path, value
+        self, workdir, twin, with_tail, capsys, path, value
     ):
         # each value used to load, as the number it reads as or as the dial True
-        bad = with_tail_value(workdir["priors"], tmp_path, path, value)
-        r = main(["certify", "--model", workdir["model"], "--priors", bad])
-        assert r == 3
-        assert "must be a number" in capsys.readouterr().err
+        certify_refuses(workdir, capsys, priors=with_tail(twin, {path: value}))
 
     def test_int_past_float_range_in_tail_is_data_error(
-        self, workdir, tmp_path, capsys
+        self, workdir, twin, with_tail, capsys
     ):
         # a JSON integer too large for a float used to escape as OverflowError
-        path = ("priors", 0, "log_alpha0_p")
-        bad = with_tail_value(workdir["priors"], tmp_path, path, 10**400)
-        r = main(["certify", "--model", workdir["model"], "--priors", bad])
-        assert r == 3
-        assert "bad NV tail" in capsys.readouterr().err
+        bad = with_tail(twin, {("priors", 0, "log_alpha0_p"): 10**400})
+        certify_refuses(workdir, capsys, priors=bad)
 
     @pytest.mark.parametrize(
-        "old, new, want",
-        [
-            (b'"tau_alpha_enc":10.0,', b"", "missing key 'tau_alpha_enc' in taus"),
-            (b'"layer_id":0,', b'"layer_id":0,"note":0,', "unknown key 'note' in priors"),
-            (b'{"kind":"nv",', b'{"kind":"nv","kind":"nv",', "repeated key 'kind'"),
-        ],
-        ids=["deleted-dial", "unknown-prior-key", "repeated-top-key"],
+        "where, key", [("priors", "note"), ("top", "kind")],
+        ids=["unknown-prior-key", "repeated-top-key"],
     )
     def test_tail_off_its_dataclasses_is_data_error(
-        self, workdir, tmp_path, capsys, old, new, want
+        self, workdir, twin, with_tail, capsys, where, key
     ):
-        # each used to load: the deleted dial at its identity default
-        raw = pathlib.Path(workdir["priors"]).read_bytes()
-        start = raw.rindex(b'{"kind":"nv"')
-        blob = raw[start:].replace(old, new, 1)
-        assert blob != raw[start:]
-        bad = tmp_path / "bad.nvtx"
-        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
-        r = main(["certify", "--model", workdir["model"], "--priors", str(bad)])
-        assert r == 3
-        assert want in capsys.readouterr().err
+        # each used to load: the unknown key ignored, the repeated one at
+        # its last value
+        def edit(tail):
+            if where == "priors":
+                tail["priors"][0][key] = 0
+            else:  # json.dumps writes a key once, so it is repeated in the text
+                return json.dumps(tail).replace("{", '{"kind":"nv",', 1)
+
+        certify_refuses(workdir, capsys, priors=with_tail(twin, edit))
 
     def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
         r = main([
@@ -545,14 +467,6 @@ class TestCertify:
             "--priors", workdir["priors"],
         ])
         assert r == 2
-
-    def test_corrupt_weight_file_is_data_error(self, workdir, tmp_path):
-        junk = tmp_path / "junk.nvtx"
-        junk.write_bytes(b"not a weight file at all")
-        r = main([
-            "certify", "--model", str(junk), "--priors", workdir["priors"],
-        ])
-        assert r == 3
 
 
 class TestSweep:
@@ -704,6 +618,39 @@ class TestFileAccess:
         assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("fault", ["junk", "no-dial"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--model", "BAD", "--priors", "PRIORS"],
+            ["certify", "--model", "MODEL", "--priors", "BAD"],
+            ["sweep", "--model", "MODEL", "--priors", "BAD", "--grid", "interp:2",
+             "--out", "OUT"],
+            ["attn-dump", "--model", "BAD", "--input", "3 4 5", "--layer", "0",
+             "--group", "encoder", "--out", "OUT"],
+            ["estimate-prior", "--model", "BAD", "--corpus", "CORPUS", "--out", "OUT"],
+        ],
+        ids=["certify-model", "certify-priors", "sweep-priors", "attn-dump-model",
+             "estimate-prior-model"],
+    )
+    def test_refused_file_is_data_error(
+        self, workdir, twin, with_tail, tmp_path, capsys, argv, fault
+    ):
+        # each refusal is tested where the loader raises it (test_serialize.py);
+        # here, that every file argument passes it on as exit 3
+        if fault == "junk":
+            bad = tmp_path / "junk.nvtx"
+            bad.write_bytes(b"not a weight file at all")
+        else:  # the twin whose tail lacks a dial, which once loaded at its default
+            bad = with_tail(twin, lambda tail: tail["taus"].pop("tau_alpha_enc"))
+        files = {
+            "BAD": str(bad), "MODEL": workdir["model"], "PRIORS": workdir["priors"],
+            "CORPUS": workdir["corpus"], "OUT": str(tmp_path / "out"),
+        }
+        assert_refused(capsys, [files.get(a, a) for a in argv], str(bad))
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -767,11 +714,7 @@ class TestArgumentEdges:
         raw[16:20] = struct.pack("<I", 0)  # magic, version, vocab, dim, heads
         bad = tmp_path / "heads0.nvtx"
         bad.write_bytes(bytes(raw))
-        r = main([
-            "certify", "--model", str(bad), "--priors", workdir["priors"],
-        ])
-        assert r == 3
-        assert "invalid config block: heads must be positive" in capsys.readouterr().err
+        certify_refuses(workdir, capsys, model=str(bad))
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_sweep_without_trials_is_usage_error(

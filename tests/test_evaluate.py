@@ -32,7 +32,9 @@ from nvtransformer.model import (
     init_weights,
     reinterpret,
 )
-from nvtransformer.nvib import ALPHA_CLAMP_EVENTS, GROUPS, TAU_SIGMA_MIN, TauConfig
+from nvtransformer.nvib import (
+    ALPHA_CLAMP_EVENTS, GROUPS, TAU_SIGMA_MIN, TauConfig, identity_taus,
+)
 from nvtransformer.priors import estimate_priors
 
 
@@ -172,6 +174,7 @@ class TestGrids:
 
     def test_single_point_grid_is_identity_corner(self):
         (only,) = grid_points("interp:1")
+        assert only == identity_taus()
         assert only.tau_alpha_enc == 10.0
         assert only.tau_sigma_enc == TAU_SIGMA_MIN
 
@@ -248,6 +251,14 @@ class TestSweep:
         )
         assert rows[0].prior_mass_enc < 1e-6
         assert rows[-1].prior_mass_enc > 0.5
+
+    def test_alpha_dial_past_float_range_is_clamped_without_a_warning(
+        self, toy_model, toy_priors
+    ):
+        # each row's epsilon_alpha * 1e308 overflowed with a RuntimeWarning;
+        # the infinite b_alpha is clamped, which loses the norm weighting
+        (row,) = run_sweep(toy_model, toy_priors, [TauConfig.uniform(1e308, TAU_SIGMA_MIN)], 2)
+        assert 1e-5 < row.logit_max_diff < np.inf
 
     def test_deterministic(self, toy_model, toy_priors):
         pts = grid_points("interp:2")
@@ -373,6 +384,21 @@ class TestTrialsAndTol:
         # each once raised NumPy's TypeError deep in a draw, or ran a bool as 1
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(toy_model, toy_priors)
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("n", lambda cfg, n: make_random_corpus(cfg, n, 0)),
+            ("n", lambda cfg, n: make_template_corpus(cfg, n, 0)),
+            ("k", lambda cfg, k: random_eval_inputs(cfg, k, 0)),
+        ],
+        ids=["corpus-n", "template-n", "eval-inputs-k"],
+    )
+    def test_counts_must_be_nonnegative(self, name, build):
+        # each returned [] for a negative count
+        with pytest.raises(ValueError, match=rf"^{name} must be nonnegative, got -2$"):
+            build(ModelConfig(), -2)
+        assert build(ModelConfig(), 0) == []
 
     def test_numpy_integer_trials_accepted(self, toy_model, toy_priors):
         pts = grid_points("interp:2")

@@ -1,7 +1,9 @@
 """Tests for the NVTX weight container and corpus files."""
 
 import json
+import re
 import struct
+from typing import get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -378,73 +380,75 @@ class TestFormatErrors:
         with pytest.raises(WeightFormatError, match="7 trailing bytes"):
             load_weights(str(bad))
 
-    def test_rejects_unknown_kind(self, tmp_path, toy_model):
-        path = tmp_path / "m.nvtx"
-        save_weights(str(path), toy_model)
-        raw = path.read_bytes()
-        tail = b'{"kind":"standard"}'
-        # same-length substitutions keep the tail length prefix valid; a tail
-        # that is no JSON object has no kind to read
-        for swapped, want in [
-            (b'{"kind":"stendard"}', "kind"),
-            (b"[1]".ljust(len(tail)), "JSON tail is a list, not an object"),
+    def test_rejects_unknown_kind(self, with_tail, toy_model):
+        # a tail that is no JSON object has no kind to read
+        for edit, want in [
+            ({("kind",): "stendard"}, "kind"),
+            (lambda tail: "[1]", "JSON tail is a list, not an object"),
         ]:
-            bad = tmp_path / "kind.nvtx"
-            bad.write_bytes(raw.replace(tail, swapped))
             with pytest.raises(WeightFormatError, match=want):
-                load_weights(str(bad))
+                load_weights(with_tail(toy_model, edit))
 
     @pytest.mark.parametrize("fault", ["missing site", "wrong width"])
     def test_rejects_priors_that_do_not_fit_the_model(
-        self, tmp_path, toy_model, toy_priors, fault
+        self, with_tail, toy_model, toy_priors, fault
     ):
-        path = tmp_path / "m.nvtx"
-        save_weights(str(path), reinterpret(toy_model, toy_priors, TauConfig()))
-        raw = path.read_bytes()
-        start = raw.rindex(b'{"kind":"nv"')
-        tail = json.loads(raw[start:])
-        if fault == "missing site":
-            tail["priors"].pop()
-        else:
-            for key in ("mu_p", "sigma_p"):
-                tail["priors"][0][key] = tail["priors"][0][key][:8]
-        blob = json.dumps(tail).encode()
-        bad = tmp_path / "bad.nvtx"
-        bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
+        def edit(tail):
+            if fault == "missing site":
+                tail["priors"].pop()
+            else:
+                for key in ("mu_p", "sigma_p"):
+                    tail["priors"][0][key] = tail["priors"][0][key][:8]
+
+        bad = with_tail(reinterpret(toy_model, toy_priors, TauConfig()), edit)
         want = "missing" if fault == "missing site" else "dimension"
         with pytest.raises(WeightFormatError, match=f"bad NV tail: .*{want}"):
-            load_weights(str(bad))
+            load_weights(bad)
 
     def test_save_rejects_other_types(self, tmp_path):
         with pytest.raises(TypeError, match="serialise"):
             save_weights(str(tmp_path / "x.nvtx"), {"not": "a model"})
 
 
-def twin_with_tail(tmp_path, model, edit) -> str:
-    """A copy of `model` saved as an NVTX file whose JSON tail text is
-    `edit(text)`, the length prefix rewritten to fit; returns its path."""
-    path = tmp_path / "twin.nvtx"
-    save_weights(str(path), model)
-    raw = path.read_bytes()
-    start = raw.rindex(b'{"kind":')
-    blob = edit(raw[start:].decode()).encode()
-    bad = tmp_path / "bad.nvtx"
-    bad.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob)
-    return str(bad)
+# the twin tail's objects, each at its path with its fields' annotations,
+# read from the dataclasses as `serialize` reads them
+TAIL_OBJECTS = {
+    (): {"kind": str, "taus": TauConfig, "priors": list[EmpiricalPrior]},
+    ("taus",): get_type_hints(TauConfig),
+    ("priors", 0): get_type_hints(EmpiricalPrior),
+}
+# a JSON value of each type; "1" is a string that int() and float() read
+JSON_VALUES = {"null": None, "true": True, "string": "1", "list": [1.0], "object": {}}
 
 
-def edit_key(text: str, where: str, key: str, fault: str) -> str:
-    """Twin tail `text` with `key` of its object `where` (the top level,
-    taus or the first prior) deleted, added with a value or given twice."""
-    tail = json.loads(text)
-    obj = {"top": tail, "taus": tail["taus"], "prior": tail["priors"][0]}[where]
-    if fault == "deleted":
-        del obj[key]
-    elif fault == "unknown":
-        obj[key] = 1.0
-    else:  # json.dumps writes a key once, so the twin is renamed in the text
-        obj["@twin"] = obj[key]
-    return json.dumps(tail).replace('"@twin"', json.dumps(key))
+def json_type(tp) -> str:
+    """The JSON type a tail value of annotation `tp` is written as."""
+    if tp in (float, int):
+        return "number"
+    if tp is str:
+        return "string"
+    return "list" if tp is np.ndarray or get_origin(tp) is list else "object"
+
+
+def wrong_typed_values():
+    """(path, field name, value) for each JSON value of another type than a
+    tail field's annotation, or an array item's, reads: every other JSON
+    type, a fraction or an infinity for an integer, an integer past float
+    range for a float."""
+    for at, fields in TAIL_OBJECTS.items():
+        for name, tp in fields.items():
+            slots = [((*at, name), tp)]
+            if tp is np.ndarray:  # a list of floats
+                slots.append(((*at, name, 0), float))
+            for path, slot in slots:
+                values = [(k, v) for k, v in JSON_VALUES.items() if k != json_type(slot)]
+                if slot is int:
+                    values += [("fraction", 1.5), ("Infinity", float("inf"))]
+                if slot is float:
+                    values.append(("1e400", 10**400))
+                for label, value in values:
+                    case_id = ".".join(map(str, path)) + "=" + label
+                    yield pytest.param(path, name, value, id=case_id)
 
 
 class TestTailSchema:
@@ -470,26 +474,60 @@ class TestTailSchema:
         ],
     )
     def test_refuses_a_deleted_unknown_or_repeated_key(
-        self, tmp_path, twin, where, key, fault
+        self, with_tail, twin, where, key, fault
     ):
         # each used to load or fail on another count: a deleted dial at its
         # default, an unknown key ignored (but in taus), a repeated key at
         # its last value
-        bad = twin_with_tail(tmp_path, twin, lambda t: edit_key(t, where, key, fault))
+        def edit(tail):
+            obj = {"top": tail, "taus": tail["taus"], "prior": tail["priors"][0]}[where]
+            if fault == "deleted":
+                del obj[key]
+            elif fault == "unknown":
+                obj[key] = 1.0
+            else:  # json.dumps writes a key once, so the twin is renamed in the text
+                obj["@twin"] = obj[key]
+                return json.dumps(tail).replace('"@twin"', json.dumps(key))
+
         word = {"deleted": "missing", "unknown": "unknown", "repeated": "repeated"}[fault]
         with pytest.raises(WeightFormatError, match=f"{word} key '{key}'"):
-            load_weights(bad)
+            load_weights(with_tail(twin, edit))
 
-    def test_standard_tail_is_kind_alone(self, tmp_path, toy_model):
-        bad = twin_with_tail(
-            tmp_path, toy_model, lambda t: t.replace("}", ',"taus":{}}')
-        )
+    @pytest.mark.parametrize("path, name, value", list(wrong_typed_values()))
+    def test_wrong_json_type_is_refused_by_name(self, with_tail, twin, path, name, value):
+        # an integer past float range was refused without its field's name
+        want = "unknown model kind" if name == "kind" else f"bad NV tail: {name} must be "
+        with pytest.raises(WeightFormatError, match=re.escape(want)):
+            load_weights(with_tail(twin, {path: value}))
+
+    @pytest.mark.parametrize(
+        "path, value, want",
+        [
+            (("priors", 0, "log_alpha0_p"), float("nan"), "log_alpha0_p must be finite"),
+            (("taus", "tau_alpha_dec"), float("nan"), "tau_alpha_dec must be finite"),
+            (("priors", 0, "sigma_p", 0), 1e40, "sigma_p must be positive and within"),
+            (("priors", 0, "sigma_p", 0), 1e-300, "sigma_p must be positive and within"),
+            (("priors", 0, "sigma_p", 0), 1e300, "sigma_p squared overflows"),
+            (("priors", 0, "mu_p", 0), 1e300, "sum(mu_p**2) overflows"),
+            (("priors", 0, "epsilon_alpha"), -0.5, "epsilon_alpha must be nonnegative"),
+            (("taus", "tau_sigma_cross"), 1e-39, "tau_sigma for cross below floor"),
+        ],
+        ids=["nan-prior", "nan-dial", "sigma_p-1e40", "sigma_p-1e-300", "sigma_p-square",
+             "mu_p-square", "negative-epsilon_alpha", "dial-below-floor"],
+    )
+    def test_value_off_its_rule_is_refused(self, with_tail, twin, path, value, want):
+        # of the right JSON type, but refused by the dataclass it builds
+        with pytest.raises(WeightFormatError, match=re.escape(f"bad NV tail: {want}")):
+            load_weights(with_tail(twin, {path: value}))
+
+    def test_standard_tail_is_kind_alone(self, with_tail, toy_model):
+        bad = with_tail(toy_model, {("taus",): {}})
         with pytest.raises(WeightFormatError, match="unknown key 'taus' in the tail"):
             load_weights(bad)
 
-    def test_too_deeply_nested_tail_is_refused(self, tmp_path, toy_model):
+    def test_too_deeply_nested_tail_is_refused(self, with_tail, toy_model):
         # json.loads' RecursionError used to escape, so certify exited 1
-        bad = twin_with_tail(tmp_path, toy_model, lambda t: "[" * 100_000)
+        bad = with_tail(toy_model, lambda tail: "[" * 100_000)
         with pytest.raises(WeightFormatError, match="bad JSON tail: maximum recursion"):
             load_weights(bad)
 
