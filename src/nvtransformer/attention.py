@@ -23,8 +23,9 @@ greedy decode over an unpadded source, builds none.
 Each result is allocated once and transformed in place by the operations of
 the out-of-place form, in its order, so the bits are the same: a projection
 adds its bias to the product (`numeric.affine`), the scores are divided and
-take -inf where a key is hidden, and `softmax_rows` allocates only its
-result.  No kernel writes its arguments.
+take -inf where a key is hidden, and `softmax_rows` normalises the
+scores in place, so the weights take no buffer of their own.  No kernel
+writes its arguments.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def attend_heads(
         scores += bias
     if hidden is not None:
         np.copyto(scores, -np.inf, where=hidden)
-    w = softmax_rows(scores)
+    w = softmax_rows(scores, out=scores)
     return w @ v, w
 
 

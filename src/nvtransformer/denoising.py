@@ -210,8 +210,7 @@ def eval_dattn_multihead(
         scores, mix = _general_path(q, dp, params)
     if hidden is not None:
         np.copyto(scores, -np.inf, where=hidden)
-    w = softmax_rows(scores)
-    del scores  # mix reads only the weights: free the scores first
+    w = softmax_rows(scores, out=scores)
     if map_sink is not None:
         map_sink(w.sum(axis=-3) / h)   # np.mean over the heads
     out = merge_heads(mix(w))

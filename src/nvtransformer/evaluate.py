@@ -63,6 +63,8 @@ def make_random_corpus(
     _check_count(n, "n")
     for name, value in (("min_len", min_len), ("max_len", hi)):
         _check_integer(value, name)
+    if min_len < 1:
+        raise ValueError(f"min_len must be at least 1, got {min_len}")
     if config.vocab <= FIRST_TOKEN or hi < min_len:
         raise ValueError(f"random corpus needs vocab > {FIRST_TOKEN} and lengths {min_len}..{hi}")
     rng = make_rng(seed)

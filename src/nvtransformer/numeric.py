@@ -56,20 +56,23 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def softmax_rows(a: np.ndarray) -> np.ndarray:
+def softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, stabilised by subtracting each row's max.
 
     Entries of -inf are allowed and map to exactly zero weight, which is how
     masking is implemented upstream.  A row that is entirely -inf has no
-    well-defined softmax and raises.  `a` is never written: the result is
-    the one new array, and the exp and the division run in it.
+    well-defined softmax and raises, before anything is written.  The
+    result is written to `out`, as in NumPy, which may be `a` itself (the
+    attention kernels normalise their own scores so); with `out` None it is
+    the one new array and `a` is never written.  The exp and the division
+    run in the result, so the bits are the same either way.
     """
     # the ndarray reductions are np.max's and np.sum's without their wrappers
     a = np.asarray(a, dtype=np.float64)
     m = a.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise ValueError("softmax given a row with no finite entries")
-    e = a - m
+    e = np.subtract(a, m, out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

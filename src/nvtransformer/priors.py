@@ -13,9 +13,13 @@ Every subsampled sequence is checked with the model's own token rule
 The corpus runs through the standard model in padded buckets: each shard
 is sorted by length and cut into buckets of at most BUCKET_TOKENS padded
 source tokens, and one forward per bucket hands every site its valid rows.
-The forward stops once the last site has seen its rows: the last decoder
-layer's cross attention and FFN, the final norm and the output projection
-reach no site, so they are never computed.
+Every cross site reads the same final encoder states, so they share one
+accumulation, made at the first cross site and merged into each cross
+site's prior.  The forward stops once the last site has seen its rows,
+before that site attends: at the last decoder layer's causal site (cross 0
+with one decoder layer).  Nothing after it reaches a site, so that layer's
+attention and FFN, the final norm and the output projection are never
+computed.
 Accumulation is merge-based Welford: each bucket contributes one batch per
 site whose exact count/mean/M2 are folded in with the pairwise-merge
 formula, so neither the bucketing nor sharding the corpus and merging shard
@@ -222,14 +226,20 @@ def estimate_priors(
 
     cut = config.max_len
     bounds = np.linspace(0, len(idx), shards + 1).astype(int)
+    cross = [site for site in site_list if site[0] == "cross"]
     merged = {site: _SiteAcc.fresh(config.dim) for site in site_list}
     for a, b in zip(bounds[:-1], bounds[1:]):
-        accs = {site: _SiteAcc.fresh(config.dim) for site in site_list}
+        # every cross site reads the final encoder states: one accumulator
+        memory = _SiteAcc.fresh(config.dim)
+        accs = {site: memory if site in cross else _SiteAcc.fresh(config.dim)
+                for site in site_list}
         seen = set()
 
         def hook(group: str, layer_id: int, z: np.ndarray) -> None:
+            if (group, layer_id) in seen:   # a later cross site: cross 0's rows
+                return
             accs[(group, layer_id)].add(z, scale)
-            seen.add((group, layer_id))
+            seen.update(cross if group == "cross" else [(group, layer_id)])
             if len(seen) == len(site_list):
                 raise _AllSitesSeen
 

@@ -310,10 +310,6 @@ class TestCertify:
         assert r == 2
         assert "tau_alpha" in capsys.readouterr().err
 
-    def test_non_finite_prior_in_file_is_data_error(self, workdir, twin, with_tail, capsys):
-        bad = with_tail(twin, {("priors", 0, "log_alpha0_p"): float("nan")})
-        certify_refuses(workdir, capsys, priors=bad)
-
     def test_oversized_tensor_in_priors_is_data_error(self, workdir, tmp_path, capsys):
         # a header claiming a (65536,)*4 tensor, 2**67 bytes, in a short file
         raw = pathlib.Path(workdir["priors"]).read_bytes()
@@ -385,15 +381,6 @@ class TestCertify:
         bad = with_tail(twin, {("priors", 1, "layer_id"): layer_id})
         certify_refuses(workdir, capsys, priors=bad)
 
-    @pytest.mark.parametrize("field", ["sigma_p", "mu_p"])
-    def test_prior_whose_square_overflows_is_data_error(
-        self, workdir, twin, with_tail, capsys, field
-    ):
-        # once loaded, then overflowed in the kernel: certify exited 2 on a
-        # row with no finite entries
-        bad = with_tail(twin, {("priors", 0, field, 0): 1e300})
-        certify_refuses(workdir, capsys, priors=bad)
-
     @pytest.mark.parametrize("value", [1e40, 1e-300], ids=["1e40", "1e-300"])
     def test_sigma_p_outside_the_identity_band_is_data_error(
         self, workdir, twin, with_tail, capsys, value
@@ -428,13 +415,6 @@ class TestCertify:
     ):
         # each value used to load, as the number it reads as or as the dial True
         certify_refuses(workdir, capsys, priors=with_tail(twin, {path: value}))
-
-    def test_int_past_float_range_in_tail_is_data_error(
-        self, workdir, twin, with_tail, capsys
-    ):
-        # a JSON integer too large for a float used to escape as OverflowError
-        bad = with_tail(twin, {("priors", 0, "log_alpha0_p"): 10**400})
-        certify_refuses(workdir, capsys, priors=bad)
 
     @pytest.mark.parametrize(
         "where, key", [("priors", "note"), ("top", "kind")],

@@ -143,6 +143,13 @@ class TestCorpusBuilders:
         assert all(len(s) == 4 for s in make_random_corpus(ModelConfig(max_len=5), 3, seed=1))
         assert all(set(s) == {3} for s in make_random_corpus(ModelConfig(vocab=4), 3, seed=1))
 
+    @pytest.mark.parametrize("min_len, max_len", [(-1, 2), (0, 3), (-5, -1)])
+    def test_lengths_below_one_refused(self, min_len, max_len):
+        # (-1, 2) returned empty sequences among the others, (-5, -1)
+        # failed inside NumPy with "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=rf"^min_len must be at least 1, got {min_len}$"):
+            make_random_corpus(ModelConfig(), 3, seed=0, min_len=min_len, max_len=max_len)
+
     def test_eval_inputs_teacher_forced(self):
         cfg = ModelConfig()
         pairs = random_eval_inputs(cfg, 10, seed=4)

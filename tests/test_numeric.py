@@ -22,6 +22,22 @@ def _softmax_decimal(row):
     return np.array([float(e / total) for e in exps])
 
 
+# (..., n) stacks, and the (B, h, m, n) scores of toy (d 16, 2 heads) and
+# wide (d 128, 8 heads) decode steps and passes
+SHAPES = [(9,), (7, 5), (3, 4, 9), (3, 2, 1, 6), (3, 2, 12, 13), (1, 8, 1, 97), (2, 8, 40, 41)]
+
+
+def _scores(shape):
+    """Scores of `shape` at three scales, about 30% -inf, one finite entry
+    per row."""
+    rng = make_rng(sum(shape))
+    for scale in (1e-3, 1.0, 300.0):
+        a = rng.normal(0.0, scale, size=shape)
+        a[rng.random(shape) < 0.3] = -np.inf
+        a[..., 0] = rng.normal(0.0, scale, size=shape[:-1])  # one finite per row
+        yield a
+
+
 class TestSoftmaxRows:
     def test_uniform_row(self):
         out = softmax_rows(np.zeros((1, 3)))
@@ -59,20 +75,11 @@ class TestSoftmaxRows:
         with pytest.raises(ValueError, match="no finite"):
             softmax_rows(np.array([[-np.inf, -np.inf]]))
 
-    # (..., n) stacks, and the (B, h, m, n) scores of toy (d 16, 2 heads) and
-    # wide (d 128, 8 heads) decode steps and passes
-    @pytest.mark.parametrize(
-        "shape", [(9,), (7, 5), (3, 4, 9), (3, 2, 1, 6), (3, 2, 12, 13),
-                  (1, 8, 1, 97), (2, 8, 40, 41)],
-    )
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_bits_match_the_np_max_exp_sum_form(self, shape):
         # the result is a new buffer, transformed in place: the input keeps
         # its bytes and the bits are the out-of-place form's
-        rng = make_rng(sum(shape))
-        for scale in (1e-3, 1.0, 300.0):
-            a = rng.normal(0.0, scale, size=shape)
-            a[rng.random(shape) < 0.3] = -np.inf
-            a[..., 0] = rng.normal(0.0, scale, size=shape[:-1])  # one finite per row
+        for a in _scores(shape):
             m = np.max(a, axis=-1, keepdims=True)
             e = np.exp(a - m)
             want = e / np.sum(e, axis=-1, keepdims=True)
@@ -81,6 +88,21 @@ class TestSoftmaxRows:
             np.testing.assert_array_equal(got, want)
             assert not np.shares_memory(got, a)
             assert a.tobytes() == before
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_in_place_bits_match_the_new_buffer(self, shape):
+        for a in _scores(shape):
+            want = softmax_rows(a)
+            got = softmax_rows(a, out=a)
+            assert got is a
+            assert got.tobytes() == want.tobytes()
+
+    def test_in_place_row_without_finite_entries_writes_nothing(self):
+        a = np.array([[1.0, 2.0], [-np.inf, -np.inf]])
+        before = a.tobytes()
+        with pytest.raises(ValueError, match="no finite"):
+            softmax_rows(a, out=a)
+        assert a.tobytes() == before
 
 
 class TestStacksOfRows:

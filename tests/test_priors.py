@@ -1,5 +1,7 @@
 """Tests for streaming prior estimation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from nvtransformer import CorpusError, estimate_priors, prior_report, site_stats
 from nvtransformer import model as model_module
 from nvtransformer import priors as priors_module
 from nvtransformer.evaluate import make_random_corpus
-from nvtransformer.model import BOS_ID, ModelConfig, forward_standard
+from nvtransformer.model import BOS_ID, ModelConfig, forward_standard, init_weights
 from nvtransformer.priors import (
     BUCKET_TOKENS,
     VAR_FLOOR,
@@ -171,6 +173,13 @@ class TestReservoir:
             reservoir_subsample(0, 0.5, 0)
 
 
+def _at_depth(toy_model, layers_dec):
+    """The toy model, or one drawn like it with another decoder depth."""
+    if layers_dec == toy_model.config.layers_dec:
+        return toy_model
+    return init_weights(replace(toy_model.config, layers_dec=layers_dec), seed=7)
+
+
 def per_sequence_oracle(w, corpus):
     """Priors from one forward_standard per sequence and brute-force
     site_stats over each site's stacked vectors."""
@@ -270,20 +279,27 @@ class TestBucketedPass:
         rng.shuffle(lengths)
         corpus = [rng.integers(3, cfg.vocab, n).tolist() for n in lengths]
         assert sum(lengths) > 4 * BUCKET_TOKENS
-        return corpus, per_sequence_oracle(toy_model, corpus)
+        return corpus
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_matches_per_sequence_oracle(self, toy_model, every_length, shards):
-        corpus, want = every_length
-        assert_priors_close(estimate_priors(toy_model, corpus, shards=shards), want, 1e-9)
+    # the toy model's two decoder layers at shards 1 and 3, then one and
+    # three decoder layers, where the forward stops at other sites
+    @pytest.mark.parametrize("layers_dec, shards", [
+        pytest.param(2, 1, id="1"),
+        pytest.param(2, 3, id="3"),
+        *(pytest.param(layers, shards, id=f"{shards}-dec{layers}")
+          for layers in (1, 3) for shards in (1, 3)),
+    ])
+    def test_matches_per_sequence_oracle(self, toy_model, every_length, layers_dec, shards):
+        w = _at_depth(toy_model, layers_dec)
+        got = estimate_priors(w, every_length, shards=shards)
+        assert_priors_close(got, per_sequence_oracle(w, every_length), 1e-9)
 
     @pytest.mark.parametrize("budget", [1, 10**6])
     def test_bucket_size_does_not_matter(self, toy_model, every_length, budget, monkeypatch):
         # one sequence per bucket, and the whole corpus in one bucket
-        corpus, _ = every_length
-        usual = estimate_priors(toy_model, corpus)
+        usual = estimate_priors(toy_model, every_length)
         monkeypatch.setattr(priors_module, "BUCKET_TOKENS", budget)
-        got = estimate_priors(toy_model, corpus)
+        got = estimate_priors(toy_model, every_length)
         assert_priors_close(got, {(p.layer_group, p.layer_id): p for p in usual}, 1e-12)
 
     def test_buckets_are_sorted_and_fill_the_budget(self):
@@ -299,14 +315,20 @@ class TestBucketedPass:
         # a sequence longer than the budget goes alone
         assert [b.tolist() for b in _buckets(np.array([2, BUCKET_TOKENS + 1]))] == [[0], [1]]
 
-    def test_forward_stops_after_the_last_site(self, toy_model, every_length, monkeypatch):
-        # per bucket: every encoder layer's attention and every decoder
-        # layer's causal attention, but no cross attention in the last
-        # decoder layer, whose site sees only the encoder states
-        corpus, _ = every_length
-        cfg = toy_model.config
-        forwards, attended = [], []
+    @pytest.mark.parametrize("layers_dec", [1, 2, 3])
+    def test_forward_stops_after_the_last_site(
+        self, toy_model, every_length, layers_dec, monkeypatch
+    ):
+        # per bucket: every encoder layer's attention, then each decoder
+        # layer's causal and cross attention up to the last decoder layer's
+        # causal site, where the forward stops before attending.  Every
+        # cross site reads the encoder states, accumulated once at cross 0;
+        # with one decoder layer, cross 0 is the last site.
+        w = _at_depth(toy_model, layers_dec)
+        enc = w.config.layers_enc
+        forwards, attended, added = [], [], []
         teacher_forced, attention = priors_module._teacher_forced, model_module.attention
+        add = priors_module._SiteAcc.add
 
         def counting_forward(*args):
             forwards.append(1)
@@ -316,11 +338,18 @@ class TestBucketedPass:
             attended.append(1)
             return attention(*args, **kwargs)
 
+        def counting_add(*args):
+            added.append(1)
+            return add(*args)
+
         monkeypatch.setattr(priors_module, "_teacher_forced", counting_forward)
         monkeypatch.setattr(model_module, "attention", counting_attention)
-        estimate_priors(toy_model, corpus)
+        monkeypatch.setattr(priors_module._SiteAcc, "add", counting_add)
+        estimate_priors(w, every_length)
         assert len(forwards) > 1
-        assert len(attended) == len(forwards) * (cfg.layers_enc + 2 * cfg.layers_dec - 1)
+        per_forward = enc + 1 if layers_dec == 1 else enc + 2 * layers_dec - 2
+        assert len(attended) == len(forwards) * per_forward
+        assert len(added) == len(forwards) * (enc + layers_dec + 1)
 
     def test_bad_sequence_is_named_before_any_forward(self, toy_model, monkeypatch):
         corpus = make_random_corpus(toy_model.config, 200, seed=48)
