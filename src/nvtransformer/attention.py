@@ -9,7 +9,9 @@ applies a single softmax over the stack, and `merge_heads` lays the
 (..., h, m, d/h) outputs back side by side in (..., m, d).  Each head
 value-projects into its own slice of the output, so there is no separate
 output projection.  The denoising paths reuse the same split, attend and
-merge steps.
+merge steps.  The model runs only the head-space denoising kernel, whose
+posterior without forms is this standard attention (`denoising`); `attention`
+is the reference it is tested against.
 
 All three kernels take queries (..., m, d) over keys (..., n, d), with the
 same leading axes, and which keys each query sees is one rule

@@ -23,12 +23,15 @@ enter only through head-width keys and values, written in one pass from the
 site's vectors (`head_keys`).  The two paths agree to rounding error.  A
 keyed posterior is one (n+1, 3d+1) row matrix, [P] last, [mu | k | v | c]
 (`KeyedPosterior.rows`).  Each row depends on its own component alone, so a
-causal cache appends a step's rows to one buffer.
+causal cache appends a step's rows to one buffer.  A keyed posterior
+without forms is standard attention, the twin at zero token variance and
+no prior (`standard_keys`): its [P] takes no weight.
 
 Both paths also take a padded batch: (B, m, d) queries over a batch of B
 posteriors, with per-row forms stacked (B, ...) when the sequences sit at
-different dials.  A padded token's component carries pseudo-count zero
-(see `project` and `head_keys`), so it takes no weight, while [P] is
+different dials; a mixed batch's standard rows carry all-zero forms.  A
+padded token's component carries pseudo-count zero (see `project`,
+`head_keys` and `standard_keys`), so it takes no weight, while [P] is
 always visible.
 
 Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
@@ -65,6 +68,7 @@ __all__ = [
     "SiteForms",
     "KeyedPosterior",
     "site_forms",
+    "standard_keys",
     "head_keys",
     "eval_dattn_multihead",
     "train_dattn_multihead",
@@ -128,35 +132,60 @@ class KeyedPosterior:
     Rows (n+1, 3d+1) are [mu | k | v | c]: k = (mu/sigma_r^2) W^K and
     v = (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h),
     and c the score bias log alpha - 0.5 ||mu/sigma_r||^2 - 0.5 sum log
-    sigma_r^2.  A padded batch's rows are a (B, n+1, 3d+1) stack.
+    sigma_r^2.  A padded batch's rows are a (B, n+1, 3d+1) stack.  A
+    posterior without forms is standard attention (`standard_keys`).
     """
 
     rows: np.ndarray
-    forms: SiteForms
+    forms: SiteForms | None
 
     @property
     def mu(self) -> np.ndarray:
-        return self.rows[..., : self.forms.inv_var.shape[-1]]
+        return self.rows[..., : (self.rows.shape[-1] - 1) // 3]
+
+
+def standard_keys(z, params: AttentionParams, valid=None, out=None) -> KeyedPosterior:
+    """Standard attention's keys of vectors z, as for `head_keys`, written
+    to `out` if given: a posterior without forms, rows [z | z (W^K/sqrt(d/h))
+    | z W^V | c], c 0 for a valid vector and -inf for a padded one and for
+    [P].  b^K is constant per query and drops out; b^V enters after the mix."""
+    d = z.shape[-1]
+    rows = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
+    rows[..., -1, :] = 0.0
+    rows[..., -1, -1] = -np.inf
+    tok = rows[..., :-1, :]
+    tok[..., :d] = z
+    np.matmul(z, params.wk / math.sqrt(params.head_dim), out=tok[..., d : 2 * d])
+    np.matmul(z, params.wv, out=tok[..., 2 * d : -1])
+    tok[..., -1] = 0.0 if valid is None else np.where(valid, 0.0, -np.inf)
+    return KeyedPosterior(rows, None)
 
 
 def head_keys(
-    z, proj: NvibProjection, params: AttentionParams, forms: SiteForms, valid=None
+    z, proj: NvibProjection, params: AttentionParams, forms: SiteForms, valid=None,
+    head: int = 0,
 ) -> KeyedPosterior:
     """The site's keys of `project(z, proj, valid)`, written in one pass
     from the vectors z, (n, d) or a padded batch (B, n, d) with its (B, n)
     `valid`, unvalidated.  `forms` is `site_forms`' of `proj`, or a (B, ...)
     stack of them.  The token means are z, so c is `token_log_alpha` (-inf
     for a padded row) - 0.5 sum z*z/sigma_r^2 - half_log_var; [P]'s row is
-    the forms' own."""
+    the forms' own.  A mixed batch's first `head` rows are `standard_keys`',
+    with all-zero forms; `proj` projects the rows after them."""
     d = z.shape[-1]
-    x = z * forms.inv_var[..., None, :]
-    rows = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1))
-    rows[..., -1, :] = forms.prior_row
-    tok = rows[..., :-1, :]
+    rows = out = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1))
+    inv_var, half_log_var = forms.inv_var, forms.half_log_var
+    if head:
+        std_valid, valid = (None, None) if valid is None else (valid[:head], valid[head:])
+        standard_keys(z[:head], params, std_valid, rows[:head])
+        z, out, inv_var, half_log_var = z[head:], rows[head:], inv_var[head:], half_log_var[head:]
+    x = z * inv_var[..., None, :]
+    out[..., -1, :] = forms.prior_row
+    tok = out[..., :-1, :]
     tok[..., :d], tok[..., d : 2 * d] = z, x @ params.wk
     tok[..., 2 * d : -1] = math.sqrt(params.head_dim) * x @ params.wv
     c = token_log_alpha(z * z, proj, valid) - 0.5 * (z * x).sum(axis=-1)
-    tok[..., -1] = c - forms.half_log_var[..., None]
+    tok[..., -1] = c - half_log_var[..., None]
     return KeyedPosterior(rows, forms)
 
 
@@ -254,13 +283,16 @@ def _general_path(q, dp: DpPosterior, params: AttentionParams):
 
 
 def _head_space_path(q, dp: KeyedPosterior):
-    """The head-space path: the same weights and map at width d/h."""
+    """The head-space path: the same weights and map at width d/h; without
+    forms, standard attention (all-zero forms add exact zeros)."""
     h, dh = q.shape[-3], q.shape[-1]
     d = h * dh
     k, v, c = dp.rows[..., d : 2 * d], dp.rows[..., 2 * d : -1], dp.rows[..., -1]
-    qf = q @ dp.forms.f                             # (..., h, m, 3d/h)
     scores = q @ split_heads(k, h).swapaxes(-1, -2)
     scores += c[..., None, None, :]
+    if dp.forms is None:
+        return scores, lambda w: w @ split_heads(v, h)
+    qf = q @ dp.forms.f                             # (..., h, m, 3d/h)
     scores[..., -1] -= 0.5 * (qf[..., :dh] * q).sum(axis=-1)
 
     def mix(w):

@@ -5,15 +5,18 @@ weights, sinusoidal positions, greedy argmax decoding that encodes the
 source once and computes one new decoder position per step.  `reinterpret`
 swaps every attention site for denoising attention over a projected
 posterior, with per-group dials; at the identity dial setting the two models
-produce the same logits up to rounding.  Both run the same site walk and
-differ only in how a site reads its keys and attends (`_site_ops`).
+produce the same logits up to rounding.  Both run the same site walk on the
+same head-space kernel and differ only in their key map (`_site_ops`): a
+posterior without forms is standard attention, the twin at zero token
+variance and no prior.
 
 The walk runs a padded batch of sequences with their key validity; a single
 `forward_standard`, `forward_nv` or `greedy_decode` is the batch of one.
 Twins of one base at different dials run as one batch too (`_twins`), each
 row at its own dials; a dial sweep leads that batch with the base model's
-own rows, a mixed batch, and so runs its baseline and every point and input
-pair in one teacher-forced pass and one decode.  A batched decode steps
+own rows, a mixed batch with all-zero forms for them, and so runs its
+baseline and every point and input pair in one teacher-forced pass and one
+decode, with one kernel call per site.  A batched decode steps
 every row until all have emitted EOS; a row's positions after its EOS are
 padding, and its tokens are cut at its first EOS.
 
@@ -24,21 +27,22 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionParams, attention
 from .denoising import (
     KeyedPosterior,
     SiteForms,
     eval_dattn_multihead,
     head_keys,
     site_forms,
+    standard_keys,
 )
-# project is not called here; bench/spans.py traces it in this namespace.
+# attention and project are not called here; bench/spans.py traces them in
+# this namespace.
+from .attention import AttentionParams, attention
 from .nvib import (
     GROUPS,
     EmpiricalPrior,
@@ -345,71 +349,48 @@ def _site_params(w: ModelWeights) -> dict[tuple[str, int], AttentionParams]:
     ))
 
 
-def _site_ops(model, hook: SiteHook = None):
-    """(weights, keys, attend) of a model: the one place the two model kinds
-    differ.
+def _site_ops(model, hook=None):
+    """(weights, keys, attend) of a model: the one place the model kinds
+    differ, in their key map.
 
     `keys(site, rows, valid)` is what a site reads of its key/value rows,
-    one row matrix: the rows themselves for the standard model; for the twin
-    the rows of their projected posterior, [P] last (see `denoising`).
-    `attend(site, q, kv, valid, causal)` attends queries q over such keys:
-    standard attention, or denoising attention over the posterior the rows
-    hold.  Rows are a padded batch (B, n, d) whose (B, n) `valid` marks each
-    sequence's real rows, all of them when None: the standard model hides
-    the others from attention, the twin gives their components pseudo-count
-    zero, so `attend` reads its validity from the rows.  The twin is an
-    NvModel, whose dials every row shares, or `_twins`' batch.  A mixed
-    batch (`_Twins` with head n) splits at row n: its keys are the pair of
-    both kinds' keys, and `attend` joins both kinds' results.
+    one row matrix: the rows of their posterior, [P] last (see
+    `denoising`).  The standard model's posterior has no forms, which is
+    standard attention (`standard_keys`); the twin's is the projected
+    posterior (`head_keys`).  `attend(site, q, kv, valid, causal)` attends
+    queries q over such keys with the head-space kernel.  Rows are a padded
+    batch (B, n, d) whose (B, n) `valid` marks each sequence's real rows,
+    all of them when None: a padded row's key takes no weight, so `attend`
+    reads its validity from the keys.  The twin is an NvModel, whose dials
+    every row shares, or `_twins`' batch; a mixed batch (`_Twins` with head
+    n) leads with n rows of the standard model, whose forms are all zero.
 
-    `hook(group, layer_id, mat)` is forward_standard's site_hook, given the
-    valid key rows each site reads (sequence-major), or the twin's map hook,
-    given each site's head-averaged (B, m, n+1) weights; a mixed batch
-    gives it the twin rows' alone.
+    `hook` is the standard model's `hook(group, layer_id, rows, valid)`,
+    called from the key map with each site's key/value rows and their
+    validity before they are keyed, or the twin's map hook
+    `hook(group, layer_id, mat)`, given each site's head-averaged (B, m, n+1)
+    weights; a mixed batch gives it its twin rows' alone.
     """
-    if isinstance(model, _Twins) and model.head:
-        n = model.head
-        w, std_keys, std_attend = _site_ops(model.base)
-        _, nv_keys, nv_attend = _site_ops(replace(model, head=0), hook)
-
-        def split(valid):
-            return (None, None) if valid is None else (valid[:n], valid[n:])
-
-        def keys(site, rows, valid):
-            head, tail = split(valid)
-            return std_keys(site, rows[:n], head), nv_keys(site, rows[n:], tail)
-
-        def attend(site, q, kv, valid, causal=False):
-            head, tail = split(valid)
-            return np.concatenate((std_attend(site, q[:n], kv[0], head, causal),
-                                   nv_attend(site, q[n:], kv[1], tail, causal)))
-
-        return w, keys, attend
-
+    # head: how many standard rows lead the twins' rows; None when all do
     if isinstance(model, ModelWeights):
-        params = _site_params(model)
-
-        def keys(site, rows, valid):
-            return rows
-
-        def attend(site, q, kv, valid, causal=False):
-            if hook is not None:
-                hook(*site, kv.reshape(-1, kv.shape[-1]) if valid is None else kv[valid])
-            return attention(q, kv, params[site], causal, key_valid=valid)
-
-        return model, keys, attend
-
-    params = _site_params(model.base)
+        w, forms, head = model, {}, None
+    else:
+        w, forms, head = model.base, model.forms, getattr(model, "head", 0)
+    params = _site_params(w)
 
     def keys(site, rows, valid):
-        return head_keys(rows, model.projs[site], params[site], model.forms[site], valid).rows
+        if head is not None:
+            return head_keys(rows, model.projs[site], params[site], forms[site], valid, head).rows
+        if hook is not None:
+            hook(*site, rows, valid)
+        return standard_keys(rows, params[site], valid).rows
 
     def attend(site, q, kv, valid, causal=False):
-        sink = None if hook is None else partial(hook, *site)
-        dp = KeyedPosterior(kv, model.forms[site])
+        sink = None if hook is None or head is None else lambda mat: hook(*site, mat[head:])
+        dp = KeyedPosterior(kv, forms.get(site))
         return eval_dattn_multihead(q, dp, params[site], causal, sink)
 
-    return model.base, keys, attend
+    return w, keys, attend
 
 
 @dataclass(frozen=True)
@@ -428,7 +409,8 @@ def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
     """Encode a padded batch of checked sources (B, S) once through
     `_site_ops`' ops; return (weights, causal, cross), the decoder's
     attention sites for `_decode` over whole targets under the causal mask.
-    Each cross site reads its keys of the memory once, up front.
+    Each cross site keys the memory once, on its first attend, so hooks
+    fire in site-walk order.
 
     src_valid and tgt_valid are the sources' and targets' validity, all
     valid when None: padded keys take no weight in any query; padded target
@@ -442,14 +424,17 @@ def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
         return attend(site, z, keys(site, z, src_valid), src_valid)
 
     mem = _encode(w, src, self_attn)
-    mem_keys = [keys(("cross", l), mem, src_valid) for l in range(len(w.dec))]
+    mem_keys = {}
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
         return attend(site, z, keys(site, z, tgt_valid), tgt_valid, causal=True)
 
     def cross(l: int, q: np.ndarray) -> np.ndarray:
-        return attend(("cross", l), q, mem_keys[l], src_valid)
+        site = ("cross", l)
+        if l not in mem_keys:
+            mem_keys[l] = keys(site, mem, src_valid)
+        return attend(site, q, mem_keys[l], src_valid)
 
     return w, causal, cross
 
@@ -467,15 +452,15 @@ def forward_standard(
         raise TypeError(f"forward_standard needs ModelWeights, got {type(w).__name__}")
     src = _check_tokens(src, w.config, "source")
     tgt = _check_tokens(tgt, w.config, "target")
-    return _teacher_forced(w, src[None], tgt[None], site_hook)[0]
+    hook = None if site_hook is None else lambda g, l, z, valid: site_hook(g, l, z[0])
+    return _teacher_forced(w, src[None], tgt[None], hook)[0]
 
 
-def _teacher_forced(
-    model, src, tgt, hook: SiteHook = None, src_valid=None, tgt_valid=None
-):
+def _teacher_forced(model, src, tgt, hook=None, src_valid=None, tgt_valid=None):
     """Logits (B, L, vocab) of a padded batch of checked sources (B, S) and
-    targets (B, L) through `_attention_sites` and `_decode`; with src_valid
-    and tgt_valid, padded rows' logits mean nothing."""
+    targets (B, L) through `_attention_sites` and `_decode`, with
+    `_site_ops`' hook; with src_valid and tgt_valid, padded rows' logits
+    mean nothing."""
     ops = _site_ops(model, hook)
     w, causal, cross = _attention_sites(ops, src, src_valid, tgt_valid)
     return _decode(w, _embed(w, tgt), causal, cross)
@@ -518,7 +503,8 @@ def _twins(w: ModelWeights, priors: list[EmpiricalPrior], taus, head: int = 0) -
     row head+b runs w's twin at taus[b], each site's projection and forms
     built for every row in one pass from its prior; one TauConfig is
     `reinterpret`'s twin, every row at those dials.  Each group's dials
-    touch only that group's sites."""
+    touch only that group's sites.  The first `head` rows' forms are all
+    zero, stacked once before the twins' (taus is then a list)."""
     config = w.config
     params = _site_params(w)
     projs, forms = {}, {}
@@ -527,7 +513,11 @@ def _twins(w: ModelWeights, priors: list[EmpiricalPrior], taus, head: int = 0) -
         dials = ((taus.tau_alpha(g), taus.tau_sigma(g)) if isinstance(taus, TauConfig)
                  else np.array([(t.tau_alpha(g), t.tau_sigma(g)) for t in taus]).T)
         projs[site] = identity_init(p, *dials, config.dim, config.heads)
-        forms[site] = site_forms(projs[site], params[site])
+        f = forms[site] = site_forms(projs[site], params[site])
+        if head:
+            stack = [np.concatenate((np.zeros((head,) + a.shape[1:]), a))
+                     for a in (f.inv_var, f.half_log_var, f.f)]
+            forms[site] = SiteForms(*stack, f.prior_row)
     return _Twins(w, projs, forms, head)
 
 
@@ -576,31 +566,23 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None):
     The cross sites are `_attention_sites`'; each decoder layer's causal
     site keeps one row buffer, allocated at t=0: step t writes position t's
     key rows at t : t+len(kv) and attends over buf[:, : t+len(kv)] with no
-    mask, as causal masking means earlier rows never change.  For the twin
-    the rows are a posterior's, whose [P] row moves down one each step.  A
-    mixed batch keeps one buffer per kind.
+    mask, as causal masking means earlier rows never change.  The rows are
+    a posterior's, whose [P] row moves down one each step.
     """
     ops = _site_ops(model)
     w, keys, attend = ops
     _, _, cross = _attention_sites(ops, src, src_valid)
-    caches = {}  # one row buffer per decoder layer and model kind
+    caches = {}  # one row buffer per decoder layer
     live = np.ones((len(src), positions), dtype=bool)  # the positions' validity
-
-    def cached(key, kv: np.ndarray) -> np.ndarray:
-        if t == 0:
-            caches[key] = np.empty((len(kv), positions - 1 + kv.shape[1], kv.shape[2]))
-        end = t + kv.shape[1]
-        caches[key][:, t:end] = kv
-        return caches[key][:, :end]
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
         kv = keys(site, z, live[:, t : t + 1])
-        if isinstance(kv, tuple):  # a mixed batch: standard rows, then the twin's
-            kv = cached((l, 0), kv[0]), cached((l, 1), kv[1])
-        else:
-            kv = cached(l, kv)
-        return attend(site, z, kv, live[:, : t + 1])
+        if t == 0:
+            caches[l] = np.empty((len(kv), positions - 1 + kv.shape[1], kv.shape[2]))
+        end = t + kv.shape[1]
+        caches[l][:, t:end] = kv
+        return attend(site, z, caches[l][:, :end], live[:, : t + 1])
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position

@@ -235,10 +235,10 @@ def estimate_priors(
                 for site in site_list}
         seen = set()
 
-        def hook(group: str, layer_id: int, z: np.ndarray) -> None:
+        def hook(group: str, layer_id: int, z: np.ndarray, valid: np.ndarray) -> None:
             if (group, layer_id) in seen:   # a later cross site: cross 0's rows
                 return
-            accs[(group, layer_id)].add(z, scale)
+            accs[(group, layer_id)].add(z[valid], scale)
             seen.update(cross if group == "cross" else [(group, layer_id)])
             if len(seen) == len(site_list):
                 raise _AllSitesSeen

@@ -45,6 +45,7 @@ import numpy as np
 from .errors import CorpusError, WeightFormatError
 from .model import ModelConfig, ModelWeights, NvModel, _build, reinterpret
 from .nvib import EmpiricalPrior, TauConfig
+from .numeric import _check_integer
 
 __all__ = [
     "MAGIC",
@@ -318,6 +319,14 @@ def read_corpus(path: str) -> list[list[int]]:
 
 
 def write_corpus(path: str, seqs: list[list[int]]) -> None:
+    """Token sequences, one line each, as `read_corpus` reads them back: an
+    empty sequence (a blank line, skipped on reading) or an id that is not
+    an integer is a ValueError naming the sequence, before the file opens."""
+    for i, seq in enumerate(seqs):
+        if len(seq) == 0:
+            raise ValueError(f"sequence {i} is empty")
+        for t in seq:
+            _check_integer(t, f"a token id of sequence {i}")
     with open(path, "w", encoding="utf-8") as fh:
         for seq in seqs:
             fh.write(" ".join(str(int(t)) for t in seq))

@@ -20,6 +20,7 @@ from nvtransformer.attention import (
     attention,
     attn_core,
 )
+from nvtransformer import model as model_mod
 from nvtransformer.model import BOS_ID, _greedy, _pad
 from nvtransformer.numeric import make_rng
 
@@ -258,19 +259,32 @@ class TestMaskOnlyWhereHidden:
         assert out
         assert masks == []
 
-    def test_padded_decode_still_masks(self, toy_model, masks):
+    def test_padded_decode_still_masks(self, toy_model, masks, monkeypatch):
+        # the standard model's key rows hide a padded key with c = -inf, as
+        # the twin's do, so the kernel builds no mask for it
+        hidden = []
+        kernel = model_mod.eval_dattn_multihead
+
+        def spy(q, dp, *args):
+            hidden.append((q.shape[-2], int(np.isneginf(dp.rows[..., :-1, -1]).sum())))
+            return kernel(q, dp, *args)
+
+        monkeypatch.setattr(model_mod, "eval_dattn_multihead", spy)
         src, valid = _pad([np.array([3, 14, 25, 36, 7]), np.array([9, 10, 11])])
         steps = len(_greedy(toy_model, src, 8, valid)[0])
         cfg = toy_model.config
         # each encoder layer, and each cross site at every step, hides the
-        # shorter source's padded keys
-        assert masks.count((2, 1, 5, 5)) == cfg.layers_enc
-        assert masks.count((2, 1, 1, 5)) >= steps * cfg.layers_dec
+        # shorter source's two padded keys
+        assert hidden.count((5, 2)) == cfg.layers_enc
+        assert hidden.count((1, 2)) >= steps * cfg.layers_dec
+        assert masks == []
 
     def test_causal_forward_masks_each_decoder_site(self, toy_model, masks):
         forward_standard(toy_model, [3, 14, 25], [BOS_ID, 5, 6, 7])
-        # the unpadded encoder and cross sites hide nothing
-        assert masks == [(4, 4)] * toy_model.config.layers_dec
+        # the unpadded encoder and cross sites hide nothing; the standard
+        # model's keys end in a [P] row, visible to the rule and given no
+        # weight by its c = -inf
+        assert masks == [(4, 5)] * toy_model.config.layers_dec
 
     def test_twin_masks_its_causal_sites_with_p_visible(self, toy_model, toy_priors, masks):
         # the twin's sites go through the same rule: [P] is a key of every

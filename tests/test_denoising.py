@@ -23,7 +23,13 @@ from nvtransformer import (
     to_gaussian_mixture,
     train_dattn_multihead,
 )
-from nvtransformer.denoising import KeyedPosterior, head_keys, site_forms
+from nvtransformer.denoising import (
+    KeyedPosterior,
+    SiteForms,
+    head_keys,
+    site_forms,
+    standard_keys,
+)
 from nvtransformer.model import _twins, sites
 from nvtransformer.nvib import TauConfig
 from nvtransformer.numeric import sample_dirichlet, sample_gaussian
@@ -298,6 +304,60 @@ class TestIdentityEquivalence:
         nv = nv_causal_attention(z, proj, params)
         std = attention(z, z, params, causal=True)
         np.testing.assert_allclose(nv, std, rtol=0, atol=1e-9)
+
+
+class TestStandardKeys:
+    """A posterior without forms is standard attention, and the mixed
+    batch's all-zero forms change none of its bits."""
+
+    B, N, D = 3, 6, 16
+    VALID = np.array([[True] * 6, [True] * 4 + [False] * 2, [True] + [False] * 5])
+
+    def _keys(self, h, seed):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, self.D, h)
+        z = rng.normal(size=(self.B, self.N, self.D))
+        return params, z, rng.normal(size=(self.B, self.N, self.D))
+
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    def test_matches_standard_attention(self, h, causal):
+        params, z, q = self._keys(h, 140 + h)
+        got = eval_dattn_multihead(q, standard_keys(z, params, self.VALID), params, causal)
+        want = attention(q, z, params, causal, key_valid=self.VALID)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    def test_zero_forms_are_no_forms_bitwise(self, h, causal):
+        params, z, q = self._keys(h, 150 + h)
+        dh = self.D // h
+        keyed = standard_keys(z, params, self.VALID)
+        zero = SiteForms(
+            np.zeros((self.B, self.D)), np.zeros(self.B),
+            np.zeros((self.B, h, dh, 3 * dh)), np.zeros(3 * self.D + 1),
+        )
+        maps = []
+        got = eval_dattn_multihead(q, keyed, params, causal, maps.append)
+        want = eval_dattn_multihead(q, KeyedPosterior(keyed.rows, zero), params, causal, maps.append)
+        assert np.array_equal(got, want)
+        assert np.array_equal(maps[0], maps[1])
+        assert np.all(maps[0][..., -1] == 0.0)  # [P] takes no weight
+
+    def test_mixed_rows_are_each_kinds_own_bitwise(self):
+        # head_keys' leading standard rows are standard_keys' and the rows
+        # after them the twins' alone
+        rng = np.random.default_rng(160)
+        params = init_weights(ModelConfig(), seed=2).enc[0].self_attn
+        prior = synthetic_prior(rng, 16)
+        z = rng.normal(size=(self.B, self.N, self.D))
+        proj = identity_init(prior, np.array([10.0, -3.0]), np.array([TAU_SIGMA_MIN, 0.5]), 16, 2)
+        forms = site_forms(proj, params)
+        lead = SiteForms(*(np.concatenate((np.zeros((1,) + a.shape[1:]), a))
+                           for a in (forms.inv_var, forms.half_log_var, forms.f)), forms.prior_row)
+        mixed = head_keys(z, proj, params, lead, self.VALID, 1).rows
+        assert np.array_equal(mixed[:1], standard_keys(z[:1], params, self.VALID[:1]).rows)
+        assert np.array_equal(mixed[1:], head_keys(z[1:], proj, params, forms, self.VALID[1:]).rows)
 
 
 class TestCollapse:

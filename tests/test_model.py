@@ -24,6 +24,7 @@ from nvtransformer import (
     save_weights,
 )
 from nvtransformer import model as model_mod
+from nvtransformer.attention import attention
 from nvtransformer.evaluate import grid_points, make_random_corpus, run_sweep
 from nvtransformer.model import (
     LN_EPS,
@@ -68,6 +69,27 @@ def general_site_ops(model, hook=None):
         return eval_dattn_multihead(q, dp, params[site], causal, sink)
 
     return model.base, keys, attend
+
+
+def attention_site_ops(model, hook=None):
+    """`_site_ops` with every standard site on `attention.attention`, the
+    independent reference for the standard model on the twin's kernel: a
+    site keeps its rows as keys and attends over them with the standard
+    kernel, which hides padded keys by their validity.  Patched over
+    `model._site_ops`; a twin's ops are unchanged."""
+    if not isinstance(model, ModelWeights):
+        return _site_ops(model, hook)
+    params = _site_params(model)
+
+    def keys(site, rows, valid):
+        if hook is not None:
+            hook(*site, rows, valid)
+        return rows
+
+    def attend(site, q, kv, valid, causal=False):
+        return attention(q, kv, params[site], causal, key_valid=valid)
+
+    return model, keys, attend
 
 
 class TestConfig:
@@ -661,6 +683,88 @@ class TestTwinBatch:
                     want = getattr(twin.forms[site], f.name)
                     got = np.broadcast_to(getattr(batch.forms[site], f.name), (len(rows),) + want.shape)
                     assert np.array_equal(got[b], want), (site, f.name)
+
+
+class TestStandardReference:
+    """The standard model on the head-space kernel against a walk through
+    `attention.attention` (`attention_site_ops`), so that criterion 2 does
+    not compare two settings of one kernel alone.  The two differ only in
+    rounding: the kernel scales W^K where attention scales the scores, and
+    adds b^V after the mix.  Measured gaps are under 3e-15 on logits of
+    every config here; TOL leaves room for other BLAS builds."""
+
+    TOL = 1e-13
+    SRC_LENS = [2, 9, 5, 12, 1, 7]
+    TGT_LENS = [6, 1, 11, 3, 8, 2]
+
+    @pytest.fixture(params=["toy", "4-head", "wide"])
+    def case(self, request, toy_model):
+        """(weights, an EOS logit bias that ends some of `_pairs`' decodes
+        early and not others)."""
+        if request.param == "toy":
+            return toy_model, 1.5
+        if request.param == "4-head":
+            return init_weights(ModelConfig(heads=4), seed=3), 2.0
+        return init_weights(WIDE, seed=3), 1.5
+
+    def _pairs(self, w):
+        rng = np.random.default_rng(33)
+        v = w.config.vocab
+        srcs = [rng.integers(3, v, n).tolist() for n in self.SRC_LENS]
+        tgts = [[BOS_ID] + rng.integers(3, v, n - 1).tolist() for n in self.TGT_LENS]
+        return srcs, tgts
+
+    def _reference(self, monkeypatch, fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "_site_ops", attention_site_ops)
+            return fn(*args)
+
+    def test_forward_standard_and_site_rows(self, case, monkeypatch):
+        w, _ = case
+        for src, tgt in zip(*self._pairs(w)):
+            got, want = {}, {}
+            logits = forward_standard(w, src, tgt, lambda g, l, z: got.setdefault((g, l), z))
+            ref = self._reference(
+                monkeypatch, forward_standard, w, src, tgt,
+                lambda g, l, z: want.setdefault((g, l), z),
+            )
+            np.testing.assert_allclose(logits, ref, rtol=0, atol=self.TOL)
+            assert got.keys() == want.keys()
+            for site, rows in got.items():
+                np.testing.assert_allclose(rows, want[site], rtol=0, atol=self.TOL)
+
+    def test_padded_batch(self, case, monkeypatch):
+        w, _ = case
+        srcs, tgts = self._pairs(w)
+        (src, src_valid), (tgt, tgt_valid) = _pad(srcs), _pad(tgts)
+        got = _teacher_forced(w, src, tgt, None, src_valid, tgt_valid)
+        want = self._reference(
+            monkeypatch, _teacher_forced, w, src, tgt, None, src_valid, tgt_valid
+        )
+        np.testing.assert_allclose(got[tgt_valid], want[tgt_valid], rtol=0, atol=self.TOL)
+
+    @pytest.mark.parametrize("eos", [False, True], ids=["no-eos", "early-eos"])
+    def test_greedy_and_its_steps(self, case, eos, monkeypatch):
+        w, eos_bias = case
+        b_out = w.b_out.copy()
+        b_out[EOS_ID] += eos * eos_bias
+        w = dataclasses.replace(w, b_out=b_out)
+        src, src_valid = _pad(self._pairs(w)[0])
+        got = _greedy(w, src, 16, src_valid)
+        assert self._reference(monkeypatch, _greedy, w, src, 16, src_valid) == got
+        if eos:
+            assert len({len(d) for d in got}) > 1
+        # the step logits of the decoded tokens, rows past EOS included
+        toks = np.array([d + [EOS_ID] * (16 - len(d)) for d in got])
+        feeds = np.column_stack([np.full(len(got), BOS_ID), toks[:, :-1]])
+        steps, ref = (_step_logits(w, src, 16, src_valid) for _ in range(2))
+        next(steps)
+        # a stepper takes its ops when primed
+        self._reference(monkeypatch, next, ref)
+        for t in range(16):
+            np.testing.assert_allclose(
+                steps.send(feeds[:, t]), ref.send(feeds[:, t]), rtol=0, atol=self.TOL
+            )
 
 
 class TestOneLayout:

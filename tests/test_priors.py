@@ -9,7 +9,7 @@ from nvtransformer import CorpusError, estimate_priors, prior_report, site_stats
 from nvtransformer import model as model_module
 from nvtransformer import priors as priors_module
 from nvtransformer.evaluate import make_random_corpus
-from nvtransformer.model import BOS_ID, ModelConfig, forward_standard, init_weights
+from nvtransformer.model import BOS_ID, ModelConfig, _pad, forward_standard, init_weights, sites
 from nvtransformer.priors import (
     BUCKET_TOKENS,
     VAR_FLOOR,
@@ -327,29 +327,81 @@ class TestBucketedPass:
         w = _at_depth(toy_model, layers_dec)
         enc = w.config.layers_enc
         forwards, attended, added = [], [], []
-        teacher_forced, attention = priors_module._teacher_forced, model_module.attention
+        teacher_forced, kernel = priors_module._teacher_forced, model_module.eval_dattn_multihead
         add = priors_module._SiteAcc.add
 
         def counting_forward(*args):
             forwards.append(1)
             return teacher_forced(*args)
 
-        def counting_attention(*args, **kwargs):
+        def counting_kernel(*args, **kwargs):
             attended.append(1)
-            return attention(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
         def counting_add(*args):
             added.append(1)
             return add(*args)
 
         monkeypatch.setattr(priors_module, "_teacher_forced", counting_forward)
-        monkeypatch.setattr(model_module, "attention", counting_attention)
+        monkeypatch.setattr(model_module, "eval_dattn_multihead", counting_kernel)
         monkeypatch.setattr(priors_module._SiteAcc, "add", counting_add)
         estimate_priors(w, every_length)
         assert len(forwards) > 1
         per_forward = enc + 1 if layers_dec == 1 else enc + 2 * layers_dec - 2
         assert len(attended) == len(forwards) * per_forward
         assert len(added) == len(forwards) * (enc + layers_dec + 1)
+
+    def test_memory_is_selected_once_per_bucket(self, toy_model, every_length, monkeypatch):
+        # six decoder layers: the hook is offered each site's rows and
+        # their validity, and selects the valid rows of every encoder and
+        # causal site and of cross 0 alone, not of cross 1..4, whose shared
+        # memory cross 0 has read.  The priors are bit for bit those of a
+        # walk that selects every site's rows and runs to the end.
+        w = _at_depth(toy_model, 6)
+        cfg = w.config
+        teacher_forced = priors_module._teacher_forced
+        forwards, hooked, selected = [], [], []
+
+        class Rows(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray) and key.dtype == bool:
+                    selected.append(1)
+                return super().__getitem__(key)
+
+        def spying_forward(w, src, tgt, hook, *valid):
+            forwards.append(1)
+
+            def spy(g, l, z, z_valid):
+                hooked.append(1)
+                return hook(g, l, z.view(Rows), z_valid)
+
+            return teacher_forced(w, src, tgt, spy, *valid)
+
+        monkeypatch.setattr(priors_module, "_teacher_forced", spying_forward)
+        got = estimate_priors(w, every_length)
+        monkeypatch.undo()
+        assert len(forwards) > 1
+        assert len(hooked) == len(forwards) * (cfg.layers_enc + 2 * cfg.layers_dec - 1)
+        assert len(selected) == len(forwards) * (cfg.layers_enc + cfg.layers_dec + 1)
+
+        accs = {site: priors_module._SiteAcc.fresh(cfg.dim) for site in sites(cfg)}
+        scale = np.sqrt(cfg.dim / cfg.heads)
+        lengths = np.array([len(s) for s in every_length])
+        for bucket in _buckets(lengths):
+            ids, valid = _pad([np.array(every_length[p]) for p in bucket])
+            tgt = np.pad(ids, ((0, 0), (1, 0)), constant_values=BOS_ID)[:, : cfg.max_len]
+            tgt_valid = np.pad(valid, ((0, 0), (1, 0)), constant_values=True)[:, : cfg.max_len]
+            rows = {}
+            teacher_forced(
+                w, ids, tgt, lambda g, l, z, v: rows.setdefault((g, l), z[v]), valid, tgt_valid
+            )
+            for site, acc in accs.items():
+                acc.add(rows["cross", 0] if site[0] == "cross" else rows[site], scale)
+        want = [accs[site].finalize(*site) for site in sites(cfg)]
+        for a, b in zip(got, want):
+            assert (a.layer_group, a.layer_id) == (b.layer_group, b.layer_id)
+            for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (a.layer_group, name)
 
     def test_bad_sequence_is_named_before_any_forward(self, toy_model, monkeypatch):
         corpus = make_random_corpus(toy_model.config, 200, seed=48)

@@ -549,7 +549,31 @@ class TestTailSchema:
         assert load_weights(str(path)).taus == huge.taus
 
 
+# (sequences, write_corpus' refusal of them, or None where they round-trip)
+WRITTEN_CORPORA = {
+    "ids": ([[3, 4, 5], [9], [30, 31, 32, 33]], None),
+    "numpy-ids": ([np.array([7, 8]), [np.int64(9)]], None),
+    "empty-sequence": ([[5], [], [6, 7]], "sequence 1 is empty"),
+    "bool-and-float": ([[True, 2.7]], "sequence 0 must be an integer, got True"),
+    "float": ([[3], [4, 2.0]], "sequence 1 must be an integer, got 2.0"),
+    "numpy-float": ([[3], np.array([4.0])], "sequence 1 must be an integer"),
+}
+
+
 class TestCorpus:
+    @pytest.mark.parametrize("seqs, refusal", WRITTEN_CORPORA.values(), ids=WRITTEN_CORPORA)
+    def test_written_corpus_reads_back_or_is_refused(self, tmp_path, seqs, refusal):
+        # an empty sequence once read back as none, shifting later indices,
+        # and [True, 2.7] as [1, 2]
+        path = tmp_path / "c.txt"
+        if refusal is None:
+            write_corpus(str(path), seqs)
+            assert read_corpus(str(path)) == [list(s) for s in seqs]
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                write_corpus(str(path), seqs)
+            assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         seqs = [[3, 4, 5], [9], [30, 31, 32, 33]]
         path = tmp_path / "c.txt"

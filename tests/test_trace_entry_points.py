@@ -67,9 +67,9 @@ def test_traced_calls_and_outputs(spans, toy_model, toy_priors):
 
 
 def test_traced_standard_decode(spans, toy_model):
-    # the standard model's sites all enter through attention.attention:
-    # encoder sites once per decode, a causal and a cross site per decoder
-    # layer and step
+    # the standard model's sites all enter the twin's kernel, keyed as a
+    # posterior without forms: encoder sites once per decode, a causal and
+    # a cross site per decoder layer and step
     cfg = toy_model.config
     src = [5, 9, 13, 40, 41]
     want = model.greedy_decode(toy_model, src, 8)
@@ -82,15 +82,17 @@ def test_traced_standard_decode(spans, toy_model):
         tracer.uninstall()
 
     assert tokens == want
-    assert tracer.calls()["attention.attention"] == (
+    calls = tracer.calls()
+    assert calls["denoising.eval_dattn_multihead"] == (
         cfg.layers_enc + 2 * cfg.layers_dec * len(tokens)
     )
+    assert "attention.attention" not in calls
 
 
 def test_traced_sweep_is_one_batch(spans, toy_model, toy_priors):
-    # every point and pair in one batch: the twins' sites are entered once
-    # per teacher-forced pass and decode step, the standard model's too,
-    # and the baseline's rows share the twins' layer norms and FFNs
+    # every point and pair in one batch: each site is entered once per
+    # teacher-forced pass and decode step, by one kernel call over the
+    # baseline's rows and the twins', which share layer norms and FFNs too
     cfg = toy_model.config
     args = (toy_model, toy_priors, grid_points("interp:3"), 2, 4)
     want = sweep_csv(evaluate.run_sweep(*args))
@@ -110,7 +112,7 @@ def test_traced_sweep_is_one_batch(spans, toy_model, toy_priors):
     calls = tracer.calls()
     assert calls["evaluate.run_sweep"] == 1
     assert calls["denoising.eval_dattn_multihead"] == sites + per_decode
-    assert calls["attention.attention"] == sites + per_decode
+    assert "attention.attention" not in calls
     assert "nvib.project" not in calls
     # one teacher-forced pass and one decode, the encoder once in each
     enc_norms, dec_norms = 2 * cfg.layers_enc + 1, 3 * cfg.layers_dec + 1
