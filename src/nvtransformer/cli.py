@@ -81,7 +81,30 @@ def _load_nv(path: str) -> NvModel:
     return model
 
 
+def _check_outputs(inputs: dict[str, str | None], outputs: dict[str, str]) -> None:
+    """Refuse, before any work, an output that is one of the command's input
+    files or another of its outputs (compared by `os.path.realpath`), then
+    raise the OSError that writing an output would meet at a directory, a
+    missing parent directory or a file or directory we may not write to;
+    creates nothing.  Both maps go from flag to path."""
+    seen = {os.path.realpath(p): flag for flag, p in inputs.items() if p}
+    for flag, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{flag} {path} is the {seen[real]} file")
+        seen[real] = flag
+    for path in outputs.values():
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _cmd_init_model(args) -> int:
+    _check_outputs({"--config": args.config}, {"--out": args.out})
     values = _parse_config_file(args.config) if args.config else {}
     for f in fields(ModelConfig):
         flag = getattr(args, f.name)
@@ -93,26 +116,10 @@ def _cmd_init_model(args) -> int:
     return 0
 
 
-def _check_writable(path: str) -> None:
-    """Raise the OSError that writing `path` would meet at a directory, a
-    missing parent directory or one we may not write to; creates nothing."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if not os.access(parent, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-
-
 def _cmd_estimate_prior(args) -> int:
     report_path = args.report or (args.out + ".csv")
-    if os.path.realpath(report_path) == os.path.realpath(args.out):
-        raise ValueError(f"--report {report_path} is the --out file")
-    # both outputs, before the corpus pass: a bad one must not cost that
-    # pass or leave the other file behind
-    for path in (args.out, report_path):
-        _check_writable(path)
+    _check_outputs({"--model": args.model, "--corpus": args.corpus},
+                   {"--out": args.out, "--report": report_path})
     w = _load_base(args.model)
     corpus = read_corpus(args.corpus)
     priors = estimate_priors(
@@ -144,6 +151,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_outputs({"--model": args.model, "--priors": args.priors}, {"--out": args.out})
     w = _load_base(args.model)
     nvm = _load_nv(args.priors)
     points = grid_points(args.grid, seed=args.seed)
@@ -157,6 +165,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_attn_dump(args) -> int:
+    _check_outputs({"--model": args.model}, {"--out": args.out})
     nvm = _load_nv(args.model)
     if args.tau_alpha is not None or args.tau_sigma is not None:
         taus = TauConfig.uniform(

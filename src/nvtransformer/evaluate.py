@@ -20,7 +20,7 @@ from .model import (
     _greedy,
     _pad,
     _teacher_forced,
-    _twins,
+    _Twins,
 )
 # forward_nv, forward_standard, greedy_decode and reinterpret are not called
 # here: the sweep runs their batched internals; bench/spans.py traces them in
@@ -208,7 +208,7 @@ def run_sweep(
 
     The standard baseline's T input pairs and the K points x T pairs run as
     one padded batch of T + K*T rows, baseline first, over the shared base
-    weights (`model._twins`, which builds the twin rows in one pass per
+    weights (`model._Twins`, which builds the twin rows in one pass per
     site): one teacher-forced pass and one greedy decode serve both kinds.
     Padded source and target positions are masked: their keys take no
     weight, and the logit difference and each group's [P] mass are read
@@ -221,7 +221,7 @@ def run_sweep(
         return []
     pairs = random_eval_inputs(w.config, trials, seed)
     k, t = len(points), len(pairs)
-    batch = _twins(w, priors, [taus for taus in points for _ in pairs], head=t)
+    batch = _Twins(w, priors, [taus for taus in points for _ in pairs], head=t)
     src, src_valid = _pad([s for s, _ in pairs] * (k + 1))
     tgt, tgt_valid = _pad([g for _, g in pairs] * (k + 1))
     total = {g: np.zeros(k) for g in GROUPS}

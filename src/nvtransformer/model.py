@@ -12,7 +12,7 @@ variance and no prior.
 
 The walk runs a padded batch of sequences with their key validity; a single
 `forward_standard`, `forward_nv` or `greedy_decode` is the batch of one.
-Twins of one base at different dials run as one batch too (`_twins`), each
+Twins of one base at different dials run as one batch too (`_Twins`), each
 row at its own dials; a dial sweep leads that batch with the base model's
 own rows, a mixed batch with all-zero forms for them, and so runs its
 baseline and every point and input pair in one teacher-forced pass and one
@@ -144,18 +144,51 @@ class ModelWeights:
 
 
 @dataclass(frozen=True)
-class NvModel:
-    """Reinterpreted model: base weights plus per-site priors and dials.
-
-    `projs` and `forms` are keyed by site, (group, layer id): each site has
-    its projection and its head-space forms.
-    """
+class _Twins:
+    """Twins of one base for a padded batch, made from its base, priors and
+    dials: its first `head` rows run the base itself, with all-zero forms,
+    and row head+b runs its twin at taus[b].  On construction the priors are
+    put in `sites` order, then each site's projection and forms (`projs`,
+    `forms`, keyed by (group, layer id)) are built for every row in one
+    pass, each group's dials touching only its own sites."""
 
     base: ModelWeights
     priors: list[EmpiricalPrior]
+    taus: TauConfig | list[TauConfig]
+    head: int = 0
+    projs: dict[tuple[str, int], NvibProjection] = field(init=False, repr=False)
+    forms: dict[tuple[str, int], SiteForms] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        config, taus, head = self.base.config, self.taus, self.head
+        one = isinstance(taus, TauConfig)
+        if one != isinstance(self, NvModel):
+            raise TypeError("an NvModel runs at one TauConfig, a _Twins batch at a list")
+        params = _site_params(self.base)
+        priors = _canonical_priors(self.priors, config)
+        projs, forms = {}, {}
+        for p in priors:
+            site = g, _ = (p.layer_group, p.layer_id)
+            dials = ((taus.tau_alpha(g), taus.tau_sigma(g)) if one
+                     else np.array([(t.tau_alpha(g), t.tau_sigma(g)) for t in taus]).T)
+            projs[site] = identity_init(p, *dials, config.dim, config.heads)
+            f = forms[site] = site_forms(projs[site], params[site])
+            if head:
+                stack = [np.concatenate((np.zeros((head,) + a.shape[1:]), a))
+                         for a in (f.inv_var, f.half_log_var, f.f)]
+                forms[site] = SiteForms(*stack, f.prior_row)
+        # frozen: the built fields go in past the dataclass's __setattr__
+        vars(self).update(priors=priors, projs=projs, forms=forms)
+
+
+@dataclass(frozen=True)
+class NvModel(_Twins):
+    """Reinterpreted model: base weights plus per-site priors and dials, the
+    batch of twins that all run at one TauConfig.
+    `dataclasses.replace(twin, taus=...)` is the twin at other dials."""
+
     taus: TauConfig
-    projs: dict[tuple[str, int], NvibProjection] = field(repr=False)
-    forms: dict[tuple[str, int], SiteForms] = field(repr=False)
+    head: int = field(default=0, init=False)
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -362,7 +395,7 @@ def _site_ops(model, hook=None):
     batch (B, n, d) whose (B, n) `valid` marks each sequence's real rows,
     all of them when None: a padded row's key takes no weight, so `attend`
     reads its validity from the keys.  The twin is an NvModel, whose dials
-    every row shares, or `_twins`' batch; a mixed batch (`_Twins` with head
+    every row shares, or a `_Twins` batch; a mixed batch (`_Twins` with head
     n) leads with n rows of the standard model, whose forms are all zero.
 
     `hook` is the standard model's `hook(group, layer_id, rows, valid)`,
@@ -375,7 +408,7 @@ def _site_ops(model, hook=None):
     if isinstance(model, ModelWeights):
         w, forms, head = model, {}, None
     else:
-        w, forms, head = model.base, model.forms, getattr(model, "head", 0)
+        w, forms, head = model.base, model.forms, model.head
     params = _site_params(w)
 
     def keys(site, rows, valid):
@@ -391,18 +424,6 @@ def _site_ops(model, hook=None):
         return eval_dattn_multihead(q, dp, params[site], causal, sink)
 
     return w, keys, attend
-
-
-@dataclass(frozen=True)
-class _Twins:
-    """Twins of one base for a padded batch (`_twins`): the walk reads it as
-    it reads an NvModel, with one b_alpha, b_sigma and set of forms per
-    row, after `head` rows of the base model itself."""
-
-    base: ModelWeights
-    projs: dict[tuple[str, int], NvibProjection]
-    forms: dict[tuple[str, int], SiteForms]
-    head: int = 0
 
 
 def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
@@ -498,41 +519,16 @@ def _canonical_priors(
     return [by_site[s] for s in want]
 
 
-def _twins(w: ModelWeights, priors: list[EmpiricalPrior], taus, head: int = 0) -> _Twins:
-    """The model of a padded batch whose first `head` rows run w and whose
-    row head+b runs w's twin at taus[b], each site's projection and forms
-    built for every row in one pass from its prior; one TauConfig is
-    `reinterpret`'s twin, every row at those dials.  Each group's dials
-    touch only that group's sites.  The first `head` rows' forms are all
-    zero, stacked once before the twins' (taus is then a list)."""
-    config = w.config
-    params = _site_params(w)
-    projs, forms = {}, {}
-    for p in _canonical_priors(priors, config):
-        site = g, _ = (p.layer_group, p.layer_id)
-        dials = ((taus.tau_alpha(g), taus.tau_sigma(g)) if isinstance(taus, TauConfig)
-                 else np.array([(t.tau_alpha(g), t.tau_sigma(g)) for t in taus]).T)
-        projs[site] = identity_init(p, *dials, config.dim, config.heads)
-        f = forms[site] = site_forms(projs[site], params[site])
-        if head:
-            stack = [np.concatenate((np.zeros((head,) + a.shape[1:]), a))
-                     for a in (f.inv_var, f.half_log_var, f.f)]
-            forms[site] = SiteForms(*stack, f.prior_row)
-    return _Twins(w, projs, forms, head)
-
-
 def reinterpret(
     w: ModelWeights, priors: list[EmpiricalPrior], taus: TauConfig
 ) -> NvModel:
     """Attach identity-initialised projections to every attention site,
-    with each site's head-space forms (`_twins` at one dial setting).
+    with each site's head-space forms: `NvModel(w, priors, taus)`.
 
     The base weights are shared, not copied; only the projections and forms
     depend on the dial settings.
     """
-    twin = _twins(w, priors, taus)
-    ordered = _canonical_priors(priors, w.config)
-    return NvModel(base=w, priors=ordered, taus=taus, projs=twin.projs, forms=twin.forms)
+    return NvModel(w, priors, taus)
 
 
 def forward_nv(

@@ -19,7 +19,7 @@ from nvtransformer.evaluate import make_random_corpus
 from nvtransformer.model import (
     ModelConfig,
     _ffn,
-    _twins,
+    _Twins,
     init_weights,
     layer_norm,
     reinterpret,
@@ -44,11 +44,11 @@ def toy():
 def _site(w, priors, *taus, site=("decoder", 0)):
     """(params, projection, forms) of one site of the batch whose row b runs
     at taus[b % len(taus)]: the twin itself for one dial point, else
-    `_twins`' stacked batch."""
+    a stacked `_Twins` batch."""
     if len(taus) == 1:
         nv = reinterpret(w, priors, *taus)
     else:
-        nv = _twins(w, priors, [taus[b % len(taus)] for b in range(B)])
+        nv = _Twins(w, priors, [taus[b % len(taus)] for b in range(B)])
     return w.dec[0].causal_attn, nv.projs[site], nv.forms[site]
 
 

@@ -30,7 +30,7 @@ from nvtransformer.denoising import (
     site_forms,
     standard_keys,
 )
-from nvtransformer.model import _twins, sites
+from nvtransformer.model import _Twins, sites
 from nvtransformer.nvib import TauConfig
 from nvtransformer.numeric import sample_dirichlet, sample_gaussian
 
@@ -168,7 +168,7 @@ class TestHeadSpace:
     @staticmethod
     def _stacked_site(h, taus, rows):
         """A (1+1)-layer d=32 twin per dial point in `taus`, stacked by
-        `_twins` so that batch row b runs at taus[rows[b]]; returns
+        `_Twins` so that batch row b runs at taus[rows[b]]; returns
         the encoder site's (params, stacked projection, stacked forms)."""
         rng = np.random.default_rng(125)
         d = 32
@@ -177,7 +177,7 @@ class TestHeadSpace:
             replace(synthetic_prior(rng, d, group=g, eps=2.0), layer_id=l)
             for g, l in sites(w.config)
         ]
-        batch = _twins(w, priors, [taus[i] for i in rows])
+        batch = _Twins(w, priors, [taus[i] for i in rows])
         site = ("encoder", 0)
         return w.enc[0].self_attn, batch.projs[site], batch.forms[site]
 

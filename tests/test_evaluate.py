@@ -25,7 +25,7 @@ from nvtransformer.model import (
     _greedy,
     _pad,
     _teacher_forced,
-    _twins,
+    _Twins,
     forward_nv,
     forward_standard,
     greedy_decode,
@@ -293,7 +293,7 @@ class TestBatchedSweep:
         # the decodes themselves, as run_sweep batches them
         pairs = random_eval_inputs(w.config, 4, seed=9)
         src, src_valid = _pad([s for s, _ in pairs])
-        batch = _twins(w, toy_priors, [taus for taus in points for _ in pairs])
+        batch = _Twins(w, toy_priors, [taus for taus in points for _ in pairs])
         tiled = (np.tile(src, (len(points), 1)), np.tile(src_valid, (len(points), 1)))
         flat = [d for decs in decodes for d in decs]
         assert _greedy(batch, tiled[0], DECODE_STEPS, tiled[1]) == flat
@@ -311,19 +311,19 @@ class TestBatchedSweep:
         k, t = len(points), len(pairs)
         assert len({len(s) for s, _ in pairs}) > 1 and len({len(g) for _, g in pairs}) > 1
         rows = [taus for taus in points for _ in pairs]
-        mixed = _twins(w, toy_priors, rows, head=t)
+        mixed = _Twins(w, toy_priors, rows, head=t)
         (src, src_valid), (tgt, tgt_valid) = (_pad([p[i] for p in pairs] * (k + 1)) for i in (0, 1))
         got = _teacher_forced(mixed, src, tgt, None, src_valid, tgt_valid)
         ref = _teacher_forced(w, src[:t], tgt[:t], None, src_valid[:t], tgt_valid[:t])
         twins = _teacher_forced(
-            _twins(w, toy_priors, rows), src[t:], tgt[t:], None, src_valid[t:], tgt_valid[t:]
+            _Twins(w, toy_priors, rows), src[t:], tgt[t:], None, src_valid[t:], tgt_valid[t:]
         )
         assert np.array_equal(got[:t], ref)
         assert np.array_equal(got[t:], twins)
         decodes = _greedy(mixed, src, DECODE_STEPS, src_valid)
         baseline = _greedy(w, src[:t], DECODE_STEPS, src_valid[:t])
         assert decodes[:t] == baseline
-        assert decodes[t:] == _greedy(_twins(w, toy_priors, rows), src[t:], DECODE_STEPS, src_valid[t:])
+        assert decodes[t:] == _greedy(_Twins(w, toy_priors, rows), src[t:], DECODE_STEPS, src_valid[t:])
         if eos:
             assert len({len(d) for d in decodes}) > 1
 

@@ -20,6 +20,7 @@ from nvtransformer import (
     greedy_decode,
     identity_taus,
     init_weights,
+    load_weights,
     reinterpret,
     save_weights,
 )
@@ -35,7 +36,7 @@ from nvtransformer.model import (
     _site_params,
     _step_logits,
     _teacher_forced,
-    _twins,
+    _Twins,
     layer_norm,
     sinusoidal_positions,
 )
@@ -310,6 +311,50 @@ class TestReinterpret:
             )
         for proj in group_projs(m, "decoder"):
             assert proj.b_alpha == 10.0 * proj.prior.epsilon_alpha
+
+    @pytest.mark.parametrize("spec", ["interp:3", "random:2"])
+    def test_replaced_dials_are_the_twin_at_those_dials(
+        self, toy_model, toy_priors, tmp_path, spec
+    ):
+        # replace once kept the identity twin's projections and forms under
+        # the new dials, and saved a file that loaded as another model
+        twin = reinterpret(toy_model, toy_priors, identity_taus())
+        src, tgt = [5, 9, 13, 40, 41, 7], [BOS_ID, 8, 9, 10, 33]
+        path = str(tmp_path / "moved.nvtx")
+        for taus in grid_points(spec)[1:]:
+            want = reinterpret(toy_model, toy_priors, taus)
+            logits, tokens = forward_nv(want, src, tgt), greedy_decode(want, src, 16)
+            assert not np.array_equal(logits, forward_nv(twin, src, tgt))
+            moved = dataclasses.replace(twin, taus=taus)
+            save_weights(path, moved)
+            for got in (moved, load_weights(path)):
+                assert got.taus == taus
+                np.testing.assert_array_equal(forward_nv(got, src, tgt), logits)
+                assert greedy_decode(got, src, 16) == tokens
+
+    def test_projections_and_forms_cannot_be_passed_in(self, toy_model, toy_priors):
+        twin = reinterpret(toy_model, toy_priors, identity_taus())
+        for name in ("head", "projs", "forms"):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(twin, **{name: getattr(twin, name)})
+        with pytest.raises(TypeError, match="one TauConfig"):
+            NvModel(toy_model, toy_priors, [identity_taus()])
+        with pytest.raises(TypeError, match="one TauConfig"):
+            _Twins(toy_model, toy_priors, identity_taus(), head=2)
+
+    @pytest.mark.parametrize("head", [0, 2])
+    def test_a_twin_batch_is_refused_where_a_twin_is_taken(
+        self, toy_model, toy_priors, tmp_path, head
+    ):
+        batch = _Twins(toy_model, toy_priors, grid_points("interp:2"), head=head)
+        path = tmp_path / "batch.nvtx"
+        with pytest.raises(TypeError, match="got _Twins$"):
+            forward_nv(batch, [3, 4], [BOS_ID, 5])
+        with pytest.raises(TypeError, match="cannot decode with _Twins$"):
+            greedy_decode(batch, [3, 4], 4)
+        with pytest.raises(TypeError, match="cannot serialise _Twins$"):
+            save_weights(str(path), batch)
+        assert not path.exists()
 
 
 class TestForwardNv:
@@ -614,7 +659,7 @@ class TestTwinBatch:
         srcs = [rng.integers(3, 64, n).tolist() for n in self.SRC_LENS]
         tgts = [[BOS_ID] + rng.integers(3, 64, n - 1).tolist() for n in self.TGT_LENS]
         rows = [i % len(twins) for i in range(len(srcs))]
-        batch = _twins(toy_model, toy_priors, [points[i] for i in rows])
+        batch = _Twins(toy_model, toy_priors, [points[i] for i in rows])
         return batch, [twins[i] for i in rows], srcs, tgts
 
     @pytest.mark.parametrize("general", [False, True], ids=["head-space", "general"])
@@ -668,7 +713,7 @@ class TestTwinBatch:
         # bit those of its point's own twin ([P]'s row is every row's)
         points = grid_points("random:3", seed=2)
         rows = [2, 0, 1, 2, 1]
-        batch = _twins(toy_model, toy_priors, [points[i] for i in rows])
+        batch = _Twins(toy_model, toy_priors, [points[i] for i in rows])
         for b, i in enumerate(rows):
             twin = reinterpret(toy_model, toy_priors, points[i])
             assert batch.projs.keys() == twin.projs.keys() == batch.forms.keys()

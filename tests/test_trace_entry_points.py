@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from nvtransformer import evaluate, identity_taus, model, priors, reinterpret
+from nvtransformer import evaluate, identity_taus, model, priors, reinterpret, serialize
 from nvtransformer.evaluate import grid_points, make_random_corpus, sweep_csv
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -62,6 +62,39 @@ def test_traced_calls_and_outputs(spans, toy_model, toy_priors):
     assert len(got_priors) == len(want_priors)
     for a, b in zip(got_priors, want_priors):
         assert (a.layer_group, a.layer_id) == (b.layer_group, b.layer_id)
+        for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_traced_estimate_builds_each_twin_through_reinterpret(spans, toy_model, tmp_path):
+    # what `estimate-prior` does, then loading its file back: one twin built
+    # to save and one on load, each through `reinterpret`, so that a caller
+    # that built its NvModel directly would show as a missing span
+    corpus = make_random_corpus(toy_model.config, 30, seed=21)
+    path = tmp_path / "twin.nvtx"
+
+    def op():
+        est = priors.estimate_priors(toy_model, corpus)
+        serialize.save_weights(str(path), model.reinterpret(toy_model, est, identity_taus()))
+        return est, serialize.load_weights(str(path))
+
+    src, tgt = [5, 9, 13, 40, 41], [1, 8, 9, 10]
+    want_priors, want_twin = op()
+    want_bytes, want_logits = path.read_bytes(), model.forward_nv(want_twin, src, tgt)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        got_priors, got_twin = tracer.run_op(0, op)
+    finally:
+        tracer.uninstall()
+
+    calls = tracer.calls()
+    assert calls["model.reinterpret"] == 2
+    assert calls["serialize.save_weights"] == calls["serialize.load_weights"] == 1
+    assert path.read_bytes() == want_bytes
+    np.testing.assert_array_equal(model.forward_nv(got_twin, src, tgt), want_logits)
+    for a, b in zip(got_priors, want_priors, strict=True):
         for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
