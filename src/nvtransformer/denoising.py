@@ -48,7 +48,7 @@ after t from query t, and the prior component, the last, is always visible
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -133,29 +133,47 @@ class KeyedPosterior:
     v = (sqrt(d/h) mu/sigma_r^2) W^V, head i in columns [i*d/h, (i+1)*d/h),
     and c the score bias log alpha - 0.5 ||mu/sigma_r||^2 - 0.5 sum log
     sigma_r^2.  A padded batch's rows are a (B, n+1, 3d+1) stack.  A
-    posterior without forms is standard attention (`standard_keys`).
+    posterior without forms is standard attention (`standard_keys`).  Its
+    head views are split once; a causal cache's prefix `upto(n)` cuts its whole's.
     """
 
     rows: np.ndarray
     forms: SiteForms | None
+    whole: KeyedPosterior | None = field(default=None, repr=False, compare=False)
 
     @property
     def mu(self) -> np.ndarray:
         return self.rows[..., : (self.rows.shape[-1] - 1) // 3]
 
+    def upto(self, n: int) -> KeyedPosterior:
+        return KeyedPosterior(self.rows[..., :n, :], self.forms, self)
 
-def standard_keys(z, params: AttentionParams, valid=None, out=None) -> KeyedPosterior:
+    def heads(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of k^T (..., h, d/h, n+1), v (..., h, n+1, d/h), c (..., 1, 1, n+1)."""
+        if self.whole is not None:  # a prefix, attended once: its whole's, cut
+            (kt, v, c), n = self.whole.heads(h), self.rows.shape[-2]
+            return kt[..., :n], v[..., :n, :], c[..., :n]
+        if "_heads" not in vars(self):  # split once, on the first attend
+            r, d = self.rows, self.mu.shape[-1]
+            k, v = split_heads(r[..., d : 2 * d], h), split_heads(r[..., 2 * d : -1], h)
+            vars(self)["_heads"] = k.swapaxes(-1, -2), v, r[..., None, None, :, -1]
+        return vars(self)["_heads"]
+
+
+def standard_keys(z, params: AttentionParams, valid=None, out=None, wk=None) -> KeyedPosterior:
     """Standard attention's keys of vectors z, as for `head_keys`, written
-    to `out` if given: a posterior without forms, rows [z | z (W^K/sqrt(d/h))
-    | z W^V | c], c 0 for a valid vector and -inf for a padded one and for
-    [P].  b^K is constant per query and drops out; b^V enters after the mix."""
+    to `out` if given: a posterior without forms, rows [z | z wk | z W^V |
+    c], wk = W^K/sqrt(d/h) unless the caller has made it, c 0 for a valid
+    vector and -inf for a padded one and for [P].  b^K is constant per
+    query and drops out; b^V enters after the mix."""
     d = z.shape[-1]
     rows = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
     rows[..., -1, :] = 0.0
     rows[..., -1, -1] = -np.inf
     tok = rows[..., :-1, :]
     tok[..., :d] = z
-    np.matmul(z, params.wk / math.sqrt(params.head_dim), out=tok[..., d : 2 * d])
+    wk = params.wk / math.sqrt(params.head_dim) if wk is None else wk
+    np.matmul(z, wk, out=tok[..., d : 2 * d])
     np.matmul(z, params.wv, out=tok[..., 2 * d : -1])
     tok[..., -1] = 0.0 if valid is None else np.where(valid, 0.0, -np.inf)
     return KeyedPosterior(rows, None)
@@ -163,21 +181,21 @@ def standard_keys(z, params: AttentionParams, valid=None, out=None) -> KeyedPost
 
 def head_keys(
     z, proj: NvibProjection, params: AttentionParams, forms: SiteForms, valid=None,
-    head: int = 0,
+    head: int = 0, out=None, wk=None,
 ) -> KeyedPosterior:
     """The site's keys of `project(z, proj, valid)`, written in one pass
-    from the vectors z, (n, d) or a padded batch (B, n, d) with its (B, n)
-    `valid`, unvalidated.  `forms` is `site_forms`' of `proj`, or a (B, ...)
-    stack of them.  The token means are z, so c is `token_log_alpha` (-inf
-    for a padded row) - 0.5 sum z*z/sigma_r^2 - half_log_var; [P]'s row is
-    the forms' own.  A mixed batch's first `head` rows are `standard_keys`',
-    with all-zero forms; `proj` projects the rows after them."""
+    (to `out` if given) from the vectors z, (n, d) or a padded batch (B, n,
+    d) with its (B, n) `valid`, unvalidated.  `forms` is `site_forms`' of
+    `proj`, or a (B, ...) stack of them.  The token means are z, so c is
+    `token_log_alpha` (-inf for a padded row) - 0.5 sum z*z/sigma_r^2 -
+    half_log_var; [P]'s row is the forms' own.  A mixed batch's first
+    `head` rows are `standard_keys`' (with `wk`), with all-zero forms."""
     d = z.shape[-1]
-    rows = out = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1))
+    rows = out = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
     inv_var, half_log_var = forms.inv_var, forms.half_log_var
     if head:
         std_valid, valid = (None, None) if valid is None else (valid[:head], valid[head:])
-        standard_keys(z[:head], params, std_valid, rows[:head])
+        standard_keys(z[:head], params, std_valid, rows[:head], wk)
         z, out, inv_var, half_log_var = z[head:], rows[head:], inv_var[head:], half_log_var[head:]
     x = z * inv_var[..., None, :]
     out[..., -1, :] = forms.prior_row
@@ -285,20 +303,18 @@ def _general_path(q, dp: DpPosterior, params: AttentionParams):
 def _head_space_path(q, dp: KeyedPosterior):
     """The head-space path: the same weights and map at width d/h; without
     forms, standard attention (all-zero forms add exact zeros)."""
-    h, dh = q.shape[-3], q.shape[-1]
-    d = h * dh
-    k, v, c = dp.rows[..., d : 2 * d], dp.rows[..., 2 * d : -1], dp.rows[..., -1]
-    scores = q @ split_heads(k, h).swapaxes(-1, -2)
-    scores += c[..., None, None, :]
+    (kt, v, c), dh = dp.heads(q.shape[-3]), q.shape[-1]
+    scores = q @ kt
+    scores += c
     if dp.forms is None:
-        return scores, lambda w: w @ split_heads(v, h)
+        return scores, lambda w: w @ v
     qf = q @ dp.forms.f                             # (..., h, m, 3d/h)
     scores[..., -1] -= 0.5 * (qf[..., :dh] * q).sum(axis=-1)
 
     def mix(w):
         out = w[..., :-1].sum(axis=-1, keepdims=True) * qf[..., dh : 2 * dh]
         out += w[..., -1:] * qf[..., 2 * dh :]
-        out += w @ split_heads(v, h)
+        out += w @ v
         return out
 
     return scores, mix

@@ -209,10 +209,11 @@ def run_sweep(
     The standard baseline's T input pairs and the K points x T pairs run as
     one padded batch of T + K*T rows, baseline first, over the shared base
     weights (`model._Twins`, which builds the twin rows in one pass per
-    site): one teacher-forced pass and one greedy decode serve both kinds.
-    Padded source and target positions are masked: their keys take no
-    weight, and the logit difference and each group's [P] mass are read
-    over valid query rows only.  Rows are in the order of `points`.
+    site): one teacher-forced pass and one greedy decode serve both kinds
+    and share one encoder pass and cross keys.  Padded source and target
+    positions are masked: their keys take no weight, and the logit
+    difference and each group's [P] mass are read over valid query rows
+    only.  Rows are in the order of `points`.
     """
     _check_integer(trials, "trials")
     if trials < 1:
@@ -233,11 +234,12 @@ def run_sweep(
         total[group] += per_row.reshape(k, t).sum(axis=1)
         count[group] += int(np.sum(queries[:t]))
 
-    logits = _teacher_forced(batch, src, tgt, hook, src_valid, tgt_valid)
+    memory = {}  # the cross sites' keys, shared by both passes
+    logits = _teacher_forced(batch, src, tgt, hook, src_valid, tgt_valid, memory)
     diff = np.abs(logits[t:] - np.tile(logits[:t], (k, 1, 1)))
     worst = np.max(diff, axis=(1, 2), where=tgt_valid[t:, :, None], initial=0.0)
     worst = worst.reshape(k, t).max(axis=1)
-    decodes = _greedy(batch, src, min(DECODE_STEPS, w.config.max_len), src_valid)
+    decodes = _greedy(batch, src, min(DECODE_STEPS, w.config.max_len), src_valid, memory)
     baseline = decodes[:t]
     rows = []
     for i, taus in enumerate(points):

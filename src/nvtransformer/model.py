@@ -16,9 +16,9 @@ Twins of one base at different dials run as one batch too (`_Twins`), each
 row at its own dials; a dial sweep leads that batch with the base model's
 own rows, a mixed batch with all-zero forms for them, and so runs its
 baseline and every point and input pair in one teacher-forced pass and one
-decode, with one kernel call per site.  A batched decode steps
-every row until all have emitted EOS; a row's positions after its EOS are
-padding, and its tokens are cut at its first EOS.
+decode, which share one encoder pass and cross keys, with one kernel call
+per site.  A batched decode steps every row until all have emitted EOS; a
+row's positions after its EOS are padding, its tokens cut at its first EOS.
 
 Layer-norm gains and offsets are initialised with real spread (not 1/0) so
 that post-norm vectors have varied norms; the norm-spread statistic the
@@ -386,9 +386,9 @@ def _site_ops(model, hook=None):
     """(weights, keys, attend) of a model: the one place the model kinds
     differ, in their key map.
 
-    `keys(site, rows, valid)` is what a site reads of its key/value rows,
-    one row matrix: the rows of their posterior, [P] last (see
-    `denoising`).  The standard model's posterior has no forms, which is
+    `keys(site, rows, valid, out=None)` is what a site reads of its
+    key/value rows, a `KeyedPosterior` (see `denoising`; its rows written to
+    `out` if given).  The standard model's posterior has no forms, which is
     standard attention (`standard_keys`); the twin's is the projected
     posterior (`head_keys`).  `attend(site, q, kv, valid, causal)` attends
     queries q over such keys with the head-space kernel.  Rows are a padded
@@ -405,33 +405,33 @@ def _site_ops(model, hook=None):
     weights; a mixed batch gives it its twin rows' alone.
     """
     # head: how many standard rows lead the twins' rows; None when all do
-    if isinstance(model, ModelWeights):
-        w, forms, head = model, {}, None
-    else:
-        w, forms, head = model.base, model.forms, model.head
+    w, head = (model, None) if isinstance(model, ModelWeights) else (model.base, model.head)
     params = _site_params(w)
+    wks = {}  # standard rows' W^K / sqrt(d/h) at sites keyed into `out` each step
 
-    def keys(site, rows, valid):
+    def keys(site, rows, valid, out=None):
+        p, wk = params[site], wks.get(site)
+        if out is not None and head != 0 and wk is None:
+            wk = wks[site] = p.wk / np.sqrt(p.head_dim)
         if head is not None:
-            return head_keys(rows, model.projs[site], params[site], forms[site], valid, head).rows
+            return head_keys(rows, model.projs[site], p, model.forms[site], valid, head, out, wk)
         if hook is not None:
             hook(*site, rows, valid)
-        return standard_keys(rows, params[site], valid).rows
+        return standard_keys(rows, p, valid, out, wk)
 
     def attend(site, q, kv, valid, causal=False):
         sink = None if hook is None or head is None else lambda mat: hook(*site, mat[head:])
-        dp = KeyedPosterior(kv, forms.get(site))
-        return eval_dattn_multihead(q, dp, params[site], causal, sink)
+        return eval_dattn_multihead(q, kv, params[site], causal, sink)
 
     return w, keys, attend
 
 
-def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
+def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None, memory=None):
     """Encode a padded batch of checked sources (B, S) once through
     `_site_ops`' ops; return (weights, causal, cross), the decoder's
     attention sites for `_decode` over whole targets under the causal mask.
-    Each cross site keys the memory once, on its first attend, so hooks
-    fire in site-walk order.
+    Each cross site keys the memory on its first attend, so hooks fire in
+    site-walk order, into `memory`; one full for this batch skips encoding.
 
     src_valid and tgt_valid are the sources' and targets' validity, all
     valid when None: padded keys take no weight in any query; padded target
@@ -439,13 +439,13 @@ def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
     too.  Padded query rows are computed and left for the caller to drop.
     """
     w, keys, attend = ops
+    memory = {} if memory is None else memory
 
     def self_attn(l: int, z: np.ndarray) -> np.ndarray:
         site = ("encoder", l)
         return attend(site, z, keys(site, z, src_valid), src_valid)
 
-    mem = _encode(w, src, self_attn)
-    mem_keys = {}
+    mem = _encode(w, src, self_attn) if len(memory) < len(w.dec) else None
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
@@ -453,9 +453,9 @@ def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None):
 
     def cross(l: int, q: np.ndarray) -> np.ndarray:
         site = ("cross", l)
-        if l not in mem_keys:
-            mem_keys[l] = keys(site, mem, src_valid)
-        return attend(site, q, mem_keys[l], src_valid)
+        if l not in memory:
+            memory[l] = keys(site, mem, src_valid)
+        return attend(site, q, memory[l], src_valid)
 
     return w, causal, cross
 
@@ -477,13 +477,13 @@ def forward_standard(
     return _teacher_forced(w, src[None], tgt[None], hook)[0]
 
 
-def _teacher_forced(model, src, tgt, hook=None, src_valid=None, tgt_valid=None):
+def _teacher_forced(model, src, tgt, hook=None, src_valid=None, tgt_valid=None, memory=None):
     """Logits (B, L, vocab) of a padded batch of checked sources (B, S) and
     targets (B, L) through `_attention_sites` and `_decode`, with
-    `_site_ops`' hook; with src_valid and tgt_valid, padded rows' logits
-    mean nothing."""
+    `_site_ops`' hook and the cross sites' `memory`; with src_valid and
+    tgt_valid, padded rows' logits mean nothing."""
     ops = _site_ops(model, hook)
-    w, causal, cross = _attention_sites(ops, src, src_valid, tgt_valid)
+    w, causal, cross = _attention_sites(ops, src, src_valid, tgt_valid, memory)
     return _decode(w, _embed(w, tgt), causal, cross)
 
 
@@ -547,7 +547,7 @@ def forward_nv(
     return _teacher_forced(m, src[None], tgt[None], hook)[0]
 
 
-def _step_logits(model, src: np.ndarray, positions: int, src_valid=None):
+def _step_logits(model, src: np.ndarray, positions: int, src_valid=None, memory=None):
     """Coroutine of last-row logits, one new decoder position per step, for
     a padded batch of checked sources (B, S) with validity src_valid (all
     valid when None).
@@ -559,26 +559,28 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None):
     sent EOS is finished: the positions it is stepped through afterwards are
     padding, hidden from its later queries.
 
-    The cross sites are `_attention_sites`'; each decoder layer's causal
-    site keeps one row buffer, allocated at t=0: step t writes position t's
-    key rows at t : t+len(kv) and attends over buf[:, : t+len(kv)] with no
-    mask, as causal masking means earlier rows never change.  The rows are
-    a posterior's, whose [P] row moves down one each step.
+    The cross sites are `_attention_sites`' (with its `memory`); each
+    decoder layer's causal site keeps one posterior over a row buffer made
+    at t=0: step t keys position t's n rows into buf[:, t : t+n] and
+    attends over its prefix `upto(t+n)` with no mask, as causal masking
+    means earlier rows never change.  The [P] row moves down one each step.
     """
     ops = _site_ops(model)
     w, keys, attend = ops
-    _, _, cross = _attention_sites(ops, src, src_valid)
-    caches = {}  # one row buffer per decoder layer
+    _, _, cross = _attention_sites(ops, src, src_valid, memory=memory)
+    caches = {}  # one posterior over a row buffer per decoder layer
     live = np.ones((len(src), positions), dtype=bool)  # the positions' validity
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
-        site = ("decoder", l)
-        kv = keys(site, z, live[:, t : t + 1])
-        if t == 0:
-            caches[l] = np.empty((len(kv), positions - 1 + kv.shape[1], kv.shape[2]))
-        end = t + kv.shape[1]
-        caches[l][:, t:end] = kv
-        return attend(site, z, caches[l][:, :end], live[:, : t + 1])
+        site, valid = ("decoder", l), live[:, t : t + 1]
+        if t == 0:  # this step's n rows, then room for positions - 1 more
+            kv = keys(site, z, valid)
+            room = np.empty((len(z), positions - 1, kv.rows.shape[2]))
+            caches[l] = KeyedPosterior(np.concatenate((kv.rows, room), axis=1), kv.forms)
+        end = t + caches[l].rows.shape[1] - positions + 1
+        if t > 0:
+            keys(site, z, valid, caches[l].rows[:, t:end])
+        return attend(site, z, caches[l].upto(end), live[:, : t + 1])
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position
@@ -588,11 +590,11 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None):
         tok = yield _decode(w, emb, causal, cross)[:, 0]
 
 
-def _greedy(model, src: np.ndarray, positions: int, src_valid=None) -> list[list[int]]:
+def _greedy(model, src: np.ndarray, positions: int, src_valid=None, memory=None) -> list[list[int]]:
     """Argmax decoding of a padded batch of checked sources (see
     `_step_logits`), at most `positions` tokens per row.  Every row steps
     until all have emitted EOS; each row's tokens end at its first EOS."""
-    steps = _step_logits(model, src, positions, src_valid)
+    steps = _step_logits(model, src, positions, src_valid, memory)
     next(steps)
     tok = np.full(len(src), BOS_ID)
     out, done = [], np.zeros(len(src), dtype=bool)

@@ -281,7 +281,7 @@ def token_log_alpha(zz: np.ndarray, proj: NvibProjection, valid=None) -> np.ndar
     real vectors counted on ALPHA_CLAMP_EVENTS, -inf where `valid` is False.
     The one clamp rule of `project` and of the twin's key map."""
     log_alpha = zz @ proj.w_alpha + np.asarray(proj.b_alpha)[..., None]
-    clamped = np.clip(log_alpha, -LOG_ALPHA_CLAMP, LOG_ALPHA_CLAMP)
+    clamped = np.minimum(np.maximum(log_alpha, -LOG_ALPHA_CLAMP), LOG_ALPHA_CLAMP)
     hit = clamped != log_alpha
     ALPHA_CLAMP_EVENTS.add(np.count_nonzero(hit if valid is None else hit & valid))
     if valid is not None:

@@ -360,6 +360,45 @@ class TestStandardKeys:
         assert np.array_equal(mixed[1:], head_keys(z[1:], proj, params, forms, self.VALID[1:]).rows)
 
 
+class TestCausalCache:
+    """What a decode's causal cache relies on: a key map writing into the
+    cache's buffer writes the bits of fresh keys, and a prefix attended
+    through its whole's head views gives the bits of a posterior over the
+    same rows split on its own."""
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["standard", "twin"])
+    def test_buffer_prefix_is_fresh_keys_bitwise(self, twin):
+        rng = np.random.default_rng(170)
+        params = init_weights(ModelConfig(), seed=2).dec[0].causal_attn
+        b, steps, d = 3, 5, 16
+        dials = (np.array([10.0, -3.0, 1.0]), np.array([TAU_SIGMA_MIN, 0.5, 0.1]))
+        proj = identity_init(synthetic_prior(rng, d), *dials, d, 2)
+        forms = site_forms(proj, params) if twin else None
+
+        def keys(z, valid, out=None):
+            if twin:
+                return head_keys(z, proj, params, forms, valid, 0, out)
+            return standard_keys(z, params, valid, out)
+
+        valid = np.ones((b, steps), dtype=bool)
+        valid[1, 3:] = False
+        whole = KeyedPosterior(np.full((b, steps + 1, 3 * d + 1), np.nan), forms)
+        copied = np.full_like(whole.rows, np.nan)
+        for t in range(steps):
+            z, q = rng.normal(size=(2, b, 1, d))
+            keys(z, valid[:, t : t + 1], whole.rows[:, t : t + 2])
+            copied[:, t : t + 2] = keys(z, valid[:, t : t + 1]).rows
+            assert np.array_equal(whole.rows, copied, equal_nan=True)
+            maps = []
+            got = eval_dattn_multihead(q, whole.upto(t + 2), params, False, maps.append)
+            fresh = KeyedPosterior(copied[:, : t + 2], forms)
+            assert np.array_equal(got, eval_dattn_multihead(q, fresh, params, False, maps.append))
+            assert np.array_equal(maps[0], maps[1])
+        # the whole's views are split once; a prefix's are slices of them
+        assert all(a is b for a, b in zip(whole.heads(2), whole.heads(2)))
+        assert all(np.shares_memory(v, whole.rows) for v in whole.upto(3).heads(2))
+
+
 class TestCollapse:
     def test_negative_alpha_dial_routes_everything_to_prior(self):
         rng = np.random.default_rng(104)

@@ -1,11 +1,14 @@
 """Tests for certification, grids, and sweeps."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nvtransformer import certify, grid_points, run_sweep, token_overlap
+from nvtransformer import evaluate as evaluate_mod
+from nvtransformer import model as model_mod
 from nvtransformer.evaluate import (
     DECODE_STEPS,
     SWEEP_HEADER,
@@ -327,19 +330,84 @@ class TestBatchedSweep:
         if eos:
             assert len({len(d) for d in decodes}) > 1
 
-    def test_clamp_events_count_no_padded_row(self, toy_model, toy_priors):
+    @pytest.mark.parametrize("eos", [False, True], ids=["toy", "eager-eos"])
+    def test_encodes_once_and_keys_each_cross_site_once(self, toy_model, toy_priors, eos, monkeypatch):
+        # the decode attends the teacher-forced pass's encoder states and
+        # cross keys as they are: the rows, CSV and decodes are bit for bit
+        # those of a sweep whose two passes each encode for themselves
+        w = eager_eos(toy_model, 1.5) if eos else toy_model
+        points = grid_points("random:3", seed=2)
+        pairs = random_eval_inputs(w.config, 4, seed=9)
+        assert len({len(s) for s, _ in pairs}) > 1  # a padded batch
+
+        def sweep(share):
+            """The sweep's rows and decodes; without `share`, each pass is
+            called without the shared keys and encodes for itself."""
+            decodes = []
+
+            def greedy(*args):
+                decodes.append(_greedy(*(args if share else args[:4])))
+                return decodes[0]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluate_mod, "_teacher_forced",
+                              lambda *args: _teacher_forced(*(args if share else args[:6])))
+                patch.setattr(evaluate_mod, "_greedy", greedy)
+                return run_sweep(w, toy_priors, points, trials=4, seed=9), decodes[0]
+
+        encodes, keyed = [], Counter()
+        encode, head_keys = model_mod._encode, model_mod.head_keys
+
+        def counting_encode(*args):
+            encodes.append(1)
+            return encode(*args)
+
+        def counting_head_keys(z, proj, *args):
+            keyed[proj.prior.layer_group, proj.prior.layer_id] += 1
+            return head_keys(z, proj, *args)
+
+        want, want_decodes = sweep(share=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "_encode", counting_encode)
+            patch.setattr(model_mod, "head_keys", counting_head_keys)
+            got, decodes = sweep(share=True)
+            assert encodes == [1]
+            assert [keyed["cross", l] for l in range(w.config.layers_dec)] == [1] * w.config.layers_dec
+            certify(w, toy_priors, points[0], trials=4, tol=1e-5, seed=9)
+            assert encodes == [1, 1]
+        assert got == want and sweep_csv(got) == sweep_csv(want)
+        assert decodes == want_decodes
+        if eos:
+            assert len({len(d) for d in decodes}) > 1
+
+    def test_clamp_events_count_no_padded_row(self, toy_model, toy_priors, monkeypatch):
         # dials far past the clamp in both directions clamp every real token
         # component; padded ones, and decode steps past a row's EOS, must
-        # not count
+        # not count.  Each real row counts once per key map that keys it:
+        # the loop keys a pair's encoder and cross rows in its forward_nv
+        # and again in its decode, where the sweep's decode reuses its
+        # teacher-forced pass's, so those count once
         w = eager_eos(toy_model, 1.2)
         points = [
             TauConfig.uniform(1e3, TAU_SIGMA_MIN),
             TauConfig.uniform(-1e3, 0.25),
             interp_taus(0.0),
         ]
+        by_group, head_keys = Counter(), model_mod.head_keys
+
+        def counting_head_keys(z, proj, *args):
+            before = ALPHA_CLAMP_EVENTS.count
+            keyed = head_keys(z, proj, *args)
+            by_group[proj.prior.layer_group] += ALPHA_CLAMP_EVENTS.count - before
+            return keyed
+
         ALPHA_CLAMP_EVENTS.reset()
-        _, decodes = per_pair_sweep(w, toy_priors, points, trials=4, seed=9)
-        want = ALPHA_CLAMP_EVENTS.count
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "head_keys", counting_head_keys)
+            _, decodes = per_pair_sweep(w, toy_priors, points, trials=4, seed=9)
+        twice = by_group["encoder"] + by_group["cross"]
+        assert twice > 0 and twice % 2 == 0
+        want = ALPHA_CLAMP_EVENTS.count - twice // 2
         # rows of the first point stop at different steps
         assert {len(d) for d in decodes[0]} == {2, DECODE_STEPS}
         ALPHA_CLAMP_EVENTS.reset()

@@ -26,6 +26,7 @@ from nvtransformer import (
 )
 from nvtransformer import model as model_mod
 from nvtransformer.attention import attention
+from nvtransformer.denoising import KeyedPosterior
 from nvtransformer.evaluate import grid_points, make_random_corpus, run_sweep
 from nvtransformer.model import (
     LN_EPS,
@@ -54,17 +55,21 @@ def group_projs(m, group):
 def general_site_ops(model, hook=None):
     """`_site_ops` with every twin site on the general path, the reference
     the head-space path is checked against: a site keeps its posterior's
-    own rows, and attends over the `DpPosterior` they hold.  Patched over
-    `model._site_ops`; the standard model's ops are unchanged."""
+    own rows [mu | sigma | log alpha] (in a `KeyedPosterior`'s rows, which
+    the decode's causal cache grows), and attends over the `DpPosterior`
+    they hold.  Patched over `model._site_ops`; the standard model's ops
+    are unchanged."""
     if isinstance(model, ModelWeights):
         return _site_ops(model, hook)
     params, d = _site_params(model.base), model.base.config.dim
 
-    def keys(site, rows, valid):
+    def keys(site, rows, valid, out=None):
         dp = model_mod.project(rows, model.projs[site], valid)
-        return np.concatenate([dp.mu, dp.sigma, dp.log_alpha[..., None]], axis=-1)
+        parts = [dp.mu, dp.sigma, dp.log_alpha[..., None]]
+        return KeyedPosterior(np.concatenate(parts, axis=-1, out=out), None)
 
     def attend(site, q, kv, valid, causal=False):
+        kv = kv.rows
         dp = DpPosterior(kv[..., :d], kv[..., d:-1], kv[..., -1])
         sink = None if hook is None else partial(hook, *site)
         return eval_dattn_multihead(q, dp, params[site], causal, sink)
@@ -75,20 +80,23 @@ def general_site_ops(model, hook=None):
 def attention_site_ops(model, hook=None):
     """`_site_ops` with every standard site on `attention.attention`, the
     independent reference for the standard model on the twin's kernel: a
-    site keeps its rows as keys and attends over them with the standard
+    site keeps its rows as keys (in a `KeyedPosterior`'s rows, which the
+    decode's causal cache grows) and attends over them with the standard
     kernel, which hides padded keys by their validity.  Patched over
     `model._site_ops`; a twin's ops are unchanged."""
     if not isinstance(model, ModelWeights):
         return _site_ops(model, hook)
     params = _site_params(model)
 
-    def keys(site, rows, valid):
+    def keys(site, rows, valid, out=None):
         if hook is not None:
             hook(*site, rows, valid)
-        return rows
+        if out is not None:
+            out[...] = rows
+        return KeyedPosterior(rows if out is None else out, None)
 
     def attend(site, q, kv, valid, causal=False):
-        return attention(q, kv, params[site], causal, key_valid=valid)
+        return attention(q, kv.rows, params[site], causal, key_valid=valid)
 
     return model, keys, attend
 

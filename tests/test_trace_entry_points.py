@@ -125,7 +125,8 @@ def test_traced_standard_decode(spans, toy_model):
 def test_traced_sweep_is_one_batch(spans, toy_model, toy_priors):
     # every point and pair in one batch: each site is entered once per
     # teacher-forced pass and decode step, by one kernel call over the
-    # baseline's rows and the twins', which share layer norms and FFNs too
+    # baseline's rows and the twins', which share layer norms and FFNs too;
+    # the decode reads the pass's encoder states, so the encoder runs once
     cfg = toy_model.config
     args = (toy_model, toy_priors, grid_points("interp:3"), 2, 4)
     want = sweep_csv(evaluate.run_sweep(*args))
@@ -141,14 +142,14 @@ def test_traced_sweep_is_one_batch(spans, toy_model, toy_priors):
     steps = evaluate.DECODE_STEPS
     assert all(r.mean_decode_len == steps for r in rows)  # no row stops early
     sites = cfg.layers_enc + 2 * cfg.layers_dec
-    per_decode = cfg.layers_enc + 2 * cfg.layers_dec * steps
+    per_decode = 2 * cfg.layers_dec * steps
     calls = tracer.calls()
     assert calls["evaluate.run_sweep"] == 1
     assert calls["denoising.eval_dattn_multihead"] == sites + per_decode
     assert "attention.attention" not in calls
     assert "nvib.project" not in calls
-    # one teacher-forced pass and one decode, the encoder once in each
+    # one teacher-forced pass and one decode, the encoder once per sweep
     enc_norms, dec_norms = 2 * cfg.layers_enc + 1, 3 * cfg.layers_dec + 1
-    assert calls["model.layer_norm"] == 2 * enc_norms + dec_norms * (1 + steps)
-    assert calls["model.ffn"] == 2 * cfg.layers_enc + cfg.layers_dec * (1 + steps)
+    assert calls["model.layer_norm"] == enc_norms + dec_norms * (1 + steps)
+    assert calls["model.ffn"] == cfg.layers_enc + cfg.layers_dec * (1 + steps)
     assert "model.reinterpret" not in calls
