@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (certification PASS included), 1 certification
-failure, 2 usage, configuration or file-access error, 3 data error
-(unparseable corpus or corrupt weight file).
+failure, 2 usage, configuration or file-access error (`--priors` of another
+`--model` included), 3 data error (unparseable corpus or corrupt weight file).
 
 Model config files are plain ``key=value`` lines; command-line flags
 override file values.
@@ -32,7 +32,7 @@ from .model import (
 )
 from .nvib import GROUPS, TauConfig, identity_taus
 from .priors import estimate_priors, prior_report
-from .serialize import load_weights, parse_token_ids, read_corpus, save_weights
+from .serialize import _leaves, load_weights, parse_token_ids, read_corpus, save_weights
 
 __all__ = ["main", "entry"]
 
@@ -79,6 +79,19 @@ def _load_nv(path: str) -> NvModel:
     if not isinstance(model, NvModel):
         raise ValueError(f"{path} holds no priors (not a reinterpreted model)")
     return model
+
+
+def _load_pair(args) -> tuple[ModelWeights, NvModel]:
+    """`--model`'s weights and the `--priors` twin, whose base must be those
+    weights: the same config and every tensor bit for bit."""
+    w, nvm = _load_base(args.model), _load_nv(args.priors)
+    if w.config != nvm.base.config or any(
+        a.tobytes() != b.tobytes() for a, b in zip(_leaves(w), _leaves(nvm.base))
+    ):
+        raise ValueError(
+            f"--priors {args.priors} was estimated on another model than --model {args.model}"
+        )
+    return w, nvm
 
 
 def _check_outputs(inputs: dict[str, str | None], outputs: dict[str, str]) -> None:
@@ -134,8 +147,7 @@ def _cmd_estimate_prior(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    w = _load_base(args.model)
-    nvm = _load_nv(args.priors)
+    w, nvm = _load_pair(args)
     result = certify(
         w,
         nvm.priors,
@@ -152,8 +164,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_outputs({"--model": args.model, "--priors": args.priors}, {"--out": args.out})
-    w = _load_base(args.model)
-    nvm = _load_nv(args.priors)
+    w, nvm = _load_pair(args)
     points = grid_points(args.grid, seed=args.seed)
     rows = run_sweep(
         w, nvm.priors, points, trials=args.trials, seed=args.seed

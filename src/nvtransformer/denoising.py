@@ -29,7 +29,7 @@ no prior (`standard_keys`): its [P] takes no weight.
 
 Both paths also take a padded batch: (B, m, d) queries over a batch of B
 posteriors, with per-row forms stacked (B, ...) when the sequences sit at
-different dials; a mixed batch's standard rows carry all-zero forms.  A
+different dials; a mixed batch's standard rows carry an all-zero `f`.  A
 padded token's component carries pseudo-count zero (see `project`,
 `head_keys` and `standard_keys`), so it takes no weight, while [P] is
 always visible.
@@ -89,7 +89,7 @@ class SiteForms:
     product q @ f gives [P]'s quadratic term and both interpolation terms,
     and prior_row (3d+1,) is [P]'s row of `KeyedPosterior.rows`.  The
     tokens' forms of a padded batch's sequences may be stacked, (B, ...);
-    [P]'s row is every sequence's.
+    [P]'s row is every sequence's; a mixed batch's `f` leads with zero rows.
     """
 
     inv_var: np.ndarray
@@ -189,21 +189,21 @@ def head_keys(
     `proj`, or a (B, ...) stack of them.  The token means are z, so c is
     `token_log_alpha` (-inf for a padded row) - 0.5 sum z*z/sigma_r^2 -
     half_log_var; [P]'s row is the forms' own.  A mixed batch's first
-    `head` rows are `standard_keys`' (with `wk`), with all-zero forms."""
+    `head` rows are `standard_keys`' (with `wk`); inv_var and half_log_var
+    are the twins' rows alone."""
     d = z.shape[-1]
     rows = out = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
-    inv_var, half_log_var = forms.inv_var, forms.half_log_var
     if head:
         std_valid, valid = (None, None) if valid is None else (valid[:head], valid[head:])
         standard_keys(z[:head], params, std_valid, rows[:head], wk)
-        z, out, inv_var, half_log_var = z[head:], rows[head:], inv_var[head:], half_log_var[head:]
-    x = z * inv_var[..., None, :]
+        z, out = z[head:], rows[head:]
+    x = z * forms.inv_var[..., None, :]
     out[..., -1, :] = forms.prior_row
     tok = out[..., :-1, :]
     tok[..., :d], tok[..., d : 2 * d] = z, x @ params.wk
     tok[..., 2 * d : -1] = math.sqrt(params.head_dim) * x @ params.wv
     c = token_log_alpha(z * z, proj, valid) - 0.5 * (z * x).sum(axis=-1)
-    tok[..., -1] = c - half_log_var[..., None]
+    tok[..., -1] = c - forms.half_log_var[..., None]
     return KeyedPosterior(rows, forms)
 
 

@@ -212,8 +212,9 @@ def run_sweep(
     site): one teacher-forced pass and one greedy decode serve both kinds
     and share one encoder pass and cross keys.  Padded source and target
     positions are masked: their keys take no weight, and the logit
-    difference and each group's [P] mass are read over valid query rows
-    only.  Rows are in the order of `points`.
+    difference and each group's [P] mass (of the map hook's rows past the
+    baseline's) are read over valid query rows only.  Rows are in the
+    order of `points`.
     """
     _check_integer(trials, "trials")
     if trials < 1:
@@ -230,7 +231,7 @@ def run_sweep(
 
     def hook(group: str, layer_id: int, weights: np.ndarray) -> None:
         queries = (src_valid if group == "encoder" else tgt_valid)[t:]
-        per_row = np.sum(weights[..., -1], axis=-1, where=queries)
+        per_row = np.sum(weights[t:, :, -1], axis=-1, where=queries)
         total[group] += per_row.reshape(k, t).sum(axis=1)
         count[group] += int(np.sum(queries[:t]))
 

@@ -14,7 +14,7 @@ The walk runs a padded batch of sequences with their key validity; a single
 `forward_standard`, `forward_nv` or `greedy_decode` is the batch of one.
 Twins of one base at different dials run as one batch too (`_Twins`), each
 row at its own dials; a dial sweep leads that batch with the base model's
-own rows, a mixed batch with all-zero forms for them, and so runs its
+own rows, a mixed batch with an all-zero `f` for them, and so runs its
 baseline and every point and input pair in one teacher-forced pass and one
 decode, which share one encoder pass and cross keys, with one kernel call
 per site.  A batched decode steps every row until all have emitted EOS; a
@@ -27,7 +27,7 @@ prior estimator measures is what gives the pseudo-count dial its traction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -146,11 +146,11 @@ class ModelWeights:
 @dataclass(frozen=True)
 class _Twins:
     """Twins of one base for a padded batch, made from its base, priors and
-    dials: its first `head` rows run the base itself, with all-zero forms,
-    and row head+b runs its twin at taus[b].  On construction the priors are
-    put in `sites` order, then each site's projection and forms (`projs`,
-    `forms`, keyed by (group, layer id)) are built for every row in one
-    pass, each group's dials touching only its own sites."""
+    dials: its first `head` rows run the base itself, and row head+b runs
+    its twin at taus[b].  On construction the priors are put in `sites`
+    order, then each site's projection and forms (`projs`, `forms`, keyed
+    by (group, layer id)) are built for the twins in one pass, each group's
+    dials touching only its own sites; `f` leads with `head` zero rows."""
 
     base: ModelWeights
     priors: list[EmpiricalPrior]
@@ -174,9 +174,8 @@ class _Twins:
             projs[site] = identity_init(p, *dials, config.dim, config.heads)
             f = forms[site] = site_forms(projs[site], params[site])
             if head:
-                stack = [np.concatenate((np.zeros((head,) + a.shape[1:]), a))
-                         for a in (f.inv_var, f.half_log_var, f.f)]
-                forms[site] = SiteForms(*stack, f.prior_row)
+                zero = np.zeros((head,) + f.f.shape[1:])
+                forms[site] = replace(f, f=np.concatenate((zero, f.f)))
         # frozen: the built fields go in past the dataclass's __setattr__
         vars(self).update(priors=priors, projs=projs, forms=forms)
 
@@ -390,19 +389,19 @@ def _site_ops(model, hook=None):
     key/value rows, a `KeyedPosterior` (see `denoising`; its rows written to
     `out` if given).  The standard model's posterior has no forms, which is
     standard attention (`standard_keys`); the twin's is the projected
-    posterior (`head_keys`).  `attend(site, q, kv, valid, causal)` attends
-    queries q over such keys with the head-space kernel.  Rows are a padded
-    batch (B, n, d) whose (B, n) `valid` marks each sequence's real rows,
-    all of them when None: a padded row's key takes no weight, so `attend`
-    reads its validity from the keys.  The twin is an NvModel, whose dials
-    every row shares, or a `_Twins` batch; a mixed batch (`_Twins` with head
-    n) leads with n rows of the standard model, whose forms are all zero.
+    posterior (`head_keys`).  Rows are a padded batch (B, n, d) whose (B, n)
+    `valid` marks each sequence's real rows, all of them when None; a padded
+    row's key has c = -inf and so takes no weight.  `attend(site, q, kv,
+    causal=False)` attends queries q over such keys with the head-space
+    kernel.  The twin is an NvModel, whose dials every row shares, or a
+    `_Twins` batch; a mixed batch (`_Twins` with head n) leads with n rows
+    of the standard model.
 
     `hook` is the standard model's `hook(group, layer_id, rows, valid)`,
     called from the key map with each site's key/value rows and their
     validity before they are keyed, or the twin's map hook
     `hook(group, layer_id, mat)`, given each site's head-averaged (B, m, n+1)
-    weights; a mixed batch gives it its twin rows' alone.
+    weights, a mixed batch's standard rows first, whose [P] column is 0.
     """
     # head: how many standard rows lead the twins' rows; None when all do
     w, head = (model, None) if isinstance(model, ModelWeights) else (model.base, model.head)
@@ -419,45 +418,38 @@ def _site_ops(model, hook=None):
             hook(*site, rows, valid)
         return standard_keys(rows, p, valid, out, wk)
 
-    def attend(site, q, kv, valid, causal=False):
-        sink = None if hook is None or head is None else lambda mat: hook(*site, mat[head:])
+    def attend(site, q, kv, causal=False):
+        sink = None if hook is None or head is None else lambda mat: hook(*site, mat)
         return eval_dattn_multihead(q, kv, params[site], causal, sink)
 
     return w, keys, attend
 
 
-def _attention_sites(ops, src: np.ndarray, src_valid=None, tgt_valid=None, memory=None):
-    """Encode a padded batch of checked sources (B, S) once through
-    `_site_ops`' ops; return (weights, causal, cross), the decoder's
-    attention sites for `_decode` over whole targets under the causal mask.
-    Each cross site keys the memory on its first attend, so hooks fire in
-    site-walk order, into `memory`; one full for this batch skips encoding.
-
-    src_valid and tgt_valid are the sources' and targets' validity, all
-    valid when None: padded keys take no weight in any query; padded target
-    positions come after every valid one, so the causal mask hides them
-    too.  Padded query rows are computed and left for the caller to drop.
+def _attention_sites(ops, src: np.ndarray, src_valid=None, memory=None):
+    """Encode a padded batch of checked sources (B, S) with validity
+    src_valid (all valid when None) once through `_site_ops`' ops; return
+    `cross(l, q)`, the decoder's cross sites for `_decode`.  Each cross site
+    keys the memory on its first attend, so hooks fire in site-walk order,
+    into `memory`; one full for this batch skips encoding.  The causal sites
+    are the caller's: whole targets under the causal mask in
+    `_teacher_forced`, one new position per step in `_step_logits`.
     """
     w, keys, attend = ops
     memory = {} if memory is None else memory
 
     def self_attn(l: int, z: np.ndarray) -> np.ndarray:
         site = ("encoder", l)
-        return attend(site, z, keys(site, z, src_valid), src_valid)
+        return attend(site, z, keys(site, z, src_valid))
 
     mem = _encode(w, src, self_attn) if len(memory) < len(w.dec) else None
-
-    def causal(l: int, z: np.ndarray) -> np.ndarray:
-        site = ("decoder", l)
-        return attend(site, z, keys(site, z, tgt_valid), tgt_valid, causal=True)
 
     def cross(l: int, q: np.ndarray) -> np.ndarray:
         site = ("cross", l)
         if l not in memory:
             memory[l] = keys(site, mem, src_valid)
-        return attend(site, q, memory[l], src_valid)
+        return attend(site, q, memory[l])
 
-    return w, causal, cross
+    return cross
 
 
 def forward_standard(
@@ -479,11 +471,17 @@ def forward_standard(
 
 def _teacher_forced(model, src, tgt, hook=None, src_valid=None, tgt_valid=None, memory=None):
     """Logits (B, L, vocab) of a padded batch of checked sources (B, S) and
-    targets (B, L) through `_attention_sites` and `_decode`, with
-    `_site_ops`' hook and the cross sites' `memory`; with src_valid and
-    tgt_valid, padded rows' logits mean nothing."""
-    ops = _site_ops(model, hook)
-    w, causal, cross = _attention_sites(ops, src, src_valid, tgt_valid, memory)
+    targets (B, L) through `_attention_sites` (with its `memory`) and
+    `_decode`, with `_site_ops`' hook.  A causal site keys whole targets
+    with their validity tgt_valid under the causal mask, which hides padded
+    positions too, as they come last; padded rows' logits mean nothing."""
+    w, keys, attend = ops = _site_ops(model, hook)
+    cross = _attention_sites(ops, src, src_valid, memory)
+
+    def causal(l: int, z: np.ndarray) -> np.ndarray:
+        site = ("decoder", l)
+        return attend(site, z, keys(site, z, tgt_valid), causal=True)
+
     return _decode(w, _embed(w, tgt), causal, cross)
 
 
@@ -557,7 +555,7 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None, memory=
     of the tokens just sent, which are forward_*(src, prefix)[-1] up to
     rounding.  At most `positions` tokens may be sent.  A row that has been
     sent EOS is finished: the positions it is stepped through afterwards are
-    padding, hidden from its later queries.
+    padding, keyed as such from its (B,) liveness.
 
     The cross sites are `_attention_sites`' (with its `memory`); each
     decoder layer's causal site keeps one posterior over a row buffer made
@@ -565,27 +563,26 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None, memory=
     attends over its prefix `upto(t+n)` with no mask, as causal masking
     means earlier rows never change.  The [P] row moves down one each step.
     """
-    ops = _site_ops(model)
-    w, keys, attend = ops
-    _, _, cross = _attention_sites(ops, src, src_valid, memory=memory)
+    w, keys, attend = ops = _site_ops(model)
+    cross = _attention_sites(ops, src, src_valid, memory)
     caches = {}  # one posterior over a row buffer per decoder layer
-    live = np.ones((len(src), positions), dtype=bool)  # the positions' validity
+    live = np.ones(len(src), dtype=bool)  # the new position's validity
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
-        site, valid = ("decoder", l), live[:, t : t + 1]
+        site = ("decoder", l)
         if t == 0:  # this step's n rows, then room for positions - 1 more
-            kv = keys(site, z, valid)
+            kv = keys(site, z, live[:, None])
             room = np.empty((len(z), positions - 1, kv.rows.shape[2]))
             caches[l] = KeyedPosterior(np.concatenate((kv.rows, room), axis=1), kv.forms)
         end = t + caches[l].rows.shape[1] - positions + 1
         if t > 0:
-            keys(site, z, valid, caches[l].rows[:, t:end])
-        return attend(site, z, caches[l].upto(end), live[:, : t + 1])
+            keys(site, z, live[:, None], caches[l].rows[:, t:end])
+        return attend(site, z, caches[l].upto(end))
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position
         if t > 0:
-            live[:, t] = live[:, t - 1] & (tok != EOS_ID)
+            live &= tok != EOS_ID
         emb = _embed(w, np.asarray(tok)[:, None], start=t)
         tok = yield _decode(w, emb, causal, cross)[:, 0]
 

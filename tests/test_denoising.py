@@ -353,8 +353,8 @@ class TestStandardKeys:
         z = rng.normal(size=(self.B, self.N, self.D))
         proj = identity_init(prior, np.array([10.0, -3.0]), np.array([TAU_SIGMA_MIN, 0.5]), 16, 2)
         forms = site_forms(proj, params)
-        lead = SiteForms(*(np.concatenate((np.zeros((1,) + a.shape[1:]), a))
-                           for a in (forms.inv_var, forms.half_log_var, forms.f)), forms.prior_row)
+        lead = SiteForms(forms.inv_var, forms.half_log_var,
+                         np.concatenate((np.zeros((1,) + forms.f.shape[1:]), forms.f)), forms.prior_row)
         mixed = head_keys(z, proj, params, lead, self.VALID, 1).rows
         assert np.array_equal(mixed[:1], standard_keys(z[:1], params, self.VALID[:1]).rows)
         assert np.array_equal(mixed[1:], head_keys(z[1:], proj, params, forms, self.VALID[1:]).rows)

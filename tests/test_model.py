@@ -27,7 +27,7 @@ from nvtransformer import (
 from nvtransformer import model as model_mod
 from nvtransformer.attention import attention
 from nvtransformer.denoising import KeyedPosterior
-from nvtransformer.evaluate import grid_points, make_random_corpus, run_sweep
+from nvtransformer.evaluate import grid_points, make_random_corpus, random_eval_inputs, run_sweep
 from nvtransformer.model import (
     LN_EPS,
     LayerNormParams,
@@ -68,7 +68,7 @@ def general_site_ops(model, hook=None):
         parts = [dp.mu, dp.sigma, dp.log_alpha[..., None]]
         return KeyedPosterior(np.concatenate(parts, axis=-1, out=out), None)
 
-    def attend(site, q, kv, valid, causal=False):
+    def attend(site, q, kv, causal=False):
         kv = kv.rows
         dp = DpPosterior(kv[..., :d], kv[..., d:-1], kv[..., -1])
         sink = None if hook is None else partial(hook, *site)
@@ -80,10 +80,11 @@ def general_site_ops(model, hook=None):
 def attention_site_ops(model, hook=None):
     """`_site_ops` with every standard site on `attention.attention`, the
     independent reference for the standard model on the twin's kernel: a
-    site keeps its rows as keys (in a `KeyedPosterior`'s rows, which the
-    decode's causal cache grows) and attends over them with the standard
-    kernel, which hides padded keys by their validity.  Patched over
-    `model._site_ops`; a twin's ops are unchanged."""
+    site keeps its rows as keys, each with its validity as a last column
+    (in a `KeyedPosterior`'s rows, which the decode's causal cache grows),
+    and attends over them with the standard kernel, which hides padded keys
+    by that validity.  Patched over `model._site_ops`; a twin's ops are
+    unchanged."""
     if not isinstance(model, ModelWeights):
         return _site_ops(model, hook)
     params = _site_params(model)
@@ -91,12 +92,12 @@ def attention_site_ops(model, hook=None):
     def keys(site, rows, valid, out=None):
         if hook is not None:
             hook(*site, rows, valid)
-        if out is not None:
-            out[...] = rows
-        return KeyedPosterior(rows if out is None else out, None)
+        valid = np.broadcast_to(True if valid is None else valid, rows.shape[:-1])
+        return KeyedPosterior(np.concatenate((rows, valid[..., None]), axis=-1, out=out), None)
 
-    def attend(site, q, kv, valid, causal=False):
-        return attention(q, kv.rows, params[site], causal, key_valid=valid)
+    def attend(site, q, kv, causal=False):
+        kv = kv.rows
+        return attention(q, kv[..., :-1], params[site], causal, key_valid=kv[..., -1] == 1.0)
 
     return model, keys, attend
 
@@ -715,6 +716,31 @@ class TestTwinBatch:
             assert {len(d) for d in std} == {16, 3, 2}
         assert _greedy(batch, src, 16, src_valid) == want
         assert _greedy(w, src, 16, src_valid) == std
+
+    def test_map_hook_gets_every_row_of_a_mixed_batch(self, toy_model, toy_priors):
+        # a sweep's batch: the standard rows lead, their [P] column exactly
+        # 0 and their token weights a distribution; the twins' rows follow,
+        # as the same twins batched on their own give them
+        pairs = random_eval_inputs(toy_model.config, 4, seed=5)
+        taus = [p for p in grid_points("interp:2") for _ in pairs]
+        head = len(pairs)
+        (src, src_valid), (tgt, tgt_valid) = (_pad([p[i] for p in pairs] * 3) for i in (0, 1))
+        mixed, twins = {}, {}
+        _teacher_forced(
+            _Twins(toy_model, toy_priors, taus, head=head), src, tgt,
+            lambda g, l, mat: mixed.setdefault((g, l), mat), src_valid, tgt_valid,
+        )
+        _teacher_forced(
+            _Twins(toy_model, toy_priors, taus), src[head:], tgt[head:],
+            lambda g, l, mat: twins.setdefault((g, l), mat), src_valid[head:], tgt_valid[head:],
+        )
+        assert list(mixed) == list(twins) and set(mixed) == set(model_mod.sites(toy_model.config))
+        for site, mat in mixed.items():
+            assert mat.shape[0] == len(src)
+            assert np.all(mat[:head, :, -1] == 0.0)
+            queries = (src_valid if site[0] == "encoder" else tgt_valid)[:head]
+            np.testing.assert_allclose(mat[:head].sum(axis=-1)[queries], 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mat[head:], twins[site], rtol=0, atol=1e-12)
 
     def test_one_pass_build_is_each_points_reinterpret(self, toy_model, toy_priors):
         # per-group dials, each batch row's projection and forms bit for
