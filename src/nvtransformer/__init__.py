@@ -8,17 +8,10 @@ equivalence with the original model and full collapse onto an empirical
 prior component, with no retraining.
 """
 
-from .attention import AttentionParams, attention, attn_core
-from .denoising import eval_dattn_multihead, train_dattn_multihead
+from .attention import AttentionParams, attention
+from .denoising import eval_dattn_multihead
 from .errors import CorpusError, WeightFormatError
 from .evaluate import certify, grid_points, run_sweep, token_overlap
-from .mixture import (
-    GaussianMixtureRepr,
-    MixtureOfImpulses,
-    build_f_z,
-    dattn_gaussians_oracle,
-    dattn_impulses,
-)
 from .model import (
     BOS_ID,
     EOS_ID,
@@ -43,14 +36,8 @@ from .nvib import (
     identity_init,
     identity_taus,
     project,
-    to_gaussian_mixture,
 )
-from .numeric import (
-    make_rng,
-    sample_dirichlet,
-    sample_gaussian,
-    softmax_rows,
-)
+from .numeric import make_rng, softmax_rows
 from .priors import estimate_priors, prior_report, site_stats
 from .serialize import load_weights, read_corpus, save_weights, write_corpus
 

@@ -1,26 +1,27 @@
 """Standard multi-head attention over a set of vectors.
 
 Full d x d projection matrices are stored once; head i owns columns
-[i*d/h, (i+1)*d/h) of each.  Every path computes all heads at once in three
+[i*d/h, (i+1)*d/h) of each.  `attention` computes all heads at once in three
 steps: `split_heads` reshapes projected (..., m, d) rows into an
 (..., h, m, d/h) stack, `attend_heads` forms the (..., h, m, n) scores with
 stacked matrix products, hides keys with one mask shared by every head and
 applies a single softmax over the stack, and `merge_heads` lays the
 (..., h, m, d/h) outputs back side by side in (..., m, d).  Each head
 value-projects into its own slice of the output, so there is no separate
-output projection.  The denoising paths reuse the same split, attend and
-merge steps.  The model runs only the head-space denoising kernel, whose
+output projection.  The denoising kernel reuses the same split and merge
+steps.  The model runs only the head-space denoising kernel, whose
 posterior without forms is this standard attention (`denoising`); `attention`
 is the reference it is tested against.
 
-All three kernels take queries (..., m, d) over keys (..., n, d), with the
-same leading axes, and which keys each query sees is one rule
-(`check_inputs`): query t of a `causal` call (the decoder's self-attention)
-sees token keys j <= t, a False in a padded batch's key_valid hides that
-key from every query of its sequence, and a twin site's last key, the prior
-component [P], is seen by every query.  A mask is built only when a key is
-hidden, so an unmasked call over all-valid keys, such as every step of a
-greedy decode over an unpadded source, builds none.
+Both kernels, `attention` and `denoising.eval_dattn_multihead`, take queries
+(..., m, d) over keys (..., n, d), with the same leading axes, and which
+keys each query sees is one rule (`check_inputs`): query t of a `causal`
+call (the decoder's self-attention) sees token keys j <= t, a False in a
+padded batch's key_valid hides that key from every query of its sequence,
+and a twin site's last key, the prior component [P], is seen by every
+query.  A mask is built only when a key is hidden, so an unmasked call over
+all-valid keys, such as every step of a greedy decode over an unpadded
+source, builds none.
 
 Each result is allocated once and transformed in place by the operations of
 the out-of-place form, in its order, so the bits are the same: a projection
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import affine, as_matrix, softmax_rows
+from .numeric import affine, softmax_rows
 
-__all__ = ["AttentionParams", "attention", "attn_core"]
+__all__ = ["AttentionParams", "attention"]
 
 
 @dataclass(frozen=True)
@@ -89,21 +90,6 @@ def _hidden(visible: np.ndarray) -> np.ndarray:
     return ~visible
 
 
-def attn_core(u: np.ndarray, z: np.ndarray, scale: float) -> np.ndarray:
-    """Projection-free attention: softmax_rows(u z^T / scale) z.
-
-    `scale` is the score divisor (sqrt of the model or head width by
-    convention) and must be positive.
-    """
-    u = as_matrix(u)
-    z = as_matrix(z)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    if u.shape[1] != z.shape[1]:
-        raise ValueError(f"width mismatch: u {u.shape} vs z {z.shape}")
-    return softmax_rows(u @ z.T / scale) @ z
-
-
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(..., m, d) -> (..., h, m, d/h); head i holds columns
     [i*d/h, (i+1)*d/h)."""
@@ -117,22 +103,19 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def attend_heads(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None,
-    bias: np.ndarray | None = None,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """All-heads attention core over head stacks q (..., h, m, d/h) and
-    k, v (..., h, n, d/h): softmax(q k^T / sqrt(d/h) + bias) v, with -inf
-    in the scores where `hidden` is True.
+    k, v (..., h, n, d/h): softmax(q k^T / sqrt(d/h)) v, with -inf in the
+    scores where `hidden` is True.
 
-    `hidden` and `bias` broadcast against the (..., h, m, n) scores: (m, n)
-    is shared by every head, (B, 1, m, n) by every head of one sequence;
-    None hides or adds nothing.  Returns the (..., h, m, d/h) outputs and
-    the (..., h, m, n) weights.
+    `hidden` broadcasts against the (..., h, m, n) scores: (m, n) is shared
+    by every head, (B, 1, m, n) by every head of one sequence; None hides
+    nothing.  Returns the (..., h, m, d/h) outputs and the (..., h, m, n)
+    weights.
     """
     scores = q @ k.swapaxes(-1, -2)
     scores /= math.sqrt(q.shape[-1])
-    if bias is not None:
-        scores += bias
     if hidden is not None:
         np.copyto(scores, -np.inf, where=hidden)
     w = softmax_rows(scores, out=scores)
@@ -140,7 +123,7 @@ def attend_heads(
 
 
 def check_inputs(queries, keys, d: int, key_valid=None, causal=False, prior=False):
-    """The input and visibility rules of the three attention kernels.
+    """The input and visibility rules of the attention kernels.
 
     Queries (..., m, d) over keys (..., n, d) with the same leading axes and
     width d, and any key_valid shaped like the keys less their last axis.

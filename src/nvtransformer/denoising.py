@@ -3,11 +3,12 @@
 Evaluation path: queries are denoised against the (n+1)-component diagonal
 Gaussian mixture in closed form.  Scores are the full component
 log-densities of the corrupted query, so the path agrees with the slow
-mixture oracle to rounding error even when component variances differ
-(the prior's variance always does).  For components sharing one variance the
-query-norm and normaliser terms are constant across keys and the weights
-reduce to softmax(U mu^T / scale + pseudo-count bias), which is how the
-identity initialisation reproduces standard attention.
+test-side mixture oracle (`tests/reference.py`) to rounding error even when
+component variances differ (the prior's variance always does).  For
+components sharing one variance the query-norm and normaliser terms are
+constant across keys and the weights reduce to softmax(U mu^T / scale +
+pseudo-count bias), which is how the identity initialisation reproduces
+standard attention.
 
 The closed form is evaluated in one of two ways, chosen by the posterior
 passed in.  The general path is the reference, on any `DpPosterior`: it
@@ -34,9 +35,12 @@ padded token's component carries pseudo-count zero (see `project`,
 `head_keys` and `standard_keys`), so it takes no weight, while [P] is
 always visible.
 
-Training path: one Monte-Carlo draw, mixture weights from a Dirichlet over
-pseudo-counts and component vectors from their Gaussians; attention then
-runs on the sampled impulses with the sampled log-weights as key biases.
+There is no training path here.  The post-hoc dials never sample
+attention, so the one-sample Monte-Carlo path (mixture weights from a
+Dirichlet over pseudo-counts, component vectors from their Gaussians,
+attention over the sampled impulses) is a test-side reference
+(`tests/reference.py`), whose mean over draws is checked against the
+evaluation path.
 
 Which components each query sees is the standard kernel's rule
 (`attention.check_inputs`): a `causal` call hides the token components
@@ -53,16 +57,10 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import (
-    AttentionParams,
-    attend_heads,
-    check_inputs,
-    merge_heads,
-    split_heads,
-)
+from .attention import AttentionParams, check_inputs, merge_heads, split_heads
 # project is not called here; bench/spans.py traces it in this namespace.
 from .nvib import DpPosterior, NvibProjection, project, token_log_alpha
-from .numeric import affine, sample_dirichlet, sample_gaussian, softmax_rows
+from .numeric import affine, softmax_rows
 
 __all__ = [
     "SiteForms",
@@ -71,7 +69,6 @@ __all__ = [
     "standard_keys",
     "head_keys",
     "eval_dattn_multihead",
-    "train_dattn_multihead",
 ]
 
 MapSink = Callable[[np.ndarray], None] | None
@@ -319,41 +316,3 @@ def _head_space_path(q, dp: KeyedPosterior):
 
     return scores, mix
 
-
-def train_dattn_multihead(
-    queries_pre: np.ndarray,
-    dp: DpPosterior,
-    params: AttentionParams,
-    rng: np.random.Generator,
-    causal: bool = False,
-    map_sink: MapSink = None,
-) -> np.ndarray:
-    """One-sample Monte-Carlo denoising attention.
-
-    Draws mixture weights pi ~ Dirichlet(alpha) over all n+1 components and
-    component vectors Z~ from their Gaussians, then runs standard attention
-    over the sampled impulses with key bias log pi - ||Z~||^2 / (2 sqrt(d/h)).
-    """
-    if dp.mu.ndim != 2:
-        raise ValueError("train_dattn_multihead takes one posterior, not a padded batch")
-    queries_pre, _, hidden = check_inputs(
-        queries_pre, dp.mu, params.model_dim, causal=causal, prior=True
-    )
-    h = params.heads
-    scale = math.sqrt(params.head_dim)
-
-    pi = sample_dirichlet(rng, np.exp(dp.log_alpha))
-    z_tilde = sample_gaussian(rng, dp.mu, dp.sigma)  # (n+1, d)
-    with np.errstate(divide="ignore"):
-        key_bias = np.log(pi) - np.sum(z_tilde * z_tilde, axis=1) / (2.0 * scale)
-
-    out, w = attend_heads(
-        split_heads(affine(queries_pre, params.wq, params.bq), h),
-        split_heads(affine(z_tilde, params.wk, params.bk), h),
-        split_heads(affine(z_tilde, params.wv, params.bv), h),
-        hidden,
-        key_bias,
-    )
-    if map_sink is not None:
-        map_sink(np.mean(w, axis=0))
-    return merge_heads(out)

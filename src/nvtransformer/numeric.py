@@ -1,9 +1,12 @@
-"""Dense float64 numerics and seeded sampling used by every other module.
+"""Dense float64 numerics used by every other module, and the package's
+seeded generator.
 
-All matrices are 2-D C-contiguous float64 numpy arrays; vectors are 1-D
-float64 arrays.  Randomness always flows through a `numpy.random.Generator`
-created by `make_rng`, so identical seeds plus identical call sequences give
-bit-identical results on every platform we target.
+Arrays are float64, with heads and padded batches stacked on leading axes.
+Randomness (random weights, corpora and evaluation inputs) always flows
+through a `numpy.random.Generator` created by `make_rng`, so identical seeds
+plus identical call sequences give bit-identical results on every platform
+we target.  Nothing here samples attention: the seeded draws of the
+Monte-Carlo training path are test-side references (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -12,21 +15,10 @@ import numpy as np
 
 __all__ = [
     "affine",
-    "as_matrix",
     "make_rng",
     "softmax_rows",
     "logsumexp_rows",
-    "sample_gaussian",
-    "sample_dirichlet",
 ]
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    return out
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,42 +77,3 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("logsumexp given a row with no finite entries")
     return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)))[..., 0]
-
-
-def sample_gaussian(
-    rng: np.random.Generator, mu: np.ndarray, sigma: np.ndarray
-) -> np.ndarray:
-    """Elementwise mu + sigma * eps with eps ~ N(0, 1).
-
-    `sigma` holds standard deviations (not variances) and must be >= 0;
-    sigma == 0 returns mu exactly.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0.0):
-        raise ValueError("negative standard deviation")
-    eps = rng.standard_normal(size=np.broadcast_shapes(mu.shape, sigma.shape))
-    return mu + sigma * eps
-
-
-def sample_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
-    """One draw from Dirichlet(alpha) via normalised Gamma(alpha_j, 1) draws.
-
-    Composing from gamma draws keeps the construction explicit and works for
-    the extreme concentrations this package produces (alpha spanning
-    exp(-700) .. exp(700)).  If every gamma draw underflows to zero the mass
-    is assigned to the largest concentration, which is the correct limit.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ValueError("alpha must be a nonempty vector")
-    if np.any(alpha <= 0.0):
-        raise ValueError("Dirichlet concentrations must be positive")
-    draws = rng.standard_gamma(alpha)
-    total = draws.sum()
-    if total == 0.0:
-        # all components underflowed; degenerate limit
-        out = np.zeros_like(alpha)
-        out[int(np.argmax(alpha))] = 1.0
-        return out
-    return draws / total

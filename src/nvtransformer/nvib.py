@@ -9,16 +9,23 @@ coincide with standard attention.
 
 Pseudo-counts are carried in log space end to end; their total is only ever
 formed through log-sum-exp.
+
+`project` writes a posterior as a `DpPosterior`, the general path of
+`denoising.eval_dattn_multihead`; the twin's key map, `denoising.head_keys`,
+writes the same posterior's keys straight from the vectors and shares the
+clamp rule (`token_log_alpha`).  Reading a posterior as an explicit mixture
+for the oracles is test-side (`tests/reference.py::to_gaussian_mixture`).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .mixture import GaussianMixtureRepr
-from .numeric import logsumexp_rows
+from .numeric import _check_integer, logsumexp_rows
 
 __all__ = [
     "LOG_ALPHA_CLAMP",
@@ -33,7 +40,6 @@ __all__ = [
     "identity_init",
     "project",
     "token_log_alpha",
-    "to_gaussian_mixture",
 ]
 
 LOG_ALPHA_CLAMP = 700.0     # |log alpha| beyond this would overflow exp
@@ -69,9 +75,10 @@ class TauConfig:
 
     tau_alpha shifts log pseudo-counts in units of the prior's norm spread;
     tau_sigma scales component stds relative to the prior std.  Every dial
-    must be finite, and tau_sigma below TAU_SIGMA_MIN would make
-    log(sigma^2) overflow and is rejected.  The fields are the alpha dials
-    then the sigma dials, each in GROUPS order.
+    must be a finite real number, not a bool, and is stored as a Python
+    float, so any dial saves as it reloads; tau_sigma below TAU_SIGMA_MIN
+    would make log(sigma^2) overflow and is rejected.  The fields are the
+    alpha dials then the sigma dials, each in GROUPS order.
     """
 
     tau_alpha_enc: float = 10.0
@@ -83,8 +90,16 @@ class TauConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an int past float range
+                raise ValueError(f"{f.name} must be a number within float range") from None
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, value)
         for g in GROUPS:
             if self.tau_sigma(g) < TAU_SIGMA_MIN:
                 raise ValueError(
@@ -131,16 +146,18 @@ class EmpiricalPrior:
 
     def __post_init__(self):
         if self.layer_group not in GROUPS:
-            raise ValueError(f"unknown layer group {self.layer_group!r}")
-        # stored as float64 whatever real numbers it is built from, so a
-        # prior built from ints saves as it reloads
+            raise ValueError(f"unknown layer_group {self.layer_group!r}")
+        _check_integer(self.layer_id, "layer_id")
+        # stored as float64 and int whatever real numbers it is built from,
+        # NumPy scalars too, so a prior saves as it reloads
+        object.__setattr__(self, "layer_id", int(self.layer_id))
         for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
             value = np.asarray(getattr(self, name))
             if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite real numbers")
             value = value.astype(np.float64, copy=False)
             object.__setattr__(self, name, value if value.ndim else float(value))
-        if self.mu_p.ndim != 1 or self.sigma_p.shape != self.mu_p.shape:
+        if np.ndim(self.mu_p) != 1 or np.shape(self.sigma_p) != np.shape(self.mu_p):
             raise ValueError("mu_p and sigma_p must be matching vectors")
         with np.errstate(over="ignore"):   # the squares the kernel takes
             if not np.all(np.isfinite(self.sigma_p**2)):
@@ -323,13 +340,3 @@ def project(
     log_alpha_all[..., :-1], log_alpha_all[..., -1] = clamped, p.log_alpha0_p
     return DpPosterior(mu=mu_all, sigma=sigma_all, log_alpha=log_alpha_all)
 
-
-def to_gaussian_mixture(dp: DpPosterior) -> GaussianMixtureRepr:
-    """Normalise pseudo-counts into mixture weights (log-sum-exp, prior
-    included) and expose the components as a Gaussian mixture."""
-    if dp.mu.ndim != 2:
-        raise ValueError("to_gaussian_mixture takes one posterior, not a padded batch")
-    logw = dp.log_alpha - dp.log_alpha_total()
-    return GaussianMixtureRepr(
-        mu=dp.mu.copy(), sigma=dp.sigma.copy(), weights=np.exp(logw)
-    )

@@ -2,7 +2,13 @@
 
 Two checkouts that print the same lines make the same outputs, bit for bit.
 A change that claims to leave every output as it was is checked by running
-this at the change and at its parent and comparing:
+this at the change and at its parent and comparing, in one command:
+
+    python3 tests/battery.py --against ../parent
+
+which runs this battery in two subprocesses, against ../parent/src and
+against this checkout's src, prints the name of each artifact whose digest
+differs and exits 1 if any does.  By hand, the same comparison is:
 
     PYTHONPATH=src python3 tests/battery.py > after.txt
     (cd ../parent && PYTHONPATH=src python3 /path/to/tests/battery.py) > before.txt
@@ -22,15 +28,22 @@ about ten seconds on one core.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
+
+# this checkout's package, for a run without PYTHONPATH (`--against` needs
+# none); a PYTHONPATH entry comes first, so the manual recipe is unchanged
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.append(SRC)
 
 from nvtransformer import cli
 from nvtransformer.evaluate import grid_points, make_random_corpus, random_eval_inputs
@@ -143,7 +156,37 @@ def model_artifacts(w, priors) -> dict[str, object]:
     return out
 
 
+def digests_against(src: str) -> dict[str, str]:
+    """This battery's `name sha256` lines, run in a subprocess that imports
+    the package from `src`."""
+    if not os.path.isdir(os.path.join(src, "nvtransformer")):
+        print(f"error: {src} holds no nvtransformer package", file=sys.stderr)
+        raise SystemExit(2)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    run = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
+
+
+def compare(parent: str) -> int:
+    """Print the artifacts whose digests differ between PARENT/src and this
+    checkout's src; 1 if any does, else 0."""
+    before, after = digests_against(os.path.join(parent, "src")), digests_against(SRC)
+    names = list(after) + [name for name in before if name not in after]
+    differ = [name for name in names if before.get(name) != after.get(name)]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(names)} artifacts differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="PARENT",
+                        help="compare with the checkout at PARENT instead of printing digests")
+    args = parser.parse_args()
+    if args.against is not None:
+        return compare(args.against)
     for config, (flags, seed) in CONFIGS.items():
         with tempfile.TemporaryDirectory() as tmp:
             files, base, twin = cli_artifacts(tmp, flags, seed)

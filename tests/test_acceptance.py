@@ -13,10 +13,6 @@ from scipy.stats import spearmanr
 from nvtransformer import (
     AttentionParams,
     DpPosterior,
-    attn_core,
-    build_f_z,
-    dattn_gaussians_oracle,
-    dattn_impulses,
     eval_dattn_multihead,
     forward_nv,
     forward_standard,
@@ -24,8 +20,6 @@ from nvtransformer import (
     identity_taus,
     init_weights,
     reinterpret,
-    to_gaussian_mixture,
-    train_dattn_multihead,
 )
 from nvtransformer.evaluate import (
     interp_taus,
@@ -39,6 +33,14 @@ from nvtransformer.model import BOS_ID, ModelConfig
 from nvtransformer.numeric import make_rng
 from nvtransformer.nvib import TauConfig
 from nvtransformer.priors import estimate_priors, site_stats
+from reference import (
+    attn_core,
+    build_f_z,
+    dattn_gaussians_oracle,
+    dattn_impulses,
+    to_gaussian_mixture,
+    train_dattn_multihead,
+)
 
 
 def report(num: int, name: str, ok: bool, metric: str) -> None:

@@ -13,16 +13,15 @@ from nvtransformer import (
     greedy_decode,
     identity_taus,
     reinterpret,
-    train_dattn_multihead,
 )
 from nvtransformer.attention import (
     AttentionParams,
     attention,
-    attn_core,
 )
 from nvtransformer import model as model_mod
 from nvtransformer.model import BOS_ID, _greedy, _pad
 from nvtransformer.numeric import make_rng
+from reference import attn_core, train_dattn_multihead
 
 # the package re-exports the function `attention` under the module's name
 attention_mod = importlib.import_module("nvtransformer.attention")

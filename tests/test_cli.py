@@ -326,21 +326,17 @@ class TestCertify:
     @pytest.mark.parametrize(
         "path, value",
         [
-            (("priors", 0, "log_alpha0_p"), "1.5"),
-            (("priors", 0, "log_alpha0_p"), True),
             (("priors", 0, "epsilon_alpha"), "0.5"),
             (("priors", 0, "mu_p", 0), True),
             (("priors", 0, "mu_p", 1), "2"),
             (("priors", 0, "sigma_p", 0), True),
-            (("taus", "tau_alpha_enc"), True),
-            (("taus", "tau_sigma_dec"), True),
         ],
         ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else repr(x),
     )
     def test_non_number_in_tail_is_data_error(
         self, workdir, twin, with_tail, capsys, path, value
     ):
-        # each value used to load, as the number it reads as or as the dial True
+        # each value used to load, as the number it reads as
         certify_refuses(workdir, capsys, priors=with_tail(twin, {path: value}))
 
     @pytest.mark.parametrize(

@@ -15,13 +15,10 @@ from nvtransformer import (
     EmpiricalPrior,
     ModelConfig,
     attention,
-    dattn_gaussians_oracle,
     eval_dattn_multihead,
     identity_init,
     init_weights,
     project,
-    to_gaussian_mixture,
-    train_dattn_multihead,
 )
 from nvtransformer.denoising import (
     KeyedPosterior,
@@ -32,7 +29,13 @@ from nvtransformer.denoising import (
 )
 from nvtransformer.model import _Twins, sites
 from nvtransformer.nvib import TauConfig
-from nvtransformer.numeric import sample_dirichlet, sample_gaussian
+from reference import (
+    dattn_gaussians_oracle,
+    sample_dirichlet,
+    sample_gaussian,
+    to_gaussian_mixture,
+    train_dattn_multihead,
+)
 
 
 def nv_self_attention(z, proj, params, causal=False, map_sink=None):

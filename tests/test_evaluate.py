@@ -270,6 +270,13 @@ class TestSweep:
         (row,) = run_sweep(toy_model, toy_priors, [TauConfig.uniform(1e308, TAU_SIGMA_MIN)], 2)
         assert 1e-5 < row.logit_max_diff < np.inf
 
+    def test_no_points_is_no_rows_and_no_twin(self, monkeypatch, toy_model, toy_priors):
+        def no_twin(*args, **kwargs):
+            raise AssertionError("a twin was built")
+
+        monkeypatch.setattr(evaluate_mod, "_Twins", no_twin)
+        assert run_sweep(toy_model, toy_priors, []) == []
+
     def test_deterministic(self, toy_model, toy_priors):
         pts = grid_points("interp:2")
         a = run_sweep(toy_model, toy_priors, pts, trials=2, seed=7)

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from nvtransformer.attention import attn_core
-from nvtransformer.mixture import (
+from nvtransformer.numeric import make_rng
+from reference import (
     GaussianMixtureRepr,
     MixtureOfImpulses,
+    attn_core,
     build_f_z,
     dattn_gaussians_oracle,
     dattn_impulses,
 )
-from nvtransformer.numeric import make_rng
 
 
 class TestBuildFZ:

@@ -5,13 +5,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from nvtransformer.numeric import (
-    logsumexp_rows,
-    make_rng,
-    sample_dirichlet,
-    sample_gaussian,
-    softmax_rows,
-)
+from nvtransformer.numeric import logsumexp_rows, make_rng, softmax_rows
+from reference import sample_dirichlet, sample_gaussian
 
 
 def _softmax_decimal(row):

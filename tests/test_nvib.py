@@ -17,8 +17,8 @@ from nvtransformer import (
     identity_init,
     identity_taus,
     project,
-    to_gaussian_mixture,
 )
+from reference import to_gaussian_mixture
 
 
 def small_prior(d=2, group="encoder"):

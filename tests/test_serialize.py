@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from dataclasses import fields, replace
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -451,6 +452,28 @@ def wrong_typed_values():
                     yield pytest.param(path, name, value, id=case_id)
 
 
+# the values of another Python type each tail dataclass field may be given
+# in-process, by the field's annotation, each made from the field's own
+# value: a bool, NumPy scalars of the field's kind, an int past float range
+PYTHON_VALUES = {
+    float: {"np.float32": lambda old: np.float32(0.5), "np.int64": lambda old: np.int64(2),
+            "1e400": lambda old: 10**400},
+    int: {"np.int64": np.int64, "np.float64": np.float64},
+    str: {"np.str_": np.str_},
+    np.ndarray: {"np.float64": lambda old: np.float64(0.5)},
+}
+
+
+def python_typed_values():
+    """(tail object, field name, value maker) for each field of TauConfig
+    and EmpiricalPrior: a bool, then each value of PYTHON_VALUES."""
+    for at in (("taus",), ("priors", 0)):
+        for name, tp in TAIL_OBJECTS[at].items():
+            for label, make in {"bool": lambda old: True, **PYTHON_VALUES[tp]}.items():
+                case_id = ".".join(map(str, at)) + f".{name}={label}"
+                yield pytest.param(at[0], name, make, id=case_id)
+
+
 class TestTailSchema:
     """The tail is read from its dataclasses' fields: each object holds
     exactly its fields, each once, each of its annotated JSON type."""
@@ -547,6 +570,28 @@ class TestTailSchema:
         huge = reinterpret(twin.base, twin.priors, TauConfig.uniform(10.0, 1e308))
         save_weights(str(path), huge)
         assert load_weights(str(path)).taus == huge.taus
+
+    @pytest.mark.parametrize("at, name, make", list(python_typed_values()))
+    def test_value_is_refused_by_name_or_round_trips(self, tmp_path, twin, at, name, make):
+        # a bool dial or layer_id saved a file that load_weights refused,
+        # a NumPy scalar made save_weights raise a TypeError, and a dial
+        # past float range raised a TypeError naming no field
+        taus, priors = twin.taus, list(twin.priors)
+        try:
+            if at == "taus":
+                taus = replace(taus, **{name: make(getattr(taus, name))})
+            else:
+                priors[0] = replace(priors[0], **{name: make(getattr(priors[0], name))})
+        except ValueError as err:
+            assert name in str(err)
+            return
+        made = reinterpret(twin.base, priors, taus)
+        save_weights(str(tmp_path / "twin.nvtx"), made)
+        back = load_weights(str(tmp_path / "twin.nvtx"))
+        assert back.taus == made.taus
+        for got, want in zip(back.priors, made.priors, strict=True):
+            for f in fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 # (sequences, write_corpus' refusal of them, or None where they round-trip)
