@@ -2,16 +2,15 @@
 
 Full d x d projection matrices are stored once; head i owns columns
 [i*d/h, (i+1)*d/h) of each.  `attention` computes all heads at once in three
-steps: `split_heads` reshapes projected (..., m, d) rows into an
-(..., h, m, d/h) stack, `attend_heads` forms the (..., h, m, n) scores with
-stacked matrix products, hides keys with one mask shared by every head and
-applies a single softmax over the stack, and `merge_heads` lays the
-(..., h, m, d/h) outputs back side by side in (..., m, d).  Each head
-value-projects into its own slice of the output, so there is no separate
-output projection.  The denoising kernel reuses the same split and merge
-steps.  The model runs only the head-space denoising kernel, whose
-posterior without forms is this standard attention (`denoising`); `attention`
-is the reference it is tested against.
+steps: `split_heads` reshapes the projected (..., m, d) rows into
+(..., h, m, d/h) stacks; stacked matrix products form the (..., h, m, n)
+scores, one mask shared by every head hides keys, and a single softmax runs
+over the stack; `merge_heads` lays the (..., h, m, d/h) outputs back side
+by side in (..., m, d).  Each head value-projects into its own slice of the
+output, so there is no separate output projection.  The denoising kernel
+reuses the same split and merge steps.  The model runs only the head-space
+denoising kernel, whose posterior without forms is this standard attention
+(`denoising`); `attention` is the reference it is tested against.
 
 Both kernels, `attention` and `denoising.eval_dattn_multihead`, take queries
 (..., m, d) over keys (..., n, d), with the same leading axes, and which
@@ -102,26 +101,6 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(s[:-3] + (s[-2], s[-3] * s[-1]))
 
 
-def attend_heads(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """All-heads attention core over head stacks q (..., h, m, d/h) and
-    k, v (..., h, n, d/h): softmax(q k^T / sqrt(d/h)) v, with -inf in the
-    scores where `hidden` is True.
-
-    `hidden` broadcasts against the (..., h, m, n) scores: (m, n) is shared
-    by every head, (B, 1, m, n) by every head of one sequence; None hides
-    nothing.  Returns the (..., h, m, d/h) outputs and the (..., h, m, n)
-    weights.
-    """
-    scores = q @ k.swapaxes(-1, -2)
-    scores /= math.sqrt(q.shape[-1])
-    if hidden is not None:
-        np.copyto(scores, -np.inf, where=hidden)
-    w = softmax_rows(scores, out=scores)
-    return w @ v, w
-
-
 def check_inputs(queries, keys, d: int, key_valid=None, causal=False, prior=False):
     """The input and visibility rules of the attention kernels.
 
@@ -180,11 +159,13 @@ def attention(
     """
     u_prime, z, hidden = check_inputs(u_prime, z, params.model_dim, key_valid, causal)
     h = params.heads
+    q = split_heads(affine(u_prime, params.wq, params.bq), h)
     # keys with bias folded in: Q_i K_i^T = Q_i (Z W^K_i)^T + Q_i b^K_i
-    out, _ = attend_heads(
-        split_heads(affine(u_prime, params.wq, params.bq), h),
-        split_heads(affine(z, params.wk, params.bk), h),
-        split_heads(affine(z, params.wv, params.bv), h),
-        hidden,
-    )
-    return merge_heads(out)
+    k = split_heads(affine(z, params.wk, params.bk), h)
+    v = split_heads(affine(z, params.wv, params.bv), h)
+    # `hidden` broadcasts against the (..., h, m, n) scores
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(params.head_dim)
+    if hidden is not None:
+        np.copyto(scores, -np.inf, where=hidden)
+    return merge_heads(softmax_rows(scores, out=scores) @ v)

@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success (certification PASS included), 1 certification
-failure, 2 usage, configuration or file-access error (`--priors` of another
-`--model` included), 3 data error (unparseable corpus or corrupt weight file).
+failure, 2 usage, configuration or file-access error (a twin's `--model`
+that holds no priors included), 3 data error (unparseable corpus or corrupt
+weight file).
+
+`certify`, `sweep` and `attn-dump` read one file, the twin that
+`estimate-prior` writes: its base weights, priors and dials.
 
 Model config files are plain ``key=value`` lines; command-line flags
 override file values.
@@ -32,7 +36,7 @@ from .model import (
 )
 from .nvib import GROUPS, TauConfig, identity_taus
 from .priors import estimate_priors, prior_report
-from .serialize import _leaves, load_weights, parse_token_ids, read_corpus, save_weights
+from .serialize import load_weights, parse_token_ids, read_corpus, save_weights
 
 __all__ = ["main", "entry"]
 
@@ -79,19 +83,6 @@ def _load_nv(path: str) -> NvModel:
     if not isinstance(model, NvModel):
         raise ValueError(f"{path} holds no priors (not a reinterpreted model)")
     return model
-
-
-def _load_pair(args) -> tuple[ModelWeights, NvModel]:
-    """`--model`'s weights and the `--priors` twin, whose base must be those
-    weights: the same config and every tensor bit for bit."""
-    w, nvm = _load_base(args.model), _load_nv(args.priors)
-    if w.config != nvm.base.config or any(
-        a.tobytes() != b.tobytes() for a, b in zip(_leaves(w), _leaves(nvm.base))
-    ):
-        raise ValueError(
-            f"--priors {args.priors} was estimated on another model than --model {args.model}"
-        )
-    return w, nvm
 
 
 def _check_outputs(inputs: dict[str, str | None], outputs: dict[str, str]) -> None:
@@ -147,9 +138,9 @@ def _cmd_estimate_prior(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    w, nvm = _load_pair(args)
+    nvm = _load_nv(args.model)
     result = certify(
-        w,
+        nvm.base,
         nvm.priors,
         TauConfig.uniform(args.tau_alpha, args.tau_sigma),
         trials=args.trials,
@@ -163,11 +154,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_outputs({"--model": args.model, "--priors": args.priors}, {"--out": args.out})
-    w, nvm = _load_pair(args)
+    _check_outputs({"--model": args.model}, {"--out": args.out})
+    nvm = _load_nv(args.model)
     points = grid_points(args.grid, seed=args.seed)
     rows = run_sweep(
-        w, nvm.priors, points, trials=args.trials, seed=args.seed
+        nvm.base, nvm.priors, points, trials=args.trials, seed=args.seed
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(sweep_csv(rows))
@@ -237,8 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate_prior)
 
     p = sub.add_parser("certify", help="check equivalence at a dial setting")
-    p.add_argument("--model", required=True)
-    p.add_argument("--priors", required=True)
+    p.add_argument("--model", required=True, help="NVTX file with priors")
     p.add_argument("--tau-alpha", type=float, default=_IDENTITY.tau_alpha_enc)
     p.add_argument("--tau-sigma", type=float, default=_IDENTITY.tau_sigma_enc)
     p.add_argument("--trials", type=decimal, default=20)
@@ -247,8 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("sweep", help="evaluate a grid of dial settings")
-    p.add_argument("--model", required=True)
-    p.add_argument("--priors", required=True)
+    p.add_argument("--model", required=True, help="NVTX file with priors")
     p.add_argument("--grid", required=True, help="'interp:K' or 'random:K'")
     p.add_argument("--trials", type=decimal, default=6)
     p.add_argument("--seed", type=decimal, default=0)

@@ -155,6 +155,8 @@ class EmpiricalPrior:
             value = np.asarray(getattr(self, name))
             if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite real numbers")
+            if value.ndim and name in ("log_alpha0_p", "epsilon_alpha"):
+                raise ValueError(f"{name} must be a number, got shape {value.shape}")
             value = value.astype(np.float64, copy=False)
             object.__setattr__(self, name, value if value.ndim else float(value))
         if np.ndim(self.mu_p) != 1 or np.shape(self.sigma_p) != np.shape(self.mu_p):

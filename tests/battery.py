@@ -14,6 +14,14 @@ differs and exits 1 if any does.  By hand, the same comparison is:
     (cd ../parent && PYTHONPATH=src python3 /path/to/tests/battery.py) > before.txt
     diff before.txt after.txt
 
+`--against` drives both packages with this checkout's CLI calls, so a
+change that renames or removes a CLI flag is compared by running each
+checkout's own battery instead:
+
+    PYTHONPATH=src python3 tests/battery.py > after.txt
+    (cd ../parent && PYTHONPATH=src python3 tests/battery.py) > before.txt
+    diff before.txt after.txt
+
 It covers the toy config at model seeds 7 and 14, `--dim 32 --heads 4` and
 the wide config (vocab 512, d 128, 8 heads, 6+6 layers).  Per config: the
 `init-model` and `estimate-prior` NVTX files and the prior report, the
@@ -110,15 +118,15 @@ def cli_artifacts(tmp: str, flags: list[str], seed: int) -> tuple[dict[str, obje
             tmp, "estimate-prior", "--model", base, "--corpus", corpus, "--out", twin),
         "estimate-prior.nvtx": read(twin),
         "estimate-prior.csv": read(twin + ".csv"),
-        "certify.stdout": run_cli(tmp, "certify", "--model", base, "--priors", twin),
+        "certify.stdout": run_cli(tmp, "certify", "--model", twin),
         "certify-off-identity.stdout": run_cli(
-            tmp, "certify", "--model", base, "--priors", twin, "--tau-alpha", "0",
-            "--tau-sigma", "0.3", "--trials", "4", "--seed", "3"),
+            tmp, "certify", "--model", twin, "--tau-alpha", "0", "--tau-sigma", "0.3",
+            "--trials", "4", "--seed", "3"),
     }
     for grid, trials in (("interp:5", "3"), ("random:3", "2")):
         path = os.path.join(tmp, "sweep.csv")
-        run_cli(tmp, "sweep", "--model", base, "--priors", twin, "--grid", grid,
-                "--trials", trials, "--seed", "5", "--out", path)
+        run_cli(tmp, "sweep", "--model", twin, "--grid", grid, "--trials", trials,
+                "--seed", "5", "--out", path)
         out[f"sweep-{grid}.csv"] = read(path)
     src = " ".join(map(str, make_random_corpus(config, 1, seed=seed + 2)[0]))
     for name, group, dials in (("identity", "cross", []),

@@ -20,7 +20,6 @@ from nvtransformer import (
     NvModel,
     WeightFormatError,
     load_weights,
-    save_weights,
     write_corpus,
 )
 from nvtransformer.cli import _build_parser, main
@@ -65,11 +64,16 @@ def assert_refused(capsys, argv, bad) -> None:
     assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
 
-def certify_refuses(workdir, capsys, *, model=None, priors=None) -> None:
-    """`certify` with one file the loader refuses, the other from `workdir`."""
-    argv = ["certify", "--model", model or workdir["model"],
-            "--priors", priors or workdir["priors"]]
-    assert_refused(capsys, argv, model or priors)
+def twin_command(command, model, out, *flags) -> list[str]:
+    """`certify` or `sweep` of the file `model`; a sweep writes a two-point
+    grid to `out`."""
+    grid = ["--grid", "interp:2", "--out", str(out)] if command == "sweep" else []
+    return [command, "--model", model, *grid, *flags]
+
+
+def certify_refuses(capsys, bad) -> None:
+    """`certify` of a twin file `bad` that the loader refuses."""
+    assert_refused(capsys, ["certify", "--model", bad], bad)
 
 
 class TestInitModel:
@@ -278,7 +282,7 @@ class TestCertify:
         "shape", [[], ["--dim", "32", "--heads", "4"]], ids=["2-heads", "4-heads"]
     )
     def test_identity_passes(self, workdir, tmp_path, capsys, shape):
-        model, priors = workdir["model"], workdir["priors"]
+        priors = workdir["priors"]
         if shape:  # the head-space kernel at another head count
             model, priors = str(tmp_path / "m.nvtx"), str(tmp_path / "p.nvtx")
             assert main(["init-model", "--seed", "7", *shape, "--out", model]) == 0
@@ -287,7 +291,7 @@ class TestCertify:
                 "--out", priors,
             ]) == 0
             capsys.readouterr()
-        r = main(["certify", "--model", model, "--priors", priors, "--trials", "5"])
+        r = main(["certify", "--model", priors, "--trials", "5"])
         out = capsys.readouterr().out
         assert r == 0
         assert "max logit diff:" in out
@@ -296,8 +300,7 @@ class TestCertify:
 
     def test_over_regularised_fails_with_code_1(self, workdir, capsys):
         r = main([
-            "certify", "--model", workdir["model"],
-            "--priors", workdir["priors"], "--trials", "5",
+            "certify", "--model", workdir["priors"], "--trials", "5",
             "--tau-alpha", "-30", "--tau-sigma", "0.25",
         ])
         assert r == 1
@@ -305,78 +308,54 @@ class TestCertify:
 
     def test_non_finite_dial_is_usage_error(self, workdir, capsys):
         r = main([
-            "certify", "--model", workdir["model"],
-            "--priors", workdir["priors"], "--tau-alpha", "nan",
+            "certify", "--model", workdir["priors"], "--tau-alpha", "nan",
         ])
         assert r == 2
         assert "tau_alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["non-object tail"])
-    def test_unreadable_priors_file_is_data_error(self, workdir, twin, with_tail, capsys, fault):
-        certify_refuses(workdir, capsys, priors=with_tail(twin, lambda tail: "[1]"))
+    def test_unreadable_priors_file_is_data_error(self, twin, with_tail, capsys, fault):
+        certify_refuses(capsys, with_tail(twin, lambda tail: "[1]"))
 
     @pytest.mark.parametrize("layer_id", [1.5], ids=["1.5"])
-    def test_non_integer_layer_id_is_data_error(
-        self, workdir, twin, with_tail, capsys, layer_id
-    ):
+    def test_non_integer_layer_id_is_data_error(self, twin, with_tail, capsys, layer_id):
         # the prior of site (encoder, 1), whose id each value would pass as
-        bad = with_tail(twin, {("priors", 1, "layer_id"): layer_id})
-        certify_refuses(workdir, capsys, priors=bad)
+        certify_refuses(capsys, with_tail(twin, {("priors", 1, "layer_id"): layer_id}))
 
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            (("priors", 0, "epsilon_alpha"), "0.5"),
-            (("priors", 0, "mu_p", 0), True),
-            (("priors", 0, "mu_p", 1), "2"),
-            (("priors", 0, "sigma_p", 0), True),
-        ],
-        ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else repr(x),
-    )
-    def test_non_number_in_tail_is_data_error(
-        self, workdir, twin, with_tail, capsys, path, value
-    ):
-        # each value used to load, as the number it reads as
-        certify_refuses(workdir, capsys, priors=with_tail(twin, {path: value}))
-
-    @pytest.mark.parametrize(
-        "other", [["--seed", "8"], None, ["--seed", "7", "--dim", "32", "--heads", "4"]],
-        ids=["seed-8", "one-ulp", "4-heads"],
-    )
-    def test_priors_of_another_model_are_usage_error(self, workdir, tmp_path, capsys, other):
-        # certify and sweep used to run priors estimated on a model of
-        # another seed (certify printed PASS) and failed deep in the sweep
-        # on one of another width; a base one ulp off is another model too
-        model, base, priors = workdir["model"], str(tmp_path / "b.nvtx"), str(tmp_path / "pb.nvtx")
-        if other is None:
-            w = load_weights(model)
-            w.tok_emb[3, 0] = np.nextafter(w.tok_emb[3, 0], np.inf)
-            save_weights(base, w)
-        else:
-            assert main(["init-model", *other, "--out", base]) == 0
-        assert main(["estimate-prior", "--model", base, "--corpus", workdir["corpus"],
-                     "--out", priors]) == 0
-        capsys.readouterr()
-        files, out = ["--model", model, "--priors", priors], tmp_path / "s.csv"
-        assert main(["certify", *files]) == 2
-        assert main(["sweep", *files, "--grid", "interp:2", "--out", str(out)]) == 2
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_standard_file_is_usage_error(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "s.csv"
+        assert main(twin_command(command, workdir["model"], out)) == 2
+        want = f"error: {workdir['model']} holds no priors (not a reinterpreted model)\n"
+        assert capsys.readouterr().err == want
         assert not out.exists()
-        want = f"error: --priors {priors} was estimated on another model than --model {model}\n"
-        assert capsys.readouterr() == ("", want * 2)
 
-    def test_standard_file_for_priors_is_usage_error(self, workdir, capsys):
-        r = main([
-            "certify", "--model", workdir["model"],
-            "--priors", workdir["model"],
-        ])
-        assert r == 2
-        assert "no priors" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_two_file_invocation_is_usage_error(self, workdir, tmp_path, capsys, command):
+        # the base weights and the twin were once given as --model and
+        # --priors; the twin holds both
+        out = tmp_path / "s.csv"
+        argv = twin_command(command, workdir["model"], out, "--priors", workdir["priors"])
+        assert main(argv) == 2
+        assert "unrecognized arguments: --priors" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_reads_one_file(self, workdir, tmp_path, monkeypatch, command):
+        # each once read the base weights and the twin, two files
+        read = []
+
+        def load(path):
+            read.append(path)
+            return load_weights(path)
+
+        monkeypatch.setattr(nvtransformer.cli, "load_weights", load)
+        argv = twin_command(command, workdir["priors"], tmp_path / "s.csv", "--trials", "1")
+        assert main(argv) == 0
+        assert read == [workdir["priors"]]
 
     def test_missing_model_file(self, workdir, tmp_path):
-        r = main([
-            "certify", "--model", str(tmp_path / "ghost.nvtx"),
-            "--priors", workdir["priors"],
-        ])
+        r = main(["certify", "--model", str(tmp_path / "ghost.nvtx")])
         assert r == 2
 
 
@@ -384,8 +363,7 @@ class TestSweep:
     def test_writes_csv(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")
         r = main([
-            "sweep", "--model", workdir["model"],
-            "--priors", workdir["priors"],
+            "sweep", "--model", workdir["priors"],
             "--grid", "interp:3", "--trials", "2", "--out", out,
         ])
         assert r == 0
@@ -395,8 +373,7 @@ class TestSweep:
 
     def test_bad_grid_is_usage_error(self, workdir, tmp_path):
         r = main([
-            "sweep", "--model", workdir["model"],
-            "--priors", workdir["priors"],
+            "sweep", "--model", workdir["priors"],
             "--grid", "spiral:3", "--out", str(tmp_path / "s.csv"),
         ])
         assert r == 2
@@ -512,12 +489,11 @@ class TestFileAccess:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["certify", "--model", "DIR", "--priors", "PRIORS"],
-            ["certify", "--model", "MODEL", "--priors", "DIR"],
+            ["certify", "--model", "DIR"],
             ["estimate-prior", "--model", "MODEL", "--corpus", "DIR", "--out", "OUT"],
             ["estimate-prior", "--model", "MODEL", "--corpus", "CORPUS", "--out", "DIR"],
         ],
-        ids=["model", "priors", "corpus", "out"],
+        ids=["model", "corpus", "out"],
     )
     def test_directory_for_a_file_is_usage_error(self, workdir, tmp_path, capsys, argv):
         # IsADirectoryError used to escape as a traceback with exit 1
@@ -533,16 +509,13 @@ class TestFileAccess:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["certify", "--model", "BAD", "--priors", "PRIORS"],
-            ["certify", "--model", "MODEL", "--priors", "BAD"],
-            ["sweep", "--model", "MODEL", "--priors", "BAD", "--grid", "interp:2",
-             "--out", "OUT"],
+            ["certify", "--model", "BAD"],
+            ["sweep", "--model", "BAD", "--grid", "interp:2", "--out", "OUT"],
             ["attn-dump", "--model", "BAD", "--input", "3 4 5", "--layer", "0",
              "--group", "encoder", "--out", "OUT"],
             ["estimate-prior", "--model", "BAD", "--corpus", "CORPUS", "--out", "OUT"],
         ],
-        ids=["certify-model", "certify-priors", "sweep-priors", "attn-dump-model",
-             "estimate-prior-model"],
+        ids=["certify-model", "sweep-model", "attn-dump-model", "estimate-prior-model"],
     )
     def test_refused_file_is_data_error(
         self, workdir, twin, with_tail, tmp_path, capsys, argv, fault
@@ -555,8 +528,7 @@ class TestFileAccess:
         else:  # the twin whose tail lacks a dial, which once loaded at its default
             bad = with_tail(twin, lambda tail: tail["taus"].pop("tau_alpha_enc"))
         files = {
-            "BAD": str(bad), "MODEL": workdir["model"], "PRIORS": workdir["priors"],
-            "CORPUS": workdir["corpus"], "OUT": str(tmp_path / "out"),
+            "BAD": str(bad), "CORPUS": workdir["corpus"], "OUT": str(tmp_path / "out"),
         }
         assert_refused(capsys, [files.get(a, a) for a in argv], str(bad))
         assert not (tmp_path / "out").exists()
@@ -582,18 +554,18 @@ class TestOutputRule:
              "--out MODEL is the --model file"),
             (["estimate-prior", "--model", "MODEL", "--corpus", "CORPUS", "--out", "OUT",
               "--report", "CORPUS"], "--report CORPUS is the --corpus file"),
-            (["sweep", "--model", "MODEL", "--priors", "PRIORS", "--grid", "interp:2",
-              "--out", "MODEL"], "--out MODEL is the --model file"),
-            (["sweep", "--model", "MODEL", "--priors", "PRIORS", "--grid", "interp:2",
-              "--out", "LINK"], "--out LINK is the --priors file"),
-            (["sweep", "--model", "MODEL", "--priors", "PRIORS", "--grid", "interp:2",
-              "--out", "MISSING"], "No such file or directory: 'MISSING'"),
+            (["sweep", "--model", "PRIORS", "--grid", "interp:2", "--out", "PRIORS"],
+             "--out PRIORS is the --model file"),
+            (["sweep", "--model", "PRIORS", "--grid", "interp:2", "--out", "LINK"],
+             "--out LINK is the --model file"),
+            (["sweep", "--model", "PRIORS", "--grid", "interp:2", "--out", "MISSING"],
+             "No such file or directory: 'MISSING'"),
             (ATTN + ["--model", "PRIORS", "--out", "PRIORS"], "--out PRIORS is the --model file"),
             (ATTN + ["--model", "PRIORS", "--out", "MISSING"],
              "No such file or directory: 'MISSING'"),
         ],
         ids=["init-model-config", "init-model-missing-dir", "estimate-prior-model",
-             "estimate-prior-report-corpus", "sweep-model", "sweep-priors-symlink",
+             "estimate-prior-report-corpus", "sweep-model", "sweep-model-symlink",
              "sweep-missing-dir", "attn-dump-model", "attn-dump-missing-dir"],
     )
     def test_breach_exits_before_any_work(
@@ -640,8 +612,8 @@ class TestUsage:
         capsys.readouterr()
 
     def test_missing_required_flag(self, capsys):
-        assert main(["certify", "--model", "x.nvtx"]) == 2
-        capsys.readouterr()
+        assert main(["sweep", "--model", "x.nvtx"]) == 2
+        assert "required: --grid, --out" in capsys.readouterr().err
 
     @staticmethod
     def run_from_source(*args):
@@ -693,11 +665,11 @@ class TestArgumentEdges:
         assert not out.exists()
 
     def test_zero_heads_file_is_data_error(self, workdir, tmp_path, capsys):
-        raw = bytearray(pathlib.Path(workdir["model"]).read_bytes())
+        raw = bytearray(pathlib.Path(workdir["priors"]).read_bytes())
         raw[16:20] = struct.pack("<I", 0)  # magic, version, vocab, dim, heads
         bad = tmp_path / "heads0.nvtx"
         bad.write_bytes(bytes(raw))
-        certify_refuses(workdir, capsys, model=str(bad))
+        certify_refuses(capsys, str(bad))
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_sweep_without_trials_is_usage_error(
@@ -705,7 +677,7 @@ class TestArgumentEdges:
     ):
         out = tmp_path / "s.csv"
         r = main([
-            "sweep", "--model", workdir["model"], "--priors", workdir["priors"],
+            "sweep", "--model", workdir["priors"],
             "--grid", "interp:2", "--trials", trials, "--out", str(out),
         ])
         assert r == 2
@@ -732,8 +704,7 @@ class TestArgumentEdges:
         out = tmp_path / "out"
         args = {
             "init-model": [],
-            "sweep": ["--model", workdir["model"], "--priors", workdir["priors"],
-                      "--grid", "interp:2"],
+            "sweep": ["--model", workdir["priors"], "--grid", "interp:2"],
             "attn-dump": ["--model", workdir["priors"], "--input", "3 4 5",
                           "--group", "encoder"],
         }[command]
@@ -748,15 +719,14 @@ class TestArgumentEdges:
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_certify_non_finite_tol_is_usage_error(self, workdir, capsys, tol):
         r = main([
-            "certify", "--model", workdir["model"],
-            "--priors", workdir["priors"], "--trials", "1", "--tol", tol,
+            "certify", "--model", workdir["priors"], "--trials", "1", "--tol", tol,
         ])
         assert r == 2
         assert "tol" in capsys.readouterr().err
 
     def test_certify_default_dials_are_the_identity(self):
         args = _build_parser().parse_args(
-            ["certify", "--model", "m.nvtx", "--priors", "p.nvtx"]
+            ["certify", "--model", "p.nvtx"]
         )
         assert TauConfig.uniform(args.tau_alpha, args.tau_sigma) == identity_taus()
 
@@ -789,13 +759,10 @@ class TestArgumentEdges:
                 "--model", workdir["model"], "--corpus", workdir["corpus"],
                 "--out", str(out),
             ],
-            "certify": [
-                "--model", workdir["model"], "--priors", workdir["priors"],
-                "--trials", "1",
-            ],
+            "certify": ["--model", workdir["priors"], "--trials", "1"],
             "sweep": [
-                "--model", workdir["model"], "--priors", workdir["priors"],
-                "--grid", "interp:2", "--trials", "1", "--out", str(out),
+                "--model", workdir["priors"], "--grid", "interp:2", "--trials", "1",
+                "--out", str(out),
             ],
         }[command]
         r = main([command, "--seed", "-2", *args])
@@ -821,7 +788,7 @@ class TestArgumentEdges:
         assert main([
             "estimate-prior", "--model", model, "--corpus", corpus, "--out", priors,
         ]) == 0
-        files = ["--model", model, "--priors", priors, "--trials", "2"]
+        files = ["--model", priors, "--trials", "2"]
         out = tmp_path / "s.csv"
         capsys.readouterr()
         certified = main(["certify", *files])

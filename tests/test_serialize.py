@@ -454,10 +454,11 @@ def wrong_typed_values():
 
 # the values of another Python type each tail dataclass field may be given
 # in-process, by the field's annotation, each made from the field's own
-# value: a bool, NumPy scalars of the field's kind, an int past float range
+# value: a bool, NumPy scalars of the field's kind, an int past float range,
+# a one-element array for a number
 PYTHON_VALUES = {
     float: {"np.float32": lambda old: np.float32(0.5), "np.int64": lambda old: np.int64(2),
-            "1e400": lambda old: 10**400},
+            "1e400": lambda old: 10**400, "1-element-array": lambda old: np.array([old])},
     int: {"np.int64": np.int64, "np.float64": np.float64},
     str: {"np.str_": np.str_},
     np.ndarray: {"np.float64": lambda old: np.float64(0.5)},
