@@ -38,7 +38,7 @@ from .nvib import (
     project,
 )
 from .numeric import make_rng, softmax_rows
-from .priors import estimate_priors, prior_report, site_stats
+from .priors import estimate_priors, prior_report
 from .serialize import load_weights, read_corpus, save_weights, write_corpus
 
 __version__ = "0.1.0"

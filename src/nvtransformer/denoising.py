@@ -157,20 +157,19 @@ class KeyedPosterior:
         return vars(self)["_heads"]
 
 
-def standard_keys(z, params: AttentionParams, valid=None, out=None, wk=None) -> KeyedPosterior:
+def standard_keys(z, params: AttentionParams, valid=None, out=None) -> KeyedPosterior:
     """Standard attention's keys of vectors z, as for `head_keys`, written
-    to `out` if given: a posterior without forms, rows [z | z wk | z W^V |
-    c], wk = W^K/sqrt(d/h) unless the caller has made it, c 0 for a valid
-    vector and -inf for a padded one and for [P].  b^K is constant per
-    query and drops out; b^V enters after the mix."""
+    to `out` if given: a posterior without forms, rows [z | z W^K/sqrt(d/h)
+    | z W^V | c], c 0 for a valid vector and -inf for a padded one and for
+    [P].  b^K is constant per query and drops out; b^V enters after the
+    mix."""
     d = z.shape[-1]
     rows = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
     rows[..., -1, :] = 0.0
     rows[..., -1, -1] = -np.inf
     tok = rows[..., :-1, :]
     tok[..., :d] = z
-    wk = params.wk / math.sqrt(params.head_dim) if wk is None else wk
-    np.matmul(z, wk, out=tok[..., d : 2 * d])
+    np.matmul(z, params.wk / math.sqrt(params.head_dim), out=tok[..., d : 2 * d])
     np.matmul(z, params.wv, out=tok[..., 2 * d : -1])
     tok[..., -1] = 0.0 if valid is None else np.where(valid, 0.0, -np.inf)
     return KeyedPosterior(rows, None)
@@ -178,7 +177,7 @@ def standard_keys(z, params: AttentionParams, valid=None, out=None, wk=None) -> 
 
 def head_keys(
     z, proj: NvibProjection, params: AttentionParams, forms: SiteForms, valid=None,
-    head: int = 0, out=None, wk=None,
+    head: int = 0, out=None,
 ) -> KeyedPosterior:
     """The site's keys of `project(z, proj, valid)`, written in one pass
     (to `out` if given) from the vectors z, (n, d) or a padded batch (B, n,
@@ -186,13 +185,13 @@ def head_keys(
     `proj`, or a (B, ...) stack of them.  The token means are z, so c is
     `token_log_alpha` (-inf for a padded row) - 0.5 sum z*z/sigma_r^2 -
     half_log_var; [P]'s row is the forms' own.  A mixed batch's first
-    `head` rows are `standard_keys`' (with `wk`); inv_var and half_log_var
-    are the twins' rows alone."""
+    `head` rows are `standard_keys`'; inv_var and half_log_var are the
+    twins' rows alone."""
     d = z.shape[-1]
     rows = out = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
     if head:
         std_valid, valid = (None, None) if valid is None else (valid[:head], valid[head:])
-        standard_keys(z[:head], params, std_valid, rows[:head], wk)
+        standard_keys(z[:head], params, std_valid, rows[:head])
         z, out = z[head:], rows[head:]
     x = z * forms.inv_var[..., None, :]
     out[..., -1, :] = forms.prior_row

@@ -36,7 +36,6 @@ __all__ = [
     "CertifyResult",
     "SweepRow",
     "make_random_corpus",
-    "make_template_corpus",
     "random_eval_inputs",
     "token_overlap",
     "certify",
@@ -73,21 +72,6 @@ def make_random_corpus(
         length = int(rng.integers(min_len, hi + 1))
         out.append(rng.integers(FIRST_TOKEN, config.vocab, length).tolist())
     return out
-
-
-def make_template_corpus(config: ModelConfig, n: int, seed: int) -> list[list[int]]:
-    """A corpus with zero between-sequence variance: one seeded template
-    sequence repeated n times.  Within-sequence token variety still gives
-    every site a rich latent distribution, while any sequence-level
-    subsample reproduces the full-corpus statistics up to the sample-size
-    correction."""
-    _check_count(n, "n")
-    if config.vocab <= FIRST_TOKEN:
-        raise ValueError(f"template corpus needs vocab > {FIRST_TOKEN}")
-    rng = make_rng(seed)
-    length = min(30, config.max_len - 1)
-    template = rng.integers(FIRST_TOKEN, config.vocab, length).tolist()
-    return [list(template) for _ in range(n)]
 
 
 def random_eval_inputs(

@@ -406,17 +406,14 @@ def _site_ops(model, hook=None):
     # head: how many standard rows lead the twins' rows; None when all do
     w, head = (model, None) if isinstance(model, ModelWeights) else (model.base, model.head)
     params = _site_params(w)
-    wks = {}  # standard rows' W^K / sqrt(d/h) at sites keyed into `out` each step
 
     def keys(site, rows, valid, out=None):
-        p, wk = params[site], wks.get(site)
-        if out is not None and head != 0 and wk is None:
-            wk = wks[site] = p.wk / np.sqrt(p.head_dim)
+        p = params[site]
         if head is not None:
-            return head_keys(rows, model.projs[site], p, model.forms[site], valid, head, out, wk)
+            return head_keys(rows, model.projs[site], p, model.forms[site], valid, head, out)
         if hook is not None:
             hook(*site, rows, valid)
-        return standard_keys(rows, p, valid, out, wk)
+        return standard_keys(rows, p, valid, out)
 
     def attend(site, q, kv, causal=False):
         sink = None if hook is None or head is None else lambda mat: hook(*site, mat)

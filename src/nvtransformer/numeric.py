@@ -17,7 +17,6 @@ __all__ = [
     "affine",
     "make_rng",
     "softmax_rows",
-    "logsumexp_rows",
 ]
 
 
@@ -68,12 +67,3 @@ def softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, max-stabilised: (..., n) -> (...)."""
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("logsumexp given a row with no finite entries")
-    return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)))[..., 0]

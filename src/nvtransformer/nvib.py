@@ -7,8 +7,9 @@ themselves, the stds collapse toward zero, and the pseudo-counts reproduce
 the exp(||z||^2 / (2 sqrt(d/h))) weighting that makes denoising attention
 coincide with standard attention.
 
-Pseudo-counts are carried in log space end to end; their total is only ever
-formed through log-sum-exp.
+Pseudo-counts are carried in log space end to end and their total is never
+formed: the attention softmax normalises them.  The test-side
+`tests/reference.py::log_alpha_total` forms it, by log-sum-exp.
 
 `project` writes a posterior as a `DpPosterior`, the general path of
 `denoising.eval_dattn_multihead`; the twin's key map, `denoising.head_keys`,
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numeric import _check_integer, logsumexp_rows
+from .numeric import _check_integer
 
 __all__ = [
     "LOG_ALPHA_CLAMP",
@@ -234,19 +235,6 @@ class DpPosterior:
             raise ValueError("need at least the prior component")
         if np.any(self.sigma < 0.0):
             raise ValueError("sigma must be nonnegative")
-
-    @property
-    def n_tokens(self) -> int:
-        return self.mu.shape[-2] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[-1]
-
-    def log_alpha_total(self) -> float | np.ndarray:
-        """log of the summed pseudo-counts, prior included: one total per
-        posterior, a float, or (B,) for a padded batch."""
-        return logsumexp_rows(self.log_alpha)[()]
 
 
 def identity_init(

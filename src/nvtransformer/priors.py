@@ -23,7 +23,9 @@ computed.
 Accumulation is merge-based Welford: each bucket contributes one batch per
 site whose exact count/mean/M2 are folded in with the pairwise-merge
 formula, so neither the bucketing nor sharding the corpus and merging shard
-accumulators changes the result beyond rounding.
+accumulators changes the result beyond rounding.  The brute-force oracle
+that the streaming path must match, one accumulation over an explicit stack
+of a site's vectors, is test-side (`tests/reference.py::site_stats`).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .numeric import _check_integer, make_rng
 __all__ = [
     "WelfordAccumulator",
     "reservoir_subsample",
-    "site_stats",
     "estimate_priors",
     "prior_report",
 ]
@@ -137,22 +138,6 @@ class _SiteAcc:
             layer_group=group,
             layer_id=layer_id,
         )
-
-
-def site_stats(
-    vectors: np.ndarray, d: int, h: int, group: str = "encoder", layer_id: int = 0
-) -> EmpiricalPrior:
-    """Prior statistics of an explicit stack of site vectors (n, d).
-
-    The brute-force entry point: used directly in tests and as the oracle
-    the streaming path must match.
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != d:
-        raise ValueError("vectors must be (n, d)")
-    acc = _SiteAcc.fresh(d)
-    acc.add(vectors, np.sqrt(d / h))
-    return acc.finalize(group, layer_id)
 
 
 def reservoir_subsample(

@@ -17,6 +17,12 @@ Nothing the package runs is here; the tests import these to arbitrate it.
   (`sample_gaussian`, `sample_dirichlet`).  The package's post-hoc dials
   never sample attention; acceptance criterion 7 checks that this path's
   mean over draws approaches the evaluation kernel.
+- The brute-force prior statistics of an explicit stack of site vectors
+  (`site_stats`), which the streaming estimator must match (criterion 8),
+  and a corpus with zero between-sequence variance
+  (`make_template_corpus`, criterion 6).
+- Log-sum-exp over rows (`logsumexp_rows`) and a posterior's total log
+  pseudo-count (`log_alpha_total`); the package never forms the total.
 
 pytest does not collect this module; test files import it by name.
 """
@@ -30,10 +36,59 @@ import numpy as np
 
 from nvtransformer.attention import AttentionParams, check_inputs, merge_heads, split_heads
 from nvtransformer.denoising import MapSink
-from nvtransformer.numeric import affine, logsumexp_rows, softmax_rows
-from nvtransformer.nvib import DpPosterior
+from nvtransformer.evaluate import FIRST_TOKEN
+from nvtransformer.model import ModelConfig
+from nvtransformer.numeric import _check_count, affine, make_rng, softmax_rows
+from nvtransformer.nvib import DpPosterior, EmpiricalPrior
+from nvtransformer.priors import _SiteAcc
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, max-stabilised: (..., n) -> (...)."""
+    a = np.asarray(a, dtype=np.float64)
+    m = np.max(a, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("logsumexp given a row with no finite entries")
+    return (m + np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)))[..., 0]
+
+
+def log_alpha_total(dp: DpPosterior) -> float | np.ndarray:
+    """log of the summed pseudo-counts, prior included: one total per
+    posterior, a float, or (B,) for a padded batch."""
+    return logsumexp_rows(dp.log_alpha)[()]
+
+
+def site_stats(
+    vectors: np.ndarray, d: int, h: int, group: str = "encoder", layer_id: int = 0
+) -> EmpiricalPrior:
+    """Prior statistics of an explicit stack of site vectors (n, d).
+
+    The brute-force entry point: used directly in tests and as the oracle
+    the streaming path must match.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != d:
+        raise ValueError("vectors must be (n, d)")
+    acc = _SiteAcc.fresh(d)
+    acc.add(vectors, np.sqrt(d / h))
+    return acc.finalize(group, layer_id)
+
+
+def make_template_corpus(config: ModelConfig, n: int, seed: int) -> list[list[int]]:
+    """A corpus with zero between-sequence variance: one seeded template
+    sequence repeated n times.  Within-sequence token variety still gives
+    every site a rich latent distribution, while any sequence-level
+    subsample reproduces the full-corpus statistics up to the sample-size
+    correction."""
+    _check_count(n, "n")
+    if config.vocab <= FIRST_TOKEN:
+        raise ValueError(f"template corpus needs vocab > {FIRST_TOKEN}")
+    rng = make_rng(seed)
+    length = min(30, config.max_len - 1)
+    template = rng.integers(FIRST_TOKEN, config.vocab, length).tolist()
+    return [list(template) for _ in range(n)]
 
 
 def as_matrix(a) -> np.ndarray:
@@ -209,7 +264,7 @@ def to_gaussian_mixture(dp: DpPosterior) -> GaussianMixtureRepr:
     included) and expose the components as a Gaussian mixture."""
     if dp.mu.ndim != 2:
         raise ValueError("to_gaussian_mixture takes one posterior, not a padded batch")
-    logw = dp.log_alpha - dp.log_alpha_total()
+    logw = dp.log_alpha - log_alpha_total(dp)
     return GaussianMixtureRepr(
         mu=dp.mu.copy(), sigma=dp.sigma.copy(), weights=np.exp(logw)
     )

@@ -24,7 +24,6 @@ from nvtransformer import (
 from nvtransformer.evaluate import (
     interp_taus,
     make_random_corpus,
-    make_template_corpus,
     random_eval_inputs,
     run_sweep,
     grid_points,
@@ -32,12 +31,14 @@ from nvtransformer.evaluate import (
 from nvtransformer.model import BOS_ID, ModelConfig
 from nvtransformer.numeric import make_rng
 from nvtransformer.nvib import TauConfig
-from nvtransformer.priors import estimate_priors, site_stats
+from nvtransformer.priors import estimate_priors
 from reference import (
     attn_core,
     build_f_z,
     dattn_gaussians_oracle,
     dattn_impulses,
+    make_template_corpus,
+    site_stats,
     to_gaussian_mixture,
     train_dattn_multihead,
 )

@@ -17,7 +17,6 @@ from nvtransformer.evaluate import (
     SweepRow,
     interp_taus,
     make_random_corpus,
-    make_template_corpus,
     random_eval_inputs,
     sweep_csv,
 )
@@ -39,6 +38,7 @@ from nvtransformer.nvib import (
     ALPHA_CLAMP_EVENTS, GROUPS, TAU_SIGMA_MIN, TauConfig, identity_taus,
 )
 from nvtransformer.priors import estimate_priors
+from reference import make_template_corpus
 
 
 def per_pair_sweep(w, priors, points, trials, seed):
@@ -448,7 +448,6 @@ class TestTrialsAndTol:
             ("min_len", lambda w, p: make_random_corpus(w.config, 2, 0, min_len=4.0)),
             ("max_len", lambda w, p: make_random_corpus(w.config, 2, 0, 4, 6.0)),
             ("k", lambda w, p: random_eval_inputs(w.config, 2.0, 0)),
-            ("n", lambda w, p: make_template_corpus(w.config, 2.0, 0)),
             ("shards", lambda w, p: estimate_priors(w, [[3, 4]], shards=2.5)),
             ("shards", lambda w, p: estimate_priors(w, [[3, 4]], shards=True)),
             ("seed", lambda w, p: estimate_priors(w, [[3, 4]], seed=True)),
@@ -458,7 +457,7 @@ class TestTrialsAndTol:
         ],
         ids=[
             "corpus-n-float", "corpus-n-bool", "corpus-min_len", "corpus-max_len",
-            "eval-inputs-k", "template-n", "shards-float", "shards-bool",
+            "eval-inputs-k", "shards-float", "shards-bool",
             "estimate-seed-bool", "init-seed", "grid-seed", "certify-seed",
         ],
     )
@@ -471,10 +470,9 @@ class TestTrialsAndTol:
         "name, build",
         [
             ("n", lambda cfg, n: make_random_corpus(cfg, n, 0)),
-            ("n", lambda cfg, n: make_template_corpus(cfg, n, 0)),
             ("k", lambda cfg, k: random_eval_inputs(cfg, k, 0)),
         ],
-        ids=["corpus-n", "template-n", "eval-inputs-k"],
+        ids=["corpus-n", "eval-inputs-k"],
     )
     def test_counts_must_be_nonnegative(self, name, build):
         # each returned [] for a negative count

@@ -5,8 +5,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from nvtransformer.numeric import logsumexp_rows, make_rng, softmax_rows
-from reference import sample_dirichlet, sample_gaussian
+from nvtransformer.numeric import make_rng, softmax_rows
+from reference import logsumexp_rows, sample_dirichlet, sample_gaussian
 
 
 def _softmax_decimal(row):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nvtransformer import CorpusError, estimate_priors, prior_report, site_stats
+from nvtransformer import CorpusError, estimate_priors, prior_report
 from nvtransformer import model as model_module
 from nvtransformer import priors as priors_module
 from nvtransformer.evaluate import make_random_corpus
@@ -17,6 +17,7 @@ from nvtransformer.priors import (
     _buckets,
     reservoir_subsample,
 )
+from reference import site_stats
 
 
 class TestWelford:
