@@ -448,6 +448,7 @@ class TestTrialsAndTol:
             ("min_len", lambda w, p: make_random_corpus(w.config, 2, 0, min_len=4.0)),
             ("max_len", lambda w, p: make_random_corpus(w.config, 2, 0, 4, 6.0)),
             ("k", lambda w, p: random_eval_inputs(w.config, 2.0, 0)),
+            ("n", lambda w, p: make_template_corpus(w.config, 2.0, 0)),
             ("shards", lambda w, p: estimate_priors(w, [[3, 4]], shards=2.5)),
             ("shards", lambda w, p: estimate_priors(w, [[3, 4]], shards=True)),
             ("seed", lambda w, p: estimate_priors(w, [[3, 4]], seed=True)),
@@ -457,7 +458,7 @@ class TestTrialsAndTol:
         ],
         ids=[
             "corpus-n-float", "corpus-n-bool", "corpus-min_len", "corpus-max_len",
-            "eval-inputs-k", "shards-float", "shards-bool",
+            "eval-inputs-k", "template-n", "shards-float", "shards-bool",
             "estimate-seed-bool", "init-seed", "grid-seed", "certify-seed",
         ],
     )
@@ -470,9 +471,10 @@ class TestTrialsAndTol:
         "name, build",
         [
             ("n", lambda cfg, n: make_random_corpus(cfg, n, 0)),
+            ("n", lambda cfg, n: make_template_corpus(cfg, n, 0)),
             ("k", lambda cfg, k: random_eval_inputs(cfg, k, 0)),
         ],
-        ids=["corpus-n", "eval-inputs-k"],
+        ids=["corpus-n", "template-n", "eval-inputs-k"],
     )
     def test_counts_must_be_nonnegative(self, name, build):
         # each returned [] for a negative count

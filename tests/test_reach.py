@@ -8,12 +8,14 @@ The traffic runs in a child interpreter whose profile hook is installed
 before `import nvtransformer`, with this checkout's `src` first on its path,
 so an installed copy of the package cannot stand in.  A code object is
 matched to its `def` by file and `co_firstlineno`, which for a decorated
-`def` is the line of its first decorator.
+`def` is the line of its first decorator.  The guard is itself checked on
+a copy of the package with an unused def added and a kept def renamed.
 """
 
 import ast
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -87,7 +89,7 @@ def readme_example() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-def package_defs() -> dict[tuple[str, int], str]:
+def package_defs(package: pathlib.Path = PACKAGE) -> dict[tuple[str, int], str]:
     """(file, first line) -> dotted name of every def in the package; a
     nested def is named through its enclosing classes and defs."""
     out = {}
@@ -103,26 +105,70 @@ def package_defs() -> dict[tuple[str, int], str]:
             else:
                 walk(child, path, prefix)
 
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         walk(ast.parse(path.read_text(encoding="utf-8")), path, path.stem)
     return out
 
 
-def test_every_def_is_entered_or_kept_with_a_reason():
+def reach(src: pathlib.Path = SRC) -> tuple[list[str], list[str]]:
+    """Run the traffic on the package under `src`; return the defs it never
+    enters that are not kept, and the kept entries it enters or that name
+    no def."""
     r = subprocess.run(
-        [sys.executable, "-c", TRAFFIC, str(SRC), readme_example()],
+        [sys.executable, "-c", TRAFFIC, str(src), readme_example()],
         capture_output=True, text=True, timeout=120,
     )
     assert r.returncode == 0, r.stderr
     trace = json.loads(r.stdout.splitlines()[-1])
     entered = {(str(pathlib.Path(f).resolve()), line) for f, line in trace}
-    defs = package_defs()
+    defs = package_defs(src.resolve() / "nvtransformer")
     never = {name for key, name in defs.items() if key not in entered}
-    unkept = sorted(never - KEPT.keys())
+    return sorted(never - KEPT.keys()), sorted(KEPT.keys() - never)
+
+
+def test_every_def_is_entered_or_kept_with_a_reason():
+    unkept, stale = reach()
     assert not unkept, f"never entered and not kept: {unkept}"
     # each kept entry names a def, and one the traffic does not reach
-    stale = sorted(KEPT.keys() - never)
     assert not stale, f"kept but entered, or no such def: {stale}"
+
+
+def test_guard_names_an_unused_def_and_a_kept_entry_that_is_gone(tmp_path):
+    # a copy of the package with a def nothing calls, and `cli.entry`
+    # renamed so the kept list names a def that no longer exists
+    shutil.copytree(PACKAGE, tmp_path / "nvtransformer",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    numeric = tmp_path / "nvtransformer" / "numeric.py"
+    numeric.write_text(numeric.read_text(encoding="utf-8")
+                       + "\n\ndef _never():\n    pass\n", encoding="utf-8")
+    cli = tmp_path / "nvtransformer" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count("def entry(") == 1
+    cli.write_text(text.replace("def entry(", "def entry_renamed("), encoding="utf-8")
+    assert reach(tmp_path) == (["cli.entry_renamed", "numeric._never"], ["cli.entry"])
+
+
+def test_defs_are_named_by_nesting_and_keyed_by_first_decorator(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class A:\n"
+        "    @staticmethod\n"
+        "    @staticmethod\n"
+        "    def f():\n"
+        "        def g():\n"
+        "            pass\n"
+        "def h():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    path = str(tmp_path / "m.py")
+    assert package_defs(tmp_path) == {
+        (path, 2): "m.A.f", (path, 5): "m.A.f.g", (path, 7): "m.h",
+    }
+    # the interpreter keys a decorated def's code by the same line
+    code = compile((tmp_path / "m.py").read_text(encoding="utf-8"), path, "exec")
+    a = next(c for c in code.co_consts if getattr(c, "co_name", None) == "A")
+    f = next(c for c in a.co_consts if getattr(c, "co_name", None) == "f")
+    assert f.co_firstlineno == 2
 
 
 def test_readme_python_api_example_runs_as_written(capsys):
