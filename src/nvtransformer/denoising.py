@@ -18,10 +18,11 @@ and the head-space path is tested against it.  The head-space path takes a
 `KeyedPosterior`, the twin's: under `NvibProjection` every token component
 shares one variance row and the prior has its own, so the tokens' quadratic
 term is the same in every token column and only [P]'s column keeps one.
-With the interpolation terms that is one (d/h, 3d/h) form per head
-(`SiteForms`, built once per site by `site_forms`); the component means
-enter only through head-width keys and values, written in one pass from the
-site's vectors (`head_keys`).  The two paths agree to rounding error.  A
+With the interpolation terms, whose token share is 1 - w_P as the weights
+sum to 1, that is one (d/h, 3d/h) form per head (`SiteForms`, built once
+per site by `site_forms`); the component means enter only through
+head-width keys and values, written in one pass from the site's vectors
+(`head_keys`).  The two paths agree to rounding error.  A
 keyed posterior is one (n+1, 3d+1) row matrix, [P] last, [mu | k | v | c]
 (`KeyedPosterior.rows`).  Each row depends on its own component alone, so a
 causal cache appends a step's rows to one buffer.  A keyed posterior
@@ -82,11 +83,12 @@ class SiteForms:
     (tok) and the prior's (P), A = W^K_i^T diag(1/sigma_r^2) W^K_i and
     B = W^K_i^T diag(sigma^2/sigma_r^2) W^V_i in head i: inv_var (d,) is the
     tokens' 1/sigma_r^2, half_log_var () their 0.5 sum log sigma_r^2, f
-    (h, d/h, 3d/h) holds [A^P - A^tok | B^tok | B^P] per head, so that one
-    product q @ f gives [P]'s quadratic term and both interpolation terms,
-    and prior_row (3d+1,) is [P]'s row of `KeyedPosterior.rows`.  The
-    tokens' forms of a padded batch's sequences may be stacked, (B, ...);
-    [P]'s row is every sequence's; a mixed batch's `f` leads with zero rows.
+    (h, d/h, 3d/h) holds [-(A^P - A^tok)/2 | B^tok | B^P - B^tok] per head,
+    so that one product q @ f gives [P]'s quadratic term, added as it is,
+    and both interpolation terms, and prior_row (3d+1,) is [P]'s row of
+    `KeyedPosterior.rows`.  The tokens' forms of a padded batch's sequences
+    may be stacked, (B, ...); [P]'s row is every sequence's; a mixed
+    batch's `f` leads with zero rows.
     """
 
     inv_var: np.ndarray
@@ -109,9 +111,9 @@ def site_forms(proj: NvibProjection, params: AttentionParams) -> SiteForms:
     wk_t = wk.swapaxes(-1, -2)
     # W^K_i^T diag(.) [W^K_i | W^V_i | W^V_i]; the prior's B is every row's
     f = np.empty(tok2.shape[:-1] + (h, dh, 3 * dh))
-    f[..., :dh] = (wk_t * (inv_p - inv_tok)[..., None, None, :]) @ wk
+    f[..., :dh] = (wk_t * (0.5 * (inv_tok - inv_p))[..., None, None, :]) @ wk
     f[..., dh : 2 * dh] = (wk_t * (tok2 * inv_tok)[..., None, None, :]) @ wv
-    f[..., 2 * dh :] = (wk_t * (p2 * inv_p)) @ wv
+    f[..., 2 * dh :] = (wk_t * (p2 * inv_p)) @ wv - f[..., dh : 2 * dh]
     x = prior.mu_p * inv_p
     c = prior.log_alpha0_p - 0.5 * (prior.mu_p @ x) - 0.5 * np.log(p_r).sum()
     return SiteForms(
@@ -196,10 +198,11 @@ def head_keys(
     x = z * forms.inv_var[..., None, :]
     out[..., -1, :] = forms.prior_row
     tok = out[..., :-1, :]
-    tok[..., :d], tok[..., d : 2 * d] = z, x @ params.wk
-    tok[..., 2 * d : -1] = math.sqrt(params.head_dim) * x @ params.wv
-    c = token_log_alpha(z * z, proj, valid) - 0.5 * (z * x).sum(axis=-1)
-    tok[..., -1] = c - forms.half_log_var[..., None]
+    tok[..., :d] = z
+    np.matmul(x, params.wk, out=tok[..., d : 2 * d])
+    np.matmul(math.sqrt(params.head_dim) * x, params.wv, out=tok[..., 2 * d : -1])
+    c = token_log_alpha(z * z, proj, valid) - 0.5 * np.add.reduce(z * x, axis=-1)
+    np.subtract(c, forms.half_log_var[..., None], out=tok[..., -1])
     return KeyedPosterior(rows, forms)
 
 
@@ -228,12 +231,12 @@ def eval_dattn_multihead(
 
     A `KeyedPosterior` (see `head_keys`; the token components share one
     variance) is evaluated in head space, at the cost of standard attention
-    plus one (d/h, 3d/h) form per query and head, F_i = [A^P - A^tok |
-    B^tok | B^P] (`SiteForms`).  With K_i, V_i, c of the posterior, w_P the
-    prior's weight and w_tok the summed token weights:
+    plus one (d/h, 3d/h) form per query and head, F_i = [-(A^P - A^tok)/2 |
+    B^tok | B^P - B^tok] (`SiteForms`).  With K_i, V_i, c of the posterior
+    and w_P the prior's weight, the tokens' share being 1 - w_P (sum w = 1):
 
-      scores = Q_i K_i^T + c, less 0.5 Q_i (A^P - A^tok) Q_i^T in [P]'s column
-      output = w_tok Q_i B^tok + w_P Q_i B^P + w V_i
+      scores = Q_i K_i^T + c, plus -0.5 Q_i (A^P - A^tok) Q_i^T in [P]'s column
+      output = w V_i + Q_i B^tok + w_P Q_i (B^P - B^tok)
 
     The tokens' own quadratic term, -0.5 Q_i A^tok Q_i^T, is the same in
     every column and is left to the softmax too.  A `DpPosterior` takes the
@@ -247,16 +250,26 @@ def eval_dattn_multihead(
     )
     h = params.heads
     q = split_heads(affine(queries_pre, params.wq, params.bq), h)  # (..., h, m, d/h)
-    if isinstance(dp, KeyedPosterior):
-        scores, mix = _head_space_path(q, dp)
+    forms = mix = None
+    if isinstance(dp, KeyedPosterior):  # head space; without forms, standard attention
+        (kt, v, c), forms, dh = dp.heads(h), dp.forms, q.shape[-1]
+        scores = q @ kt
+        scores += c
+        if forms is not None:
+            qf = q @ forms.f                        # (..., h, m, 3d/h)
+            scores[..., -1] += np.add.reduce(qf[..., :dh] * q, axis=-1)
     else:
         scores, mix = _general_path(q, dp, params)
     if hidden is not None:
         np.copyto(scores, -np.inf, where=hidden)
     w = softmax_rows(scores, out=scores)
     if map_sink is not None:
-        map_sink(w.sum(axis=-3) / h)   # np.mean over the heads
-    out = merge_heads(mix(w))
+        map_sink(np.add.reduce(w, axis=-3) / h)   # np.mean over the heads
+    out = w @ v if mix is None else mix(w)
+    if forms is not None:  # the weights sum to 1: the tokens' share is 1 - w_P
+        out += qf[..., dh : 2 * dh]
+        out += w[..., -1:] * qf[..., 2 * dh :]
+    out = merge_heads(out)
     out += params.bv
     return out
 
@@ -294,24 +307,3 @@ def _general_path(q, dp: DpPosterior, params: AttentionParams):
         return denoised @ split_heads(params.wv, h)
 
     return scores, mix
-
-
-def _head_space_path(q, dp: KeyedPosterior):
-    """The head-space path: the same weights and map at width d/h; without
-    forms, standard attention (all-zero forms add exact zeros)."""
-    (kt, v, c), dh = dp.heads(q.shape[-3]), q.shape[-1]
-    scores = q @ kt
-    scores += c
-    if dp.forms is None:
-        return scores, lambda w: w @ v
-    qf = q @ dp.forms.f                             # (..., h, m, 3d/h)
-    scores[..., -1] -= 0.5 * (qf[..., :dh] * q).sum(axis=-1)
-
-    def mix(w):
-        out = w[..., :-1].sum(axis=-1, keepdims=True) * qf[..., dh : 2 * dh]
-        out += w[..., -1:] * qf[..., 2 * dh :]
-        out += w @ v
-        return out
-
-    return scores, mix
-

@@ -71,6 +71,7 @@ BOS_ID = 1
 EOS_ID = 2
 
 LN_EPS = 1e-5
+MAX_WEIGHTS = 2**27  # a config's float64 weights: 1 GiB
 
 # hooks: (group, layer_id, matrix) -> None
 SiteHook = Callable[[str, int, np.ndarray], None] | None
@@ -78,6 +79,10 @@ SiteHook = Callable[[str, int, np.ndarray], None] | None
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The model's sizes: integers, not bools, heads dividing dim, whose
+    weights (`init_weights`) number at most MAX_WEIGHTS, 2**27 float64 or
+    1 GiB, so a config too large to build is refused before any allocation."""
+
     vocab: int = 64
     dim: int = 16
     heads: int = 2
@@ -96,6 +101,12 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.dim < 1 or self.dim % self.heads != 0:
             raise ValueError("heads must divide dim")
+        d, v, ffn, layers = self.dim, self.vocab, self.ffn_dim, self.layers_enc + self.layers_dec
+        # embeddings, positions, final norms, output; layers; a decoder's cross site
+        size = (2 * v + self.max_len + 4) * d + v + layers * (3 * d * d + 2 * d * ffn + 8 * d + ffn)
+        size += self.layers_dec * (3 * d * d + 5 * d)
+        if size > MAX_WEIGHTS:
+            raise ValueError(f"config has {size} weights, more than MAX_WEIGHTS {MAX_WEIGHTS}")
 
 
 @dataclass(frozen=True)
@@ -292,8 +303,8 @@ def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
     # np.mean is a sum over the axis over its length, and np.var the mean of
     # the same centred squares: bit-identical, without their wrappers' cost
     n = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / n
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     xc /= np.sqrt(var + LN_EPS)
     xc *= p.g
     xc += p.b
@@ -308,6 +319,7 @@ def _ffn(x: np.ndarray, p: FfnParams) -> np.ndarray:
 def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
     """ids as int64 if they are a usable token sequence for `config`, else
     a ValueError "{what} not usable: <why>"; the one rule for every input."""
+    bools = isinstance(ids, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, ids))
     ids = np.asarray(ids)
     if ids.ndim != 1:
         why = "not a 1-D token sequence"
@@ -318,6 +330,8 @@ def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
     elif ids.dtype.kind not in "iu":
         # NumPy holds a float id, or an integer past int64, this way
         why = "contains ids that are not int64-sized integers"
+    elif bools:  # NumPy reads True as 1
+        why = "contains a bool, not a token id"
     elif np.any(ids < 0) or np.any(ids >= config.vocab):
         why = f"contains ids outside [0, {config.vocab})"
     else:

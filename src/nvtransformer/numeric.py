@@ -58,12 +58,12 @@ def softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     the one new array and `a` is never written.  The exp and the division
     run in the result, so the bits are the same either way.
     """
-    # the ndarray reductions are np.max's and np.sum's without their wrappers
+    # the ufunc reductions that np.max, np.all and np.sum call, without wrappers
     a = np.asarray(a, dtype=np.float64)
-    m = a.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("softmax given a row with no finite entries")
     e = np.subtract(a, m, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e

@@ -60,9 +60,6 @@ class _ClampCounter:
     def __init__(self):
         self.count = 0
 
-    def add(self, k: int):
-        self.count += int(k)
-
     def reset(self):
         self.count = 0
 
@@ -286,14 +283,17 @@ def token_log_alpha(zz: np.ndarray, proj: NvibProjection, valid=None) -> np.ndar
     """log pseudo-counts of vectors with squared entries zz, (n, d) or (B,
     n, d): zz @ w_alpha + b_alpha clamped to +-LOG_ALPHA_CLAMP, clamps of
     real vectors counted on ALPHA_CLAMP_EVENTS, -inf where `valid` is False.
-    The one clamp rule of `project` and of the twin's key map."""
+    The one clamp rule of `project` and of the twin's key map; it clamps
+    and counts only when some value, or a NaN, lies past the clamp."""
     log_alpha = zz @ proj.w_alpha + np.asarray(proj.b_alpha)[..., None]
-    clamped = np.minimum(np.maximum(log_alpha, -LOG_ALPHA_CLAMP), LOG_ALPHA_CLAMP)
-    hit = clamped != log_alpha
-    ALPHA_CLAMP_EVENTS.add(np.count_nonzero(hit if valid is None else hit & valid))
+    if not np.maximum.reduce(np.abs(log_alpha), axis=None, initial=0.0) <= LOG_ALPHA_CLAMP:
+        clamped = np.minimum(np.maximum(log_alpha, -LOG_ALPHA_CLAMP), LOG_ALPHA_CLAMP)
+        hit = clamped != log_alpha
+        ALPHA_CLAMP_EVENTS.count += np.count_nonzero(hit if valid is None else hit & valid)
+        log_alpha = clamped
     if valid is not None:
-        clamped[~valid] = -np.inf
-    return clamped
+        log_alpha[~valid] = -np.inf
+    return log_alpha
 
 
 def project(

@@ -145,7 +145,9 @@ def reservoir_subsample(
 ) -> list[int]:
     """Indices of a seeded reservoir sample of size max(1, round(fraction *
     n)), returned in stream order; `round` takes a half to the even side, so
-    n=5 at fraction 0.5 keeps 2 and n=7 keeps 4."""
+    n=5 at fraction 0.5 keeps 2 and n=7 keeps 4.  A bool is not a fraction."""
+    if isinstance(fraction, (bool, np.bool_)):
+        raise ValueError(f"fraction must be a number, got {fraction!r}")
     if not (0.0 < fraction <= 1.0):
         raise ValueError("fraction must be in (0, 1]")
     if n == 0:

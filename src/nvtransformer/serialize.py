@@ -45,7 +45,7 @@ import numpy as np
 from .errors import CorpusError, WeightFormatError
 from .model import ModelConfig, ModelWeights, NvModel, _build, reinterpret
 from .nvib import EmpiricalPrior, TauConfig
-from .numeric import _check_integer
+from .numeric import _check_count
 
 __all__ = [
     "MAGIC",
@@ -304,13 +304,15 @@ def read_corpus(path: str) -> list[list[int]]:
     """Token sequences, one line of `parse_token_ids` ids each.
 
     Blank lines are skipped; any other content, a line that is not UTF-8
-    included, is a corpus error.
+    or a negative id included, is a corpus error naming the line.
     """
     seqs: list[list[int]] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 ids = parse_token_ids(line.encode(errors="surrogateescape").decode())
+                if min(ids, default=0) < 0:
+                    raise ValueError(f"token ids must be nonnegative, got {min(ids)}")
             except ValueError as e:
                 raise CorpusError(f"line {lineno}: {e}") from e
             if ids:
@@ -320,13 +322,13 @@ def read_corpus(path: str) -> list[list[int]]:
 
 def write_corpus(path: str, seqs: list[list[int]]) -> None:
     """Token sequences, one line each, as `read_corpus` reads them back: an
-    empty sequence (a blank line, skipped on reading) or an id that is not
-    an integer is a ValueError naming the sequence, before the file opens."""
+    empty sequence (a blank line, skipped on reading) or an id that is not a
+    nonnegative integer is a ValueError naming the sequence, before opening."""
     for i, seq in enumerate(seqs):
         if len(seq) == 0:
             raise ValueError(f"sequence {i} is empty")
         for t in seq:
-            _check_integer(t, f"a token id of sequence {i}")
+            _check_count(t, f"a token id of sequence {i}")
     with open(path, "w", encoding="utf-8") as fh:
         for seq in seqs:
             fh.write(" ".join(str(int(t)) for t in seq))

@@ -8,7 +8,11 @@ this at the change and at its parent and comparing, in one command:
 
 which runs this battery in two subprocesses, against ../parent/src and
 against this checkout's src, prints the name of each artifact whose digest
-differs and exits 1 if any does.  By hand, the same comparison is:
+differs and exits 1 if any does.  Beside each `.logits` artifact that
+differs it prints the largest absolute difference of the two arrays and
+whether the matching `.decodes` artifact is equal; the subprocesses save
+their logits for this with `--save-logits DIR`.  By hand, the same
+comparison is:
 
     PYTHONPATH=src python3 tests/battery.py > after.txt
     (cd ../parent && PYTHONPATH=src python3 /path/to/tests/battery.py) > before.txt
@@ -164,26 +168,48 @@ def model_artifacts(w, priors) -> dict[str, object]:
     return out
 
 
-def digests_against(src: str) -> dict[str, str]:
+def logits_file(logits_dir: str, name: str) -> str:
+    """Where `--save-logits` puts the `.logits` artifact `name`."""
+    return os.path.join(logits_dir, name.replace("/", "__") + ".npy")
+
+
+def digests_against(src: str, logits_dir: str) -> dict[str, str]:
     """This battery's `name sha256` lines, run in a subprocess that imports
-    the package from `src`."""
+    the package from `src` and saves its logits to `logits_dir`."""
     if not os.path.isdir(os.path.join(src, "nvtransformer")):
         print(f"error: {src} holds no nvtransformer package", file=sys.stderr)
         raise SystemExit(2)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    run = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
-                         stdout=subprocess.PIPE, text=True, check=True)
+    argv = [sys.executable, os.path.abspath(__file__), "--save-logits", logits_dir]
+    run = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
+
+
+def logits_note(name: str, before: dict[str, str], after: dict[str, str], dirs) -> str:
+    """For a `.logits` artifact present on both sides: the largest absolute
+    difference of the two arrays and whether the matching `.decodes`
+    artifact is equal; empty for any other artifact."""
+    if not name.endswith(".logits") or name not in before or name not in after:
+        return ""
+    a, b = (np.load(logits_file(d, name)) for d in dirs)
+    diff = f"{np.max(np.abs(a - b)):.3g}" if a.shape == b.shape else f"shapes {a.shape} {b.shape}"
+    decodes = name[: -len(".logits")] + ".decodes"
+    same = before.get(decodes) == after.get(decodes)
+    return f"  max |diff| {diff}, decodes {'equal' if same else 'differ'}"
 
 
 def compare(parent: str) -> int:
     """Print the artifacts whose digests differ between PARENT/src and this
-    checkout's src; 1 if any does, else 0."""
-    before, after = digests_against(os.path.join(parent, "src")), digests_against(SRC)
-    names = list(after) + [name for name in before if name not in after]
-    differ = [name for name in names if before.get(name) != after.get(name)]
-    for name in differ:
-        print(name)
+    checkout's src, a moved `.logits` one with `logits_note`; 1 if any
+    differs, else 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = os.path.join(tmp, "before"), os.path.join(tmp, "after")
+        before = digests_against(os.path.join(parent, "src"), dirs[0])
+        after = digests_against(SRC, dirs[1])
+        names = list(after) + [name for name in before if name not in after]
+        differ = [name for name in names if before.get(name) != after.get(name)]
+        for name in differ:
+            print(name + logits_note(name, before, after, dirs))
     print(f"{len(differ)} of {len(names)} artifacts differ", file=sys.stderr)
     return 1 if differ else 0
 
@@ -192,16 +218,23 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", metavar="PARENT",
                         help="compare with the checkout at PARENT instead of printing digests")
+    parser.add_argument("--save-logits", metavar="DIR",
+                        help="also save each .logits artifact to DIR as .npy")
     args = parser.parse_args()
     if args.against is not None:
         return compare(args.against)
+    if args.save_logits is not None:
+        os.makedirs(args.save_logits, exist_ok=True)
     for config, (flags, seed) in CONFIGS.items():
         with tempfile.TemporaryDirectory() as tmp:
             files, base, twin = cli_artifacts(tmp, flags, seed)
             arts = dict(files)
             arts.update(model_artifacts(load_weights(base), load_weights(twin).priors))
         for name, data in arts.items():
-            print(f"{config}/{name} {digest(data)}")
+            name = f"{config}/{name}"
+            print(f"{name} {digest(data)}")
+            if args.save_logits is not None and name.endswith(".logits"):
+                np.save(logits_file(args.save_logits, name), data)
     return 0
 
 

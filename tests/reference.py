@@ -23,6 +23,8 @@ Nothing the package runs is here; the tests import these to arbitrate it.
   (`make_template_corpus`, criterion 6).
 - Log-sum-exp over rows (`logsumexp_rows`) and a posterior's total log
   pseudo-count (`log_alpha_total`); the package never forms the total.
+- The pseudo-count clamp taken on every call (`clamp_every_call`), which
+  `nvib.token_log_alpha` takes only when a value lies past it.
 
 pytest does not collect this module; test files import it by name.
 """
@@ -39,7 +41,7 @@ from nvtransformer.denoising import MapSink
 from nvtransformer.evaluate import FIRST_TOKEN
 from nvtransformer.model import ModelConfig
 from nvtransformer.numeric import _check_count, affine, make_rng, softmax_rows
-from nvtransformer.nvib import DpPosterior, EmpiricalPrior
+from nvtransformer.nvib import LOG_ALPHA_CLAMP, DpPosterior, EmpiricalPrior, NvibProjection
 from nvtransformer.priors import _SiteAcc
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -58,6 +60,20 @@ def log_alpha_total(dp: DpPosterior) -> float | np.ndarray:
     """log of the summed pseudo-counts, prior included: one total per
     posterior, a float, or (B,) for a padded batch."""
     return logsumexp_rows(dp.log_alpha)[()]
+
+
+def clamp_every_call(zz: np.ndarray, proj: NvibProjection, valid=None) -> tuple[np.ndarray, int]:
+    """`token_log_alpha`'s values and the clamp events it counts, by its
+    rule as it was before it skipped the clamp when nothing lies past it:
+    every value clamped, and a value counted where the clamp moved it (or
+    where it is NaN) on a valid row."""
+    log_alpha = zz @ proj.w_alpha + np.asarray(proj.b_alpha)[..., None]
+    clamped = np.minimum(np.maximum(log_alpha, -LOG_ALPHA_CLAMP), LOG_ALPHA_CLAMP)
+    hit = clamped != log_alpha
+    events = np.count_nonzero(hit if valid is None else hit & valid)
+    if valid is not None:
+        clamped[~valid] = -np.inf
+    return clamped, events
 
 
 def site_stats(

@@ -2,7 +2,10 @@
 config it makes every artifact it names, so a change that renames a model
 internal the battery reads fails here, not when the battery is next run to
 compare two checkouts.  It compares no digests: those depend on the BLAS
-build."""
+build.  The note `--against` prints beside a moved `.logits` artifact is
+checked on saved arrays."""
+
+import numpy as np
 
 import battery
 
@@ -28,3 +31,18 @@ def test_battery_makes_every_artifact(tmp_path):
     assert list(arts) == MODEL_ARTIFACTS
     for data in [*files.values(), *arts.values()]:
         assert len(battery.digest(data)) == 64
+
+
+def test_a_moved_logits_artifact_is_noted_with_its_largest_difference(tmp_path):
+    dirs = tmp_path / "before", tmp_path / "after"
+    for d, logits in zip(dirs, ([[1.0, -2.0], [3.0, 4.0]], [[1.0, -2.5], [3.0, 4.25]])):
+        d.mkdir()
+        np.save(battery.logits_file(d, "toy-seed7/mixed.logits"), np.array(logits))
+    before = {"toy-seed7/mixed.logits": "a", "toy-seed7/mixed.decodes": "d", "x.csv": "c"}
+    after = {"toy-seed7/mixed.logits": "b", "toy-seed7/mixed.decodes": "d", "x.csv": "e"}
+    note = battery.logits_note("toy-seed7/mixed.logits", before, after, dirs)
+    assert note == "  max |diff| 0.5, decodes equal"
+    after["toy-seed7/mixed.decodes"] = "e"
+    note = battery.logits_note("toy-seed7/mixed.logits", before, after, dirs)
+    assert note == "  max |diff| 0.5, decodes differ"
+    assert battery.logits_note("x.csv", before, after, dirs) == ""

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import pathlib
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from nvtransformer import (
     save_weights,
 )
 from nvtransformer import model as model_mod
+from nvtransformer import serialize
 from nvtransformer.attention import attention
 from nvtransformer.denoising import KeyedPosterior
 from nvtransformer.evaluate import grid_points, make_random_corpus, random_eval_inputs, run_sweep
@@ -130,6 +132,43 @@ class TestConfig:
             ModelConfig(**{field: value})
         default = getattr(ModelConfig(), field)
         assert ModelConfig(**{field: np.int64(default)}) == ModelConfig()
+
+
+CONFIG_SIZES = {
+    "toy": {},
+    "wide": dict(vocab=512, dim=128, heads=8, layers_enc=6, layers_dec=6, ffn_dim=512,
+                 max_len=128),
+    "uneven": dict(vocab=7, dim=6, heads=3, layers_enc=1, layers_dec=3, ffn_dim=5, max_len=9),
+}
+
+
+class TestConfigBound:
+    @pytest.mark.parametrize("fields", CONFIG_SIZES.values(), ids=CONFIG_SIZES)
+    def test_bound_is_the_weight_count_init_weights_draws(self, monkeypatch, fields):
+        w = init_weights(ModelConfig(**fields), seed=0)
+        size = sum(a.size for a in serialize._leaves(w))
+        monkeypatch.setattr(model_mod, "MAX_WEIGHTS", size)
+        assert ModelConfig(**fields) == w.config
+        monkeypatch.setattr(model_mod, "MAX_WEIGHTS", size - 1)
+        with pytest.raises(ValueError, match=f"config has {size} weights, more than MAX_WEIGHTS"):
+            ModelConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(max_len=10**9), dict(vocab=10**12), dict(ffn_dim=2**40), dict(layers_dec=10**7),
+         dict(dim=2**20, heads=1)],
+        ids=["max_len", "vocab", "ffn_dim", "layers_dec", "dim"],
+    )
+    def test_config_too_large_to_build_is_refused_unallocated(self, fields):
+        # once accepted, init_weights then allocated until the process died
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than MAX_WEIGHTS 134217728"):
+                ModelConfig(**fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestPositions:
@@ -274,6 +313,23 @@ class TestForwardStandard:
             forward_standard(toy_model, [3, 64], [BOS_ID])
         with pytest.raises(ValueError, match="outside"):
             forward_standard(toy_model, [3], [-1])
+        with pytest.raises(ValueError, match="source not usable: contains a bool"):
+            greedy_decode(toy_model, [4, True], 3)
+        # all bools, as a list or an array, are held as bools: the old message
+        for ids in ([True, False], np.array([True, False])):
+            with pytest.raises(ValueError, match="not int64-sized integers"):
+                forward_standard(toy_model, ids, [BOS_ID])
+
+    @pytest.mark.parametrize(
+        "src, tgt, what",
+        [([True, 6], [BOS_ID], "source"), ([3, 6], [BOS_ID, np.False_], "target"),
+         ((5, np.True_), [BOS_ID], "source")],
+        ids=["bool-in-source", "numpy-bool-in-target", "numpy-bool-in-tuple"],
+    )
+    def test_bool_ids_in_a_list_are_refused(self, toy_model, src, tgt, what):
+        # NumPy reads [True, 6] as [1, 6], which ran as BOS then token 6
+        with pytest.raises(ValueError, match=f"{what} not usable: contains a bool, not a token id"):
+            forward_standard(toy_model, src, tgt)
 
 
 class TestReinterpret:

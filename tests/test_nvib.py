@@ -18,7 +18,8 @@ from nvtransformer import (
     identity_taus,
     project,
 )
-from reference import log_alpha_total, to_gaussian_mixture
+from nvtransformer.nvib import token_log_alpha
+from reference import clamp_every_call, log_alpha_total, to_gaussian_mixture
 
 
 def small_prior(d=2, group="encoder"):
@@ -306,6 +307,28 @@ class TestProject:
                 NvibProjection(b_sigma=b_sigma, w_alpha=np.zeros(2), b_alpha=b_alpha, prior=p)
 
 
+C = LOG_ALPHA_CLAMP
+UP, DOWN = np.nextafter(C, np.inf), np.nextafter(-C, -np.inf)
+PAD = np.array([[True, True, False], [True, False, False]])
+# (each token's log alpha before b_alpha, b_alpha, valid), with the clamp
+# events each case must count
+CLAMP_CASES = {
+    "exactly-at-the-clamp": ([C, -C, 3.0], 0.0, None),
+    "one-ulp-past": ([UP, -C, 1.0, DOWN], 0.0, None),
+    "b_alpha-at-the-clamp": ([0.0, 0.0], C, None),
+    "past-only-on-padded-rows": ([[C, 1.0, UP], [-C, DOWN, np.inf]], np.zeros(2), PAD),
+    "past-on-real-and-padded-rows": ([[UP, 1.0, UP], [-C, DOWN, 2.0]], np.zeros(2), PAD),
+    "nan-row": ([[1.0, np.nan, 2.0], [0.0, 0.0, 0.0]], np.zeros(2), None),
+    "nan-on-a-padded-row": ([[1.0, 2.0, np.nan], [0.0, 0.0, 0.0]], np.zeros(2), PAD),
+    "nan-b_alpha-row": ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], np.array([0.0, np.nan]), PAD),
+}
+CLAMP_EVENTS = {
+    "exactly-at-the-clamp": 0, "one-ulp-past": 2, "b_alpha-at-the-clamp": 0,
+    "past-only-on-padded-rows": 0, "past-on-real-and-padded-rows": 1, "nan-row": 1,
+    "nan-on-a-padded-row": 0, "nan-b_alpha-row": 1,
+}
+
+
 class TestGuards:
     def setup_method(self):
         ALPHA_CLAMP_EVENTS.reset()
@@ -328,8 +351,23 @@ class TestGuards:
         np.testing.assert_array_equal(dp.log_alpha[:2], -LOG_ALPHA_CLAMP)
         assert ALPHA_CLAMP_EVENTS.count == 2
 
+    @pytest.mark.parametrize("case", list(CLAMP_CASES))
+    def test_clamp_taken_only_past_it_matches_clamping_always(self, case):
+        # log alpha is each token's first entry plus b_alpha; the rule that
+        # skips the clamp when nothing lies past it gives the same bits and
+        # the same event count as the rule that always clamps
+        first, b_alpha, valid = CLAMP_CASES[case]
+        first = np.asarray(first, dtype=np.float64)
+        zz = np.stack([first, np.full(first.shape, 0.25)], axis=-1)
+        proj = NvibProjection(b_sigma=np.zeros(np.shape(b_alpha) + (2,)),
+                              w_alpha=np.array([1.0, 0.0]), b_alpha=b_alpha, prior=small_prior())
+        want, events = clamp_every_call(zz, proj, valid)
+        got = token_log_alpha(zz, proj, valid)
+        assert got.tobytes() == want.tobytes()
+        assert ALPHA_CLAMP_EVENTS.count == events == CLAMP_EVENTS[case]
+
     def test_counter_reset(self):
-        ALPHA_CLAMP_EVENTS.add(5)
+        ALPHA_CLAMP_EVENTS.count += 5
         assert ALPHA_CLAMP_EVENTS.count == 5
         ALPHA_CLAMP_EVENTS.reset()
         assert ALPHA_CLAMP_EVENTS.count == 0

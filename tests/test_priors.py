@@ -169,6 +169,19 @@ class TestReservoir:
         with pytest.raises(ValueError, match="fraction"):
             reservoir_subsample(10, 1.5, 0)
 
+    @pytest.mark.parametrize("fraction", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_fraction_is_refused_by_name(self, toy_model, fraction):
+        # fraction=True once ran as 1.0
+        corpus = make_random_corpus(toy_model.config, 4, seed=1)
+        with pytest.raises(ValueError, match="fraction must be a number, got (np.)?True"):
+            estimate_priors(toy_model, corpus, fraction=fraction)
+
+    def test_bool_id_in_a_corpus_is_corpus_error_naming_the_sequence(self, toy_model):
+        corpus = make_random_corpus(toy_model.config, 4, seed=1)
+        corpus[2] = [5, True, 7]
+        with pytest.raises(CorpusError, match="sequence 2 not usable: contains a bool"):
+            estimate_priors(toy_model, corpus)
+
     def test_empty_corpus(self):
         with pytest.raises(CorpusError, match="empty"):
             reservoir_subsample(0, 0.5, 0)

@@ -329,6 +329,15 @@ class TestFormatErrors:
         ):
             load_weights(str(path))
 
+    def test_rejects_config_past_the_weight_bound_before_reading_tensors(self, tmp_path):
+        # max_len 10**9 at d 16 would be 1.6e10 weights; the header alone is refused
+        buf = bytearray(minimal_header())
+        buf[32:36] = struct.pack("<I", 10**9)  # magic, version, six fields, max_len
+        path = tmp_path / "cfg.nvtx"
+        path.write_bytes(bytes(buf))
+        with pytest.raises(WeightFormatError, match="invalid config block: .* MAX_WEIGHTS"):
+            load_weights(str(path))
+
     def test_rejects_missing_tensor(self, tmp_path):
         tail = json.dumps({"kind": "standard"}).encode()
         path = tmp_path / "empty.nvtx"
@@ -603,6 +612,8 @@ WRITTEN_CORPORA = {
     "bool-and-float": ([[True, 2.7]], "sequence 0 must be an integer, got True"),
     "float": ([[3], [4, 2.0]], "sequence 1 must be an integer, got 2.0"),
     "numpy-float": ([[3], np.array([4.0])], "sequence 1 must be an integer"),
+    "negative": ([[3], [4, -1]], "a token id of sequence 1 must be nonnegative, got -1"),
+    "numpy-negative": ([np.array([5, -2])], "sequence 0 must be nonnegative, got -2"),
 }
 
 
@@ -639,6 +650,15 @@ class TestCorpus:
         path.write_bytes(b"3 4\r5 6\r\n7\n8 \xff9\n10\n")
         with pytest.raises(CorpusError, match="line 4: 'utf-8' codec can't decode"):
             read_corpus(str(path))
+
+    def test_negative_id_is_corpus_error_named_by_line(self, tmp_path):
+        # read back, -1 was a token id; a file names its line
+        path = tmp_path / "c.txt"
+        path.write_text("3 4\n\n5 -1 6\n")
+        with pytest.raises(CorpusError, match="line 3: token ids must be nonnegative, got -1"):
+            read_corpus(str(path))
+        path.write_text("0 4\n")
+        assert read_corpus(str(path)) == [[0, 4]]
 
     def test_non_integer_is_corpus_error(self, tmp_path):
         path = tmp_path / "c.txt"
