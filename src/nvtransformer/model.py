@@ -332,7 +332,7 @@ def _check_tokens(ids, config: ModelConfig, what: str) -> np.ndarray:
         why = "contains ids that are not int64-sized integers"
     elif bools:  # NumPy reads True as 1
         why = "contains a bool, not a token id"
-    elif np.any(ids < 0) or np.any(ids >= config.vocab):
+    elif ids.min() < 0 or ids.max() >= config.vocab:
         why = f"contains ids outside [0, {config.vocab})"
     else:
         return ids.astype(np.int64, copy=False)

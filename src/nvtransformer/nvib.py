@@ -151,7 +151,7 @@ class EmpiricalPrior:
         object.__setattr__(self, "layer_id", int(self.layer_id))
         for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
             value = np.asarray(getattr(self, name))
-            if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
+            if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite real numbers")
             if value.ndim and name in ("log_alpha0_p", "epsilon_alpha"):
                 raise ValueError(f"{name} must be a number, got shape {value.shape}")
@@ -159,13 +159,15 @@ class EmpiricalPrior:
             object.__setattr__(self, name, value if value.ndim else float(value))
         if np.ndim(self.mu_p) != 1 or np.shape(self.sigma_p) != np.shape(self.mu_p):
             raise ValueError("mu_p and sigma_p must be matching vectors")
-        with np.errstate(over="ignore"):   # the squares the kernel takes
-            if not np.all(np.isfinite(self.sigma_p**2)):
-                raise ValueError("sigma_p squared overflows float64")
-            if not np.isfinite(np.sum(self.mu_p**2)):
-                raise ValueError("sum(mu_p**2) overflows float64")
         lo, hi = SIGMA_P_RANGE
-        if not np.all((self.sigma_p >= lo) & (self.sigma_p <= hi)):
+        # sigma_p's extremes decide its checks; the initials pass an empty one
+        s_min, s_max = self.sigma_p.min(initial=hi), self.sigma_p.max(initial=lo)
+        with np.errstate(over="ignore"):   # the squares the kernel takes
+            if not math.isfinite(max(-s_min, s_max) ** 2):
+                raise ValueError("sigma_p squared overflows float64")
+            if not math.isfinite(np.add.reduce(self.mu_p * self.mu_p)):
+                raise ValueError("sum(mu_p**2) overflows float64")
+        if not (lo <= s_min and s_max <= hi):
             raise ValueError(f"sigma_p must be positive and within [{lo:.3g}, {hi:.3g}]")
         if self.epsilon_alpha < 0.0:
             raise ValueError("epsilon_alpha must be nonnegative")

@@ -81,8 +81,9 @@ class WelfordAccumulator:
         k = x.shape[0]
         if k == 0:
             return
-        b_mean = np.mean(x, axis=0)
-        b_m2 = np.sum((x - b_mean) ** 2, axis=0)
+        # np.mean and np.sum's own reduction and division, without their wrappers
+        b_mean = np.add.reduce(x, axis=0) / k
+        b_m2 = np.add.reduce((x - b_mean) ** 2, axis=0)
         self._merge(k, b_mean, b_m2)
 
     def merge(self, other: "WelfordAccumulator") -> None:
@@ -120,7 +121,7 @@ class _SiteAcc:
 
     def add(self, z: np.ndarray, scale: float) -> None:
         self.vec.add_batch(z)
-        self.norm.add_batch(np.sum(z * z, axis=1) / (2.0 * scale))
+        self.norm.add_batch(np.add.reduce(z * z, axis=1) / (2.0 * scale))
 
     def merge(self, other: "_SiteAcc") -> None:
         self.vec.merge(other.vec)
@@ -212,7 +213,8 @@ def estimate_priors(
     lengths = np.array([seq.size for seq in checked])
 
     cut = config.max_len
-    bounds = np.linspace(0, len(idx), shards + 1).astype(int)
+    # shards past the subsample's size would hold nothing: the same priors, no empty loops
+    bounds = np.linspace(0, len(idx), min(shards, len(idx)) + 1).astype(int)
     cross = [site for site in site_list if site[0] == "cross"]
     merged = {site: _SiteAcc.fresh(config.dim) for site in site_list}
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -234,8 +236,9 @@ def estimate_priors(
             pos = a + bucket
             ids, valid = _pad([checked[p] for p in pos])
             # each row's decoder input is ([BOS] + seq)[:max_len]
-            tgt = np.pad(ids, ((0, 0), (1, 0)), constant_values=BOS_ID)[:, :cut]
-            tgt_valid = np.pad(valid, ((0, 0), (1, 0)), constant_values=True)[:, :cut]
+            first = np.ones((len(pos), 1), dtype=bool)
+            tgt = np.concatenate((first * BOS_ID, ids), axis=1)[:, :cut]
+            tgt_valid = np.concatenate((first, valid), axis=1)[:, :cut]
             seen.clear()
             with suppress(_AllSitesSeen):
                 _teacher_forced(w, ids, tgt, hook, valid, tgt_valid)

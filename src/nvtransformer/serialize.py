@@ -27,6 +27,12 @@ misshapen, duplicate, unknown and non-UTF-8-named tensors, tensors of rank
 above 64 or holding a NaN or an infinity, a tail off that rule, weights that
 overflow the twin's forms, any length past the end of the file, and any
 trailing bytes.
+
+The writer and the reader go tensor by tensor and hold no copy of the
+file: the writer packs a tensor's header into one write and writes its
+payload from the array's own buffer; the reader takes a tensor's name and
+rank in one read, its dims in another and its payload straight into its
+array.
 """
 
 from __future__ import annotations
@@ -145,18 +151,23 @@ def _json_value(value, tp, name: str):
     if tp in _FIELD_TYPES:
         return tp(**_fields(value, _FIELD_TYPES[tp], name))
     item = float if tp is np.ndarray else get_args(tp)[0]
-    return [_json_value(v, item, name) for v in _json_value(value, list, name)]
+    values = _json_value(value, list, name)
+    if item is float and {*map(type, values)} <= {float}:  # all floats: nothing to convert
+        return values
+    return [_json_value(v, item, name) for v in values]
+
+
+def _as_dict(obj) -> dict:
+    """A tail dataclass's fields by name, its arrays shared, not copied."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def save_weights(path: str, model: ModelWeights | NvModel) -> None:
     """Write a ModelWeights or NvModel to an NVTX file."""
     if isinstance(model, NvModel):
         w = model.base
-        tail = {
-            "kind": "nv",
-            "taus": dataclasses.asdict(model.taus),
-            "priors": [dataclasses.asdict(p) for p in model.priors],
-        }
+        tail = {"kind": "nv", "taus": _as_dict(model.taus),
+                "priors": [_as_dict(p) for p in model.priors]}
     elif isinstance(model, ModelWeights):
         w = model
         tail = {"kind": "standard"}
@@ -164,20 +175,13 @@ def save_weights(path: str, model: ModelWeights | NvModel) -> None:
         raise TypeError(f"cannot serialise {type(model).__name__}")
 
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name in _CONFIG_FIELDS:
-            fh.write(struct.pack("<I", getattr(w.config, name)))
         items = list(_tensor_items(w))
-        fh.write(struct.pack("<I", len(items)))
+        config = [getattr(w.config, name) for name in _CONFIG_FIELDS]
+        fh.write(struct.pack(f"<4s{len(config) + 2}I", MAGIC, VERSION, *config, len(items)))
         for name, arr in items:
             raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
         blob = json.dumps(
             tail, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist
         ).encode()
@@ -211,8 +215,8 @@ class _Reader:
         self.left -= n
         return arr
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.exact(4))[0]
+    def u32s(self, n: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", self.exact(4 * n))
 
 
 def _expect(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
@@ -233,28 +237,28 @@ def load_weights(path: str) -> ModelWeights | NvModel:
         rd = _Reader(fh)
         if rd.exact(4) != MAGIC:
             raise WeightFormatError("bad magic bytes (not an NVTX file)")
-        version = rd.u32()
+        (version,) = rd.u32s(1)
         if version != VERSION:
             raise WeightFormatError(f"unsupported version {version}")
-        fields = {name: rd.u32() for name in _CONFIG_FIELDS}
+        fields = dict(zip(_CONFIG_FIELDS, rd.u32s(len(_CONFIG_FIELDS))))
         try:
             config = ModelConfig(**fields)
         except ValueError as e:
             raise WeightFormatError(f"invalid config block: {e}") from e
 
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(rd.u32()):
+        for _ in range(rd.u32s(1)[0]):
+            head = rd.exact(rd.u32s(1)[0] + 4)  # the name and the rank after it
             try:
-                name = rd.exact(rd.u32()).decode("utf-8")
+                name = head[:-4].decode("utf-8")
             except UnicodeDecodeError as e:
                 raise WeightFormatError(f"tensor name is not UTF-8: {e}") from e
             if name in tensors:
                 raise WeightFormatError(f"duplicate tensor {name!r}")
-            rank = rd.u32()
+            rank = int.from_bytes(head[-4:], "little")
             if rank > 64:  # NumPy's limit on an array's dimensions
                 raise WeightFormatError(f"tensor {name!r} has rank {rank} > 64")
-            shape = tuple(rd.u32() for _ in range(rank))
-            arr = rd.floats(shape)
+            arr = rd.floats(rd.u32s(rank))
             if not np.isfinite(arr).all():
                 raise WeightFormatError(f"tensor {name!r} has non-finite values")
             tensors[name] = arr

@@ -29,13 +29,14 @@ checkout's own battery instead:
 It covers the toy config at model seeds 7 and 14, `--dim 32 --heads 4` and
 the wide config (vocab 512, d 128, 8 heads, 6+6 layers).  Per config: the
 `init-model` and `estimate-prior` NVTX files and the prior report, the
-`certify` stdout, two `sweep` CSVs, `attn-dump` maps at the identity and at
-collapsing dials, the standard model's and two twins' teacher-forced logits
-and greedy decodes, and a sweep's padded mixed batch (the standard rows
-first, then twins at several dials), its logits and decodes, with and
-without an EOS bias that ends some decodes early.  It reads only the CLI and
-the model's batched internals, and pytest does not collect it.  It runs in
-about ten seconds on one core.
+same at `--fraction 0.5 --shards 3`, the `certify` stdout, two `sweep`
+CSVs, `attn-dump` maps at the identity and at collapsing dials, the
+standard model's and two twins' teacher-forced logits and greedy decodes,
+and a sweep's padded mixed batch (the standard rows first, then twins at
+several dials), its logits and decodes, with and without an EOS bias that
+ends some decodes early.  It reads only the CLI and the model's batched
+internals, and pytest does not collect it.  It runs in about ten seconds on
+one core.
 """
 
 from __future__ import annotations
@@ -116,12 +117,18 @@ def cli_artifacts(tmp: str, flags: list[str], seed: int) -> tuple[dict[str, obje
     with open(corpus, "w", encoding="utf-8") as fh:
         for seq in make_random_corpus(config, 40, seed=seed + 1, max_len=min(config.max_len, 30)):
             fh.write(" ".join(map(str, seq)) + "\n")
+    # a subsample in shards: the reservoir and the shard merge
+    half = os.path.join(tmp, "half.nvtx")
+    run_cli(tmp, "estimate-prior", "--model", base, "--corpus", corpus, "--out", half,
+            "--fraction", "0.5", "--shards", "3")
     out = {
         "init-model.nvtx": read(base),
         "estimate-prior.stdout": run_cli(
             tmp, "estimate-prior", "--model", base, "--corpus", corpus, "--out", twin),
         "estimate-prior.nvtx": read(twin),
         "estimate-prior.csv": read(twin + ".csv"),
+        "estimate-prior-half-3-shards.nvtx": read(half),
+        "estimate-prior-half-3-shards.csv": read(half + ".csv"),
         "certify.stdout": run_cli(tmp, "certify", "--model", twin),
         "certify-off-identity.stdout": run_cli(
             tmp, "certify", "--model", twin, "--tau-alpha", "0", "--tau-sigma", "0.3",

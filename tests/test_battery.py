@@ -13,6 +13,7 @@ from nvtransformer import load_weights
 
 CLI_ARTIFACTS = [
     "init-model.nvtx", "estimate-prior.stdout", "estimate-prior.nvtx", "estimate-prior.csv",
+    "estimate-prior-half-3-shards.nvtx", "estimate-prior-half-3-shards.csv",
     "certify.stdout", "certify-off-identity.stdout", "sweep-interp:5.csv", "sweep-random:3.csv",
     "attn-dump-identity.csv", "attn-dump-collapse.csv",
 ]

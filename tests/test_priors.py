@@ -257,6 +257,21 @@ class TestEstimatePriors:
             np.testing.assert_allclose(a.log_alpha0_p, b.log_alpha0_p, rtol=1e-13)
             np.testing.assert_allclose(a.epsilon_alpha, b.epsilon_alpha, rtol=1e-13)
 
+    def test_shards_past_the_subsample_cost_nothing(self, toy_model, monkeypatch):
+        # shards past the three sequences would hold nothing: they are
+        # neither bucketed nor looped over, and the priors are those of one
+        # shard per sequence, bit for bit
+        corpus = make_random_corpus(toy_model.config, 3, seed=48)
+        want = estimate_priors(toy_model, corpus, shards=3)
+        calls = []
+        monkeypatch.setattr(priors_module, "_buckets",
+                            lambda lengths: calls.append(lengths.size) or _buckets(lengths))
+        got = estimate_priors(toy_model, corpus, shards=10**5)
+        assert calls == [1, 1, 1]
+        for a, b in zip(want, got):
+            for name in ("mu_p", "sigma_p", "log_alpha0_p", "epsilon_alpha"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_subsample_uses_reservoir_indices(self, toy_model):
         corpus = make_random_corpus(toy_model.config, 40, seed=46)
         got = estimate_priors(toy_model, corpus, fraction=0.5, seed=11)

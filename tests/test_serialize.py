@@ -1,8 +1,10 @@
 """Tests for the NVTX weight container and corpus files."""
 
 import json
+import os
 import re
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 from typing import get_origin, get_type_hints
 
@@ -24,7 +26,7 @@ from nvtransformer import (
     save_weights,
     write_corpus,
 )
-from nvtransformer.model import _build
+from nvtransformer.model import _build, sites
 from nvtransformer.nvib import EmpiricalPrior, TauConfig
 from nvtransformer.serialize import MAGIC, VERSION, _CONFIG_FIELDS, _tensor_items
 
@@ -390,6 +392,31 @@ class TestFormatErrors:
         with pytest.raises(WeightFormatError, match="7 trailing bytes"):
             load_weights(str(bad))
 
+    def test_every_prefix_is_truncated_and_one_byte_more_trails(self, tmp_path):
+        # a twin small enough to cut at every byte: header, each tensor's
+        # name, rank, dims and payload, the tail's length and its JSON
+        config = ModelConfig(vocab=3, dim=8, heads=2, layers_enc=1, layers_dec=1,
+                             ffn_dim=1, max_len=1)
+        priors = [EmpiricalPrior(np.full(8, 0.5), np.ones(8), 1.0, 0.25, *site)
+                  for site in sites(config)]
+        path = tmp_path / "twin.nvtx"
+        save_weights(str(path), reinterpret(init_weights(config, 0), priors, TauConfig()))
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(WeightFormatError, match="^1 trailing bytes after the JSON tail$"):
+            load_weights(str(path))
+        refusals = set()
+        for n in reversed(range(path.stat().st_size - 1)):
+            os.truncate(path, n)  # cut in place: a write per prefix would take longer
+            try:
+                load_weights(str(path))
+            except WeightFormatError as e:
+                refusals.add(str(e))
+            else:
+                pytest.fail(f"the {n}-byte prefix loaded")
+        # a cut JSON tail's refusal is worded as the tail's
+        assert refusals == {"truncated weight file", "bad JSON tail: truncated weight file"}
+
     def test_rejects_unknown_kind(self, with_tail, toy_model):
         # a tail that is no JSON object has no kind to read
         for edit, want in [
@@ -418,6 +445,41 @@ class TestFormatErrors:
     def test_save_rejects_other_types(self, tmp_path):
         with pytest.raises(TypeError, match="serialise"):
             save_weights(str(tmp_path / "x.nvtx"), {"not": "a model"})
+
+
+class TestMemory:
+    """Save and load go tensor by tensor, each payload written from its
+    array's buffer or read into its array: on the wide config a whole-file
+    buffer (21 MB) or a copy of one tensor would show in the traced peak.
+    Measured with CPython 3.11 and NumPy 2.4: saving the twin peaks at
+    371 KB, most of it the JSON tail, and loading the plain model at 132 KB
+    above the 21.0 MB of arrays it returns.  A `tobytes` copy of each
+    payload written puts the save's peak at 579 KB, and a copy of each
+    payload read puts the load's at 576 KB above the arrays."""
+
+    WIDE = ModelConfig(vocab=512, dim=128, heads=8, layers_enc=6, layers_dec=6,
+                       ffn_dim=512, max_len=128)
+
+    def test_save_and_load_peaks(self, tmp_path):
+        w = init_weights(self.WIDE, 0)
+        tensors = [arr.nbytes for _, arr in _tensor_items(w)]
+        priors = [EmpiricalPrior(np.zeros(128), np.ones(128), 1.0, 0.5, *site)
+                  for site in sites(self.WIDE)]
+        twin = reinterpret(w, priors, TauConfig())
+        path = str(tmp_path / "wide.nvtx")
+        save_weights(path, w)  # the config's tensor names are made once, here
+        tracemalloc.start()
+        try:
+            save_weights(str(tmp_path / "twin.nvtx"), twin)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_weights(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < max(tensors)
+        assert load_peak < sum(tensors) + max(tensors) // 2
+        assert back.config == self.WIDE
 
 
 # the twin tail's objects, each at its path with its fields' annotations,
