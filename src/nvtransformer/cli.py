@@ -36,7 +36,7 @@ from .model import (
 )
 from .nvib import GROUPS, TauConfig, identity_taus
 from .priors import estimate_priors, prior_report
-from .serialize import load_weights, parse_token_ids, read_corpus, save_weights
+from .serialize import csv_text, load_weights, parse_token_ids, read_corpus, save_weights
 
 __all__ = ["main", "entry"]
 
@@ -189,15 +189,9 @@ def _cmd_attn_dump(args) -> int:
     tgt = ([BOS_ID] + src)[: nvm.base.config.max_len]
     forward_nv(nvm, src, tgt, map_hook=hook)
     mat = maps[args.group, args.layer]
-    n = mat.shape[1] - 1
-    header = "query," + ",".join(f"k{j}" for j in range(n)) + ",[P]"
-    lines = [header]
-    for q in range(mat.shape[0]):
-        lines.append(
-            f"{q}," + ",".join(f"{v:.12g}" for v in mat[q])
-        )
+    header = "query," + ",".join(f"k{j}" for j in range(mat.shape[1] - 1)) + ",[P]"
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(header, ((q, *row) for q, row in enumerate(mat))))
     print(f"wrote {mat.shape[0]}x{mat.shape[1]} attention map -> {args.out}")
     return 0
 

@@ -291,19 +291,18 @@ def _general_path(q, dp: DpPosterior, params: AttentionParams):
         - 0.5 * np.sum(np.log(var_r), axis=-1)
     )
 
-    def per_head(x):                                # (..., n+1, d) -> (..., 1, n+1, d)
-        return x[..., None, :, :]
-
+    # each (..., n+1, d) component array is shared by the h heads as (..., 1, n+1, d)
     u = q @ split_heads(params.wk, h).swapaxes(-1, -2)         # (..., h, m, d)
     scores = (
-        u @ per_head(mu * inv_var).swapaxes(-1, -2)
-        - 0.5 * (u * u) @ per_head(inv_var).swapaxes(-1, -2)
+        u @ (mu * inv_var)[..., None, :, :].swapaxes(-1, -2)
+        - 0.5 * (u * u) @ inv_var[..., None, :, :].swapaxes(-1, -2)
         + c[..., None, None, :]
     )
 
     def mix(w):
         # denoised vectors: interpolate query toward means, then project
-        denoised = (w @ per_head(sig2 * inv_var)) * u + w @ per_head(scale * inv_var * mu)
+        denoised = (w @ (sig2 * inv_var)[..., None, :, :]) * u
+        denoised += w @ (scale * inv_var * mu)[..., None, :, :]
         return denoised @ split_heads(params.wv, h)
 
     return scores, mix

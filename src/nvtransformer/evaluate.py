@@ -28,7 +28,7 @@ from .model import (
 from .model import forward_nv, forward_standard, greedy_decode, reinterpret
 from .nvib import GROUPS, EmpiricalPrior, TauConfig, identity_taus
 from .numeric import _check_count, _check_integer, make_rng
-from .serialize import _TOKEN_ID
+from .serialize import _TOKEN_ID, csv_text
 
 __all__ = [
     "TAU_ALPHA_RANGE",
@@ -255,8 +255,4 @@ SWEEP_HEADER = (
 def sweep_csv(rows: list[SweepRow]) -> str:
     """One line per row: the six dials in TauConfig field order, then the
     SweepRow metrics in field order."""
-    out = [SWEEP_HEADER]
-    for r in rows:
-        values = astuple(r.taus) + astuple(r)[1:]
-        out.append(",".join(f"{v:.12g}" for v in values))
-    return "\n".join(out) + "\n"
+    return csv_text(SWEEP_HEADER, (astuple(r.taus) + astuple(r)[1:] for r in rows))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,19 +53,8 @@ GROUPS = ("encoder", "cross", "decoder")
 _FIELD_SUFFIX = {"encoder": "enc", "cross": "cross", "decoder": "dec"}
 
 
-class _ClampCounter:
-    """Counts how often projected log pseudo-counts hit the clamp."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-ALPHA_CLAMP_EVENTS = _ClampCounter()
+# how often projected log pseudo-counts hit the clamp; zeroed by assigning 0
+ALPHA_CLAMP_EVENTS = SimpleNamespace(count=0)
 
 
 @dataclass(frozen=True)

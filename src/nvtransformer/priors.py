@@ -42,6 +42,7 @@ from .model import BOS_ID, ModelWeights, _check_tokens, _pad, _teacher_forced, s
 from .model import forward_standard
 from .nvib import GROUPS, EmpiricalPrior
 from .numeric import _check_integer, make_rng
+from .serialize import csv_text
 
 __all__ = [
     "WelfordAccumulator",
@@ -250,11 +251,9 @@ def estimate_priors(
 def prior_report(priors: list[EmpiricalPrior]) -> str:
     """CSV summary, one row per site, ordered by group then layer id."""
     order = {g: i for i, g in enumerate(GROUPS)}
-    rows = ["layer,group,mu_mean,var_mean,log_alpha0,epsilon_alpha"]
-    for p in sorted(priors, key=lambda p: (order[p.layer_group], p.layer_id)):
-        rows.append(
-            f"{p.layer_id},{p.layer_group},"
-            f"{np.mean(p.mu_p):.12g},{np.mean(p.sigma_p ** 2):.12g},"
-            f"{p.log_alpha0_p:.12g},{p.epsilon_alpha:.12g}"
-        )
-    return "\n".join(rows) + "\n"
+    return csv_text(
+        "layer,group,mu_mean,var_mean,log_alpha0,epsilon_alpha",
+        ((p.layer_id, p.layer_group, np.mean(p.mu_p), np.mean(p.sigma_p ** 2),
+          p.log_alpha0_p, p.epsilon_alpha)
+         for p in sorted(priors, key=lambda p: (order[p.layer_group], p.layer_id))),
+    )

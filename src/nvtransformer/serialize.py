@@ -1,4 +1,4 @@
-"""NVTX weight container and corpus text files.
+"""NVTX weight container, corpus text files and CSV tables.
 
 Layout (all integers little-endian):
 
@@ -33,6 +33,9 @@ file: the writer packs a tensor's header into one write and writes its
 payload from the array's own buffer; the reader takes a tensor's name and
 rank in one read, its dims in another and its payload straight into its
 array.
+
+The package's CSV tables (the `estimate-prior` report, the `sweep` table
+and the `attn-dump` map) are written by one function, `csv_text`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 import os
 import re
 import struct
-from typing import BinaryIO, Iterator, get_args, get_type_hints
+from typing import BinaryIO, Iterable, Iterator, get_args, get_type_hints
 
 import numpy as np
 
@@ -61,6 +64,7 @@ __all__ = [
     "parse_token_ids",
     "read_corpus",
     "write_corpus",
+    "csv_text",
 ]
 
 MAGIC = b"NVTX"
@@ -263,9 +267,9 @@ def load_weights(path: str) -> ModelWeights | NvModel:
                 raise WeightFormatError(f"tensor {name!r} has non-finite values")
             tensors[name] = arr
 
-        blob_len = struct.unpack("<Q", rd.exact(8))[0]
+        blob = rd.exact(struct.unpack("<Q", rd.exact(8))[0])
         try:
-            tail = json.loads(rd.exact(blob_len).decode("utf-8"), object_pairs_hook=_json_object)
+            tail = json.loads(blob.decode("utf-8"), object_pairs_hook=_json_object)
         except (RecursionError, ValueError) as e:  # not UTF-8 JSON, too deep, a repeat
             raise WeightFormatError(f"bad JSON tail: {e}") from e
         if rd.left:
@@ -337,3 +341,11 @@ def write_corpus(path: str, seqs: list[list[int]]) -> None:
         for seq in seqs:
             fh.write(" ".join(str(int(t)) for t in seq))
             fh.write("\n")
+
+
+def csv_text(header: str, rows: Iterable[tuple]) -> str:
+    """A CSV table: the header line, one comma-joined line per row (a string
+    as it is, a number as `.12g`) and a final newline."""
+    lines = [header]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

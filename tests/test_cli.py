@@ -160,7 +160,7 @@ class TestEstimatePrior:
         assert (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("bad", ["out", "report"])
-    @pytest.mark.parametrize("how", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("how", ["directory", "missing-parent", "denied"])
     def test_unwritable_output_exits_before_the_corpus_pass(
         self, workdir, tmp_path, capsys, monkeypatch, bad, how
     ):
@@ -171,16 +171,24 @@ class TestEstimatePrior:
         outdir = tmp_path / "outputs"
         outdir.mkdir()
         paths = {"out": str(outdir / "p.nvtx"), "report": str(outdir / "p.csv")}
-        paths[bad] = str(outdir) if how == "directory" else str(outdir / "nope" / "x")
+        paths[bad] = {"directory": str(outdir), "missing-parent": str(outdir / "nope" / "x"),
+                      "denied": str(tmp_path / "read-only")}[how]
+        if how == "denied":  # root may write anywhere, so the denial is faked
+            (tmp_path / "read-only").write_bytes(b"kept")
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda p, mode: p != paths[bad] and access(p, mode))
         r = main([
             "estimate-prior", "--model", workdir["model"],
             "--corpus", workdir["corpus"],
             "--out", paths["out"], "--report", paths["report"],
         ])
         assert r == 2
-        strerror = "Is a directory" if how == "directory" else "No such file or directory"
+        strerror = {"directory": "Is a directory", "missing-parent": "No such file or directory",
+                    "denied": "Permission denied"}[how]
         assert f"{strerror}: '{paths[bad]}'" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
+        if how == "denied":
+            assert (tmp_path / "read-only").read_bytes() == b"kept"
 
     def test_report_naming_the_out_file_exits_before_the_corpus_pass(
         self, workdir, tmp_path, capsys, monkeypatch

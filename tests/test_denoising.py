@@ -204,14 +204,14 @@ class TestHeadSpace:
         z[3, 3] = 60.0                           # past the clamp, but padded
         valid = np.arange(n) < np.array([6, 4, 5, 3])[:, None]
 
-        ALPHA_CLAMP_EVENTS.reset()
+        ALPHA_CLAMP_EVENTS.count = 0
         dp = project(z, proj, valid)
         want_clamps = ALPHA_CLAMP_EVENTS.count
         want = posterior_keys(dp, params)
-        ALPHA_CLAMP_EVENTS.reset()
+        ALPHA_CLAMP_EVENTS.count = 0
         got = head_keys(z, proj, params, forms, valid).rows
         assert ALPHA_CLAMP_EVENTS.count == want_clamps == 2 + 5
-        ALPHA_CLAMP_EVENTS.reset()
+        ALPHA_CLAMP_EVENTS.count = 0
 
         assert got[..., :-1, :d].tobytes() == z.tobytes()  # -0.0 kept
         np.testing.assert_array_equal(got[..., :-1, -1][~valid], -np.inf)
@@ -263,7 +263,7 @@ class TestHeadSpace:
         w_alpha = np.full(d, 1.0 / (2.0 * np.sqrt(d / h)))
         for tau_sigma, b_alpha, clamps in [(0.5, 0.0, 1), (TAU_SIGMA_MIN, 1e4, 9)]:
             proj = replace(identity_init(prior, 1.0, tau_sigma, d=d, h=h), b_alpha=b_alpha)
-            ALPHA_CLAMP_EVENTS.reset()
+            ALPHA_CLAMP_EVENTS.count = 0
             dp = project(z, proj)
             assert dp.mu[:-1].tobytes() == z.tobytes()
             log_sig2 = np.minimum(proj.b_sigma, LOG_ALPHA_CLAMP)
@@ -276,7 +276,7 @@ class TestHeadSpace:
             assert ALPHA_CLAMP_EVENTS.count == clamps
         # at the floor dial the smallest prior std puts its tokens on the floor
         assert dp.sigma[0, np.argmin(prior.sigma_p)] == np.sqrt(SIGMA_SQ_FLOOR)
-        ALPHA_CLAMP_EVENTS.reset()
+        ALPHA_CLAMP_EVENTS.count = 0
 
 
 class TestIdentityEquivalence:

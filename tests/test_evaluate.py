@@ -408,7 +408,7 @@ class TestBatchedSweep:
             by_group[proj.prior.layer_group] += ALPHA_CLAMP_EVENTS.count - before
             return keyed
 
-        ALPHA_CLAMP_EVENTS.reset()
+        ALPHA_CLAMP_EVENTS.count = 0
         with monkeypatch.context() as patch:
             patch.setattr(model_mod, "head_keys", counting_head_keys)
             _, decodes = per_pair_sweep(w, toy_priors, points, trials=4, seed=9)
@@ -417,10 +417,10 @@ class TestBatchedSweep:
         want = ALPHA_CLAMP_EVENTS.count - twice // 2
         # rows of the first point stop at different steps
         assert {len(d) for d in decodes[0]} == {2, DECODE_STEPS}
-        ALPHA_CLAMP_EVENTS.reset()
+        ALPHA_CLAMP_EVENTS.count = 0
         run_sweep(w, toy_priors, points, trials=4, seed=9)
         got = ALPHA_CLAMP_EVENTS.count
-        ALPHA_CLAMP_EVENTS.reset()
+        ALPHA_CLAMP_EVENTS.count = 0
         assert want > 0
         assert got == want
 

@@ -15,6 +15,7 @@ a copy of the package with an unused def added and a kept def renamed.
 import ast
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +25,7 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "nvtransformer"
 
 # def -> why the package keeps it though the traffic never enters it; the
-# README's Python API section lists the same
+# README's Python API section lists the same names (checked below)
 TRACER = "bench/spans.py patches or reads it (ROADMAP item 1)"
 GENERAL = "the reference the head-space path is tested against at 1e-12"
 KEPT = {
@@ -32,10 +33,7 @@ KEPT = {
     "nvib.project": TRACER,
     "nvib.DpPosterior.__post_init__": TRACER,
     "denoising._general_path": GENERAL,
-    "denoising._general_path.per_head": GENERAL,
     "denoising._general_path.mix": GENERAL,
-    "nvib._ClampCounter.reset": "the tests zero the clamp counter with it; "
-    "a per-run probe is to replace the counter (ROADMAP item 5)",
     "cli.entry": "the installed console script, which CI's smoke test runs",
 }
 
@@ -89,6 +87,15 @@ def readme_example() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
+def readme_kept() -> set[str]:
+    """The names in the lead of each bullet of the README's kept list (the
+    text before its first colon)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"kept\s+list:\n\n((?:(?:- |  ).*\n)+)", text).group(1)
+    leads = [bullet.split(":", 1)[0] for bullet in re.split(r"^- ", block, flags=re.M)]
+    return {name for lead in leads for name in re.findall(r"`([^`]+)`", lead)}
+
+
 def package_defs(package: pathlib.Path = PACKAGE) -> dict[tuple[str, int], str]:
     """(file, first line) -> dotted name of every def in the package; a
     nested def is named through its enclosing classes and defs."""
@@ -131,6 +138,10 @@ def test_every_def_is_entered_or_kept_with_a_reason():
     assert not unkept, f"never entered and not kept: {unkept}"
     # each kept entry names a def, and one the traffic does not reach
     assert not stale, f"kept but entered, or no such def: {stale}"
+
+
+def test_readme_lists_the_kept_defs():
+    assert readme_kept() == KEPT.keys()
 
 
 def test_guard_names_an_unused_def_and_a_kept_entry_that_is_gone(tmp_path):

@@ -28,7 +28,7 @@ from nvtransformer import (
 )
 from nvtransformer.model import _build, sites
 from nvtransformer.nvib import EmpiricalPrior, TauConfig
-from nvtransformer.serialize import MAGIC, VERSION, _CONFIG_FIELDS, _tensor_items
+from nvtransformer.serialize import MAGIC, VERSION, _CONFIG_FIELDS, _Reader, _tensor_items
 
 
 class TestStandardRoundTrip:
@@ -227,6 +227,27 @@ class TestLengthChecks:
         with pytest.raises(WeightFormatError, match="truncated"):
             load_weights(str(bad))
 
+    def test_rejects_file_cut_after_the_reader_took_its_size(
+        self, tmp_path, toy_model, monkeypatch
+    ):
+        # lengths are checked against the size the reader took on opening; a
+        # file cut after that is refused by the read that comes up short,
+        # here 8 bytes into the first tensor's payload
+        path = tmp_path / "m.nvtx"
+        save_weights(str(path), toy_model)
+        name, arr = next(iter(_tensor_items(toy_model)))
+        cut = len(MAGIC) + 4 * (len(_CONFIG_FIELDS) + 2) + 4 + len(name) + 4 + 4 * arr.ndim + 8
+        take_size = _Reader.__init__
+
+        def take_size_then_cut(self, fh):
+            take_size(self, fh)
+            os.truncate(path, cut)
+
+        monkeypatch.setattr(_Reader, "__init__", take_size_then_cut)
+        with pytest.raises(WeightFormatError, match="^truncated weight file$") as refusal:
+            load_weights(str(path))
+        assert refusal.traceback[-1].name == "floats"
+
     def test_rejects_rank_above_numpy_limit(self, tmp_path):
         # 65 dims of size 1 claim an 8-byte payload, which the file holds,
         # but NumPy cannot make an array of that rank
@@ -414,8 +435,8 @@ class TestFormatErrors:
                 refusals.add(str(e))
             else:
                 pytest.fail(f"the {n}-byte prefix loaded")
-        # a cut JSON tail's refusal is worded as the tail's
-        assert refusals == {"truncated weight file", "bad JSON tail: truncated weight file"}
+        # a cut JSON tail is refused as every other cut is
+        assert refusals == {"truncated weight file"}
 
     def test_rejects_unknown_kind(self, with_tail, toy_model):
         # a tail that is no JSON object has no kind to read
