@@ -169,16 +169,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_attn_dump(args) -> int:
     _check_outputs({"--model": args.model}, {"--out": args.out})
     nvm = _load_nv(args.model)
+    if (args.group, args.layer) not in sites(nvm.base.config):
+        raise ValueError(f"layer {args.layer} out of range for group {args.group}")
     if args.tau_alpha is not None or args.tau_sigma is not None:
         taus = TauConfig.uniform(
             _IDENTITY.tau_alpha_enc if args.tau_alpha is None else args.tau_alpha,
             _IDENTITY.tau_sigma_enc if args.tau_sigma is None else args.tau_sigma,
         )
         nvm = reinterpret(nvm.base, nvm.priors, taus)
-    if (args.group, args.layer) not in sites(nvm.base.config):
-        raise ValueError(
-            f"layer {args.layer} out of range for group {args.group}"
-        )
     src = parse_token_ids(args.input)
     maps: dict[tuple[str, int], np.ndarray] = {}
 

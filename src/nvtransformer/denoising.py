@@ -24,10 +24,10 @@ per site by `site_forms`); the component means enter only through
 head-width keys and values, written in one pass from the site's vectors
 (`head_keys`).  The two paths agree to rounding error.  A
 keyed posterior is one (n+1, 3d+1) row matrix, [P] last, [mu | k | v | c]
-(`KeyedPosterior.rows`).  Each row depends on its own component alone, so a
-causal cache appends a step's rows to one buffer.  A keyed posterior
-without forms is standard attention, the twin at zero token variance and
-no prior (`standard_keys`): its [P] takes no weight.
+(`KeyedPosterior.rows`, shaped by `key_rows`).  Each row depends on its own
+component alone, so a decode's causal cache keys each step's rows into one
+buffer.  A keyed posterior without forms is standard attention, the twin at
+zero token variance and no prior (`standard_keys`): its [P] takes no weight.
 
 Both paths also take a padded batch: (B, m, d) queries over a batch of B
 posteriors, with per-row forms stacked (B, ...) when the sequences sit at
@@ -53,7 +53,7 @@ after t from query t, and the prior component, the last, is always visible
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,6 +67,7 @@ __all__ = [
     "SiteForms",
     "KeyedPosterior",
     "site_forms",
+    "key_rows",
     "standard_keys",
     "head_keys",
     "eval_dattn_multihead",
@@ -133,30 +134,30 @@ class KeyedPosterior:
     and c the score bias log alpha - 0.5 ||mu/sigma_r||^2 - 0.5 sum log
     sigma_r^2.  A padded batch's rows are a (B, n+1, 3d+1) stack.  A
     posterior without forms is standard attention (`standard_keys`).  Its
-    head views are split once; a causal cache's prefix `upto(n)` cuts its whole's.
+    head views are split once, on its first attend.
     """
 
     rows: np.ndarray
     forms: SiteForms | None
-    whole: KeyedPosterior | None = field(default=None, repr=False, compare=False)
 
     @property
     def mu(self) -> np.ndarray:
         return self.rows[..., : (self.rows.shape[-1] - 1) // 3]
 
-    def upto(self, n: int) -> KeyedPosterior:
-        return KeyedPosterior(self.rows[..., :n, :], self.forms, self)
-
     def heads(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of k^T (..., h, d/h, n+1), v (..., h, n+1, d/h), c (..., 1, 1, n+1)."""
-        if self.whole is not None:  # a prefix, attended once: its whole's, cut
-            (kt, v, c), n = self.whole.heads(h), self.rows.shape[-2]
-            return kt[..., :n], v[..., :n, :], c[..., :n]
         if "_heads" not in vars(self):  # split once, on the first attend
-            r, d = self.rows, self.mu.shape[-1]
+            r, d = self.rows, (self.rows.shape[-1] - 1) // 3
             k, v = split_heads(r[..., d : 2 * d], h), split_heads(r[..., 2 * d : -1], h)
             vars(self)["_heads"] = k.swapaxes(-1, -2), v, r[..., None, None, :, -1]
         return vars(self)["_heads"]
+
+
+def key_rows(z, n=None) -> np.ndarray:
+    """Empty key rows (..., n+1, 3d+1), [P]'s last, for n of the positions of
+    vectors z (..., m, d), all m when n is None: what the key maps write."""
+    n = z.shape[-2] if n is None else n
+    return np.empty(z.shape[:-2] + (n + 1, 3 * z.shape[-1] + 1))
 
 
 def standard_keys(z, params: AttentionParams, valid=None, out=None) -> KeyedPosterior:
@@ -166,7 +167,7 @@ def standard_keys(z, params: AttentionParams, valid=None, out=None) -> KeyedPost
     [P].  b^K is constant per query and drops out; b^V enters after the
     mix."""
     d = z.shape[-1]
-    rows = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
+    rows = key_rows(z) if out is None else out
     rows[..., -1, :] = 0.0
     rows[..., -1, -1] = -np.inf
     tok = rows[..., :-1, :]
@@ -190,7 +191,7 @@ def head_keys(
     `head` rows are `standard_keys`'; inv_var and half_log_var are the
     twins' rows alone."""
     d = z.shape[-1]
-    rows = out = np.empty(z.shape[:-2] + (z.shape[-2] + 1, 3 * d + 1)) if out is None else out
+    rows = out = key_rows(z) if out is None else out
     if head:
         std_valid, valid = (None, None) if valid is None else (valid[:head], valid[head:])
         standard_keys(z[:head], params, std_valid, rows[:head])

@@ -37,6 +37,7 @@ from .denoising import (
     SiteForms,
     eval_dattn_multihead,
     head_keys,
+    key_rows,
     site_forms,
     standard_keys,
 )
@@ -569,26 +570,23 @@ def _step_logits(model, src: np.ndarray, positions: int, src_valid=None, memory=
     padding, keyed as such from its (B,) liveness.
 
     The cross sites are `_attention_sites`' (with its `memory`); each
-    decoder layer's causal site keeps one posterior over a row buffer made
-    at t=0: step t keys position t's n rows into buf[:, t : t+n] and
-    attends over its prefix `upto(t+n)` with no mask, as causal masking
-    means earlier rows never change.  The [P] row moves down one each step.
+    decoder layer's causal site keeps one `key_rows` buffer for `positions`
+    steps, made at t=0: step t keys position t's row and [P]'s into
+    buf[:, t : t+2] and attends a posterior over buf[:, : t+2] with no
+    mask, as causal masking means earlier rows never change.  The [P] row
+    moves down one each step.
     """
     w, keys, attend = ops = _site_ops(model)
     cross = _attention_sites(ops, src, src_valid, memory)
-    caches = {}  # one posterior over a row buffer per decoder layer
+    bufs = {}  # one key-row buffer per decoder layer
     live = np.ones(len(src), dtype=bool)  # the new position's validity
 
     def causal(l: int, z: np.ndarray) -> np.ndarray:
         site = ("decoder", l)
-        if t == 0:  # this step's n rows, then room for positions - 1 more
-            kv = keys(site, z, live[:, None])
-            room = np.empty((len(z), positions - 1, kv.rows.shape[2]))
-            caches[l] = KeyedPosterior(np.concatenate((kv.rows, room), axis=1), kv.forms)
-        end = t + caches[l].rows.shape[1] - positions + 1
-        if t > 0:
-            keys(site, z, live[:, None], caches[l].rows[:, t:end])
-        return attend(site, z, caches[l].upto(end))
+        if t == 0:
+            bufs[l] = key_rows(z, positions)
+        kv = keys(site, z, live[:, None], bufs[l][:, t : t + 2])
+        return attend(site, z, KeyedPosterior(bufs[l][:, : t + 2], kv.forms))
 
     tok = yield
     for t in range(positions):  # the causal sites read t, the new position

@@ -8,11 +8,11 @@ this at the change and at its parent and comparing, in one command:
 
 which runs this battery in two subprocesses, against ../parent/src and
 against this checkout's src, prints the name of each artifact whose digest
-differs and exits 1 if any does.  Beside each `.logits` artifact that
-differs it prints the largest absolute difference of the two arrays and
-whether the matching `.decodes` artifact is equal; the subprocesses save
-their logits for this with `--save-logits DIR`.  By hand, the same
-comparison is:
+differs and exits 1 if any does.  Beside each `.logits` or `.step-logits`
+artifact that differs it prints the largest absolute difference of the two
+arrays and whether the matching `.decodes` artifact is equal; the
+subprocesses save their logits for this with `--save-logits DIR`.  By
+hand, the same comparison is:
 
     PYTHONPATH=src python3 tests/battery.py > after.txt
     (cd ../parent && PYTHONPATH=src python3 /path/to/tests/battery.py) > before.txt
@@ -26,17 +26,23 @@ checkout's own battery instead:
     (cd ../parent && PYTHONPATH=src python3 tests/battery.py) > before.txt
     diff before.txt after.txt
 
-It covers the toy config at model seeds 7 and 14, `--dim 32 --heads 4` and
-the wide config (vocab 512, d 128, 8 heads, 6+6 layers).  Per config: the
-`init-model` and `estimate-prior` NVTX files and the prior report, the
-same at `--fraction 0.5 --shards 3`, the `certify` stdout, two `sweep`
-CSVs, `attn-dump` maps at the identity and at collapsing dials, the
-standard model's and two twins' teacher-forced logits and greedy decodes,
-and a sweep's padded mixed batch (the standard rows first, then twins at
-several dials), its logits and decodes, with and without an EOS bias that
-ends some decodes early.  It reads only the CLI and the model's batched
-internals, and pytest does not collect it.  It runs in about ten seconds on
-one core.
+It covers the toy config at model seeds 7 and 14, dim 32 with 4 heads and
+the wide config (vocab 512, d 128, 8 heads, 6+6 layers), each written to
+an `init-model --config` file, and its corpus written by `write_corpus`.
+Per config: the `init-model` and `estimate-prior` NVTX files and the prior
+report, the same at `--fraction 0.5 --shards 3`, the `certify` stdout, two
+`sweep` CSVs, `attn-dump` maps at the identity and at collapsing dials,
+the standard model's and two twins' teacher-forced logits and greedy
+decodes, and a sweep's padded mixed batch (the standard rows first, then
+twins at several dials), its logits and decodes, with and without an EOS
+bias that ends some decodes early.  Each of those five decodes also gives
+its step logits (`.step-logits`): `_step_logits`' logits of each row's own
+decoded tokens, positions past its EOS left out, so a decode-path change
+that moves logits without flipping an argmax shows.  Decodes take a
+sweep's `DECODE_STEPS`, at most the config's `max_len`.  It reads only the
+CLI and the model's batched internals, and pytest does not collect it; the
+same calls are `tests/test_reach.py`'s traffic.  It runs in about ten
+seconds on one core.
 """
 
 from __future__ import annotations
@@ -59,11 +65,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 sys.path.append(SRC)
 
 from nvtransformer import cli
-from nvtransformer.evaluate import grid_points, make_random_corpus, random_eval_inputs
+from nvtransformer.evaluate import DECODE_STEPS, grid_points, make_random_corpus, random_eval_inputs
 from nvtransformer.model import (
+    BOS_ID,
     EOS_ID,
     _greedy,
     _pad,
+    _step_logits,
     _teacher_forced,
     _Twins,
     forward_nv,
@@ -72,14 +80,15 @@ from nvtransformer.model import (
     reinterpret,
 )
 from nvtransformer.nvib import TauConfig, identity_taus
-from nvtransformer.serialize import load_weights
+from nvtransformer.serialize import load_weights, write_corpus
 
+# name -> (the `init-model --config` file's fields, the model seed)
 CONFIGS = {
-    "toy-seed7": ([], 7),
-    "toy-seed14": ([], 14),
-    "dim32-heads4": (["--dim", "32", "--heads", "4"], 7),
-    "wide": (["--vocab", "512", "--dim", "128", "--heads", "8", "--layers-enc", "6",
-              "--layers-dec", "6", "--ffn-dim", "512", "--max-len", "128"], 7),
+    "toy-seed7": ({}, 7),
+    "toy-seed14": ({}, 14),
+    "dim32-heads4": (dict(dim=32, heads=4), 7),
+    "wide": (dict(vocab=512, dim=128, heads=8, layers_enc=6, layers_dec=6, ffn_dim=512,
+                  max_len=128), 7),
 }
 
 
@@ -107,16 +116,20 @@ def read(path: str) -> bytes:
         return fh.read()
 
 
-def cli_artifacts(tmp: str, flags: list[str], seed: int) -> tuple[dict[str, object], str, str]:
-    """Each CLI command's outputs for one config; also the base and twin
-    file paths."""
+def cli_artifacts(
+    tmp: str, fields: dict[str, int], seed: int
+) -> tuple[dict[str, object], str, str]:
+    """Each CLI command's outputs for one config, given by its config
+    file's fields; also the base and twin file paths."""
     base, twin = os.path.join(tmp, "base.nvtx"), os.path.join(tmp, "twin.nvtx")
-    run_cli(tmp, "init-model", "--seed", str(seed), "--out", base, *flags)
+    cfg = os.path.join(tmp, "model.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key}={value}\n" for key, value in fields.items())
+    run_cli(tmp, "init-model", "--config", cfg, "--seed", str(seed), "--out", base)
     config = load_weights(base).config
     corpus = os.path.join(tmp, "corpus.txt")
-    with open(corpus, "w", encoding="utf-8") as fh:
-        for seq in make_random_corpus(config, 40, seed=seed + 1, max_len=min(config.max_len, 30)):
-            fh.write(" ".join(map(str, seq)) + "\n")
+    write_corpus(corpus, make_random_corpus(config, 40, seed=seed + 1,
+                                            max_len=min(config.max_len, 30)))
     # a subsample in shards: the reservoir and the shard merge
     half = os.path.join(tmp, "half.nvtx")
     run_cli(tmp, "estimate-prior", "--model", base, "--corpus", corpus, "--out", half,
@@ -149,17 +162,35 @@ def cli_artifacts(tmp: str, flags: list[str], seed: int) -> tuple[dict[str, obje
     return out, base, twin
 
 
+def step_logits(model, src, decodes, src_valid=None) -> np.ndarray:
+    """`_step_logits`' logits of each row's own decoded tokens, sent BOS
+    first, up to its last token; the rows' positions past their EOS are
+    left out, and the rows are concatenated."""
+    positions = max(map(len, decodes))
+    steps = _step_logits(model, src, positions, src_valid)
+    next(steps)
+    tok, out = np.full(len(src), BOS_ID), []
+    for t in range(positions):
+        out.append(steps.send(tok))
+        tok = np.array([row[t] if t < len(row) else EOS_ID for row in decodes])
+    logits = np.stack(out, axis=1)
+    return np.concatenate([logits[i, : len(row)] for i, row in enumerate(decodes)])
+
+
 def model_artifacts(w, priors) -> dict[str, object]:
-    """Logits and decodes of the standard model, two twins and a mixed
-    batch, on seeded pairs of differing lengths."""
+    """Logits, decodes and step logits of the standard model, two twins and
+    a mixed batch, on seeded pairs of differing lengths."""
     pairs = random_eval_inputs(w.config, 5, seed=11)
+    steps = min(DECODE_STEPS, w.config.max_len)
     twins = {"identity": identity_taus(), "off-identity": TauConfig.uniform(0.0, 0.3)}
     out: dict[str, object] = {}
     for name, model, forward in [("standard", w, forward_standard)] + [
         (f"twin-{k}", reinterpret(w, priors, taus), forward_nv) for k, taus in twins.items()
     ]:
         out[f"{name}.logits"] = np.concatenate([forward(model, s, t) for s, t in pairs])
-        out[f"{name}.decodes"] = [greedy_decode(model, s, 16) for s, _ in pairs]
+        decodes = out[f"{name}.decodes"] = [greedy_decode(model, s, steps) for s, _ in pairs]
+        out[f"{name}.step-logits"] = np.concatenate(
+            [step_logits(model, np.array([s]), [d]) for (s, _), d in zip(pairs, decodes)])
     points = grid_points("interp:3") + grid_points("random:2", seed=4)
     rows = [taus for taus in points for _ in pairs]
     for name, bias in (("mixed", 0.0), ("mixed-eager-eos", 1.5)):
@@ -171,12 +202,13 @@ def model_artifacts(w, priors) -> dict[str, object]:
             _pad([p[i] for p in pairs] * (len(points) + 1)) for i in (0, 1))
         logits = _teacher_forced(batch, src, tgt, None, src_valid, tgt_valid)
         out[f"{name}.logits"] = np.where(tgt_valid[..., None], logits, 0.0)
-        out[f"{name}.decodes"] = _greedy(batch, src, 16, src_valid)
+        decodes = out[f"{name}.decodes"] = _greedy(batch, src, steps, src_valid)
+        out[f"{name}.step-logits"] = step_logits(batch, src, decodes, src_valid)
     return out
 
 
 def logits_file(logits_dir: str, name: str) -> str:
-    """Where `--save-logits` puts the `.logits` artifact `name`."""
+    """Where `--save-logits` puts the logits artifact `name`."""
     return os.path.join(logits_dir, name.replace("/", "__") + ".npy")
 
 
@@ -193,21 +225,21 @@ def digests_against(src: str, logits_dir: str) -> dict[str, str]:
 
 
 def logits_note(name: str, before: dict[str, str], after: dict[str, str], dirs) -> str:
-    """For a `.logits` artifact present on both sides: the largest absolute
-    difference of the two arrays and whether the matching `.decodes`
-    artifact is equal; empty for any other artifact."""
-    if not name.endswith(".logits") or name not in before or name not in after:
+    """For a `.logits` or `.step-logits` artifact present on both sides: the
+    largest absolute difference of the two arrays and whether the matching
+    `.decodes` artifact is equal; empty for any other artifact."""
+    if not name.endswith("logits") or name not in before or name not in after:
         return ""
     a, b = (np.load(logits_file(d, name)) for d in dirs)
     diff = f"{np.max(np.abs(a - b)):.3g}" if a.shape == b.shape else f"shapes {a.shape} {b.shape}"
-    decodes = name[: -len(".logits")] + ".decodes"
+    decodes = name.rsplit(".", 1)[0] + ".decodes"
     same = before.get(decodes) == after.get(decodes)
     return f"  max |diff| {diff}, decodes {'equal' if same else 'differ'}"
 
 
 def compare(parent: str) -> int:
     """Print the artifacts whose digests differ between PARENT/src and this
-    checkout's src, a moved `.logits` one with `logits_note`; 1 if any
+    checkout's src, a moved logits one with `logits_note`; 1 if any
     differs, else 0."""
     with tempfile.TemporaryDirectory() as tmp:
         dirs = os.path.join(tmp, "before"), os.path.join(tmp, "after")
@@ -226,21 +258,21 @@ def main() -> int:
     parser.add_argument("--against", metavar="PARENT",
                         help="compare with the checkout at PARENT instead of printing digests")
     parser.add_argument("--save-logits", metavar="DIR",
-                        help="also save each .logits artifact to DIR as .npy")
+                        help="also save each logits artifact to DIR as .npy")
     args = parser.parse_args()
     if args.against is not None:
         return compare(args.against)
     if args.save_logits is not None:
         os.makedirs(args.save_logits, exist_ok=True)
-    for config, (flags, seed) in CONFIGS.items():
+    for config, (fields, seed) in CONFIGS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            files, base, twin = cli_artifacts(tmp, flags, seed)
+            files, base, twin = cli_artifacts(tmp, fields, seed)
             arts = dict(files)
             arts.update(model_artifacts(load_weights(base), load_weights(twin).priors))
         for name, data in arts.items():
             name = f"{config}/{name}"
             print(f"{name} {digest(data)}")
-            if args.save_logits is not None and name.endswith(".logits"):
+            if args.save_logits is not None and name.endswith("logits"):
                 np.save(logits_file(args.save_logits, name), data)
     return 0
 

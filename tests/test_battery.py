@@ -2,8 +2,8 @@
 config it makes every artifact it names, so a change that renames a model
 internal the battery reads fails here, not when the battery is next run to
 compare two checkouts.  It compares no digests: those depend on the BLAS
-build.  The note `--against` prints beside a moved `.logits` artifact is
-checked on saved arrays."""
+build.  The note `--against` prints beside a moved `.logits` or
+`.step-logits` artifact is checked on saved arrays."""
 
 import numpy as np
 
@@ -20,13 +20,13 @@ CLI_ARTIFACTS = [
 MODEL_ARTIFACTS = [
     f"{name}.{kind}"
     for name in ("standard", "twin-identity", "twin-off-identity", "mixed", "mixed-eager-eos")
-    for kind in ("logits", "decodes")
+    for kind in ("logits", "decodes", "step-logits")
 ]
 
 
 def test_battery_makes_every_artifact(tmp_path):
-    flags, seed = battery.CONFIGS["toy-seed7"]
-    files, base, twin = battery.cli_artifacts(str(tmp_path), flags, seed)
+    fields, seed = battery.CONFIGS["toy-seed7"]
+    files, base, twin = battery.cli_artifacts(str(tmp_path), fields, seed)
     arts = battery.model_artifacts(load_weights(base), load_weights(twin).priors)
     assert list(files) == CLI_ARTIFACTS
     assert list(arts) == MODEL_ARTIFACTS
@@ -47,3 +47,9 @@ def test_a_moved_logits_artifact_is_noted_with_its_largest_difference(tmp_path):
     note = battery.logits_note("toy-seed7/mixed.logits", before, after, dirs)
     assert note == "  max |diff| 0.5, decodes differ"
     assert battery.logits_note("x.csv", before, after, dirs) == ""
+    # a step-logits artifact is noted beside the same decodes
+    for d, logits in zip(dirs, ([0.0, 1.0], [0.0, 1.25])):
+        np.save(battery.logits_file(d, "toy-seed7/mixed.step-logits"), np.array(logits))
+    before["toy-seed7/mixed.step-logits"], after["toy-seed7/mixed.step-logits"] = "f", "g"
+    note = battery.logits_note("toy-seed7/mixed.step-logits", before, after, dirs)
+    assert note == "  max |diff| 0.25, decodes differ"

@@ -22,6 +22,7 @@ from nvtransformer import (
     write_corpus,
 )
 from nvtransformer.cli import _build_parser, main
+from nvtransformer import model as model_mod
 from nvtransformer.evaluate import make_random_corpus
 from nvtransformer.model import ModelConfig
 from nvtransformer.nvib import TauConfig, identity_taus
@@ -438,6 +439,24 @@ class TestAttnDump:
             "--out", str(tmp_path / "map.csv"),
         ])
         assert r == 2
+
+    def test_layer_out_of_range_is_refused_before_the_dials_twin(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        # only the file's twin is built: the site is checked before the
+        # dial flags rebuild it
+        builds = []
+        post_init = model_mod._Twins.__post_init__
+        monkeypatch.setattr(model_mod._Twins, "__post_init__",
+                            lambda self: builds.append(1) or post_init(self))
+        r = main([
+            "attn-dump", "--model", workdir["priors"], "--input", "3 4 5",
+            "--layer", "9", "--group", "cross", "--tau-alpha", "0",
+            "--out", str(tmp_path / "map.csv"),
+        ])
+        assert r == 2
+        assert capsys.readouterr().err == "error: layer 9 out of range for group cross\n"
+        assert len(builds) == 1
 
     def test_empty_input_is_usage_error(self, workdir, tmp_path, capsys):
         r = main([

@@ -24,6 +24,7 @@ from nvtransformer.denoising import (
     KeyedPosterior,
     SiteForms,
     head_keys,
+    key_rows,
     site_forms,
     standard_keys,
 )
@@ -338,7 +339,7 @@ class TestStandardKeys:
         keyed = standard_keys(z, params, self.VALID)
         zero = SiteForms(
             np.zeros((self.B, self.D)), np.zeros(self.B),
-            np.zeros((self.B, h, dh, 3 * dh)), np.zeros(3 * self.D + 1),
+            np.zeros((self.B, h, dh, 3 * dh)), np.zeros_like(keyed.rows[0, -1]),
         )
         maps = []
         got = eval_dattn_multihead(q, keyed, params, causal, maps.append)
@@ -365,9 +366,8 @@ class TestStandardKeys:
 
 class TestCausalCache:
     """What a decode's causal cache relies on: a key map writing into the
-    cache's buffer writes the bits of fresh keys, and a prefix attended
-    through its whole's head views gives the bits of a posterior over the
-    same rows split on its own."""
+    cache's `key_rows` buffer writes the bits of fresh keys, and a posterior
+    over the buffer's prefix gives the bits of one over a copy of its rows."""
 
     @pytest.mark.parametrize("twin", [False, True], ids=["standard", "twin"])
     def test_buffer_prefix_is_fresh_keys_bitwise(self, twin):
@@ -385,21 +385,24 @@ class TestCausalCache:
 
         valid = np.ones((b, steps), dtype=bool)
         valid[1, 3:] = False
-        whole = KeyedPosterior(np.full((b, steps + 1, 3 * d + 1), np.nan), forms)
-        copied = np.full_like(whole.rows, np.nan)
+        buf = key_rows(np.empty((b, 1, d)), steps)
+        buf.fill(np.nan)
+        copied = np.full_like(buf, np.nan)
         for t in range(steps):
             z, q = rng.normal(size=(2, b, 1, d))
-            keys(z, valid[:, t : t + 1], whole.rows[:, t : t + 2])
+            keys(z, valid[:, t : t + 1], buf[:, t : t + 2])
             copied[:, t : t + 2] = keys(z, valid[:, t : t + 1]).rows
-            assert np.array_equal(whole.rows, copied, equal_nan=True)
+            assert np.array_equal(buf, copied, equal_nan=True)
             maps = []
-            got = eval_dattn_multihead(q, whole.upto(t + 2), params, False, maps.append)
+            got = eval_dattn_multihead(q, KeyedPosterior(buf[:, : t + 2], forms), params, False,
+                                       maps.append)
             fresh = KeyedPosterior(copied[:, : t + 2], forms)
             assert np.array_equal(got, eval_dattn_multihead(q, fresh, params, False, maps.append))
             assert np.array_equal(maps[0], maps[1])
-        # the whole's views are split once; a prefix's are slices of them
+        # a posterior's views are split once, and a prefix's are the buffer's
+        whole = KeyedPosterior(buf, forms)
         assert all(a is b for a, b in zip(whole.heads(2), whole.heads(2)))
-        assert all(np.shares_memory(v, whole.rows) for v in whole.upto(3).heads(2))
+        assert all(np.shares_memory(v, buf) for v in KeyedPosterior(buf[:, :3], forms).heads(2))
 
 
 class TestCollapse:

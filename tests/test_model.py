@@ -28,7 +28,7 @@ from nvtransformer import (
 from nvtransformer import model as model_mod
 from nvtransformer import serialize
 from nvtransformer.attention import attention
-from nvtransformer.denoising import KeyedPosterior
+from nvtransformer.denoising import KeyedPosterior, key_rows
 from nvtransformer.evaluate import grid_points, make_random_corpus, random_eval_inputs, run_sweep
 from nvtransformer.model import (
     LN_EPS,
@@ -57,22 +57,24 @@ def group_projs(m, group):
 def general_site_ops(model, hook=None):
     """`_site_ops` with every twin site on the general path, the reference
     the head-space path is checked against: a site keeps its posterior's
-    own rows [mu | sigma | log alpha] (in a `KeyedPosterior`'s rows, which
-    the decode's causal cache grows), and attends over the `DpPosterior`
-    they hold.  Patched over `model._site_ops`; the standard model's ops
-    are unchanged."""
+    own rows [mu | sigma | log alpha] in the first 2d+1 columns of the
+    package's key rows (`key_rows`, which the decode's causal cache keys a
+    step at a time), and attends over the `DpPosterior` they hold.  Patched
+    over `model._site_ops`; the standard model's ops are unchanged."""
     if isinstance(model, ModelWeights):
         return _site_ops(model, hook)
     params, d = _site_params(model.base), model.base.config.dim
 
     def keys(site, rows, valid, out=None):
         dp = model_mod.project(rows, model.projs[site], valid)
+        out = key_rows(rows) if out is None else out
         parts = [dp.mu, dp.sigma, dp.log_alpha[..., None]]
-        return KeyedPosterior(np.concatenate(parts, axis=-1, out=out), None)
+        np.concatenate(parts, axis=-1, out=out[..., : 2 * d + 1])
+        return KeyedPosterior(out, None)
 
     def attend(site, q, kv, causal=False):
         kv = kv.rows
-        dp = DpPosterior(kv[..., :d], kv[..., d:-1], kv[..., -1])
+        dp = DpPosterior(kv[..., :d], kv[..., d : 2 * d], kv[..., 2 * d])
         sink = None if hook is None else partial(hook, *site)
         return eval_dattn_multihead(q, dp, params[site], causal, sink)
 
@@ -82,24 +84,28 @@ def general_site_ops(model, hook=None):
 def attention_site_ops(model, hook=None):
     """`_site_ops` with every standard site on `attention.attention`, the
     independent reference for the standard model on the twin's kernel: a
-    site keeps its rows as keys, each with its validity as a last column
-    (in a `KeyedPosterior`'s rows, which the decode's causal cache grows),
-    and attends over them with the standard kernel, which hides padded keys
-    by that validity.  Patched over `model._site_ops`; a twin's ops are
-    unchanged."""
+    site keeps its rows as keys, each with its validity in the next column,
+    in the first d+1 columns of the package's key rows (`key_rows`, which
+    the decode's causal cache keys a step at a time), whose last row, the
+    [P] slot, has validity 0; it attends over the rows but that last with
+    the standard kernel, which hides padded keys by their validity.
+    Patched over `model._site_ops`; a twin's ops are unchanged."""
     if not isinstance(model, ModelWeights):
         return _site_ops(model, hook)
-    params = _site_params(model)
+    params, d = _site_params(model), model.config.dim
 
     def keys(site, rows, valid, out=None):
         if hook is not None:
             hook(*site, rows, valid)
+        out = key_rows(rows) if out is None else out
         valid = np.broadcast_to(True if valid is None else valid, rows.shape[:-1])
-        return KeyedPosterior(np.concatenate((rows, valid[..., None]), axis=-1, out=out), None)
+        np.concatenate((rows, valid[..., None]), axis=-1, out=out[..., :-1, : d + 1])
+        out[..., -1, d] = 0.0
+        return KeyedPosterior(out, None)
 
     def attend(site, q, kv, causal=False):
-        kv = kv.rows
-        return attention(q, kv[..., :-1], params[site], causal, key_valid=kv[..., -1] == 1.0)
+        kv = kv.rows[..., :-1, :]
+        return attention(q, kv[..., :d], params[site], causal, key_valid=kv[..., d] == 1.0)
 
     return model, keys, attend
 

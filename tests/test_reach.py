@@ -1,8 +1,9 @@
 """The package holds only what it runs: every `def` under
-`src/nvtransformer` is entered by the five CLI commands on a tiny config,
-`forward_standard` and the README's Python API example, except for the
-kept list below, each with its reason.  The example also runs on its own,
-as written.
+`src/nvtransformer` is entered by the output battery's calls
+(`tests/battery.py`'s `cli_artifacts` and `model_artifacts`: the five CLI
+commands, the teacher-forced passes and the decodes) on a tiny config and
+by the README's Python API example, except for the kept list below, each
+with its reason.  The example also runs on its own, as written.
 
 The traffic runs in a child interpreter whose profile hook is installed
 before `import nvtransformer`, with this checkout's `src` first on its path,
@@ -37,8 +38,9 @@ KEPT = {
     "cli.entry": "the installed console script, which CI's smoke test runs",
 }
 
-# Run as `python -c TRAFFIC SRC EXAMPLE`; its last line of output is the
-# (file, first line) of every code object entered, as JSON.
+# Run as `python -c TRAFFIC SRC TESTS EXAMPLE`: the battery's calls on a
+# tiny config, then the example; its last line of output is the (file,
+# first line) of every code object entered, as JSON.
 TRAFFIC = r"""
 import json, os, sys, tempfile
 
@@ -51,30 +53,19 @@ def profile(frame, event, arg):
 
 sys.setprofile(profile)
 import nvtransformer
-from nvtransformer import forward_standard, load_weights, write_corpus
-from nvtransformer.cli import main
-from nvtransformer.evaluate import make_random_corpus
+sys.path.insert(1, sys.argv[2])
+import battery
 
 assert os.path.dirname(nvtransformer.__file__) == os.path.join(sys.argv[1], "nvtransformer")
+tiny = dict(vocab=12, dim=8, max_len=10, heads=2, layers_enc=1, layers_dec=1, ffn_dim=8)
 with tempfile.TemporaryDirectory() as tmp:
     os.chdir(tmp)
-    with open("tiny.cfg", "w") as fh:
-        fh.write("vocab=12\ndim=8\nmax_len=10\n")
-    assert main(["init-model", "--config", "tiny.cfg", "--heads", "2", "--layers-enc",
-                 "1", "--layers-dec", "1", "--ffn-dim", "8", "--out", "m.nvtx"]) == 0
-    w = load_weights("m.nvtx")
-    write_corpus("c.txt", make_random_corpus(w.config, 8, seed=1))
-    for argv in [
-        ["estimate-prior", "--model", "m.nvtx", "--corpus", "c.txt", "--out", "p.nvtx"],
-        ["certify", "--model", "p.nvtx", "--trials", "2"],
-        ["sweep", "--model", "p.nvtx", "--grid", "interp:2", "--trials", "2",
-         "--out", "s.csv"],
-        ["attn-dump", "--model", "p.nvtx", "--input", "3 4 5", "--layer", "0",
-         "--group", "cross", "--tau-alpha", "0", "--out", "a.csv"],
-    ]:
-        assert main(argv) == 0, argv
-    forward_standard(w, [3, 4, 5], [1, 6, 7])
-    exec(sys.argv[2], {})
+    files, base, twin = battery.cli_artifacts(tmp, tiny, 7)
+    # a command that wrote no file still ran to the end: no usage or data error
+    assert not [out for out in files.values() if str(out).endswith(("exit 2\n", "exit 3\n"))]
+    battery.model_artifacts(nvtransformer.load_weights(base),
+                            nvtransformer.load_weights(twin).priors)
+    exec(sys.argv[3], {})
 sys.setprofile(None)
 print(json.dumps(sorted(entered)))
 """
@@ -122,7 +113,7 @@ def reach(src: pathlib.Path = SRC) -> tuple[list[str], list[str]]:
     enters that are not kept, and the kept entries it enters or that name
     no def."""
     r = subprocess.run(
-        [sys.executable, "-c", TRAFFIC, str(src), readme_example()],
+        [sys.executable, "-c", TRAFFIC, str(src), str(ROOT / "tests"), readme_example()],
         capture_output=True, text=True, timeout=120,
     )
     assert r.returncode == 0, r.stderr
