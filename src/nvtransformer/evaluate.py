@@ -9,6 +9,7 @@ attention mass the prior component receives in each group.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -123,6 +124,8 @@ def certify(
     one-point `run_sweep`.  Passes iff the worst teacher-forced logit
     deviation stays within `tol` and every greedy decode matches exactly.
     """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tol must be a number, got {tol!r}")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
     (row,) = run_sweep(w, priors, [taus], trials, seed)
@@ -156,8 +159,7 @@ def grid_points(spec: str, seed: int = 0) -> list[TauConfig]:
     if k < 1:
         raise ValueError("grid needs at least one point")
     if kind == "interp":
-        ts = np.linspace(0.0, 1.0, k) if k > 1 else np.array([0.0])
-        return [interp_taus(float(t)) for t in ts]
+        return [interp_taus(float(t)) for t in np.linspace(0.0, 1.0, k)]
     if kind == "random":
         rng = make_rng(seed)
         out = []

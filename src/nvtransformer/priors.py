@@ -13,13 +13,12 @@ Every subsampled sequence is checked with the model's own token rule
 The corpus runs through the standard model in padded buckets: each shard
 is sorted by length and cut into buckets of at most BUCKET_TOKENS padded
 source tokens, and one forward per bucket hands every site its valid rows.
-Every cross site reads the same final encoder states, so they share one
-accumulation, made at the first cross site and merged into each cross
-site's prior.  The forward stops once the last site has seen its rows,
-before that site attends: at the last decoder layer's causal site (cross 0
-with one decoder layer).  Nothing after it reaches a site, so that layer's
-attention and FFN, the final norm and the output projection are never
-computed.
+Every cross site reads the same final encoder states, so the memory is
+accumulated once, at cross 0, whose prior every cross site takes.  The
+forward stops once the last site has seen its rows, before that site
+attends: at the last decoder layer's causal site (cross 0 with one decoder
+layer).  Nothing after it reaches a site, so that layer's attention and
+FFN, the final norm and the output projection are never computed.
 Accumulation is merge-based Welford: each bucket contributes one batch per
 site whose exact count/mean/M2 are folded in with the pairwise-merge
 formula, so neither the bucketing nor sharding the corpus and merging shard
@@ -156,7 +155,7 @@ def reservoir_subsample(
         raise CorpusError("corpus is empty")
     k = max(1, int(round(fraction * n)))
     rng = make_rng(seed)
-    reservoir = list(range(min(k, n)))
+    reservoir = list(range(k))
     for t in range(k, n):
         j = int(rng.integers(0, t + 1))
         if j < k:
@@ -216,22 +215,19 @@ def estimate_priors(
     cut = config.max_len
     # shards past the subsample's size would hold nothing: the same priors, no empty loops
     bounds = np.linspace(0, len(idx), min(shards, len(idx)) + 1).astype(int)
-    cross = [site for site in site_list if site[0] == "cross"]
-    merged = {site: _SiteAcc.fresh(config.dim) for site in site_list}
+    # every cross site reads the final encoder states: only cross 0 is read
+    read = [site for site in site_list if site[0] != "cross" or site[1] == 0]
+    merged = {site: _SiteAcc.fresh(config.dim) for site in read}
     for a, b in zip(bounds[:-1], bounds[1:]):
-        # every cross site reads the final encoder states: one accumulator
-        memory = _SiteAcc.fresh(config.dim)
-        accs = {site: memory if site in cross else _SiteAcc.fresh(config.dim)
-                for site in site_list}
+        accs = {site: _SiteAcc.fresh(config.dim) for site in read}
         seen = set()
 
         def hook(group: str, layer_id: int, z: np.ndarray, valid: np.ndarray) -> None:
-            if (group, layer_id) in seen:   # a later cross site: cross 0's rows
-                return
-            accs[(group, layer_id)].add(z[valid], scale)
-            seen.update(cross if group == "cross" else [(group, layer_id)])
-            if len(seen) == len(site_list):
-                raise _AllSitesSeen
+            if (group, layer_id) in accs:   # not a later cross site
+                accs[(group, layer_id)].add(z[valid], scale)
+                seen.add((group, layer_id))
+                if len(seen) == len(read):
+                    raise _AllSitesSeen
 
         for bucket in _buckets(lengths[a:b]):
             pos = a + bucket
@@ -245,7 +241,7 @@ def estimate_priors(
                 _teacher_forced(w, ids, tgt, hook, valid, tgt_valid)
         for key in merged:
             merged[key].merge(accs[key])
-    return [merged[site].finalize(*site) for site in site_list]
+    return [merged[g, 0 if g == "cross" else i].finalize(g, i) for g, i in site_list]
 
 
 def prior_report(priors: list[EmpiricalPrior]) -> str:

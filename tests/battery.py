@@ -26,8 +26,9 @@ checkout's own battery instead:
     (cd ../parent && PYTHONPATH=src python3 tests/battery.py) > before.txt
     diff before.txt after.txt
 
-It covers the toy config at model seeds 7 and 14, dim 32 with 4 heads and
-the wide config (vocab 512, d 128, 8 heads, 6+6 layers), each written to
+It covers the toy config at model seeds 7 and 14, dim 32 with 4 heads, one
+encoder and one decoder layer (where the prior estimator stops at cross 0)
+and the wide config (vocab 512, d 128, 8 heads, 6+6 layers), each written to
 an `init-model --config` file, and its corpus written by `write_corpus`.
 Per config: the `init-model` and `estimate-prior` NVTX files and the prior
 report, the same at `--fraction 0.5 --shards 3`, the `certify` stdout, two
@@ -87,6 +88,7 @@ CONFIGS = {
     "toy-seed7": ({}, 7),
     "toy-seed14": ({}, 14),
     "dim32-heads4": (dict(dim=32, heads=4), 7),
+    "one-layer": (dict(layers_enc=1, layers_dec=1), 7),
     "wide": (dict(vocab=512, dim=128, heads=8, layers_enc=6, layers_dec=6, ffn_dim=512,
                   max_len=128), 7),
 }

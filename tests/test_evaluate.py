@@ -487,7 +487,7 @@ class TestTrialsAndTol:
         got = run_sweep(toy_model, toy_priors, pts, trials=np.int64(2), seed=3)
         assert sweep_csv(got) == sweep_csv(run_sweep(toy_model, toy_priors, pts, trials=2, seed=3))
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), True, "1e-5"])
     def test_certify_rejects_non_finite_tol(self, toy_model, toy_priors, tol):
         with pytest.raises(ValueError, match="tol"):
             certify(toy_model, toy_priors, interp_taus(0.0), trials=1, tol=tol)

@@ -76,6 +76,23 @@ class TestWelford:
         np.testing.assert_array_equal(dst.mean, src.mean)
         assert dst.count == 10
 
+    def test_merge_with_empty_is_exact(self):
+        # an empty accumulator merged in changes nothing, and a filled one
+        # merged into an empty one is copied: count, mean and M2 bit for bit
+        rng = np.random.default_rng(35)
+        filled = WelfordAccumulator((3,))
+        filled.add_batch(rng.normal(1.0, 2.0, size=(9, 3)))
+        count, mean, m2 = filled.count, filled.mean.copy(), filled.m2.copy()
+        filled.merge(WelfordAccumulator((3,)))
+        assert filled.count == count
+        np.testing.assert_array_equal(filled.mean, mean)
+        np.testing.assert_array_equal(filled.m2, m2)
+        empty = WelfordAccumulator((3,))
+        empty.merge(filled)
+        assert empty.count == count
+        np.testing.assert_array_equal(empty.mean, mean)
+        np.testing.assert_array_equal(empty.m2, m2)
+
     def test_empty_batch_is_noop(self):
         acc = WelfordAccumulator((2,))
         acc.add_batch(np.zeros((0, 2)))
